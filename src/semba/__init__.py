@@ -3,14 +3,12 @@
 from .evaluation import (LabelSet, SegMetrics, SemanticPointCloud, align_trajectories,
                          assign_labels, ate_rmse, fuse_point_cloud, knn_transfer, seg_metrics,
                          trajectory_ate)
-from .features import (PcaModel, PyramidConfig, bilinear_sample, blend_pyramid, pca_decode,
-                       pca_encode, pca_fit, pyramid_dims)
+from .features import PcaModel, bilinear_sample, pca_decode, pca_encode, pca_fit
 from .geometry import (Intrinsics, Pose, depth_to_disparity, relative_pose, reproject,
                        reprojection_jacobian, se3_exp, se3_log)
-from .graph import Keyframe, KeyframeGraph, build_graph, plan_edges, select_keyframes
+from .graph import Keyframe, KeyframeGraph, plan_edges
 from .residuals import (EmbeddingResidualConfig, FlowObservation, RegConfig,
-                        disparity_reg_residual, embedding_jacobian, embedding_residual,
-                        flow_residual, total_energy)
+                        disparity_reg_residual, total_energy)
 from .robust import KernelConfig, adaptive_alpha, barron_psi, barron_rho, fold_weight, irls_weight
 from .solver import NormalEquations, SolverConfig, assemble, retract, solve
 from .synthscene import SceneBundle, SceneConfig, gen_scene, inject_dynamics, perturb_init

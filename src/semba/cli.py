@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -17,15 +16,6 @@ import numpy as np
 from . import evaluation, solver as solver_mod, synthscene, tensorio
 from .config import RunConfig, load_config
 from .tensorio import FileFormatError
-
-
-def _apply_thread_cap(threads):
-    # Best effort only: caps BLAS pools spawned after this point. The solver
-    # itself is single-threaded numpy.
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
 
 
 def cmd_synth(args) -> int:
@@ -142,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semba",
                                      description="Dense bundle adjustment with adaptive "
                                                  "robust kernels: synthesize, solve, evaluate.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap for BLAS thread pools (best effort)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic problem bundle")
@@ -181,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_thread_cap(args.threads)
     try:
         return args.func(args)
     except FileFormatError as exc:

@@ -49,7 +49,7 @@ class RunConfig:
         return RunConfig(scene=SceneConfig(), solver=SolverConfig(), evaluation=EvalConfig())
 
 
-_TUPLE_FIELDS = {"scales", "blend_weights", "depth_range"}
+_TUPLE_FIELDS = {"depth_range"}
 # Solver fields owned by their own sections.
 _SOLVER_NESTED = {"kernel", "embed", "reg"}
 

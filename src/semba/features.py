@@ -1,78 +1,13 @@
-"""Dense embedding maps: pyramid blending, PCA compression, bilinear sampling.
+"""Dense embedding maps: PCA compression, bilinear sampling.
 
 Feature maps are float arrays of shape (C, H, W), channel-major.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class PyramidConfig:
-    """Multi-scale extraction geometry: scales, patch size, blend weights.
-
-    Weights default to the scales themselves, favouring higher-resolution maps.
-    """
-
-    scales: tuple = (2.0, 1.5, 1.0, 0.75)
-    patch: int = 14
-    blend_weights: tuple = field(default=None)
-
-    def __post_init__(self):
-        if len(self.scales) == 0 or any(s <= 0 for s in self.scales):
-            raise ValueError("scales must be non-empty and positive")
-        if self.patch < 1:
-            raise ValueError("patch size must be >= 1")
-        weights = self.blend_weights if self.blend_weights is not None else tuple(self.scales)
-        if len(weights) != len(self.scales) or any(w <= 0 for w in weights):
-            raise ValueError("blend weights must be positive, one per scale")
-        object.__setattr__(self, "blend_weights", tuple(weights))
-
-
-def pyramid_dims(height: int, width: int, scale: float, patch: int):
-    """Scaled image dimensions rounded up to multiples of the patch size."""
-    if height < 1 or width < 1 or patch < 1 or scale <= 0:
-        raise ValueError("height, width, patch must be >= 1 and scale > 0")
-    h = int(np.ceil(height * scale / patch)) * patch
-    w = int(np.ceil(width * scale / patch)) * patch
-    return h, w
-
-
-def upsample_bilinear(fmap: np.ndarray, target_hw) -> np.ndarray:
-    """Resize (C, h, w) to (C, H, W) with bilinear interpolation, endpoints pinned."""
-    fmap = np.asarray(fmap, dtype=float)
-    c, h, w = fmap.shape
-    ht, wt = target_hw
-    if (h, w) == (ht, wt):
-        return fmap.copy()
-    ys = np.linspace(0.0, h - 1.0, ht) if ht > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1.0, wt) if wt > 1 else np.zeros(1)
-    gx, gy = np.meshgrid(xs, ys)
-    coords = np.stack([gx, gy], axis=-1).reshape(-1, 2)
-    values, _, _ = bilinear_sample(fmap, coords)
-    return values.reshape(ht, wt, c).transpose(2, 0, 1)
-
-
-def blend_pyramid(maps, weights, target_hw) -> np.ndarray:
-    """Upsample every map to target_hw and average with the given weights."""
-    if len(maps) == 0:
-        raise ValueError("blend_pyramid needs at least one feature map")
-    if len(weights) != len(maps):
-        raise ValueError(f"got {len(maps)} maps but {len(weights)} weights")
-    weights = np.asarray(weights, dtype=float)
-    if weights.sum() <= 0:
-        raise ValueError("blend weights must sum to a positive value")
-    channels = {np.asarray(m).shape[0] for m in maps}
-    if len(channels) != 1:
-        raise ValueError(f"feature maps disagree on channel count: {sorted(channels)}")
-    acc = None
-    for fmap, w in zip(maps, weights):
-        up = upsample_bilinear(fmap, target_hw) * w
-        acc = up if acc is None else acc + up
-    return acc / weights.sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,19 +73,6 @@ def pca_decode(codes: np.ndarray, model: PcaModel) -> np.ndarray:
     if codes.shape[-1] != model.output_dim:
         raise ValueError(f"code dim {codes.shape[-1]} != model output dim {model.output_dim}")
     return codes @ model.basis.T + model.mean
-
-
-def fit_pca_from_maps(maps, k: int, max_samples: int = 100_000, max_maps: int = 8,
-                      seed: int = 0) -> PcaModel:
-    """Fit PCA on a seeded uniform pixel subsample of the first max_maps feature maps."""
-    pool = [np.asarray(m, dtype=float).reshape(m.shape[0], -1).T for m in maps[:max_maps]]
-    if not pool:
-        raise ValueError("no feature maps given")
-    stacked = np.concatenate(pool, axis=0)
-    if stacked.shape[0] > max_samples:
-        idx = np.random.default_rng(seed).choice(stacked.shape[0], size=max_samples, replace=False)
-        stacked = stacked[idx]
-    return pca_fit(stacked, k)
 
 
 def bilinear_sample(fmap: np.ndarray, u):

@@ -322,23 +322,3 @@ def depth_to_disparity(depth) -> np.ndarray:
     out = np.zeros_like(depth)
     np.divide(1.0, depth, out=out, where=valid)
     return out
-
-
-def downsample_disparity(disparity, factor: int = 8) -> np.ndarray:
-    """Block-average a disparity map over factor x factor cells, ignoring invalid pixels.
-
-    Trailing rows/columns that do not fill a block are dropped. Cells with no
-    valid source pixel are 0.
-    """
-    disparity = np.asarray(disparity, dtype=float)
-    h, w = disparity.shape
-    hb, wb = h // factor, w // factor
-    if hb < 1 or wb < 1:
-        raise ValueError(f"map {h}x{w} too small for factor {factor}")
-    blocks = disparity[: hb * factor, : wb * factor].reshape(hb, factor, wb, factor)
-    valid = blocks > 0
-    counts = valid.sum(axis=(1, 3))
-    sums = np.where(valid, blocks, 0.0).sum(axis=(1, 3))
-    out = np.zeros((hb, wb))
-    np.divide(sums, counts, out=out, where=counts > 0)
-    return out

@@ -1,4 +1,4 @@
-"""Keyframe factor-graph construction: vertices, edge planning, keyframe selection."""
+"""Keyframe factor graph: vertices, edges and edge planning."""
 
 from __future__ import annotations
 
@@ -119,42 +119,3 @@ def plan_edges(frames, intrinsics, temporal_radius: int = 1, covis_threshold: fl
                 if frac >= covis_threshold:
                     pairs.append((i, j))
     return pairs
-
-
-def build_graph(frames, intrinsics, make_observation, window: int = None,
-                temporal_radius: int = 1, covis_threshold: float = 1.1,
-                covis_stride: int = 4) -> KeyframeGraph:
-    """Assemble a KeyframeGraph over the trailing `window` keyframes.
-
-    make_observation(i, j) must return the FlowObservation for a planned edge
-    (indices refer to positions within the windowed frame list).
-    """
-    if len(frames) < 2:
-        raise ValueError("need at least 2 keyframes")
-    if window is not None and window < len(frames):
-        frames = frames[-window:]
-        frames = [replace(kf, index=pos) for pos, kf in enumerate(frames)]
-    pairs = plan_edges(frames, intrinsics, temporal_radius, covis_threshold, covis_stride)
-    if not pairs:
-        raise ValueError("no edges produced; the problem is unconstrained")
-    edges = [make_observation(i, j) for i, j in pairs]
-    return KeyframeGraph(keyframes=list(frames), edges=edges, intrinsics=dict(intrinsics))
-
-
-def select_keyframes(step_flow_magnitudes, threshold: float = 2.0):
-    """Motion-threshold keyframe filter over consecutive-frame mean flow magnitudes.
-
-    step_flow_magnitudes[k] is the mean flow between frames k and k+1 (pixels
-    at 1/8 resolution). Frame 0 is always a keyframe; a new one is emitted once
-    the accumulated motion since the last keyframe reaches the threshold.
-    """
-    selected = [0]
-    acc = 0.0
-    for k, mag in enumerate(step_flow_magnitudes):
-        if mag < 0:
-            raise ValueError("flow magnitudes must be non-negative")
-        acc += float(mag)
-        if acc >= threshold:
-            selected.append(k + 1)
-            acc = 0.0
-    return selected

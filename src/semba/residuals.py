@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry, robust
 from .features import bilinear_sample
-from .geometry import Intrinsics, Pose
+from .geometry import Intrinsics
 
 _NORM_EPS = 1e-8
 
@@ -80,25 +80,6 @@ def in_bounds(u: np.ndarray, height: int, width: int) -> np.ndarray:
     return (x >= -eps) & (x <= width - 1 + eps) & (y >= -eps) & (y <= height - 1 + eps)
 
 
-def flow_residual(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics,
-                  obs: FlowObservation):
-    """Reprojection-minus-target flow residual at integer source pixels u (..., 2).
-
-    Returns (r (..., 2), valid (...)). Invalid pixels (zero disparity,
-    behind-camera, target out of bounds) carry zero residuals.
-    """
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(disparity, dtype=float)
-    mu, valid = geometry.reproject(u, d, pose_i, pose_j, intrinsics)
-    h, w = obs.confidence.shape
-    valid = valid & in_bounds(mu, h, w)
-    ix = u[..., 0].astype(int)
-    iy = u[..., 1].astype(int)
-    target = np.stack([obs.flow[0, iy, ix], obs.flow[1, iy, ix]], axis=-1)
-    r = (mu - u) - target
-    return np.where(valid[..., None], r, 0.0), valid
-
-
 def _cosine(z_src, z_sampled):
     """Cosine similarity of row vectors with degenerate-norm masking."""
     n_src = np.linalg.norm(z_src, axis=-1)
@@ -119,63 +100,6 @@ def _embed_dresidual_dcs(r, cfg: EmbeddingResidualConfig):
     if cfg.mode == "angular":
         return -np.ones_like(r)
     return -cfg.lambda_embed**2 / (r + cfg.eps)
-
-
-def embedding_residual(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics,
-                       features_i: np.ndarray, features_j: np.ndarray,
-                       cfg: EmbeddingResidualConfig = EmbeddingResidualConfig()):
-    """Cross-view embedding dissimilarity at integer source pixels u (..., 2).
-
-    The source embedding is indexed directly; the target is bilinearly sampled
-    at the reprojected location. Returns (r, cs, valid).
-    """
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(disparity, dtype=float)
-    mu, valid_geo = geometry.reproject(u, d, pose_i, pose_j, intrinsics)
-    ix = u[..., 0].astype(int)
-    iy = u[..., 1].astype(int)
-    z_src = np.moveaxis(features_i[:, iy, ix], 0, -1)
-    z_smp, _, valid_bi = bilinear_sample(features_j, mu)
-    cs, _, _, norm_ok = _cosine(z_src, z_smp)
-    valid = valid_geo & valid_bi & norm_ok
-    r = np.where(valid, _embed_residual_from_cs(cs, cfg), 0.0)
-    return r, np.where(valid, cs, 0.0), valid
-
-
-def embedding_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics,
-                       features_i: np.ndarray, features_j: np.ndarray,
-                       cfg: EmbeddingResidualConfig = EmbeddingResidualConfig()):
-    """Chain-rule derivatives of the embedding residual.
-
-    Returns (d_pose_i (..., 6), d_pose_j (..., 6), d_disparity (...,), r, cs, valid).
-    The chain is dr/dcs * dcs/dz_j * dz_j/du * du/d{pose, disparity}, with
-    dcs/dz_j = (s - cs t) / ||z_j|| for the normalized source s and target t.
-    """
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(disparity, dtype=float)
-    d_pose_i, d_pose_j, d_disp, mu, valid_geo = geometry.reprojection_jacobian(
-        u, d, pose_i, pose_j, intrinsics)
-    ix = u[..., 0].astype(int)
-    iy = u[..., 1].astype(int)
-    z_src = np.moveaxis(features_i[:, iy, ix], 0, -1)
-    z_smp, dz_du, valid_bi = bilinear_sample(features_j, mu)
-    cs, n_src, n_smp, norm_ok = _cosine(z_src, z_smp)
-    valid = valid_geo & valid_bi & norm_ok
-
-    r = np.where(valid, _embed_residual_from_cs(cs, cfg), 0.0)
-    dr_dcs = _embed_dresidual_dcs(r, cfg)
-
-    safe_src = np.where(norm_ok, n_src, 1.0)[..., None]
-    safe_smp = np.where(norm_ok, n_smp, 1.0)[..., None]
-    s_hat = z_src / safe_src
-    t_hat = z_smp / safe_smp
-    dcs_dz = (s_hat - cs[..., None] * t_hat) / safe_smp           # (..., K)
-    dcs_du = np.einsum("...k,...ki->...i", dcs_dz, dz_du)         # (..., 2)
-    scale = np.where(valid, dr_dcs, 0.0)
-    jac_i = scale[..., None] * np.einsum("...i,...ij->...j", dcs_du, d_pose_i)
-    jac_j = scale[..., None] * np.einsum("...i,...ij->...j", dcs_du, d_pose_j)
-    jac_d = scale * np.einsum("...i,...i->...", dcs_du, d_disp)
-    return jac_i, jac_j, jac_d, r, np.where(valid, cs, 0.0), valid
 
 
 def disparity_reg_residual(disparity, prior, cfg: RegConfig = RegConfig()):

@@ -38,7 +38,6 @@ class SolverConfig:
     kernel_mode: str = "ark"   # "ark" | "fixed"
     fixed_alpha: float = 2.0
     optimize_intrinsics: bool = False
-    window: int = None
     freeze_similarity: bool = False
     min_disparity: float = 1e-6
 
@@ -325,8 +324,6 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     """
     if not graph.edges:
         raise ValueError("graph has no edges; the problem is unconstrained")
-    if config.window is not None and config.window < len(graph.keyframes):
-        raise ValueError("window cropping must happen at graph construction time")
 
     state = graph.copy()
     adaptive = config.kernel_mode == "ark"

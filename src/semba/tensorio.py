@@ -146,12 +146,6 @@ def read_trajectory(path):
     return np.array(timestamps), np.array(positions), np.array(quats)
 
 
-def trajectory_poses_w2c(path):
-    """Read a TUM file and return world-to-camera Pose objects."""
-    _, positions, quats = read_trajectory(path)
-    return [Pose(q, t).inverse() for q, t in zip(quats, positions)]
-
-
 def write_point_cloud(path, points, labels=None) -> None:
     """Binary little-endian PLY with float x/y/z and an int32 label per vertex."""
     points = np.asarray(points)

@@ -13,7 +13,8 @@ import pytest
 from semba.evaluation import (LabelSet, SemanticPointCloud, assign_labels, knn_transfer,
                               seg_metrics, trajectory_ate)
 from semba.geometry import Intrinsics, reproject, reprojection_jacobian, se3_exp
-from semba.residuals import (EmbeddingResidualConfig, embedding_jacobian, embedding_residual,
+from semba.graph import Keyframe
+from semba.residuals import (EmbeddingResidualConfig, FlowObservation, evaluate_edge, grid_pixels,
                              total_energy)
 from semba.robust import barron_psi, barron_rho
 from semba.solver import SolverConfig, assemble, solve, solve_normal_equations
@@ -32,6 +33,32 @@ def _smooth(rng, shape, offset=2.0):
         for _ in range(5):
             m = 0.5 * m + 0.25 * (np.roll(m, 1, axis) + np.roll(m, -1, axis))
     return m + offset
+
+
+def _edge(z_i, z_j, disparity, pose_i, pose_j, cfg, **kwargs):
+    """evaluate_edge on an edge 0 -> 1 whose keyframes share one disparity map, zero target flow."""
+    h, w = disparity.shape
+    kf_i = Keyframe(index=0, pose=pose_i, disparity=disparity, disparity_prior=disparity,
+                    features=z_i)
+    kf_j = Keyframe(index=1, pose=pose_j, disparity=disparity, disparity_prior=disparity,
+                    features=z_j)
+    obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)), confidence=np.ones((h, w)))
+    return evaluate_edge(kf_i, kf_j, obs, K, K, cfg, **kwargs)
+
+
+def _central_differences(evaluate, n_steps, eps=1e-6):
+    """Central differences of r_flow (N, 2, n) and r_embed (N, n) over n perturbations.
+
+    evaluate(k, h) is the EdgeEvaluation with perturbation k scaled by h. The third
+    result marks the pixels valid at every evaluation.
+    """
+    d_flow, d_embed, ok = [], [], True
+    for k in range(n_steps):
+        plus, minus = evaluate(k, eps), evaluate(k, -eps)
+        d_flow.append((plus.r_flow - minus.r_flow) / (2 * eps))
+        d_embed.append((plus.r_embed - minus.r_embed) / (2 * eps))
+        ok = ok & plus.valid_embed & minus.valid_embed & plus.valid_flow & minus.valid_flow
+    return np.stack(d_flow, axis=-1), np.stack(d_embed, axis=-1), ok
 
 
 class TestCriterion1Jacobians:
@@ -73,7 +100,10 @@ class TestCriterion1Jacobians:
                                np.abs(j_d - fd_d).max() / max(np.abs(fd_d).max(), 1.0))
         assert worst_reproj < 1e-4
 
+        # The solver's own path: every Jacobian evaluate_edge assembles is
+        # checked against central differences of its value-only residuals.
         worst_embed = 0.0
+        worst_flow = 0.0
         for mode in ("angular", "photometric"):
             cfg = EmbeddingResidualConfig(mode=mode)
             checked = 0
@@ -82,36 +112,37 @@ class TestCriterion1Jacobians:
                 z_j = _smooth(rng, (6, 24, 32))
                 t_i = se3_exp(rng.normal(0, 0.05, 6))
                 t_j = se3_exp(rng.normal(0, 0.05, 6))
-                u = np.round(np.array([rng.uniform(5, 26), rng.uniform(5, 18)]))
-                d = rng.uniform(0.3, 1.2)
-                j_i, j_j, j_d, r, _, valid = embedding_jacobian(u, d, t_i, t_j, K,
-                                                                z_i, z_j, cfg)
-                if not valid or r < 1e-3:
-                    continue
-                checked += 1
-                eps = 1e-6
-                fd_i, fd_j = np.zeros(6), np.zeros(6)
-                for k in range(6):
-                    tw = np.zeros(6)
-                    tw[k] = eps
-                    rp, _, _ = embedding_residual(u, d, se3_exp(tw).compose(t_i), t_j, K,
-                                                  z_i, z_j, cfg)
-                    rm, _, _ = embedding_residual(u, d, se3_exp(-tw).compose(t_i), t_j, K,
-                                                  z_i, z_j, cfg)
-                    fd_i[k] = (rp - rm) / (2 * eps)
-                    rp, _, _ = embedding_residual(u, d, t_i, se3_exp(tw).compose(t_j), K,
-                                                  z_i, z_j, cfg)
-                    rm, _, _ = embedding_residual(u, d, t_i, se3_exp(-tw).compose(t_j), K,
-                                                  z_i, z_j, cfg)
-                    fd_j[k] = (rp - rm) / (2 * eps)
-                rp, _, _ = embedding_residual(u, d + eps, t_i, t_j, K, z_i, z_j, cfg)
-                rm, _, _ = embedding_residual(u, d - eps, t_i, t_j, K, z_i, z_j, cfg)
-                fd_d = (rp - rm) / (2 * eps)
-                scale = max(np.abs(np.concatenate([fd_i, fd_j, [fd_d]])).max(), 1e-3)
-                worst_embed = max(worst_embed, np.abs(j_i - fd_i).max() / scale,
-                                  np.abs(j_j - fd_j).max() / scale,
-                                  abs(j_d - fd_d) / scale)
+                d = rng.uniform(0.3, 1.2, size=(24, 32))
+                ev = _edge(z_i, z_j, d, t_i, t_j, cfg, with_jacobians=True)
+                fd_fi, fd_ei, ok_i = _central_differences(
+                    lambda k, h: _edge(z_i, z_j, d, se3_exp(h * np.eye(6)[k]).compose(t_i),
+                                       t_j, cfg), 6)
+                fd_fj, fd_ej, ok_j = _central_differences(
+                    lambda k, h: _edge(z_i, z_j, d, t_i,
+                                       se3_exp(h * np.eye(6)[k]).compose(t_j), cfg), 6)
+                fd_fdisp, fd_edisp, ok_d = _central_differences(
+                    lambda k, h: _edge(z_i, z_j, d + h, t_i, t_j, cfg), 1)
+                # Bilinear sampling has kinks on the grid lines; a stencil
+                # straddling one measures no derivative.
+                mu, _ = reproject(grid_pixels(24, 32), d.reshape(-1), t_i, t_j, K)
+                smooth = (np.abs(mu - np.round(mu)) >= 1e-3).all(axis=1) & ok_i & ok_j & ok_d
+
+                used = smooth & ev.valid_embed & (ev.r_embed >= 1e-3)
+                checked += int(used.sum())
+                fd = np.concatenate([fd_ei, fd_ej, fd_edisp], axis=1)[used]
+                analytic = np.concatenate([ev.je_pose_i, ev.je_pose_j, ev.je_disp[:, None]],
+                                          axis=1)[used]
+                scale = np.maximum(np.abs(fd).max(axis=1), 1e-3)
+                worst_embed = max(worst_embed, (np.abs(analytic - fd).max(axis=1) / scale).max())
+
+                used = smooth & ev.valid_flow
+                for analytic, fd in ((ev.jf_pose_i, fd_fi), (ev.jf_pose_j, fd_fj),
+                                     (ev.jf_disp[..., None], fd_fdisp)):
+                    err = np.abs(analytic[used] - fd[used]).max(axis=(1, 2))
+                    scale = np.maximum(np.abs(fd[used]).max(axis=(1, 2)), 1.0)
+                    worst_flow = max(worst_flow, (err / scale).max())
         assert worst_embed < 1e-4
+        assert worst_flow < 1e-4
 
         worst_psi = 0.0
         for alpha in (-4.0, -2.0, 0.0, 1.0, 2.0):
@@ -124,8 +155,8 @@ class TestCriterion1Jacobians:
 
         elapsed = time.time() - start
         assert elapsed < 10.0
-        report(1, f"reprojection {worst_reproj:.2e}, embedding {worst_embed:.2e}, "
-                  f"psi {worst_psi:.2e} rel. FD error in {elapsed:.1f}s")
+        report(1, f"reprojection {worst_reproj:.2e}, evaluate_edge embedding {worst_embed:.2e} "
+                  f"and flow {worst_flow:.2e}, psi {worst_psi:.2e} rel. FD error in {elapsed:.1f}s")
 
 
 class TestCriterion2BarronTable:

@@ -3,81 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semba.features import (PcaModel, PyramidConfig, bilinear_sample, blend_pyramid,
-                            fit_pca_from_maps, pca_decode, pca_encode, pca_fit, pyramid_dims)
-
-
-class TestPyramidDims:
-    @pytest.mark.parametrize("hw, scale, expected", [
-        ((480, 640), 1.0, (490, 644)),
-        ((14, 14), 1.0, (14, 14)),
-        ((480, 640), 0.75, (364, 490)),
-        ((480, 640), 2.0, (966, 1288)),
-        ((480, 640), 1.5, (728, 966)),
-    ])
-    def test_known_values(self, hw, scale, expected):
-        assert pyramid_dims(hw[0], hw[1], scale, 14) == expected
-
-    @given(st.integers(1, 2000), st.integers(1, 2000),
-           st.floats(0.05, 4.0), st.integers(1, 32))
-    def test_divisible_and_sufficient(self, h, w, scale, patch):
-        hs, ws = pyramid_dims(h, w, scale, patch)
-        assert hs % patch == 0 and ws % patch == 0
-        assert hs >= h * scale - patch and ws >= w * scale - patch
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            pyramid_dims(0, 10, 1.0, 14)
-        with pytest.raises(ValueError):
-            pyramid_dims(10, 10, -1.0, 14)
-
-
-class TestBlendPyramid:
-    def test_single_map_identity(self, rng):
-        fmap = rng.normal(size=(3, 10, 12))
-        out = blend_pyramid([fmap], [0.7], (10, 12))
-        assert np.abs(out - fmap).max() < 1e-12
-
-    def test_identical_maps_any_weights(self, rng):
-        fmap = rng.normal(size=(2, 6, 8))
-        out = blend_pyramid([fmap, fmap.copy()], [1.0, 3.0], (6, 8))
-        assert np.abs(out - fmap).max() < 1e-12
-
-    def test_constant_maps_weighted_mean(self):
-        a = np.full((1, 4, 5), 1.0)
-        b = np.full((1, 8, 10), 3.0)
-        out = blend_pyramid([a, b], [2.0, 1.0], (16, 20))
-        assert np.abs(out - 5.0 / 3.0).max() < 1e-12
-
-    def test_output_bounded_by_input_range(self, rng):
-        maps = [rng.normal(size=(2, 5, 7)), rng.normal(size=(2, 9, 11))]
-        out = blend_pyramid(maps, [1.0, 2.0], (13, 17))
-        lo = min(m.min() for m in maps)
-        hi = max(m.max() for m in maps)
-        assert out.min() >= lo - 1e-12 and out.max() <= hi + 1e-12
-
-    def test_errors(self, rng):
-        with pytest.raises(ValueError, match="at least one"):
-            blend_pyramid([], [], (4, 4))
-        with pytest.raises(ValueError, match="weights"):
-            blend_pyramid([rng.normal(size=(1, 4, 4))], [1.0, 2.0], (4, 4))
-        with pytest.raises(ValueError, match="channel"):
-            blend_pyramid([rng.normal(size=(1, 4, 4)), rng.normal(size=(2, 4, 4))],
-                          [1.0, 1.0], (4, 4))
-
-
-class TestPyramidConfig:
-    def test_defaults(self):
-        cfg = PyramidConfig()
-        assert cfg.scales == (2.0, 1.5, 1.0, 0.75)
-        assert cfg.patch == 14
-        assert cfg.blend_weights == cfg.scales
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PyramidConfig(scales=())
-        with pytest.raises(ValueError):
-            PyramidConfig(scales=(1.0, -1.0))
+from semba.features import PcaModel, bilinear_sample, pca_decode, pca_encode, pca_fit
 
 
 class TestPca:
@@ -149,13 +75,6 @@ class TestPca:
         model = PcaModel.identity(4)
         f = np.array([1.0, -2.0, 3.0, 0.5])
         assert np.array_equal(pca_decode(pca_encode(f, model), model), f)
-
-    def test_fit_from_maps_subsamples(self, rng):
-        maps = [rng.normal(size=(4, 10, 10)) for _ in range(3)]
-        model = fit_pca_from_maps(maps, 2, max_samples=50, seed=0)
-        model2 = fit_pca_from_maps(maps, 2, max_samples=50, seed=0)
-        assert np.array_equal(model.basis, model2.basis)
-
 
 class TestBilinearSample:
     def test_exact_at_grid_point(self, rng):

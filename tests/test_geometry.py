@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semba.geometry import (Intrinsics, Pose, depth_to_disparity, downsample_disparity,
-                            relative_pose, reproject, reprojection_intrinsics_jacobian,
-                            reprojection_jacobian, se3_exp, se3_log, unproject)
+from semba.geometry import (Intrinsics, Pose, depth_to_disparity, relative_pose, reproject,
+                            reprojection_intrinsics_jacobian, reprojection_jacobian, se3_exp,
+                            se3_log, unproject)
 
 K = Intrinsics(50.0, 52.0, 31.5, 23.5)
 
@@ -217,22 +217,6 @@ class TestDepthConversion:
     def test_nonfinite_maps_to_zero(self):
         out = depth_to_disparity(np.array([np.nan, np.inf, -np.inf, 1.0]))
         assert np.array_equal(out, [0.0, 0.0, 0.0, 1.0])
-
-    def test_downsample_block_mean(self):
-        d = np.zeros((4, 4))
-        d[:2, :2] = [[1.0, 1.0], [1.0, 3.0]]
-        out = downsample_disparity(d, factor=2)
-        assert out.shape == (2, 2)
-        assert out[0, 0] == pytest.approx(1.5)
-        assert out[0, 1] == 0.0  # no valid pixels
-
-    def test_downsample_ignores_invalid(self):
-        d = np.array([[2.0, 0.0], [0.0, 0.0]])
-        assert downsample_disparity(d, factor=2)[0, 0] == 2.0
-
-    def test_downsample_too_small_raises(self):
-        with pytest.raises(ValueError):
-            downsample_disparity(np.ones((4, 4)), factor=8)
 
 
 class TestIntrinsics:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from semba.geometry import Intrinsics, Pose, se3_exp
-from semba.graph import (Keyframe, KeyframeGraph, build_graph, covisibility_fraction,
-                         plan_edges, select_keyframes)
+from semba.graph import Keyframe, KeyframeGraph, covisibility_fraction, plan_edges
 from semba.residuals import FlowObservation
 
 K = Intrinsics(30.0, 30.0, 7.5, 5.5)
@@ -59,28 +58,6 @@ class TestCovisibility:
         assert covisibility_fraction(a, b, K, K) < 0.5
 
 
-class TestBuildGraph:
-    def test_wires_observations(self):
-        frames = [make_frame(k) for k in range(3)]
-        graph = build_graph(frames, {0: K}, zero_obs, temporal_radius=1)
-        assert {(o.i, o.j) for o in graph.edges} == {(0, 1), (1, 0), (1, 2), (2, 1)}
-
-    def test_window_crops_and_reindexes(self):
-        frames = [make_frame(k) for k in range(5)]
-        graph = build_graph(frames, {0: K}, zero_obs, window=3, temporal_radius=1)
-        assert len(graph.keyframes) == 3
-        assert [kf.index for kf in graph.keyframes] == [0, 1, 2]
-
-    def test_needs_two_frames(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            build_graph([make_frame(0)], {0: K}, zero_obs)
-
-    def test_no_edges_is_an_error(self):
-        frames = [make_frame(k) for k in range(3)]
-        with pytest.raises(ValueError, match="no edges"):
-            build_graph(frames, {0: K}, zero_obs, temporal_radius=0, covis_threshold=1.1)
-
-
 class TestKeyframeGraphValidation:
     def test_index_must_match_position(self):
         frames = [make_frame(0), make_frame(2)]
@@ -107,20 +84,3 @@ class TestKeyframeGraphValidation:
         with pytest.raises(ValueError, match="disparity grid"):
             Keyframe(index=0, pose=Pose.identity(), disparity=np.ones((4, 4)),
                      disparity_prior=np.ones((4, 4)), features=np.ones((2, 5, 4)))
-
-
-class TestSelectKeyframes:
-    def test_frame_zero_always_selected(self):
-        assert select_keyframes([]) == [0]
-
-    def test_threshold_accumulation(self):
-        # steps: 1.5, 0.7, 1.0, 2.5, 0.1 with threshold 2.0
-        # cumulative: 1.5, 2.2* -> reset, 1.0, 3.5* -> reset, 0.1
-        assert select_keyframes([1.5, 0.7, 1.0, 2.5, 0.1], threshold=2.0) == [0, 2, 4]
-
-    def test_every_frame_above_threshold(self):
-        assert select_keyframes([3.0, 3.0, 3.0], threshold=2.0) == [0, 1, 2, 3]
-
-    def test_negative_flow_rejected(self):
-        with pytest.raises(ValueError):
-            select_keyframes([1.0, -0.5])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from semba.geometry import Intrinsics, Pose, se3_exp
+from semba.features import bilinear_sample
+from semba.geometry import Intrinsics, Pose, reproject, se3_exp
+from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import (EmbeddingResidualConfig, FlowObservation, RegConfig,
-                             disparity_reg_residual, embedding_jacobian, embedding_residual,
-                             evaluate_edge, flow_residual, grid_pixels, total_energy)
+                             disparity_reg_residual, evaluate_edge, grid_pixels, total_energy)
 from semba.robust import KernelConfig, adaptive_alpha, barron_rho, fold_weight, irls_weight
 from semba.synthscene import SceneConfig, gen_scene
 
@@ -19,29 +20,76 @@ def smooth_map(rng, c=6, h=24, w=32, offset=2.0):
     return m + offset
 
 
+def edge_eval(z_i, z_j, disparity, pose_i, pose_j, cfg=EmbeddingResidualConfig(), intr=K,
+              flow=None, **kwargs):
+    """evaluate_edge on an edge 0 -> 1 whose keyframes share one disparity map, unit confidence."""
+    h, w = disparity.shape
+    kf_i = Keyframe(index=0, pose=pose_i, disparity=disparity, disparity_prior=disparity,
+                    features=z_i)
+    kf_j = Keyframe(index=1, pose=pose_j, disparity=disparity, disparity_prior=disparity,
+                    features=z_j)
+    obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)) if flow is None else flow,
+                          confidence=np.ones((h, w)))
+    return evaluate_edge(kf_i, kf_j, obs, intr, intr, cfg, **kwargs)
+
+
+def central_differences(evaluate, n_steps, eps=1e-6):
+    """Central differences of r_flow and r_embed along n_steps perturbations.
+
+    evaluate(k, h) is the EdgeEvaluation with perturbation k scaled by h. Returns
+    (d r_flow (N, 2, n_steps), d r_embed (N, n_steps), pixels whose flow term is
+    valid at every evaluation, the same for the embedding term).
+    """
+    d_flow, d_embed = [], []
+    ok_flow = ok_embed = True
+    for k in range(n_steps):
+        plus, minus = evaluate(k, eps), evaluate(k, -eps)
+        d_flow.append((plus.r_flow - minus.r_flow) / (2 * eps))
+        d_embed.append((plus.r_embed - minus.r_embed) / (2 * eps))
+        ok_flow = ok_flow & plus.valid_flow & minus.valid_flow
+        ok_embed = ok_embed & plus.valid_embed & minus.valid_embed
+    return np.stack(d_flow, axis=-1), np.stack(d_embed, axis=-1), ok_flow, ok_embed
+
+
+def off_grid_lines(disparity, pose_i, pose_j, intr=K, margin=1e-3):
+    """Pixels whose reprojection lies at least margin px from every grid line.
+
+    Bilinear sampling has kinks on the grid lines, so a central difference
+    whose stencil straddles one measures no derivative there.
+    """
+    h, w = disparity.shape
+    mu, _ = reproject(grid_pixels(h, w), disparity.reshape(-1), pose_i, pose_j, intr)
+    return (np.abs(mu - np.round(mu)) >= margin).all(axis=1)
+
+
+def block_error(analytic, fd, floor):
+    """Per-pixel max |analytic - fd| over one Jacobian block, relative to max(|fd|, floor)."""
+    analytic = analytic.reshape(analytic.shape[0], -1)
+    fd = fd.reshape(fd.shape[0], -1)
+    scale = np.maximum(np.abs(fd).max(axis=1), floor)
+    return np.abs(analytic - fd).max(axis=1) / scale
+
+
 class TestFlowResidual:
     def test_zero_on_self_consistent_scene(self, clean_bundle):
         g = clean_bundle.to_graph(initial=False)
-        h, w = g.grid_shape
-        u = grid_pixels(h, w)
         for obs in g.edges:
             kf_i, kf_j = g.keyframes[obs.i], g.keyframes[obs.j]
-            r, valid = flow_residual(u, kf_i.disparity.reshape(-1), kf_i.pose, kf_j.pose,
-                                     clean_bundle.intrinsics, obs)
-            used = valid & (obs.confidence.reshape(-1) > 0)
-            assert np.abs(r[used]).max() < 1e-9
+            ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics, clean_bundle.intrinsics,
+                               EmbeddingResidualConfig(), need_similarity=False,
+                               need_embedding=False)
+            used = ev.valid_flow & (ev.confidence > 0)
+            assert np.abs(ev.r_flow[used]).max() < 1e-9
 
     def test_identity_poses_zero_flow(self, rng):
         h, w = 10, 12
-        obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)), confidence=np.ones((h, w)))
-        u = grid_pixels(h, w)
-        d = rng.uniform(0.3, 1.0, size=h * w)
-        r, valid = flow_residual(u, d, Pose.identity(), Pose.identity(), K, obs)
-        assert valid.all()
-        assert np.abs(r).max() < 1e-12
+        d = rng.uniform(0.3, 1.0, size=(h, w))
+        z = np.ones((1, h, w))
+        ev = edge_eval(z, z, d, Pose.identity(), Pose.identity())
+        assert ev.valid_flow.all()
+        assert np.abs(ev.r_flow).max() < 1e-12
 
     def test_disparity_perturbation_grows_linearly(self):
-        from semba.geometry import reproject, reprojection_jacobian
         t_i = se3_exp([0.01, -0.02, 0.0, 0.005, 0.0, -0.004])
         t_j = se3_exp([-0.03, 0.01, 0.02, 0.0, 0.006, 0.0])
         u = np.array([8.0, 7.0])
@@ -51,13 +99,14 @@ class TestFlowResidual:
         flow = np.zeros((2, h, w))
         flow[0, 7, 8] = mu[0] - u[0]
         flow[1, 7, 8] = mu[1] - u[1]
-        obs = FlowObservation(i=0, j=1, flow=flow, confidence=np.ones((h, w)))
-        _, _, j_d, _, _ = reprojection_jacobian(u, d, t_i, t_j, K)
-        slope = np.linalg.norm(j_d)
+        z = np.ones((1, h, w))
+        p = 7 * w + 8
+        ev = edge_eval(z, z, np.full((h, w), d), t_i, t_j, flow=flow, with_jacobians=True)
+        slope = np.linalg.norm(ev.jf_disp[p])
         for delta in (1e-5, 1e-4, 1e-3):
-            r, valid = flow_residual(u, d + delta, t_i, t_j, K, obs)
-            assert valid
-            assert np.linalg.norm(r) == pytest.approx(slope * delta, rel=5e-2)
+            ev = edge_eval(z, z, np.full((h, w), d + delta), t_i, t_j, flow=flow)
+            assert ev.valid_flow[p]
+            assert np.linalg.norm(ev.r_flow[p]) == pytest.approx(slope * delta, rel=5e-2)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="self-edge"):
@@ -69,71 +118,66 @@ class TestFlowResidual:
 class TestEmbeddingResidual:
     def test_warped_copy_gives_unit_similarity(self, clean_bundle):
         g = clean_bundle.to_graph(initial=False)
-        h, w = g.grid_shape
-        u = grid_pixels(h, w)
         for obs in g.edges[:4]:
             kf_i, kf_j = g.keyframes[obs.i], g.keyframes[obs.j]
-            r, cs, valid = embedding_residual(u, kf_i.disparity.reshape(-1), kf_i.pose,
-                                              kf_j.pose, clean_bundle.intrinsics,
-                                              kf_i.features, kf_j.features)
-            used = valid & (obs.confidence.reshape(-1) > 0)
+            ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics, clean_bundle.intrinsics,
+                               EmbeddingResidualConfig())
+            used = ev.valid_embed & (ev.confidence > 0)
             assert used.any()
-            assert np.abs(cs[used] - 1.0).max() < 1e-6
-            assert np.abs(r[used]).max() < 1e-6
+            assert np.abs(ev.cs[used] - 1.0).max() < 1e-6
+            assert np.abs(ev.r_embed[used]).max() < 1e-6
 
+    # Constant maps under identity poses: every pixel reprojects onto itself.
     def test_orthogonal_embeddings_photometric(self):
         h, w = 8, 8
         z_i = np.zeros((2, h, w)); z_i[0] = 1.0
         z_j = np.zeros((2, h, w)); z_j[1] = 1.0
         cfg = EmbeddingResidualConfig(mode="photometric", lambda_embed=2.0)
-        r, cs, valid = embedding_residual(np.array([4.0, 4.0]), 0.5, Pose.identity(),
-                                          Pose.identity(), K, z_i, z_j, cfg)
-        assert valid
-        assert cs == pytest.approx(0.0, abs=1e-12)
-        assert r == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
+        ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), Pose.identity(), Pose.identity(), cfg)
+        assert ev.valid_embed.all()
+        assert ev.cs == pytest.approx(0.0, abs=1e-12)
+        assert ev.r_embed == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 
     def test_opposite_embeddings_angular(self):
         h, w = 8, 8
         z_i = np.ones((1, h, w))
         z_j = -np.ones((1, h, w))
         cfg = EmbeddingResidualConfig(mode="angular")
-        r, cs, valid = embedding_residual(np.array([4.0, 4.0]), 0.5, Pose.identity(),
-                                          Pose.identity(), K, z_i, z_j, cfg)
-        assert valid
-        assert cs == pytest.approx(-1.0)
-        assert r == pytest.approx(2.0)
+        ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), Pose.identity(), Pose.identity(), cfg)
+        assert ev.valid_embed.all()
+        assert ev.cs == pytest.approx(-1.0)
+        assert ev.r_embed == pytest.approx(2.0)
 
     def test_invariant_to_positive_rescaling(self, rng):
         z_i = smooth_map(rng)
         z_j = smooth_map(rng)
-        u = np.array([10.0, 9.0])
-        args = (u, 0.4, Pose.identity(), se3_exp([0.02, 0, 0, 0, 0, 0]), K)
-        r0, cs0, _ = embedding_residual(*args, z_i, z_j)
-        r1, cs1, _ = embedding_residual(*args, 3.7 * z_i, 0.02 * z_j)
-        assert cs1 == pytest.approx(cs0, abs=1e-12)
-        assert r1 == pytest.approx(r0, abs=1e-12)
+        args = (np.full((24, 32), 0.4), Pose.identity(), se3_exp([0.02, 0, 0, 0, 0, 0]))
+        ev0 = edge_eval(z_i, z_j, *args)
+        ev1 = edge_eval(3.7 * z_i, 0.02 * z_j, *args)
+        assert ev0.valid_embed.any()
+        assert np.array_equal(ev1.valid_embed, ev0.valid_embed)
+        assert ev1.cs == pytest.approx(ev0.cs, abs=1e-12)
+        assert ev1.r_embed == pytest.approx(ev0.r_embed, abs=1e-12)
 
     def test_modes_are_monotone_transforms(self, rng):
         z_i, z_j = smooth_map(rng), smooth_map(rng)
-        u = grid_pixels(20, 28)[::7]
-        d = np.full(u.shape[0], 0.5)
+        d = np.full((24, 32), 0.5)
         pose_j = se3_exp([0.03, 0.01, 0.0, 0.0, 0.01, 0.0])
-        r_ang, _, v1 = embedding_residual(u, d, Pose.identity(), pose_j, K, z_i, z_j,
-                                          EmbeddingResidualConfig(mode="angular"))
-        r_pho, _, v2 = embedding_residual(u, d, Pose.identity(), pose_j, K, z_i, z_j,
-                                          EmbeddingResidualConfig(mode="photometric"))
-        valid = v1 & v2
-        order_a = np.argsort(r_ang[valid], kind="stable")
-        order_p = np.argsort(r_pho[valid], kind="stable")
+        ev_ang = edge_eval(z_i, z_j, d, Pose.identity(), pose_j,
+                           EmbeddingResidualConfig(mode="angular"))
+        ev_pho = edge_eval(z_i, z_j, d, Pose.identity(), pose_j,
+                           EmbeddingResidualConfig(mode="photometric"))
+        valid = ev_ang.valid_embed & ev_pho.valid_embed
+        order_a = np.argsort(ev_ang.r_embed[valid], kind="stable")
+        order_p = np.argsort(ev_pho.r_embed[valid], kind="stable")
         assert np.array_equal(order_a, order_p)
 
     def test_zero_norm_embedding_invalid(self):
         h, w = 8, 8
         z_i = np.zeros((2, h, w))
         z_j = np.ones((2, h, w))
-        _, _, valid = embedding_residual(np.array([4.0, 4.0]), 0.5, Pose.identity(),
-                                         Pose.identity(), K, z_i, z_j)
-        assert not valid
+        ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), Pose.identity(), Pose.identity())
+        assert not ev.valid_embed.any()
 
 
 class TestEmbeddingJacobian:
@@ -146,60 +190,76 @@ class TestEmbeddingJacobian:
             z_i, z_j = smooth_map(rng), smooth_map(rng)
             t_i = se3_exp(rng.normal(0, 0.05, 6))
             t_j = se3_exp(rng.normal(0, 0.05, 6))
-            u = np.round(np.array([rng.uniform(5, 26), rng.uniform(5, 18)]))
-            d = rng.uniform(0.3, 1.2)
-            j_i, j_j, j_d, r, _, valid = embedding_jacobian(u, d, t_i, t_j, K, z_i, z_j, cfg)
-            if not valid or r < 1e-3:
-                continue
-            checked += 1
-            eps = 1e-6
-            fd_i, fd_j = np.zeros(6), np.zeros(6)
-            for k in range(6):
-                tw = np.zeros(6)
-                tw[k] = eps
-                rp, _, _ = embedding_residual(u, d, se3_exp(tw).compose(t_i), t_j, K, z_i, z_j, cfg)
-                rm, _, _ = embedding_residual(u, d, se3_exp(-tw).compose(t_i), t_j, K, z_i, z_j, cfg)
-                fd_i[k] = (rp - rm) / (2 * eps)
-                rp, _, _ = embedding_residual(u, d, t_i, se3_exp(tw).compose(t_j), K, z_i, z_j, cfg)
-                rm, _, _ = embedding_residual(u, d, t_i, se3_exp(-tw).compose(t_j), K, z_i, z_j, cfg)
-                fd_j[k] = (rp - rm) / (2 * eps)
-            rp, _, _ = embedding_residual(u, d + eps, t_i, t_j, K, z_i, z_j, cfg)
-            rm, _, _ = embedding_residual(u, d - eps, t_i, t_j, K, z_i, z_j, cfg)
-            fd_d = (rp - rm) / (2 * eps)
-            for analytic, fd in ((j_i, fd_i), (j_j, fd_j), (np.atleast_1d(j_d), np.atleast_1d(fd_d))):
-                scale = max(np.abs(fd).max(), 1e-3)
-                worst = max(worst, np.abs(analytic - fd).max() / scale)
+            d = rng.uniform(0.3, 1.2, size=(24, 32))
+            ev = edge_eval(z_i, z_j, d, t_i, t_j, cfg, with_jacobians=True)
+            _, fd_i, _, ok_i = central_differences(
+                lambda k, h: edge_eval(z_i, z_j, d, se3_exp(h * np.eye(6)[k]).compose(t_i),
+                                       t_j, cfg), 6)
+            _, fd_j, _, ok_j = central_differences(
+                lambda k, h: edge_eval(z_i, z_j, d, t_i,
+                                       se3_exp(h * np.eye(6)[k]).compose(t_j), cfg), 6)
+            _, fd_d, _, ok_d = central_differences(
+                lambda k, h: edge_eval(z_i, z_j, d + h, t_i, t_j, cfg), 1)
+            used = (ev.valid_embed & (ev.r_embed >= 1e-3) & ok_i & ok_j & ok_d
+                    & off_grid_lines(d, t_i, t_j))
+            checked += int(used.sum())
+            for analytic, fd in ((ev.je_pose_i, fd_i), (ev.je_pose_j, fd_j),
+                                 (ev.je_disp, fd_d)):
+                worst = max(worst, block_error(analytic[used], fd[used], 1e-3).max())
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("mode", ["angular", "photometric"])
+    def test_intrinsics_jacobians_match_finite_differences(self, mode, rng):
+        cfg = EmbeddingResidualConfig(mode=mode)
+        worst_flow = worst_embed = 0.0
+        for _ in range(4):
+            z_i, z_j = smooth_map(rng), smooth_map(rng)
+            t_i = se3_exp(rng.normal(0, 0.05, 6))
+            t_j = se3_exp(rng.normal(0, 0.05, 6))
+            d = rng.uniform(0.3, 1.2, size=(24, 32))
+            ev = edge_eval(z_i, z_j, d, t_i, t_j, cfg, with_jacobians=True,
+                           with_intrinsics=True)
+            base = K.as_array()
+            fd_f, fd_e, ok_f, ok_e = central_differences(
+                lambda k, h: edge_eval(z_i, z_j, d, t_i, t_j, cfg,
+                                       intr=Intrinsics.from_array(base + h * np.eye(4)[k])), 4)
+            used_f = ev.valid_flow & ok_f
+            used_e = ev.valid_embed & (ev.r_embed >= 1e-3) & ok_e & off_grid_lines(d, t_i, t_j)
+            assert used_f.sum() >= 100 and used_e.sum() >= 100
+            worst_flow = max(worst_flow, block_error(ev.jf_intr[used_f], fd_f[used_f], 1.0).max())
+            worst_embed = max(worst_embed,
+                              block_error(ev.je_intr[used_e], fd_e[used_e], 1e-3).max())
+        assert worst_flow < 1e-4
+        assert worst_embed < 1e-4
 
     def test_constant_target_field_zeroes_jacobians(self, rng):
         z_i = smooth_map(rng)
         z_j = np.ones_like(z_i) * np.arange(1, 7)[:, None, None]
-        j_i, j_j, j_d, _, _, valid = embedding_jacobian(np.array([10.0, 9.0]), 0.5,
-                                                        Pose.identity(),
-                                                        se3_exp([0.02, 0, 0, 0, 0, 0]),
-                                                        K, z_i, z_j)
-        assert valid
-        assert np.abs(j_i).max() < 1e-12
-        assert np.abs(j_j).max() < 1e-12
-        assert abs(j_d) < 1e-12
+        ev = edge_eval(z_i, z_j, np.full((24, 32), 0.5), Pose.identity(),
+                       se3_exp([0.02, 0, 0, 0, 0, 0]), with_jacobians=True)
+        valid = ev.valid_embed
+        assert valid.any()
+        assert np.abs(ev.je_pose_i[valid]).max() < 1e-12
+        assert np.abs(ev.je_pose_j[valid]).max() < 1e-12
+        assert np.abs(ev.je_disp[valid]).max() < 1e-12
 
     def test_directional_derivative_sign(self, rng):
         cfg = EmbeddingResidualConfig(mode="angular")
+        d = np.full((24, 32), 0.5)
         checked = 0
         while checked < 10:
             z_i, z_j = smooth_map(rng), smooth_map(rng)
             t_j = se3_exp(rng.normal(0, 0.05, 6))
-            u = np.round(np.array([rng.uniform(5, 26), rng.uniform(5, 18)]))
-            j_i, _, _, r, _, valid = embedding_jacobian(u, 0.5, Pose.identity(), t_j,
-                                                        K, z_i, z_j, cfg)
-            if not valid or np.abs(j_i).max() < 1e-6:
-                continue
-            checked += 1
-            direction = j_i / np.linalg.norm(j_i)
-            eps = 1e-6
-            rp, _, _ = embedding_residual(u, 0.5, se3_exp(eps * direction), t_j, K, z_i, z_j, cfg)
-            rm, _, _ = embedding_residual(u, 0.5, se3_exp(-eps * direction), t_j, K, z_i, z_j, cfg)
-            assert (rp - rm) > 0  # moving along the gradient increases the residual
+            ev = edge_eval(z_i, z_j, d, Pose.identity(), t_j, cfg, with_jacobians=True)
+            norms = np.linalg.norm(ev.je_pose_i, axis=1)
+            candidates = np.flatnonzero(ev.valid_embed & (norms >= 1e-6))
+            for p in rng.permutation(candidates)[:10 - checked]:
+                checked += 1
+                direction = ev.je_pose_i[p] / norms[p]
+                eps = 1e-6
+                rp = edge_eval(z_i, z_j, d, se3_exp(eps * direction), t_j, cfg).r_embed[p]
+                rm = edge_eval(z_i, z_j, d, se3_exp(-eps * direction), t_j, cfg).r_embed[p]
+                assert (rp - rm) > 0  # moving along the gradient increases the residual
 
 
 class TestDisparityReg:
@@ -260,7 +320,6 @@ class TestTotalEnergy:
         conf = rng.uniform(0.2, 1.0, size=(h, w))
         obs = FlowObservation(i=0, j=1, flow=flow, confidence=conf)
 
-        from semba.graph import KeyframeGraph
         graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs],
                               intrinsics={0: bundle.intrinsics})
         kernel = KernelConfig()
@@ -273,11 +332,16 @@ class TestTotalEnergy:
         for y in range(h):
             for x in range(w):
                 u = np.array([float(x), float(y)])
-                d = kf_i.disparity[y, x]
-                r, ok = flow_residual(u, d, kf_i.pose, kf_j.pose, bundle.intrinsics, obs)
-                re, cs, ok_e = embedding_residual(u, d, kf_i.pose, kf_j.pose,
-                                                  bundle.intrinsics, kf_i.features,
-                                                  kf_j.features, embed_cfg)
+                mu, ok = reproject(u, kf_i.disparity[y, x], kf_i.pose, kf_j.pose,
+                                   bundle.intrinsics)
+                ok = ok and -1e-9 <= mu[0] <= w - 1 + 1e-9 and -1e-9 <= mu[1] <= h - 1 + 1e-9
+                r = (mu - u) - flow[:, y, x]
+                z_src = kf_i.features[:, y, x]
+                z_smp, _, _ = bilinear_sample(kf_j.features, mu)
+                norms = np.linalg.norm(z_src) * np.linalg.norm(z_smp)
+                ok_e = ok and np.linalg.norm(z_src) > 1e-8 and np.linalg.norm(z_smp) > 1e-8
+                cs = min(float(z_src @ z_smp) / norms, 1.0) if ok_e else 0.0
+                re = embed_cfg.lambda_embed * np.sqrt(2.0 * (1.0 - cs))
                 alpha = adaptive_alpha(cs, kernel) if ok_e else kernel.alpha_static
                 if ok:
                     e_photo += conf[y, x] * barron_rho(np.linalg.norm(r), alpha, kernel.c)
@@ -305,7 +369,6 @@ class TestInvalidPixels:
         disparity = np.full((h, w), 0.5)
         disparity[0, 0] = 0.0                      # zero disparity
         pose_j = se3_exp([0.0, 0.0, -1.9, 0.0, 0.0, 0.0])  # most points end up behind
-        from semba.graph import Keyframe, KeyframeGraph
         kf_i = Keyframe(index=0, pose=Pose.identity(), disparity=disparity,
                         disparity_prior=disparity, features=features)
         kf_j = Keyframe(index=1, pose=pose_j, disparity=disparity,
@@ -331,7 +394,6 @@ class TestInvalidPixels:
         features_i[:, 2, 3] = 0.0  # degenerate embedding at one pixel
         features_j = smooth_map(rng, c=3, h=h, w=w)
         disparity = np.full((h, w), 0.5)
-        from semba.graph import Keyframe
         kf_i = Keyframe(index=0, pose=Pose.identity(), disparity=disparity,
                         disparity_prior=disparity, features=features_i)
         kf_j = Keyframe(index=1, pose=se3_exp([0.01, 0, 0, 0, 0, 0]), disparity=disparity,

@@ -324,10 +324,3 @@ class TestIntrinsicsOptimization:
         graph = toy_bundle.to_graph(initial=True)
         layout = ProblemLayout.build(graph, small_config(optimize_intrinsics=True))
         assert layout.n_reduced == 6 * 2 + 4  # keyframe 0 frozen
-
-
-class TestWindowGuard:
-    def test_solver_rejects_window_smaller_than_graph(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
-        with pytest.raises(ValueError, match="window"):
-            solve(graph, small_config(window=2))

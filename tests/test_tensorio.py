@@ -7,10 +7,9 @@ from semba.geometry import Pose, se3_exp
 from semba.solver import IterationRecord
 from semba.synthscene import SceneConfig, gen_scene
 from semba.tensorio import (FileFormatError, load_problem_bundle, read_labelset, read_pca,
-                            read_point_cloud, read_tensor, read_trajectory, trajectory_poses_w2c,
-                            write_energy_trace, write_labelset, write_pca, write_point_cloud,
-                            write_problem_bundle, write_seg_metrics, write_tensor,
-                            write_trajectory)
+                            read_point_cloud, read_tensor, read_trajectory, write_energy_trace,
+                            write_labelset, write_pca, write_point_cloud, write_problem_bundle,
+                            write_seg_metrics, write_tensor, write_trajectory)
 
 
 class TestTensorFormat:
@@ -100,7 +99,7 @@ class TestTrajectoryFormat:
         write_trajectory(path, poses, timestamps=[0.5 * k for k in range(6)])
         ts, pos, quat = read_trajectory(path)
         assert np.array_equal(ts, 0.5 * np.arange(6))
-        back = trajectory_poses_w2c(path)
+        back = [Pose(q, t).inverse() for q, t in zip(quat, pos)]
         for a, b in zip(back, poses):
             assert np.abs(a.matrix() - b.matrix()).max() < 1e-12
 
