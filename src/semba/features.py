@@ -75,14 +75,15 @@ def pca_decode(codes: np.ndarray, model: PcaModel) -> np.ndarray:
     return codes @ model.basis.T + model.mean
 
 
-def bilinear_sample(fmap: np.ndarray, u):
+def bilinear_sample(fmap: np.ndarray, u, with_grad: bool = True):
     """Sample a (C, H, W) map at continuous pixel locations u (..., 2) = (x, y).
 
     Returns (values (..., C), grad (..., C, 2), valid (...,)). The four-neighbor
     weights are non-negative and sum to one, reproduce grid values exactly at
     integer coordinates, and grad is the analytic derivative of the blend with
     respect to (x, y). Out-of-domain locations ([0, W-1] x [0, H-1]) are flagged
-    invalid and return zeros.
+    invalid and return zeros. With with_grad=False the gradient is not computed
+    and grad is None; values and valid are unchanged.
     """
     fmap = np.asarray(fmap, dtype=float)
     c, h, w = fmap.shape
@@ -104,18 +105,22 @@ def bilinear_sample(fmap: np.ndarray, u):
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
 
-    f00 = fmap[:, y0, x0]   # (C, ...)
-    f10 = fmap[:, y0, x1]
-    f01 = fmap[:, y1, x0]
-    f11 = fmap[:, y1, x1]
+    # Pixel-major copy so that each neighbour gather reads C contiguous values.
+    flat = np.ascontiguousarray(np.moveaxis(fmap, 0, -1)).reshape(h * w, c)
+    f00 = flat.take(y0 * w + x0, axis=0)   # (..., C)
+    f10 = flat.take(y0 * w + x1, axis=0)
+    f01 = flat.take(y1 * w + x0, axis=0)
+    f11 = flat.take(y1 * w + x1, axis=0)
 
-    wa, wb = 1.0 - a, 1.0 - b
+    wa, wb = (1.0 - a)[..., None], (1.0 - b)[..., None]
+    a, b = a[..., None], b[..., None]
     values = wa * wb * f00 + a * wb * f10 + wa * b * f01 + a * b * f11
+    invalid = ~valid
+    values[invalid] = 0.0
+    if not with_grad:
+        return values, None, valid
     grad_x = wb * (f10 - f00) + b * (f11 - f01)
     grad_y = wa * (f01 - f00) + a * (f11 - f10)
-
-    values = np.moveaxis(values, 0, -1)
-    grad = np.stack([np.moveaxis(grad_x, 0, -1), np.moveaxis(grad_y, 0, -1)], axis=-1)
-    values = np.where(valid[..., None], values, 0.0)
-    grad = np.where(valid[..., None, None], grad, 0.0)
+    grad = np.stack([grad_x, grad_y], axis=-1)
+    grad[invalid] = 0.0
     return values, grad, valid

@@ -172,10 +172,10 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intr_i: Intrinsics, intr_j: 
 
     dcs_du = None
     if need_similarity or need_embedding:
-        ix = u[:, 0].astype(int)
-        iy = u[:, 1].astype(int)
-        z_src = kf_i.features[:, iy, ix].T
-        z_smp, dz_du, valid_bi = bilinear_sample(kf_j.features, mu)
+        z_src = kf_i.features.reshape(kf_i.features.shape[0], n).T  # u is the row-major grid
+        # Only the embedding Jacobian reads the sampling gradient.
+        z_smp, dz_du, valid_bi = bilinear_sample(kf_j.features, mu,
+                                                 with_grad=with_jacobians and need_embedding)
         cs, n_src, n_smp, norm_ok = _cosine(z_src, z_smp)
         valid_embed = valid_flow & valid_bi & norm_ok
         out.cs = np.where(valid_embed, cs, 0.0)

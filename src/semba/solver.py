@@ -146,6 +146,39 @@ def _frozen_alphas(graph: KeyframeGraph, config: SolverConfig):
     return alphas
 
 
+def _accumulate_edge(ne: NormalEquations, blocks, d_slice: slice, ev, w_flow, w_emb):
+    """Add one edge's weighted Gauss-Newton terms to ne in place.
+
+    blocks: per block of reduced unknowns, (slice or None if frozen, flow
+    Jacobian (N, 2, m), embedding Jacobian (N, m)); w_emb is None without the
+    embedding term. Per pixel the rows (flow x, flow y[, embedding]) are stacked
+    with the pixel's own disparity as column 0, so the pose block, the gradient
+    and the per-pixel [disparity diagonal, coupling row] are one weighted
+    product each. A function of its own so that these per-edge temporaries are
+    freed before the next edge is evaluated, which keeps peak memory flat.
+    """
+    blocks = [blk for blk in blocks if blk[0] is not None]
+    cols = np.array([k for s, _, _ in blocks for k in range(s.start, s.stop)], dtype=int)
+    jac = np.concatenate([ev.jf_disp[:, :, None]] + [jf for _, jf, _ in blocks], axis=2)
+    res = ev.r_flow
+    weight = np.repeat(w_flow[:, None], 2, axis=1)
+    if w_emb is not None:
+        je = np.concatenate([ev.je_disp[:, None]] + [j for _, _, j in blocks], axis=1)
+        jac = np.concatenate([jac, je[:, None, :]], axis=1)
+        res = np.concatenate([res, ev.r_embed[:, None]], axis=1)
+        weight = np.concatenate([weight, w_emb[:, None]], axis=1)
+
+    w_disp = weight * jac[:, :, 0]
+    cross = np.matmul(w_disp[:, None, :], jac)[:, 0, :]
+    ne.disp_h[d_slice] += cross[:, 0]
+    ne.disp_g[d_slice] += np.sum(w_disp * res, axis=1)
+    ne.coupling[cols, d_slice] += cross[:, 1:].T
+    rows = jac[:, :, 1:].reshape(weight.size, cols.size)
+    weighted = weight.reshape(-1, 1) * rows
+    ne.pose_h[np.ix_(cols, cols)] += rows.T @ weighted
+    ne.pose_g[cols] += weighted.T @ res.reshape(-1)
+
+
 def assemble(graph: KeyframeGraph, config: SolverConfig, frozen_alpha=None) -> NormalEquations:
     """Accumulate the weighted Gauss-Newton normal equations over all edges and priors.
 
@@ -156,11 +189,10 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, frozen_alpha=None) -> N
     """
     layout = ProblemLayout.build(graph, config)
     p = layout.n_reduced
-    pose_h = np.zeros((p, p))
-    coupling = np.zeros((p, layout.n_disparity))
-    disp_h = np.zeros(layout.n_disparity)
-    pose_g = np.zeros(p)
-    disp_g = np.zeros(layout.n_disparity)
+    ne = NormalEquations(layout=layout, pose_h=np.zeros((p, p)),
+                         coupling=np.zeros((p, layout.n_disparity)),
+                         disp_h=np.zeros(layout.n_disparity), pose_g=np.zeros(p),
+                         disp_g=np.zeros(layout.n_disparity), energies=None)
     e_photo = 0.0
     e_embed = 0.0
 
@@ -187,54 +219,15 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, frozen_alpha=None) -> N
         r_norm = np.linalg.norm(ev.r_flow, axis=-1)
         w_ark = robust.irls_weight(r_norm, alpha, config.kernel.c)
         w_flow = config.lambda_photo * robust.fold_weight(ev.confidence, w_ark) * ev.valid_flow
+        # True gradient of lambda * sum w r^2 carries a factor 2.
+        w_emb = (2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
+                 if need_embedding else None)
 
-        slot_i = layout.pose_slices[obs.i]
-        slot_j = layout.pose_slices[obs.j]
-        d_slice = layout.disparity_slice(obs.i)
-
-        blocks = []  # (slot, jac (N, 2, 6) or (N, 2, 4))
-        if slot_i is not None:
-            blocks.append((slot_i, ev.jf_pose_i))
-        if slot_j is not None:
-            blocks.append((slot_j, ev.jf_pose_j))
+        blocks = [(layout.pose_slices[obs.i], ev.jf_pose_i, ev.je_pose_i),
+                  (layout.pose_slices[obs.j], ev.jf_pose_j, ev.je_pose_j)]
         if config.optimize_intrinsics:
-            blocks.append((layout.intrinsic_slices[kf_i.stream], ev.jf_intr))
-        for a, (sa, ja) in enumerate(blocks):
-            pose_g[sa] += np.einsum("n,nai,na->i", w_flow, ja, ev.r_flow)
-            for sb, jb in blocks[a:]:
-                h_ab = np.einsum("n,nai,naj->ij", w_flow, ja, jb)
-                if sa == sb:
-                    pose_h[sa, sb] += h_ab
-                else:
-                    pose_h[sa, sb] += h_ab
-                    pose_h[sb, sa] += h_ab.T
-            cross = np.einsum("n,nai,na->ni", w_flow, ja, ev.jf_disp)  # (N, dim)
-            coupling[sa, d_slice] += cross.T
-        disp_h[d_slice] += w_flow * np.einsum("na,na->n", ev.jf_disp, ev.jf_disp)
-        disp_g[d_slice] += w_flow * np.einsum("na,na->n", ev.jf_disp, ev.r_flow)
-
-        if need_embedding:
-            # True gradient of lambda * sum w r^2 carries a factor 2.
-            w_emb = 2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
-            eblocks = []
-            if slot_i is not None:
-                eblocks.append((slot_i, ev.je_pose_i))
-            if slot_j is not None:
-                eblocks.append((slot_j, ev.je_pose_j))
-            if config.optimize_intrinsics and ev.je_intr is not None:
-                eblocks.append((layout.intrinsic_slices[kf_i.stream], ev.je_intr))
-            for a, (sa, ja) in enumerate(eblocks):
-                pose_g[sa] += np.einsum("n,ni,n->i", w_emb, ja, ev.r_embed)
-                for sb, jb in eblocks[a:]:
-                    h_ab = np.einsum("n,ni,nj->ij", w_emb, ja, jb)
-                    if sa == sb:
-                        pose_h[sa, sb] += h_ab
-                    else:
-                        pose_h[sa, sb] += h_ab
-                        pose_h[sb, sa] += h_ab.T
-                coupling[sa, d_slice] += (ja * (w_emb * ev.je_disp)[:, None]).T
-            disp_h[d_slice] += w_emb * ev.je_disp**2
-            disp_g[d_slice] += w_emb * ev.je_disp * ev.r_embed
+            blocks.append((layout.intrinsic_slices[kf_i.stream], ev.jf_intr, ev.je_intr))
+        _accumulate_edge(ne, blocks, layout.disparity_slice(obs.i), ev, w_flow, w_emb)
 
     e_reg = 0.0
     for kf in graph.keyframes:
@@ -243,14 +236,13 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, frozen_alpha=None) -> N
         e_reg += float(np.sum(res[valid] ** 2))
         d_slice = layout.disparity_slice(kf.index)
         w_reg = 2.0 * config.reg.alpha_disp * valid.reshape(-1)
-        disp_h[d_slice] += w_reg
+        ne.disp_h[d_slice] += w_reg
         diff = (kf.disparity - kf.disparity_prior).reshape(-1)
-        disp_g[d_slice] += w_reg * np.where(valid.reshape(-1), diff, 0.0)
+        ne.disp_g[d_slice] += w_reg * np.where(valid.reshape(-1), diff, 0.0)
 
     total = config.lambda_photo * e_photo + config.lambda_embed * e_embed + e_reg
-    return NormalEquations(layout=layout, pose_h=pose_h, coupling=coupling, disp_h=disp_h,
-                           pose_g=pose_g, disp_g=disp_g,
-                           energies=EnergyBreakdown(total, e_photo, e_embed, e_reg))
+    ne.energies = EnergyBreakdown(total, e_photo, e_embed, e_reg)
+    return ne
 
 
 def solve_normal_equations(ne: NormalEquations, lm: float) -> np.ndarray:

@@ -146,3 +146,16 @@ class TestBilinearSample:
         assert values.shape == (4, 5, 3)
         assert grad.shape == (4, 5, 3, 2)
         assert valid.shape == (4, 5)
+
+    def test_value_only_mode_matches_gradient_mode(self, rng):
+        h, w = 5, 9
+        fmap = rng.normal(size=(3, h, w))
+        edges = np.array([[w - 1, h - 1], [w - 1, 0.5], [2.5, h - 1], [0.0, 0.0],
+                          [w - 1 + 1e-6, 2.0], [3.0, h - 1 + 1e-6], [-1e-6, 1.0], [4.0, -1e-6]])
+        u = np.concatenate([rng.uniform(0.0, [w - 1, h - 1], size=(40, 2)), edges])
+        values, grad, valid = bilinear_sample(fmap, u)
+        values_only, no_grad, valid_only = bilinear_sample(fmap, u, with_grad=False)
+        assert no_grad is None
+        assert valid[:-4].all() and not valid[-4:].any()
+        assert np.array_equal(values_only, values)
+        assert np.array_equal(valid_only, valid)

@@ -7,6 +7,7 @@ from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import (EmbeddingResidualConfig, FlowObservation, RegConfig,
                              disparity_reg_residual, evaluate_edge, grid_pixels, total_energy)
 from semba.robust import KernelConfig, adaptive_alpha, barron_rho, fold_weight, irls_weight
+from semba.solver import SolverConfig, assemble
 from semba.synthscene import SceneConfig, gen_scene
 
 K = Intrinsics(40.0, 42.0, 15.5, 11.5)
@@ -313,9 +314,12 @@ class TestTotalEnergy:
         kf_i = dataclasses.replace(kf_i, disparity=kf_i.disparity[sl],
                                    disparity_prior=kf_i.disparity_prior[sl] + 0.05,
                                    features=kf_i.features[:, sl[0], sl[1]])
+        # The oracle's target features are exact warps, which would leave the
+        # embedding energy at 0; perturb them so its resummation is checked.
+        z_j = kf_j.features[:, sl[0], sl[1]]
         kf_j = dataclasses.replace(kf_j, disparity=kf_j.disparity[sl],
                                    disparity_prior=kf_j.disparity_prior[sl],
-                                   features=kf_j.features[:, sl[0], sl[1]])
+                                   features=z_j + rng.normal(0, 0.5, size=z_j.shape))
         flow = rng.normal(0, 0.5, size=(2, h, w))
         conf = rng.uniform(0.2, 1.0, size=(h, w))
         obs = FlowObservation(i=0, j=1, flow=flow, confidence=conf)
@@ -354,6 +358,7 @@ class TestTotalEnergy:
                     if kf.disparity_prior[y, x] > 0:
                         e_reg += (kf.disparity[y, x] - kf.disparity_prior[y, x]) ** 2
         expected = 1.3 * e_photo + 2.0 * e_embed + e_reg
+        assert got.embed > 0.0
         assert got.total == pytest.approx(expected, abs=1e-9)
         assert got.photo_ark == pytest.approx(e_photo, abs=1e-9)
         assert got.embed == pytest.approx(e_embed, abs=1e-9)
@@ -362,31 +367,42 @@ class TestTotalEnergy:
 
 class TestInvalidPixels:
     def test_geometric_failures_contribute_nothing(self, rng):
-        # One edge whose pixels are driven out of bounds / behind the camera /
-        # to zero disparity; all energies must ignore them exactly.
-        h, w = 6, 8
-        features = smooth_map(rng, c=3, h=h, w=w)
+        # Zero-disparity, behind-camera and out-of-bounds pixels next to live
+        # ones: their confidence must not reach the energies or the normal
+        # equations.
+        h, w = 24, 32
         disparity = np.full((h, w), 0.5)
         disparity[0, 0] = 0.0                      # zero disparity
-        pose_j = se3_exp([0.0, 0.0, -1.9, 0.0, 0.0, 0.0])  # most points end up behind
+        disparity[10:12, 10:12] = 4.0              # depth 0.25 ends up behind camera j
+        pose_j = se3_exp([0.05, 0.0, -0.5, 0.0, 0.0, 0.0])  # zooms the borders out of bounds
         kf_i = Keyframe(index=0, pose=Pose.identity(), disparity=disparity,
-                        disparity_prior=disparity, features=features)
+                        disparity_prior=disparity, features=smooth_map(rng, h=h, w=w))
         kf_j = Keyframe(index=1, pose=pose_j, disparity=disparity,
-                        disparity_prior=disparity, features=features)
-        obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)), confidence=np.ones((h, w)))
-        graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics={0: K})
+                        disparity_prior=disparity, features=smooth_map(rng, h=h, w=w))
+        obs = FlowObservation(i=0, j=1, flow=rng.normal(0, 0.5, size=(2, h, w)),
+                              confidence=rng.uniform(0.2, 1.0, size=(h, w)))
         ev = evaluate_edge(kf_i, kf_j, obs, K, K, EmbeddingResidualConfig(),
                            with_jacobians=True)
         dead = ~ev.valid_flow
-        assert dead.any()
+        _, geometric_ok = reproject(grid_pixels(h, w), disparity.reshape(-1), kf_i.pose,
+                                    pose_j, K)
+        assert ev.valid_flow.any()
+        assert dead[0] and (~geometric_ok).sum() == 5 and (dead & geometric_ok).any()
+        assert not ev.valid_embed[dead].any()
         assert np.abs(ev.r_flow[dead]).max() == 0.0
-        assert np.abs(ev.jf_pose_i[dead]).max() == 0.0 or True  # jacobians masked at weighting
-        e = total_energy(graph)
-        # Only the surviving pixels can contribute; recompute their share.
-        alive = ev.valid_flow
-        assert np.isfinite(e.total)
-        if not alive.any():
-            assert e.photo_ark == 0.0
+        assert np.abs(ev.r_embed[dead]).max() == 0.0
+
+        muted = obs.confidence.copy()
+        muted[dead.reshape(h, w)] = 0.0
+        config = SolverConfig()
+        ne = assemble(KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics={0: K}),
+                      config)
+        ne_muted = assemble(KeyframeGraph(
+            keyframes=[kf_i, kf_j], intrinsics={0: K},
+            edges=[FlowObservation(i=0, j=1, flow=obs.flow, confidence=muted)]), config)
+        for name in ("pose_h", "pose_g", "coupling", "disp_h", "disp_g"):
+            assert np.array_equal(getattr(ne, name), getattr(ne_muted, name)), name
+        assert ne.energies == ne_muted.energies
 
     def test_zero_norm_embedding_keeps_flow_term(self, rng):
         h, w = 6, 8

@@ -135,16 +135,22 @@ def toy_bundle():
     return ToyBundle()
 
 
+def assert_matches_brute_force(graph, config):
+    h_dense, b_dense = assemble(graph, config).to_dense()
+    h_ref, b_ref = brute_force_normal_equations(graph, config)
+    assert np.abs(h_dense - h_ref).max() / max(np.abs(h_ref).max(), 1.0) < 1e-9
+    assert np.abs(b_dense - b_ref).max() / max(np.abs(b_ref).max(), 1.0) < 1e-9
+
+
 class TestAssemble:
     def test_matches_dense_brute_force(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
-        config = small_config()
-        ne = assemble(graph, config)
-        h_dense, b_dense = ne.to_dense()
-        h_ref, b_ref = brute_force_normal_equations(graph, config)
-        scale = max(np.abs(h_ref).max(), 1.0)
-        assert np.abs(h_dense - h_ref).max() / scale < 1e-9
-        assert np.abs(b_dense - b_ref).max() / max(np.abs(b_ref).max(), 1.0) < 1e-9
+        assert_matches_brute_force(toy_bundle.to_graph(initial=True), small_config())
+
+    @pytest.mark.parametrize("options", [{"optimize_intrinsics": True},
+                                         {"kernel_mode": "fixed", "fixed_alpha": 1.0}],
+                             ids=["intrinsics", "fixed-kernel"])
+    def test_matches_dense_brute_force_in_other_modes(self, toy_bundle, options):
+        assert_matches_brute_force(toy_bundle.to_graph(initial=True), small_config(**options))
 
     def test_symmetric(self, toy_bundle):
         ne = assemble(toy_bundle.to_graph(initial=True), small_config())
@@ -159,13 +165,8 @@ class TestAssemble:
         assert np.linalg.eigvalsh(h).min() > -1e-9
 
     def test_flow_only_when_embedding_disabled(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
-        config = small_config(lambda_embed=0.0)
-        ne = assemble(graph, config)
-        h_dense, b_dense = ne.to_dense()
-        h_ref, b_ref = brute_force_normal_equations(graph, config)
-        assert np.abs(h_dense - h_ref).max() / max(np.abs(h_ref).max(), 1.0) < 1e-9
-        assert np.abs(b_dense - b_ref).max() / max(np.abs(b_ref).max(), 1.0) < 1e-9
+        assert_matches_brute_force(toy_bundle.to_graph(initial=True),
+                                   small_config(lambda_embed=0.0))
 
     def test_nonfinite_input_aborts_with_location(self, toy_bundle):
         graph = toy_bundle.to_graph(initial=True)
