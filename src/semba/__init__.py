@@ -4,8 +4,8 @@ from .evaluation import (LabelSet, SegMetrics, SemanticPointCloud, align_traject
                          assign_labels, ate_rmse, fuse_point_cloud, knn_transfer, seg_metrics,
                          trajectory_ate)
 from .features import PcaModel, bilinear_sample, pca_decode, pca_encode, pca_fit
-from .geometry import (Intrinsics, Pose, depth_to_disparity, relative_pose, reproject,
-                       reprojection_jacobian, se3_exp, se3_log)
+from .geometry import (Intrinsics, Pose, relative_pose, reproject, reprojection_jacobian,
+                       se3_exp, se3_log)
 from .graph import Keyframe, KeyframeGraph, plan_edges
 from .residuals import (EmbeddingResidualConfig, FlowObservation, RegConfig,
                         disparity_reg_residual, total_energy)

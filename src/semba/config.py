@@ -67,22 +67,14 @@ def _build(cls, mapping, section):
     return cls(**cleaned)
 
 
-def load_config(path=None, overrides=None) -> RunConfig:
-    """Load a RunConfig from YAML; missing sections fall back to defaults.
-
-    overrides, when given, is a {section: {key: value}} mapping applied on top
-    (used by CLI flags).
-    """
+def load_config(path=None) -> RunConfig:
+    """Load a RunConfig from YAML; missing sections fall back to defaults."""
     doc = {}
     if path is not None:
         text = Path(path).read_text()
         doc = yaml.safe_load(text) or {}
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: config root must be a mapping")
-    if overrides:
-        for section, kv in overrides.items():
-            doc.setdefault(section, {})
-            doc[section] = {**doc[section], **kv}
 
     known_sections = {"scene", "solver", "kernel", "embed", "reg", "evaluation"}
     unknown = set(doc) - known_sections

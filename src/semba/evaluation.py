@@ -140,12 +140,11 @@ def _group_sizes(n: int):
     return [base + (1 if g < rem else 0) for g in range(3)]
 
 
-def seg_metrics(pred_labels, gt_labels, class_counts=None, class_names=None) -> SegMetrics:
+def seg_metrics(pred_labels, gt_labels, class_names=None) -> SegMetrics:
     """IoU / accuracy statistics over the classes present in the ground truth.
 
-    class_counts may override the frequency source for the head/common/tail
-    split (e.g. dataset-level point counts); it defaults to the gt label
-    histogram. fmIoU weights are gt frequencies and sum to one.
+    The head/common/tail split follows the gt label histogram. fmIoU weights
+    are gt frequencies and sum to one.
     """
     pred_labels = np.asarray(pred_labels, dtype=int)
     gt_labels = np.asarray(gt_labels, dtype=int)
@@ -162,9 +161,6 @@ def seg_metrics(pred_labels, gt_labels, class_counts=None, class_names=None) -> 
         iou[k] = tp / (tp + fp + fn) if tp + fp + fn > 0 else 0.0
         acc[k] = tp / (tp + fn) if tp + fn > 0 else 0.0
         counts[k] = tp + fn
-    if class_counts is not None:
-        lookup = dict(class_counts) if not isinstance(class_counts, dict) else class_counts
-        counts = np.array([float(lookup[c]) for c in class_ids])
 
     miou = float(iou.mean())
     # Single quotient keeps the frequency weighting exact when every IoU is 1.

@@ -187,6 +187,26 @@ def project(points: np.ndarray, intrinsics: Intrinsics) -> np.ndarray:
     )
 
 
+def _transform(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics):
+    """Unproject pixels of frame i through its intrinsics and carry them into camera j.
+
+    Returns (points_j (..., 3), valid (...,), R_ji (3, 3), t_ji (3,), safe
+    disparity (...,)). Invalid entries (non-positive disparity or depth in j
+    <= Z_EPS) hold z = 1 in points_j and disparity 1, so that everything derived
+    from them stays finite.
+    """
+    u = np.asarray(u, dtype=float)
+    d = np.asarray(disparity, dtype=float)
+    valid = d > 0
+    d_safe = np.where(valid, d, 1.0)
+    rel = relative_pose(pose_i, pose_j)
+    rot_ji = rel.rotation_matrix()
+    points_j = unproject(u, d_safe, intrinsics) @ rot_ji.T + rel.translation
+    valid = valid & (points_j[..., 2] > Z_EPS)
+    points_j[..., 2] = np.where(valid, points_j[..., 2], 1.0)
+    return points_j, valid, rot_ji, rel.translation, d_safe
+
+
 def reproject(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics,
               intrinsics_j: Intrinsics | None = None):
     """Map pixels of frame i into frame j through the current geometry.
@@ -196,43 +216,8 @@ def reproject(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics,
     or reprojected depth <= Z_EPS) hold finite placeholder coordinates and must
     be masked by the caller.
     """
-    k_j = intrinsics if intrinsics_j is None else intrinsics_j
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(disparity, dtype=float)
-    valid = d > 0
-    d_safe = np.where(valid, d, 1.0)
-    points_i = unproject(u, d_safe, intrinsics)
-    rel = relative_pose(pose_i, pose_j)
-    points_j = rel.apply(points_i)
-    z_j = points_j[..., 2]
-    valid = valid & (z_j > Z_EPS)
-    points_safe = points_j.copy()
-    points_safe[..., 2] = np.where(valid, z_j, 1.0)
-    return project(points_safe, k_j), valid
-
-
-def _projection_jacobian(points: np.ndarray, intrinsics: Intrinsics) -> np.ndarray:
-    """d(project)/d(point): (..., 2, 3)."""
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    zero = np.zeros_like(z)
-    inv_z = 1.0 / z
-    row_x = np.stack([intrinsics.fx * inv_z, zero, -intrinsics.fx * x * inv_z**2], axis=-1)
-    row_y = np.stack([zero, intrinsics.fy * inv_z, -intrinsics.fy * y * inv_z**2], axis=-1)
-    return np.stack([row_x, row_y], axis=-2)
-
-
-def _cross_matrix(points: np.ndarray) -> np.ndarray:
-    """Batched skew-symmetric matrices, (..., 3) -> (..., 3, 3)."""
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    zero = np.zeros_like(x)
-    return np.stack(
-        [
-            np.stack([zero, -z, y], axis=-1),
-            np.stack([z, zero, -x], axis=-1),
-            np.stack([-y, x, zero], axis=-1),
-        ],
-        axis=-2,
-    )
+    points_j, valid, _, _, _ = _transform(u, disparity, pose_i, pose_j, intrinsics)
+    return project(points_j, intrinsics if intrinsics_j is None else intrinsics_j), valid
 
 
 def reprojection_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics,
@@ -243,82 +228,57 @@ def reprojection_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: 
     mu (..., 2), valid (...,)). Twist columns are ordered [v; w].
     """
     k_j = intrinsics if intrinsics_j is None else intrinsics_j
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(disparity, dtype=float)
-    valid = d > 0
-    d_safe = np.where(valid, d, 1.0)
-    points_i = unproject(u, d_safe, intrinsics)
-    rel = relative_pose(pose_i, pose_j)
-    rot_ji = rel.rotation_matrix()
-    points_j = points_i @ rot_ji.T + rel.translation
-    z_j = points_j[..., 2]
-    valid = valid & (z_j > Z_EPS)
-    points_safe = points_j.copy()
-    points_safe[..., 2] = np.where(valid, z_j, 1.0)
+    points_j, valid, rot_ji, t_ji, d_safe = _transform(u, disparity, pose_i, pose_j, intrinsics)
+    mu = project(points_j, k_j)
 
-    mu = project(points_safe, k_j)
-    j_proj = _projection_jacobian(points_safe, k_j)  # (..., 2, 3)
+    # A left twist [v; w] on T_j moves X_j by v + w x X_j. With (a, b) = (x, y) / z
+    # the two rows of d(project)/d[v; w] are, in closed form:
+    inv_z = 1.0 / points_j[..., 2]
+    a, b = points_j[..., 0] * inv_z, points_j[..., 1] * inv_z
+    zero = np.zeros_like(a)
+    d_pose_j = np.stack([inv_z, zero, -a * inv_z, -a * b, 1.0 + a * a, -b,
+                         zero, inv_z, -b * inv_z, -1.0 - b * b, a * b, a],
+                        axis=-1).reshape(a.shape + (2, 6))
+    d_pose_j *= np.array([[k_j.fx], [k_j.fy]])
 
-    # Perturbing T_j: X_j' = exp(delta) X_j  =>  dX/d[v;w] = [I | -[X_j]x]
-    eye = np.broadcast_to(np.eye(3), points_safe.shape + (3,))
-    d_point_j = np.concatenate([eye, -_cross_matrix(points_safe)], axis=-1)  # (..., 3, 6)
-    d_pose_j = j_proj @ d_point_j
+    # Perturbing T_i: T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji.
+    adjoint = np.zeros((6, 6))
+    adjoint[:3, :3] = adjoint[3:, 3:] = rot_ji
+    adjoint[:3, 3:] = skew(t_ji) @ rot_ji
+    d_pose_i = -(d_pose_j.reshape(-1, 6) @ adjoint).reshape(d_pose_j.shape)
 
-    # Perturbing T_i: X_j' = G exp(-delta) X_i  =>  dX/d[v;w] = R_ji [-I | [X_i]x]
-    d_point_i = np.concatenate([-eye, _cross_matrix(points_i)], axis=-1)
-    d_pose_i = j_proj @ (rot_ji @ d_point_i)
-
-    # X_i = dir / d  =>  dX_i/dd = -X_i / d
-    d_point_disp = (points_i @ rot_ji.T) * (-1.0 / d_safe)[..., None]
-    d_disparity = np.einsum("...ij,...j->...i", j_proj, d_point_disp)
+    # X_i = dir / d  =>  dX_j/dd = R_ji dX_i/dd = -(X_j - t_ji) / d
+    d_point_disp = (t_ji - points_j) / d_safe[..., None]
+    d_disparity = np.einsum("...ij,...j->...i", d_pose_j[..., :3], d_point_disp)
 
     return d_pose_i, d_pose_j, d_disparity, mu, valid
 
 
-def reprojection_intrinsics_jacobian(u, disparity, pose_i: Pose, pose_j: Pose,
-                                     intrinsics: Intrinsics):
+def reprojection_intrinsics_jacobian(u, disparity, mu, d_pose_i, intrinsics: Intrinsics):
     """d(reproject)/d[fx, fy, cx, cy] for a shared camera, (..., 2, 4).
 
-    The intrinsics enter through both the unprojection in frame i and the
-    projection in frame j.
+    mu and d_pose_i are reprojection_jacobian's outputs for the same pixels. The
+    intrinsics enter through the projection in frame j (the direct term) and
+    through the unprojection in frame i. A shift of X_i acts on mu like the
+    translation of a twist on T_i with opposite sign, hence -d_pose_i[..., :3].
     """
     u = np.asarray(u, dtype=float)
     d = np.asarray(disparity, dtype=float)
     d_safe = np.where(d > 0, d, 1.0)
-    points_i = unproject(u, d_safe, intrinsics)
-    rel = relative_pose(pose_i, pose_j)
-    rot_ji = rel.rotation_matrix()
-    points_j = points_i @ rot_ji.T + rel.translation
-    z_j = points_j[..., 2]
-    valid = (d > 0) & (z_j > Z_EPS)
-    points_safe = points_j.copy()
-    points_safe[..., 2] = np.where(valid, z_j, 1.0)
-
-    x, y, z = points_safe[..., 0], points_safe[..., 1], points_safe[..., 2]
-    zero = np.zeros_like(z)
-    one = np.ones_like(z)
-    # Direct dependence of the frame-j projection on K.
+    k = intrinsics
+    zero = np.zeros_like(d_safe)
+    one = np.ones_like(d_safe)
     direct = np.stack(
         [
-            np.stack([x / z, zero, one, zero], axis=-1),
-            np.stack([zero, y / z, zero, one], axis=-1),
+            np.stack([(mu[..., 0] - k.cx) / k.fx, zero, one, zero], axis=-1),
+            np.stack([zero, (mu[..., 1] - k.cy) / k.fy, zero, one], axis=-1),
         ],
         axis=-2,
     )
-    # Dependence through the frame-i unprojection: X_i = ((u-cx)/fx/d, (v-cy)/fy/d, 1/d).
-    dxi = np.zeros(points_i.shape[:-1] + (3, 4))
-    dxi[..., 0, 0] = -points_i[..., 0] / intrinsics.fx
-    dxi[..., 0, 2] = -1.0 / (intrinsics.fx * d_safe)
-    dxi[..., 1, 1] = -points_i[..., 1] / intrinsics.fy
-    dxi[..., 1, 3] = -1.0 / (intrinsics.fy * d_safe)
-    j_proj = _projection_jacobian(points_safe, intrinsics)
-    return direct + j_proj @ (rot_ji @ dxi), valid
-
-
-def depth_to_disparity(depth) -> np.ndarray:
-    """Elementwise inverse depth; non-positive or non-finite depths map to 0."""
-    depth = np.asarray(depth, dtype=float)
-    valid = np.isfinite(depth) & (depth > 0)
-    out = np.zeros_like(depth)
-    np.divide(1.0, depth, out=out, where=valid)
-    return out
+    # X_i = ((u - cx) / (fx d), (v - cy) / (fy d), 1 / d)
+    dxi = np.zeros(d_safe.shape + (3, 4))
+    dxi[..., 0, 0] = -(u[..., 0] - k.cx) / (k.fx**2 * d_safe)
+    dxi[..., 0, 2] = -1.0 / (k.fx * d_safe)
+    dxi[..., 1, 1] = -(u[..., 1] - k.cy) / (k.fy**2 * d_safe)
+    dxi[..., 1, 3] = -1.0 / (k.fy * d_safe)
+    return direct - d_pose_i[..., :3] @ dxi

@@ -152,9 +152,15 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intr_i: Intrinsics, intr_j: 
     u = grid_pixels(h, w)
     d = kf_i.disparity.reshape(-1)
 
+    jf_k = None
     if with_jacobians:
         jf_i, jf_j, jf_d, mu, valid_geo = geometry.reprojection_jacobian(
             u, d, kf_i.pose, kf_j.pose, intr_i, intr_j)
+        if with_intrinsics:
+            if not np.array_equal(intr_i.as_array(), intr_j.as_array()):
+                raise NotImplementedError(
+                    "intrinsics optimization requires a shared camera per edge")
+            jf_k = geometry.reprojection_intrinsics_jacobian(u, d, mu, jf_i, intr_i)
     else:
         mu, valid_geo = geometry.reproject(u, d, kf_i.pose, kf_j.pose, intr_i, intr_j)
         jf_i = jf_j = jf_d = None
@@ -168,9 +174,8 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intr_i: Intrinsics, intr_j: 
     out = EdgeEvaluation(
         obs=obs, pixels=u, confidence=conf, r_flow=r_flow, valid_flow=valid_flow,
         r_embed=np.zeros(n), cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool),
-        jf_pose_i=jf_i, jf_pose_j=jf_j, jf_disp=jf_d)
+        jf_pose_i=jf_i, jf_pose_j=jf_j, jf_disp=jf_d, jf_intr=jf_k)
 
-    dcs_du = None
     if need_similarity or need_embedding:
         z_src = kf_i.features.reshape(kf_i.features.shape[0], n).T  # u is the row-major grid
         # Only the embedding Jacobian reads the sampling gradient.
@@ -192,16 +197,8 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intr_i: Intrinsics, intr_j: 
                 out.je_pose_i = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jf_i)
                 out.je_pose_j = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jf_j)
                 out.je_disp = scale * np.einsum("ni,ni->n", dcs_du, jf_d)
-
-    if with_jacobians and with_intrinsics:
-        if not np.array_equal(intr_i.as_array(), intr_j.as_array()):
-            raise NotImplementedError(
-                "intrinsics optimization requires a shared camera per edge")
-        jk, _ = geometry.reprojection_intrinsics_jacobian(u, d, kf_i.pose, kf_j.pose, intr_i)
-        out.jf_intr = jk
-        if need_embedding and dcs_du is not None:
-            scale = np.where(out.valid_embed, _embed_dresidual_dcs(out.r_embed, embed_cfg), 0.0)
-            out.je_intr = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jk)
+                if jf_k is not None:
+                    out.je_intr = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jf_k)
     return out
 
 
@@ -248,7 +245,7 @@ def total_energy(graph, kernel: robust.KernelConfig = robust.KernelConfig(),
 
     frozen_alpha, when given, is a list of per-edge shape-parameter arrays
     (matching graph.edges order) that bypasses recomputing the similarity-driven
-    alpha; used by the solver's freeze option.
+    alpha; the solver passes the shapes it holds fixed for the iteration.
     """
     e_photo = 0.0
     e_embed = 0.0

@@ -38,7 +38,6 @@ class SolverConfig:
     kernel_mode: str = "ark"   # "ark" | "fixed"
     fixed_alpha: float = 2.0
     optimize_intrinsics: bool = False
-    freeze_similarity: bool = False
     min_disparity: float = 1e-6
 
     def __post_init__(self):
@@ -306,8 +305,6 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     the similarity-driven shape parameters are derived from the current state
     and held fixed while the normal equations are built, solved, and the step
     is scored (b is then the exact objective gradient for that kernel state).
-    With freeze_similarity the shapes are captured once at the initial state
-    instead.
 
     Returns (optimized graph, trace). Row 0 of the trace holds the initial
     energies; each further row is one solve attempt with its accept flag, all
@@ -319,14 +316,11 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
 
     state = graph.copy()
     adaptive = config.kernel_mode == "ark"
-    global_alpha = _frozen_alphas(state, config) if (adaptive and config.freeze_similarity) \
-        else None
 
     trace = []
     lm = config.lm_init
     for it in range(1, config.max_iters + 1):
-        alphas = global_alpha if global_alpha is not None else (
-            _frozen_alphas(state, config) if adaptive else None)
+        alphas = _frozen_alphas(state, config) if adaptive else None
         ne = assemble(state, config, alphas)
         e_cur = ne.energies
         if it == 1:

@@ -214,11 +214,6 @@ class TestSegMetrics:
         m = seg_metrics(gt, gt)
         assert m.groups == ["head", "head", "common", "common", "tail"]
 
-    def test_external_counts_override_split(self):
-        gt = np.array([0, 0, 1, 1, 2, 2])
-        m = seg_metrics(gt, gt, class_counts={0: 1, 1: 100, 2: 10})
-        assert m.groups == ["tail", "head", "common"]
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             seg_metrics(np.zeros(3, dtype=int), np.zeros(4, dtype=int))

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semba.geometry import (Intrinsics, Pose, depth_to_disparity, relative_pose, reproject,
+from semba.geometry import (Intrinsics, Pose, relative_pose, reproject,
                             reprojection_intrinsics_jacobian, reprojection_jacobian, se3_exp,
                             se3_log, unproject)
 
 K = Intrinsics(50.0, 52.0, 31.5, 23.5)
+K_J = Intrinsics(61.0, 44.0, 27.0, 26.5)  # a second camera, for edges between two streams
 
 twists = st.lists(st.floats(-0.8, 0.8), min_size=6, max_size=6).map(np.array)
 
@@ -133,40 +134,43 @@ class TestReproject:
             assert np.abs(mu[valid] - mu_g[valid]).max() < 1e-9
 
 
-def _fd_pose_jacobian(u, d, t_i, t_j, which, eps=1e-6):
+def _fd_pose_jacobian(u, d, t_i, t_j, which, k_j=K, eps=1e-6):
+    """Central differences of reproject (unprojecting through K, projecting through k_j)."""
     out = np.zeros((2, 6))
     for k in range(6):
         tw = np.zeros(6)
         tw[k] = eps
         args_p = (se3_exp(tw).compose(t_i), t_j) if which == "i" else (t_i, se3_exp(tw).compose(t_j))
         args_m = (se3_exp(-tw).compose(t_i), t_j) if which == "i" else (t_i, se3_exp(-tw).compose(t_j))
-        mu_p, _ = reproject(u, d, *args_p, K)
-        mu_m, _ = reproject(u, d, *args_m, K)
+        mu_p, _ = reproject(u, d, *args_p, K, k_j)
+        mu_m, _ = reproject(u, d, *args_m, K, k_j)
         out[:, k] = (mu_p - mu_m) / (2 * eps)
     return out
 
 
 class TestReprojectionJacobian:
     def test_matches_finite_differences(self, rng):
-        checked = 0
-        worst = 0.0
-        while checked < 100:
-            t_i, t_j = random_pose(rng), random_pose(rng)
-            u = rng.uniform(5, 55, size=2)
-            d = rng.uniform(0.3, 1.5)
-            j_i, j_j, j_d, _, valid = reprojection_jacobian(u, d, t_i, t_j, K)
-            if not valid:
-                continue
-            checked += 1
-            fd_i = _fd_pose_jacobian(u, d, t_i, t_j, "i")
-            fd_j = _fd_pose_jacobian(u, d, t_i, t_j, "j")
-            mu_p, _ = reproject(u, d + 1e-6, t_i, t_j, K)
-            mu_m, _ = reproject(u, d - 1e-6, t_i, t_j, K)
-            fd_d = (mu_p - mu_m) / 2e-6
-            for analytic, fd in ((j_i, fd_i), (j_j, fd_j), (j_d, fd_d)):
-                scale = max(np.abs(fd).max(), 1.0)
-                worst = max(worst, np.abs(analytic - fd).max() / scale)
-        assert worst < 1e-4
+        # A shared camera (K, K) and an edge between two cameras (K, K_J).
+        for k_j in (K, K_J):
+            checked = 0
+            worst = 0.0
+            while checked < 100:
+                t_i, t_j = random_pose(rng), random_pose(rng)
+                u = rng.uniform(5, 55, size=2)
+                d = rng.uniform(0.3, 1.5)
+                j_i, j_j, j_d, _, valid = reprojection_jacobian(u, d, t_i, t_j, K, k_j)
+                if not valid:
+                    continue
+                checked += 1
+                fd_i = _fd_pose_jacobian(u, d, t_i, t_j, "i", k_j)
+                fd_j = _fd_pose_jacobian(u, d, t_i, t_j, "j", k_j)
+                mu_p, _ = reproject(u, d + 1e-6, t_i, t_j, K, k_j)
+                mu_m, _ = reproject(u, d - 1e-6, t_i, t_j, K, k_j)
+                fd_d = (mu_p - mu_m) / 2e-6
+                for analytic, fd in ((j_i, fd_i), (j_j, fd_j), (j_d, fd_d)):
+                    scale = max(np.abs(fd).max(), 1.0)
+                    worst = max(worst, np.abs(analytic - fd).max() / scale)
+            assert worst < 1e-4, f"camera j {k_j.as_array()}: worst {worst:.2e}"
 
     def test_equal_poses_antisymmetry(self, rng):
         pose = random_pose(rng)
@@ -191,9 +195,10 @@ class TestReprojectionJacobian:
             t_i, t_j = random_pose(rng), random_pose(rng)
             u = rng.uniform(5, 55, size=2)
             d = rng.uniform(0.3, 1.5)
-            jk, valid = reprojection_intrinsics_jacobian(u, d, t_i, t_j, K)
+            j_i, _, _, mu, valid = reprojection_jacobian(u, d, t_i, t_j, K)
             if not valid:
                 continue
+            jk = reprojection_intrinsics_jacobian(u, d, mu, j_i, K)
             fd = np.zeros((2, 4))
             base = K.as_array()
             for p in range(4):
@@ -204,19 +209,6 @@ class TestReprojectionJacobian:
                 fd[:, p] = (mu_p - mu_m) / 2e-5
             worst = max(worst, np.abs(jk - fd).max() / max(np.abs(fd).max(), 1.0))
         assert worst < 1e-4
-
-
-class TestDepthConversion:
-    def test_reciprocal(self):
-        assert depth_to_disparity(2.0) == 0.5
-
-    def test_zero_and_negative_map_to_zero(self):
-        out = depth_to_disparity(np.array([0.0, -1.0, 4.0]))
-        assert np.array_equal(out, [0.0, 0.0, 0.25])
-
-    def test_nonfinite_maps_to_zero(self):
-        out = depth_to_disparity(np.array([np.nan, np.inf, -np.inf, 1.0]))
-        assert np.array_equal(out, [0.0, 0.0, 0.0, 1.0])
 
 
 class TestIntrinsics:

@@ -299,13 +299,6 @@ class TestSolve:
         with pytest.raises(ValueError, match="unconstrained"):
             solve(empty, small_config())
 
-    def test_freeze_similarity_converges_on_clean_scene(self, perturbed_bundle):
-        opt, _ = solve(perturbed_bundle.to_graph(initial=True),
-                       small_config(freeze_similarity=True))
-        ate = trajectory_ate([kf.pose for kf in opt.keyframes],
-                             perturbed_bundle.gt_poses, "rigid")
-        assert ate <= 1e-6
-
 
 class TestIntrinsicsOptimization:
     def test_recovers_perturbed_intrinsics(self, perturbed_bundle):
