@@ -151,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ba.add_argument("--export-cloud", default=None, metavar="PLY",
                       help="also export the fused point cloud (+ .embeddings.kmvt sidecar)")
     p_ba.add_argument("--pca", default=None, help="KMVP model used to decode embeddings")
-    p_ba.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     p_ba.set_defaults(func=cmd_ba)
 
     p_eval = sub.add_parser("eval", help="evaluate a trajectory (and optionally a semantic cloud)")

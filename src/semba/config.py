@@ -9,7 +9,7 @@ sections or keys are rejected):
     kernel:     robust.KernelConfig
     embed:      residuals.EmbeddingResidualConfig
     reg:        residuals.RegConfig
-    evaluation: EvalConfig (alignment mode, fused-cloud stride)
+    evaluation: EvalConfig (fused-cloud stride)
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ from .synthscene import SceneConfig
 
 @dataclass
 class EvalConfig:
-    align: str = "sim"        # "sim" | "rigid"
     cloud_stride: int = 2     # pixel stride when exporting fused clouds
 
     def __post_init__(self):
-        if self.align not in ("sim", "rigid"):
-            raise ValueError(f"align must be 'sim' or 'rigid', got {self.align!r}")
         if self.cloud_stride < 1:
             raise ValueError("cloud_stride must be >= 1")
 

@@ -84,7 +84,7 @@ def fuse_point_cloud(graph, pca: PcaModel = None, stride: int = 1) -> SemanticPo
         if not ok.any():
             continue
         u = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(float)[ok]
-        cam = unproject(u, d[ok], graph.intrinsics[kf.stream])
+        cam = unproject(u, d[ok], graph.intrinsics)
         pts.append(kf.pose.inverse().apply(cam))
         feats = kf.features[:, ys.reshape(-1)[ok], xs.reshape(-1)[ok]].T
         embs.append(pca_decode(feats, pca) if pca is not None else feats)

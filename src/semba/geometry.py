@@ -19,6 +19,10 @@ from scipy.spatial.transform import Rotation
 # Reprojected points closer than this to the image plane are invalid.
 Z_EPS = 1e-4
 
+# A quaternion whose norm is this close to 1 is kept as given: q / |q| is not
+# idempotent in binary64, so renormalizing it would break bit-faithful round trips.
+_UNIT_NORM_TOL = 4 * np.finfo(float).eps
+
 # Below this rotation angle the exp/log helper matrices use series expansions
 # (the closed forms lose precision to cancellation long before they divide byzero).
 _SMALL_ANGLE = 1e-4
@@ -59,7 +63,9 @@ class Pose:
         n = np.linalg.norm(q)
         if not np.isfinite(n) or n < 1e-12:
             raise ValueError("quaternion norm is degenerate")
-        object.__setattr__(self, "rotation", q / n)
+        if abs(n - 1.0) > _UNIT_NORM_TOL:
+            q = q / n
+        object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
 
     @staticmethod
@@ -207,8 +213,7 @@ def _transform(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics)
     return points_j, valid, rot_ji, rel.translation, d_safe
 
 
-def reproject(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics,
-              intrinsics_j: Intrinsics | None = None):
+def reproject(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics):
     """Map pixels of frame i into frame j through the current geometry.
 
     u: (..., 2) pixels, disparity: (...,) inverse depths of frame i.
@@ -217,19 +222,17 @@ def reproject(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics,
     be masked by the caller.
     """
     points_j, valid, _, _, _ = _transform(u, disparity, pose_i, pose_j, intrinsics)
-    return project(points_j, intrinsics if intrinsics_j is None else intrinsics_j), valid
+    return project(points_j, intrinsics), valid
 
 
-def reprojection_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics,
-                          intrinsics_j: Intrinsics | None = None):
+def reprojection_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics):
     """Analytic derivatives of reproject under left-multiplicative twists.
 
     Returns (d_pose_i (..., 2, 6), d_pose_j (..., 2, 6), d_disparity (..., 2),
     mu (..., 2), valid (...,)). Twist columns are ordered [v; w].
     """
-    k_j = intrinsics if intrinsics_j is None else intrinsics_j
     points_j, valid, rot_ji, t_ji, d_safe = _transform(u, disparity, pose_i, pose_j, intrinsics)
-    mu = project(points_j, k_j)
+    mu = project(points_j, intrinsics)
 
     # A left twist [v; w] on T_j moves X_j by v + w x X_j. With (a, b) = (x, y) / z
     # the two rows of d(project)/d[v; w] are, in closed form:
@@ -239,7 +242,7 @@ def reprojection_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: 
     d_pose_j = np.stack([inv_z, zero, -a * inv_z, -a * b, 1.0 + a * a, -b,
                          zero, inv_z, -b * inv_z, -1.0 - b * b, a * b, a],
                         axis=-1).reshape(a.shape + (2, 6))
-    d_pose_j *= np.array([[k_j.fx], [k_j.fy]])
+    d_pose_j *= np.array([[intrinsics.fx], [intrinsics.fy]])
 
     # Perturbing T_i: T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji.
     adjoint = np.zeros((6, 6))
@@ -255,7 +258,7 @@ def reprojection_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: 
 
 
 def reprojection_intrinsics_jacobian(u, disparity, mu, d_pose_i, intrinsics: Intrinsics):
-    """d(reproject)/d[fx, fy, cx, cy] for a shared camera, (..., 2, 4).
+    """d(reproject)/d[fx, fy, cx, cy], (..., 2, 4).
 
     mu and d_pose_i are reprojection_jacobian's outputs for the same pixels. The
     intrinsics enter through the projection in frame j (the direct term) and

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class Keyframe:
     disparity: np.ndarray        # (H, W)
     disparity_prior: np.ndarray  # (H, W)
     features: np.ndarray         # (K, H, W)
-    stream: int = 0
     frozen: bool = False
     timestamp: float = None
 
@@ -52,17 +51,20 @@ class Keyframe:
 
 @dataclass(eq=False)
 class KeyframeGraph:
+    """Keyframes and directed edges seen through one camera."""
+
     keyframes: list
     edges: list
-    intrinsics: dict = field(default_factory=dict)  # stream id -> Intrinsics
+    intrinsics: Intrinsics
 
     def __post_init__(self):
+        if not isinstance(self.intrinsics, Intrinsics):
+            raise ValueError(
+                f"intrinsics must be an Intrinsics, got {type(self.intrinsics).__name__}")
         n = len(self.keyframes)
         for pos, kf in enumerate(self.keyframes):
             if kf.index != pos:
                 raise ValueError(f"keyframe at position {pos} carries index {kf.index}")
-            if kf.stream not in self.intrinsics:
-                raise ValueError(f"no intrinsics for stream {kf.stream}")
         shapes = {kf.grid_shape for kf in self.keyframes}
         if len(shapes) > 1:
             raise ValueError(f"keyframes disagree on grid shape: {shapes}")
@@ -81,18 +83,18 @@ class KeyframeGraph:
         return KeyframeGraph(
             keyframes=[replace(kf, disparity=kf.disparity.copy()) for kf in self.keyframes],
             edges=list(self.edges),
-            intrinsics=dict(self.intrinsics),
+            intrinsics=self.intrinsics,
         )
 
 
-def covisibility_fraction(kf_i: Keyframe, kf_j: Keyframe, intr_i: Intrinsics,
-                          intr_j: Intrinsics, stride: int = 4) -> float:
+def covisibility_fraction(kf_i: Keyframe, kf_j: Keyframe, intrinsics: Intrinsics,
+                          stride: int = 4) -> float:
     """Fraction of frame-i pixels (on a strided grid) reprojecting inside frame j."""
     h, w = kf_i.grid_shape
     ys, xs = np.mgrid[0:h:stride, 0:w:stride]
     u = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(float)
     d = kf_i.disparity[ys, xs].reshape(-1)
-    mu, valid = geometry.reproject(u, d, kf_i.pose, kf_j.pose, intr_i, intr_j)
+    mu, valid = geometry.reproject(u, d, kf_i.pose, kf_j.pose, intrinsics)
     ok = valid & in_bounds(mu, h, w)
     return float(np.mean(ok))
 
@@ -114,8 +116,7 @@ def plan_edges(frames, intrinsics, temporal_radius: int = 1, covis_threshold: fl
             if abs(i - j) <= temporal_radius:
                 pairs.append((i, j))
             elif covis_threshold <= 1.0:
-                frac = covisibility_fraction(frames[i], frames[j], intrinsics[frames[i].stream],
-                                             intrinsics[frames[j].stream], covis_stride)
+                frac = covisibility_fraction(frames[i], frames[j], intrinsics, covis_stride)
                 if frac >= covis_threshold:
                     pairs.append((i, j))
     return pairs

@@ -138,7 +138,7 @@ class EdgeEvaluation:
     je_intr: np.ndarray = None    # (N, 4)
 
 
-def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intr_i: Intrinsics, intr_j: Intrinsics,
+def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics,
                   embed_cfg: EmbeddingResidualConfig, *, need_similarity: bool = True,
                   need_embedding: bool = True, with_jacobians: bool = False,
                   with_intrinsics: bool = False) -> EdgeEvaluation:
@@ -155,14 +155,11 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intr_i: Intrinsics, intr_j: 
     jf_k = None
     if with_jacobians:
         jf_i, jf_j, jf_d, mu, valid_geo = geometry.reprojection_jacobian(
-            u, d, kf_i.pose, kf_j.pose, intr_i, intr_j)
+            u, d, kf_i.pose, kf_j.pose, intrinsics)
         if with_intrinsics:
-            if not np.array_equal(intr_i.as_array(), intr_j.as_array()):
-                raise NotImplementedError(
-                    "intrinsics optimization requires a shared camera per edge")
-            jf_k = geometry.reprojection_intrinsics_jacobian(u, d, mu, jf_i, intr_i)
+            jf_k = geometry.reprojection_intrinsics_jacobian(u, d, mu, jf_i, intrinsics)
     else:
-        mu, valid_geo = geometry.reproject(u, d, kf_i.pose, kf_j.pose, intr_i, intr_j)
+        mu, valid_geo = geometry.reproject(u, d, kf_i.pose, kf_j.pose, intrinsics)
         jf_i = jf_j = jf_d = None
 
     valid_flow = valid_geo & in_bounds(mu, h, w)
@@ -254,8 +251,7 @@ def total_energy(graph, kernel: robust.KernelConfig = robust.KernelConfig(),
     for idx, obs in enumerate(graph.edges):
         kf_i = graph.keyframes[obs.i]
         kf_j = graph.keyframes[obs.j]
-        ev = evaluate_edge(kf_i, kf_j, obs, graph.intrinsics[kf_i.stream],
-                           graph.intrinsics[kf_j.stream], embed,
+        ev = evaluate_edge(kf_i, kf_j, obs, graph.intrinsics, embed,
                            need_similarity=need_similarity,
                            need_embedding=need_embedding, with_jacobians=False)
         override = frozen_alpha[idx] if frozen_alpha is not None else None

@@ -1,9 +1,9 @@
 """Gauss-Newton solver over poses, intrinsics, and dense disparities.
 
-Unknown ordering: [6 per non-frozen pose | 4 per stream if optimizing
-intrinsics | 1 per pixel per keyframe]. The disparity block is diagonal and is
-eliminated by a Schur complement; Levenberg damping (lm * diag) guards steps,
-falling back to plain Gauss-Newton as steps keep being accepted.
+Unknown ordering: [6 per non-frozen pose | 4 if optimizing intrinsics | 1 per
+pixel per keyframe]. The disparity block is diagonal and is eliminated by a
+Schur complement; Levenberg damping (lm * diag) guards steps, falling back to
+plain Gauss-Newton as steps keep being accepted.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ProblemLayout:
     """Index bookkeeping for the stacked unknown vector."""
 
     pose_slices: list          # per keyframe: slice into the reduced block, or None if frozen
-    intrinsic_slices: dict     # stream id -> slice, empty unless optimizing intrinsics
+    intrinsics_slice: slice    # None unless optimizing intrinsics
     n_reduced: int             # poses + intrinsics
     pixels_per_frame: int
     n_disparity: int
@@ -75,14 +75,13 @@ class ProblemLayout:
             else:
                 pose_slices.append(slice(offset, offset + 6))
                 offset += 6
-        intrinsic_slices = {}
+        intrinsics_slice = None
         if config.optimize_intrinsics:
-            for stream in sorted(graph.intrinsics):
-                intrinsic_slices[stream] = slice(offset, offset + 4)
-                offset += 4
+            intrinsics_slice = slice(offset, offset + 4)
+            offset += 4
         h, w = graph.grid_shape
         n_px = h * w
-        return ProblemLayout(pose_slices, intrinsic_slices, offset, n_px,
+        return ProblemLayout(pose_slices, intrinsics_slice, offset, n_px,
                              n_px * len(graph.keyframes))
 
     def disparity_slice(self, kf_index: int) -> slice:
@@ -136,19 +135,17 @@ def _frozen_alphas(graph: KeyframeGraph, config: SolverConfig):
     """Similarity-driven shape parameters captured at the current state."""
     alphas = []
     for obs in graph.edges:
-        kf_i, kf_j = graph.keyframes[obs.i], graph.keyframes[obs.j]
-        ev = evaluate_edge(kf_i, kf_j, obs, graph.intrinsics[kf_i.stream],
-                           graph.intrinsics[kf_j.stream], config.embed,
+        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
+                           graph.intrinsics, config.embed,
                            need_similarity=True, need_embedding=False)
-        alphas.append(np.where(ev.valid_embed, robust.adaptive_alpha(ev.cs, config.kernel),
-                               config.kernel.alpha_static))
+        alphas.append(residuals.alpha_for_edge(ev, config.kernel, "ark", config.fixed_alpha))
     return alphas
 
 
 def _accumulate_edge(ne: NormalEquations, blocks, d_slice: slice, ev, w_flow, w_emb):
     """Add one edge's weighted Gauss-Newton terms to ne in place.
 
-    blocks: per block of reduced unknowns, (slice or None if frozen, flow
+    blocks: per block of reduced unknowns, (slice or None if frozen or absent, flow
     Jacobian (N, 2, m), embedding Jacobian (N, m)); w_emb is None without the
     embedding term. Per pixel the rows (flow x, flow y[, embedding]) are stacked
     with the pixel's own disparity as column 0, so the pose block, the gradient
@@ -199,9 +196,8 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, frozen_alpha=None) -> N
     need_similarity = config.kernel_mode == "ark" and frozen_alpha is None
 
     for eidx, obs in enumerate(graph.edges):
-        kf_i, kf_j = graph.keyframes[obs.i], graph.keyframes[obs.j]
-        ev = evaluate_edge(kf_i, kf_j, obs, graph.intrinsics[kf_i.stream],
-                           graph.intrinsics[kf_j.stream], config.embed,
+        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
+                           graph.intrinsics, config.embed,
                            need_similarity=need_similarity, need_embedding=need_embedding,
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
         _check_finite((ev.r_flow, ev.jf_pose_i, ev.jf_pose_j, ev.jf_disp,
@@ -223,9 +219,8 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, frozen_alpha=None) -> N
                  if need_embedding else None)
 
         blocks = [(layout.pose_slices[obs.i], ev.jf_pose_i, ev.je_pose_i),
-                  (layout.pose_slices[obs.j], ev.jf_pose_j, ev.je_pose_j)]
-        if config.optimize_intrinsics:
-            blocks.append((layout.intrinsic_slices[kf_i.stream], ev.jf_intr, ev.je_intr))
+                  (layout.pose_slices[obs.j], ev.jf_pose_j, ev.je_pose_j),
+                  (layout.intrinsics_slice, ev.jf_intr, ev.je_intr)]
         _accumulate_edge(ne, blocks, layout.disparity_slice(obs.i), ev, w_flow, w_emb)
 
     e_reg = 0.0
@@ -282,9 +277,9 @@ def retract(graph: KeyframeGraph, delta: np.ndarray, config: SolverConfig) -> Ke
         disp = kf.disparity + disp_delta[layout.disparity_slice(kf.index)].reshape(kf.disparity.shape)
         disp = np.maximum(disp, config.min_disparity)
         keyframes.append(replace(kf, pose=pose, disparity=disp))
-    intrinsics = dict(graph.intrinsics)
-    for stream, slot in layout.intrinsic_slices.items():
-        intrinsics[stream] = Intrinsics.from_array(intrinsics[stream].as_array() + delta[slot])
+    intrinsics = graph.intrinsics
+    if layout.intrinsics_slice is not None:
+        intrinsics = Intrinsics.from_array(intrinsics.as_array() + delta[layout.intrinsics_slice])
     return KeyframeGraph(keyframes=keyframes, edges=list(graph.edges), intrinsics=intrinsics)
 
 

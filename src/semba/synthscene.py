@@ -99,8 +99,7 @@ class SceneBundle:
                      frozen=(k == 0))
             for k in range(self.config.num_keyframes)
         ]
-        return KeyframeGraph(keyframes=kfs, edges=list(self.edges),
-                             intrinsics={0: self.intrinsics})
+        return KeyframeGraph(keyframes=kfs, edges=list(self.edges), intrinsics=self.intrinsics)
 
     def measured_dynamic_fraction(self) -> float:
         return float(np.mean([m.mean() for m in self.dynamic_masks]))
@@ -358,7 +357,7 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
     frames = [Keyframe(index=k, pose=gt_poses[k], disparity=gt_disparity[k],
                        disparity_prior=gt_disparity[k], features=features[k])
               for k in range(cfg.num_keyframes)]
-    pairs = plan_edges(frames, {0: intr}, cfg.temporal_radius, cfg.covis_threshold)
+    pairs = plan_edges(frames, intr, cfg.temporal_radius, cfg.covis_threshold)
     if not pairs:
         raise ValueError("edge planning produced no edges")
 

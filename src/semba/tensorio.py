@@ -332,7 +332,7 @@ def _ground_truth_cloud(bundle, stride: int = 2):
 
 
 def load_problem_bundle(bundle_dir) -> KeyframeGraph:
-    """Reconstruct a KeyframeGraph from a problem-bundle directory."""
+    """Reconstruct a KeyframeGraph from a problem-bundle directory holding one camera."""
     root = Path(bundle_dir)
     graph_path = root / "graph.json"
     if not graph_path.exists():
@@ -342,18 +342,24 @@ def load_problem_bundle(bundle_dir) -> KeyframeGraph:
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{graph_path}: invalid JSON ({exc})") from None
 
-    intrinsics = {int(stream): Intrinsics(v["fx"], v["fy"], v["cx"], v["cy"])
-                  for stream, v in doc["intrinsics"].items()}
+    cameras = doc["intrinsics"]
+    if not isinstance(cameras, dict) or len(cameras) != 1:
+        raise FileFormatError(f"{graph_path}: 'intrinsics' must hold exactly one camera, "
+                              f"got {cameras!r}")
+    [(stream, v)] = cameras.items()
+    intrinsics = Intrinsics(v["fx"], v["fy"], v["cx"], v["cy"])
     keyframes = []
     for entry in doc["keyframes"]:
+        if str(entry.get("stream", stream)) != stream:
+            raise FileFormatError(f"{graph_path}: keyframe {entry['index']} names stream "
+                                  f"{entry['stream']!r}, but the only camera is {stream!r}")
         features = read_tensor(root / entry["features"]).astype(float)
         disparity = read_map(root / entry["disparity"])
         prior = read_map(root / entry["disparity_prior"])
         keyframes.append(Keyframe(
             index=entry["index"], pose=_pose_from_list(entry["pose_w2c"]),
             disparity=disparity, disparity_prior=prior, features=features,
-            stream=entry.get("stream", 0), frozen=bool(entry.get("frozen", False)),
-            timestamp=entry.get("timestamp")))
+            frozen=bool(entry.get("frozen", False)), timestamp=entry.get("timestamp")))
     edges = []
     for entry in doc["edges"]:
         flow = read_tensor(root / entry["flow"]).astype(float)

@@ -43,7 +43,7 @@ def _edge(z_i, z_j, disparity, pose_i, pose_j, cfg, **kwargs):
     kf_j = Keyframe(index=1, pose=pose_j, disparity=disparity, disparity_prior=disparity,
                     features=z_j)
     obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)), confidence=np.ones((h, w)))
-    return evaluate_edge(kf_i, kf_j, obs, K, K, cfg, **kwargs)
+    return evaluate_edge(kf_i, kf_j, obs, K, cfg, **kwargs)
 
 
 def _central_differences(evaluate, n_steps, eps=1e-6):
@@ -350,15 +350,17 @@ class TestCriterion8FormatRoundTrips:
         write_point_cloud(c2, *read_point_cloud(c1))
         assert c1.read_bytes() == c2.read_bytes()
 
-        # TUM round trip.
-        poses = [se3_exp(rng.normal(0, 0.2, 6)) for _ in range(5)]
-        j1, j2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_trajectory(j1, poses)
-        ts, pos, quat = read_trajectory(j1)
+        # TUM round trip, over small and large rotations.
         from semba.geometry import Pose
-        write_trajectory(j2, [Pose(q, t) for q, t in zip(quat, pos)],
-                         timestamps=ts, world_to_camera=False)
-        assert j1.read_bytes() == j2.read_bytes()
+        j1, j2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        for scale in (0.2, 1.0):
+            for draw in range(200):
+                poses = [se3_exp(rng.normal(0, scale, 6)) for _ in range(5)]
+                write_trajectory(j1, poses)
+                ts, pos, quat = read_trajectory(j1)
+                write_trajectory(j2, [Pose(q, t) for q, t in zip(quat, pos)],
+                                 timestamps=ts, world_to_camera=False)
+                assert j1.read_bytes() == j2.read_bytes(), f"scale {scale}, draw {draw}"
 
         # Corrupted magic through the consuming command: named-file diagnostic.
         import shutil

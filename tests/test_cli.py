@@ -110,6 +110,25 @@ scene:
         assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
         assert "kf_001_disparity.kmvt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["second_camera", "second_stream"])
+    def test_more_than_one_camera_rejected(self, synth_run, tmp_path, capsys, edit):
+        import json
+        import shutil
+        from semba.tensorio import FileFormatError, load_problem_bundle
+        root, cfg, bundle = synth_run
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle, broken)
+        doc = json.loads((broken / "graph.json").read_text())
+        if edit == "second_camera":
+            doc["intrinsics"]["1"] = doc["intrinsics"]["0"]
+        else:
+            doc["keyframes"][1]["stream"] = 1
+        (broken / "graph.json").write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="graph.json"):
+            load_problem_bundle(broken)
+        assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
+        assert "graph.json" in capsys.readouterr().err
+
     def test_determinism_identical_energy_traces(self, synth_run, tmp_path):
         root, cfg, bundle = synth_run
         a, b = tmp_path / "a", tmp_path / "b"

@@ -10,7 +10,7 @@ class TestLoadConfig:
         assert cfg.solver.kernel_mode == "ark"
         assert cfg.solver.lambda_embed == 2.0
         assert cfg.solver.reg.alpha_disp == 1.0
-        assert cfg.evaluation.align == "sim"
+        assert cfg.evaluation.cloud_stride == 2
 
     def test_sections_populate_nested_configs(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -29,7 +29,7 @@ solver:
   max_iters: 7
   lambda_photo: 2.0
 evaluation:
-  align: rigid
+  cloud_stride: 3
 """)
         cfg = load_config(path)
         assert cfg.scene.num_keyframes == 4
@@ -37,7 +37,7 @@ evaluation:
         assert cfg.solver.kernel.kappa == 0.4
         assert cfg.solver.embed.mode == "angular"
         assert cfg.solver.reg.alpha_disp == 0.5
-        assert cfg.evaluation.align == "rigid"
+        assert cfg.evaluation.cloud_stride == 3
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -47,9 +47,11 @@ evaluation:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        for key, value in (("warp_speed", "9"), ("freeze_similarity", "true")):
-            path.write_text(f"solver:\n  {key}: {value}\n")
-            with pytest.raises(ValueError, match=f"solver.{key}"):
+        for section, key, value in (("solver", "warp_speed", "9"),
+                                    ("solver", "freeze_similarity", "true"),
+                                    ("evaluation", "align", "rigid")):
+            path.write_text(f"{section}:\n  {key}: {value}\n")
+            with pytest.raises(ValueError, match=f"{section}.{key}"):
                 load_config(path)
 
     def test_nested_solver_keys_must_use_sections(self, tmp_path):
@@ -68,7 +70,5 @@ evaluation:
         assert isinstance(cfg.evaluation, EvalConfig)
 
     def test_eval_config_validation(self):
-        with pytest.raises(ValueError):
-            EvalConfig(align="bogus")
         with pytest.raises(ValueError):
             EvalConfig(cloud_stride=0)

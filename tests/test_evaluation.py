@@ -14,7 +14,7 @@ K = Intrinsics(20.0, 20.0, 3.5, 2.5)
 def tiny_graph(disparity, features, pose=None):
     kf = Keyframe(index=0, pose=pose or Pose.identity(), disparity=disparity,
                   disparity_prior=disparity, features=features)
-    return KeyframeGraph(keyframes=[kf], edges=[], intrinsics={0: K})
+    return KeyframeGraph(keyframes=[kf], edges=[], intrinsics=K)
 
 
 class TestFusePointCloud:

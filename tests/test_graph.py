@@ -24,61 +24,62 @@ def zero_obs(i, j):
 class TestPlanEdges:
     def test_chain_radius_one(self):
         frames = [make_frame(k) for k in range(3)]
-        pairs = plan_edges(frames, {0: K}, temporal_radius=1, covis_threshold=1.1)
+        pairs = plan_edges(frames, K, temporal_radius=1, covis_threshold=1.1)
         assert sorted(pairs) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
     def test_large_radius_complete_digraph(self):
         n = 4
         frames = [make_frame(k) for k in range(n)]
-        pairs = plan_edges(frames, {0: K}, temporal_radius=n, covis_threshold=1.1)
+        pairs = plan_edges(frames, K, temporal_radius=n, covis_threshold=1.1)
         assert len(pairs) == n * (n - 1)
         assert all(i != j for i, j in pairs)
 
     def test_unsatisfiable_covis_threshold(self):
         frames = [make_frame(k) for k in range(5)]
-        pairs = plan_edges(frames, {0: K}, temporal_radius=1, covis_threshold=1.1)
+        pairs = plan_edges(frames, K, temporal_radius=1, covis_threshold=1.1)
         assert all(abs(i - j) <= 1 for i, j in pairs)
 
     def test_covisibility_adds_distant_edges(self):
         # Identical poses see identical footprints: fraction 1 connects everything.
         frames = [make_frame(k) for k in range(4)]
-        pairs = plan_edges(frames, {0: K}, temporal_radius=1, covis_threshold=0.99)
+        pairs = plan_edges(frames, K, temporal_radius=1, covis_threshold=0.99)
         assert (0, 3) in pairs and (3, 0) in pairs
 
 
 class TestCovisibility:
     def test_identical_views(self):
         a, b = make_frame(0), make_frame(1)
-        assert covisibility_fraction(a, b, K, K) == 1.0
+        assert covisibility_fraction(a, b, K) == 1.0
 
     def test_disjoint_views(self):
         a = make_frame(0)
         away = se3_exp([0.0, 0.0, 0.0, 0.0, np.pi / 2.5, 0.0])
         b = make_frame(1, pose=away)
-        assert covisibility_fraction(a, b, K, K) < 0.5
+        assert covisibility_fraction(a, b, K) < 0.5
 
 
 class TestKeyframeGraphValidation:
     def test_index_must_match_position(self):
         frames = [make_frame(0), make_frame(2)]
         with pytest.raises(ValueError, match="carries index"):
-            KeyframeGraph(keyframes=frames, edges=[], intrinsics={0: K})
+            KeyframeGraph(keyframes=frames, edges=[], intrinsics=K)
 
     def test_edge_endpoints_must_exist(self):
         frames = [make_frame(0), make_frame(1)]
         with pytest.raises(ValueError, match="missing keyframe"):
-            KeyframeGraph(keyframes=frames, edges=[zero_obs(0, 5)], intrinsics={0: K})
+            KeyframeGraph(keyframes=frames, edges=[zero_obs(0, 5)], intrinsics=K)
 
     def test_missing_intrinsics(self):
         frames = [make_frame(0), make_frame(1)]
-        with pytest.raises(ValueError, match="intrinsics"):
-            KeyframeGraph(keyframes=frames, edges=[], intrinsics={})
+        for not_a_camera in (None, {0: K}, K.as_array()):
+            with pytest.raises(ValueError, match="intrinsics must be an Intrinsics"):
+                KeyframeGraph(keyframes=frames, edges=[], intrinsics=not_a_camera)
 
     def test_keyframe_grid_consistency(self):
         bad = Keyframe(index=1, pose=Pose.identity(), disparity=np.ones((6, 6)),
                        disparity_prior=np.ones((6, 6)), features=np.ones((2, 6, 6)))
         with pytest.raises(ValueError, match="grid shape"):
-            KeyframeGraph(keyframes=[make_frame(0), bad], edges=[], intrinsics={0: K})
+            KeyframeGraph(keyframes=[make_frame(0), bad], edges=[], intrinsics=K)
 
     def test_keyframe_feature_grid_must_match(self):
         with pytest.raises(ValueError, match="disparity grid"):

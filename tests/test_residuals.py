@@ -31,7 +31,7 @@ def edge_eval(z_i, z_j, disparity, pose_i, pose_j, cfg=EmbeddingResidualConfig()
                     features=z_j)
     obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)) if flow is None else flow,
                           confidence=np.ones((h, w)))
-    return evaluate_edge(kf_i, kf_j, obs, intr, intr, cfg, **kwargs)
+    return evaluate_edge(kf_i, kf_j, obs, intr, cfg, **kwargs)
 
 
 def central_differences(evaluate, n_steps, eps=1e-6):
@@ -76,7 +76,7 @@ class TestFlowResidual:
         g = clean_bundle.to_graph(initial=False)
         for obs in g.edges:
             kf_i, kf_j = g.keyframes[obs.i], g.keyframes[obs.j]
-            ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics, clean_bundle.intrinsics,
+            ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics,
                                EmbeddingResidualConfig(), need_similarity=False,
                                need_embedding=False)
             used = ev.valid_flow & (ev.confidence > 0)
@@ -121,7 +121,7 @@ class TestEmbeddingResidual:
         g = clean_bundle.to_graph(initial=False)
         for obs in g.edges[:4]:
             kf_i, kf_j = g.keyframes[obs.i], g.keyframes[obs.j]
-            ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics, clean_bundle.intrinsics,
+            ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics,
                                EmbeddingResidualConfig())
             used = ev.valid_embed & (ev.confidence > 0)
             assert used.any()
@@ -325,7 +325,7 @@ class TestTotalEnergy:
         obs = FlowObservation(i=0, j=1, flow=flow, confidence=conf)
 
         graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs],
-                              intrinsics={0: bundle.intrinsics})
+                              intrinsics=bundle.intrinsics)
         kernel = KernelConfig()
         embed_cfg = EmbeddingResidualConfig()
         got = total_energy(graph, kernel=kernel, embed=embed_cfg,
@@ -381,7 +381,7 @@ class TestInvalidPixels:
                         disparity_prior=disparity, features=smooth_map(rng, h=h, w=w))
         obs = FlowObservation(i=0, j=1, flow=rng.normal(0, 0.5, size=(2, h, w)),
                               confidence=rng.uniform(0.2, 1.0, size=(h, w)))
-        ev = evaluate_edge(kf_i, kf_j, obs, K, K, EmbeddingResidualConfig(),
+        ev = evaluate_edge(kf_i, kf_j, obs, K, EmbeddingResidualConfig(),
                            with_jacobians=True)
         dead = ~ev.valid_flow
         _, geometric_ok = reproject(grid_pixels(h, w), disparity.reshape(-1), kf_i.pose,
@@ -395,10 +395,10 @@ class TestInvalidPixels:
         muted = obs.confidence.copy()
         muted[dead.reshape(h, w)] = 0.0
         config = SolverConfig()
-        ne = assemble(KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics={0: K}),
+        ne = assemble(KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=K),
                       config)
         ne_muted = assemble(KeyframeGraph(
-            keyframes=[kf_i, kf_j], intrinsics={0: K},
+            keyframes=[kf_i, kf_j], intrinsics=K,
             edges=[FlowObservation(i=0, j=1, flow=obs.flow, confidence=muted)]), config)
         for name in ("pose_h", "pose_g", "coupling", "disp_h", "disp_g"):
             assert np.array_equal(getattr(ne, name), getattr(ne_muted, name)), name
@@ -415,7 +415,7 @@ class TestInvalidPixels:
         kf_j = Keyframe(index=1, pose=se3_exp([0.01, 0, 0, 0, 0, 0]), disparity=disparity,
                         disparity_prior=disparity, features=features_j)
         obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)), confidence=np.ones((h, w)))
-        ev = evaluate_edge(kf_i, kf_j, obs, K, K, EmbeddingResidualConfig())
+        ev = evaluate_edge(kf_i, kf_j, obs, K, EmbeddingResidualConfig())
         p = 2 * w + 3
         assert ev.valid_flow[p]
         assert not ev.valid_embed[p]

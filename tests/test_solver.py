@@ -31,9 +31,8 @@ def brute_force_normal_equations(graph, config):
         return row
 
     for obs in graph.edges:
-        kf_i, kf_j = graph.keyframes[obs.i], graph.keyframes[obs.j]
-        ev = evaluate_edge(kf_i, kf_j, obs, graph.intrinsics[kf_i.stream],
-                           graph.intrinsics[kf_j.stream], config.embed,
+        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
+                           graph.intrinsics, config.embed,
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
         alpha = np.where(ev.valid_embed, adaptive_alpha(ev.cs, config.kernel),
                          config.kernel.alpha_static)
@@ -54,7 +53,7 @@ def brute_force_normal_equations(graph, config):
                 if slot_j is not None:
                     row[slot_j] = ev.jf_pose_j[p, axis]
                 if config.optimize_intrinsics:
-                    row[layout.intrinsic_slices[kf_i.stream]] = ev.jf_intr[p, axis]
+                    row[layout.intrinsics_slice] = ev.jf_intr[p, axis]
                 row[d_base + p] = ev.jf_disp[p, axis]
                 rows_j.append(row)
                 rows_w.append(w_flow[p])
@@ -66,7 +65,7 @@ def brute_force_normal_equations(graph, config):
                 if slot_j is not None:
                     row[slot_j] = ev.je_pose_j[p]
                 if config.optimize_intrinsics and ev.je_intr is not None:
-                    row[layout.intrinsic_slices[kf_i.stream]] = ev.je_intr[p]
+                    row[layout.intrinsics_slice] = ev.je_intr[p]
                 row[d_base + p] = ev.je_disp[p]
                 rows_j.append(row)
                 rows_w.append(w_emb[p])
@@ -126,8 +125,7 @@ class ToyBundle:
         import dataclasses
         kfs = [dataclasses.replace(kf, disparity=kf.disparity.copy())
                for kf in self.keyframes]
-        return KeyframeGraph(keyframes=kfs, edges=list(self.edges),
-                             intrinsics={0: self.intrinsics})
+        return KeyframeGraph(keyframes=kfs, edges=list(self.edges), intrinsics=self.intrinsics)
 
 
 @pytest.fixture(scope="module")
@@ -303,14 +301,14 @@ class TestSolve:
 class TestIntrinsicsOptimization:
     def test_recovers_perturbed_intrinsics(self, perturbed_bundle):
         graph = perturbed_bundle.to_graph(initial=True)
-        true_k = graph.intrinsics[0]
+        true_k = graph.intrinsics
         skewed = Intrinsics(true_k.fx * 1.02, true_k.fy * 0.985, true_k.cx + 0.3,
                             true_k.cy - 0.2)
         graph = KeyframeGraph(keyframes=graph.keyframes, edges=graph.edges,
-                              intrinsics={0: skewed})
+                              intrinsics=skewed)
         config = small_config(optimize_intrinsics=True, max_iters=25)
         opt, trace = solve(graph, config)
-        got = opt.intrinsics[0].as_array()
+        got = opt.intrinsics.as_array()
         assert np.abs(got - true_k.as_array()).max() < 0.05
         assert trace[-1].e_total < 1e-6
 

@@ -101,8 +101,7 @@ class TestInjectDynamics:
         cs_vals = []
         for obs in dynamic_bundle.edges:
             ev = evaluate_edge(g.keyframes[obs.i], g.keyframes[obs.j], obs,
-                               dynamic_bundle.intrinsics, dynamic_bundle.intrinsics,
-                               EmbeddingResidualConfig())
+                               dynamic_bundle.intrinsics, EmbeddingResidualConfig())
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_embed
             cs_vals.append(ev.cs[sel])
         assert np.mean(np.concatenate(cs_vals)) <= 0.1
@@ -112,8 +111,7 @@ class TestInjectDynamics:
         mags = []
         for obs in dynamic_bundle.edges:
             ev = evaluate_edge(g.keyframes[obs.i], g.keyframes[obs.j], obs,
-                               dynamic_bundle.intrinsics, dynamic_bundle.intrinsics,
-                               EmbeddingResidualConfig())
+                               dynamic_bundle.intrinsics, EmbeddingResidualConfig())
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_flow
             mags.append(np.linalg.norm(ev.r_flow[sel], axis=1))
         mean = np.mean(np.concatenate(mags))
