@@ -68,8 +68,8 @@ class TestFusePointCloud:
         assert cloud.points.shape[0] == 9
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_point_cloud(KeyframeGraph(keyframes=[], edges=[], intrinsics={}))
+        with pytest.raises(ValueError, match="empty graph"):
+            fuse_point_cloud(KeyframeGraph(keyframes=[], edges=[], intrinsics=K))
 
 
 class TestAssignLabels:
