@@ -32,11 +32,10 @@ def main(argv=None):
     init_ate = trajectory_ate(bundle.init_poses, bundle.gt_poses, "rigid")
     print(f"initial ATE: {init_ate:.6f} m over {len(bundle.edges)} edges")
 
-    kw = dict(kernel_mode="ark") if args.kernel == "ark" else \
-        dict(kernel_mode="fixed", fixed_alpha=2.0)
     start = time.time()
     opt, trace = solve(bundle.to_graph(initial=True),
-                       SolverConfig(max_iters=args.max_iters, **kw))
+                       SolverConfig(max_iters=args.max_iters,
+                                    fixed_alpha=None if args.kernel == "ark" else 2.0))
     elapsed = time.time() - start
 
     print("iter  E_total        E_photo_ark    E_embed        E_reg          accepted")

@@ -24,10 +24,10 @@ from semba.solver import SolverConfig, solve
 from semba.synthscene import SceneConfig, gen_scene
 
 ARMS = {
-    "ark": dict(kernel_mode="ark"),
-    "l2": dict(kernel_mode="fixed", fixed_alpha=2.0),
-    "ark-noembed": dict(kernel_mode="ark", lambda_embed=0.0),
-    "l2-noembed": dict(kernel_mode="fixed", fixed_alpha=2.0, lambda_embed=0.0),
+    "ark": dict(fixed_alpha=None),
+    "l2": dict(fixed_alpha=2.0),
+    "ark-noembed": dict(fixed_alpha=None, lambda_embed=0.0),
+    "l2-noembed": dict(fixed_alpha=2.0, lambda_embed=0.0),
 }
 
 

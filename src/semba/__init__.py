@@ -10,7 +10,7 @@ from .graph import Keyframe, KeyframeGraph, plan_edges
 from .residuals import (EmbeddingResidualConfig, FlowObservation, RegConfig,
                         disparity_reg_residual, total_energy)
 from .robust import KernelConfig, adaptive_alpha, barron_psi, barron_rho, fold_weight, irls_weight
-from .solver import NormalEquations, SolverConfig, assemble, retract, solve
+from .solver import NormalEquations, SolverConfig, assemble, kernel_alphas, retract, solve
 from .synthscene import SceneBundle, SceneConfig, gen_scene, inject_dynamics, perturb_init
 
 __version__ = "0.1.0"

@@ -35,12 +35,13 @@ def cmd_synth(args) -> int:
 
 
 def _parse_kernel(spec: str):
+    """The SolverConfig.fixed_alpha that --kernel names (None is the adaptive kernel)."""
     if spec == "ark":
-        return {"kernel_mode": "ark"}
+        return None
     if spec == "l2":
-        return {"kernel_mode": "fixed", "fixed_alpha": 2.0}
+        return 2.0
     if spec.startswith("fixed:"):
-        return {"kernel_mode": "fixed", "fixed_alpha": float(spec.split(":", 1)[1])}
+        return float(spec.split(":", 1)[1])
     raise ValueError(f"unknown kernel spec {spec!r} (expected ark | l2 | fixed:<alpha>)")
 
 
@@ -48,7 +49,7 @@ def cmd_ba(args) -> int:
     cfg = load_config(args.config)
     solver_cfg = cfg.solver
     if args.kernel:
-        solver_cfg = dataclasses.replace(solver_cfg, **_parse_kernel(args.kernel))
+        solver_cfg = dataclasses.replace(solver_cfg, fixed_alpha=_parse_kernel(args.kernel))
     if args.no_embed:
         solver_cfg = dataclasses.replace(solver_cfg, lambda_embed=0.0)
 

@@ -75,6 +75,13 @@ def pca_decode(codes: np.ndarray, model: PcaModel) -> np.ndarray:
     return codes @ model.basis.T + model.mean
 
 
+def in_bounds(u: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Sampling-domain test: [0, W-1] x [0, H-1] with an epsilon of round-off slack."""
+    eps = 1e-9
+    x, y = u[..., 0], u[..., 1]
+    return (x >= -eps) & (x <= width - 1 + eps) & (y >= -eps) & (y <= height - 1 + eps)
+
+
 def bilinear_sample(fmap: np.ndarray, u, with_grad: bool = True):
     """Sample a (C, H, W) map at continuous pixel locations u (..., 2) = (x, y).
 
@@ -88,12 +95,10 @@ def bilinear_sample(fmap: np.ndarray, u, with_grad: bool = True):
     fmap = np.asarray(fmap, dtype=float)
     c, h, w = fmap.shape
     u = np.asarray(u, dtype=float)
-    x, y = u[..., 0], u[..., 1]
-    # Round-off slack: locations an epsilon outside the domain are clamped in.
-    eps = 1e-9
-    valid = (x >= -eps) & (x <= w - 1 + eps) & (y >= -eps) & (y <= h - 1 + eps)
-    x = np.clip(x, 0.0, w - 1.0)
-    y = np.clip(y, 0.0, h - 1.0)
+    # Locations within in_bounds' round-off slack outside the domain are clamped in.
+    valid = in_bounds(u, h, w)
+    x = np.clip(u[..., 0], 0.0, w - 1.0)
+    y = np.clip(u[..., 1], 0.0, h - 1.0)
 
     # Clamp the anchor so x == W-1 samples the last cell with weight 1 on its far edge.
     x0 = np.clip(np.floor(x), 0, w - 2).astype(int) if w > 1 else np.zeros_like(x, dtype=int)

@@ -93,9 +93,6 @@ class Pose:
         r_b = Rotation.from_quat(other.rotation)
         return Pose((r_a * r_b).as_quat(), r_a.apply(other.translation) + self.translation)
 
-    def __matmul__(self, other: "Pose") -> "Pose":
-        return self.compose(other)
-
     def inverse(self) -> "Pose":
         r_inv = Rotation.from_quat(self.rotation).inv()
         return Pose(r_inv.as_quat(), -r_inv.apply(self.translation))

@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry
+from .features import in_bounds
 from .geometry import Intrinsics, Pose
-from .residuals import FlowObservation, grid_pixels, in_bounds
 
 
 @dataclass(eq=False)

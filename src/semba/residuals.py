@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, robust
-from .features import bilinear_sample
+from .features import bilinear_sample, in_bounds
 from .geometry import Intrinsics
 
 _NORM_EPS = 1e-8
@@ -71,13 +71,6 @@ def grid_pixels(height: int, width: int) -> np.ndarray:
     """All integer pixel coordinates of an H x W grid, row-major, as (H*W, 2) floats."""
     xs, ys = np.meshgrid(np.arange(width), np.arange(height))
     return np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(float)
-
-
-def in_bounds(u: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Sampling-domain test with an epsilon of round-off slack at the borders."""
-    eps = 1e-9
-    x, y = u[..., 0], u[..., 1]
-    return (x >= -eps) & (x <= width - 1 + eps) & (y >= -eps) & (y <= height - 1 + eps)
 
 
 def _cosine(z_src, z_sampled):
@@ -209,58 +202,40 @@ class EnergyBreakdown:
     reg: float
 
 
-def alpha_for_edge(ev: EdgeEvaluation, kernel: robust.KernelConfig, kernel_mode: str,
-                   fixed_alpha: float, alpha_override=None) -> np.ndarray:
-    if alpha_override is not None:
-        return alpha_override
-    if kernel_mode == "fixed":
-        return np.full(ev.cs.shape, fixed_alpha)
-    if kernel_mode != "ark":
-        raise ValueError(f"unknown kernel mode {kernel_mode!r}")
+def adaptive_edge_alpha(ev: EdgeEvaluation, kernel: robust.KernelConfig) -> np.ndarray:
+    """Similarity-driven shape per pixel; pixels without a usable similarity stay static."""
     alpha = robust.adaptive_alpha(ev.cs, kernel)
-    # Pixels without a usable similarity fall back to the static regime.
     return np.where(ev.valid_embed, alpha, kernel.alpha_static)
 
 
-def edge_energies(ev: EdgeEvaluation, kernel: robust.KernelConfig,
-                  kernel_mode: str = "ark", fixed_alpha: float = 2.0, alpha_override=None):
-    """(photo_ark, embed) energy contributions of one evaluated edge."""
-    alpha = alpha_for_edge(ev, kernel, kernel_mode, fixed_alpha, alpha_override)
+def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray, c: float):
+    """(photo_ark, embed) energy contributions of one evaluated edge under shapes alpha."""
     r_norm = np.linalg.norm(ev.r_flow, axis=-1)
-    rho = robust.barron_rho(r_norm, alpha, kernel.c)
+    rho = robust.barron_rho(r_norm, alpha, c)
     e_photo = float(np.sum(ev.confidence * rho * ev.valid_flow))
     e_embed = float(np.sum(ev.confidence * ev.r_embed**2 * ev.valid_embed))
     return e_photo, e_embed
 
 
-def total_energy(graph, kernel: robust.KernelConfig = robust.KernelConfig(),
-                 embed: EmbeddingResidualConfig = EmbeddingResidualConfig(),
-                 reg: RegConfig = RegConfig(), lambda_photo: float = 1.0,
-                 lambda_embed: float = 2.0, kernel_mode: str = "ark",
-                 fixed_alpha: float = 2.0, frozen_alpha=None) -> EnergyBreakdown:
+def total_energy(graph, config, alphas) -> EnergyBreakdown:
     """Objective value over a keyframe graph at its current state.
 
-    frozen_alpha, when given, is a list of per-edge shape-parameter arrays
-    (matching graph.edges order) that bypasses recomputing the similarity-driven
-    alpha; the solver passes the shapes it holds fixed for the iteration.
+    config is a solver.SolverConfig (read for its kernel, embed, reg,
+    lambda_photo and lambda_embed fields); alphas holds one per-pixel shape
+    array per edge of graph.edges, as decided by solver.kernel_alphas.
     """
     e_photo = 0.0
     e_embed = 0.0
-    need_embedding = lambda_embed != 0.0
-    need_similarity = kernel_mode == "ark" and frozen_alpha is None
-    for idx, obs in enumerate(graph.edges):
-        kf_i = graph.keyframes[obs.i]
-        kf_j = graph.keyframes[obs.j]
-        ev = evaluate_edge(kf_i, kf_j, obs, graph.intrinsics, embed,
-                           need_similarity=need_similarity,
-                           need_embedding=need_embedding, with_jacobians=False)
-        override = frozen_alpha[idx] if frozen_alpha is not None else None
-        ep, ee = edge_energies(ev, kernel, kernel_mode, fixed_alpha, override)
+    for obs, alpha in zip(graph.edges, alphas, strict=True):
+        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
+                           graph.intrinsics, config.embed, need_similarity=False,
+                           need_embedding=config.lambda_embed != 0.0)
+        ep, ee = edge_energies(ev, alpha, config.kernel.c)
         e_photo += ep
         e_embed += ee
     e_reg = 0.0
     for kf in graph.keyframes:
-        res, valid = disparity_reg_residual(kf.disparity, kf.disparity_prior, reg)
+        res, valid = disparity_reg_residual(kf.disparity, kf.disparity_prior, config.reg)
         e_reg += float(np.sum(res[valid] ** 2))
-    total = lambda_photo * e_photo + lambda_embed * e_embed + e_reg
+    total = config.lambda_photo * e_photo + config.lambda_embed * e_embed + e_reg
     return EnergyBreakdown(total=total, photo_ark=e_photo, embed=e_embed, reg=e_reg)

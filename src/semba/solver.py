@@ -8,6 +8,7 @@ plain Gauss-Newton as steps keep being accepted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,8 +17,8 @@ import scipy.linalg
 from . import residuals, robust
 from .geometry import Intrinsics, se3_exp
 from .graph import KeyframeGraph
-from .residuals import (EmbeddingResidualConfig, EnergyBreakdown, RegConfig, edge_energies,
-                        evaluate_edge, total_energy)
+from .residuals import (EmbeddingResidualConfig, EnergyBreakdown, RegConfig,
+                        adaptive_edge_alpha, edge_energies, evaluate_edge, total_energy)
 from .robust import KernelConfig
 
 
@@ -35,8 +36,7 @@ class SolverConfig:
     reg: RegConfig = field(default_factory=RegConfig)
     lambda_photo: float = 1.0
     lambda_embed: float = 2.0
-    kernel_mode: str = "ark"   # "ark" | "fixed"
-    fixed_alpha: float = 2.0
+    fixed_alpha: float | None = None   # None: similarity-adaptive (ARK) shapes
     optimize_intrinsics: bool = False
     min_disparity: float = 1e-6
 
@@ -45,14 +45,10 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.update_tol <= 0 or self.lm_init <= 0:
             raise ValueError("update_tol and lm_init must be positive")
-        if self.kernel_mode not in ("ark", "fixed"):
-            raise ValueError(f"unknown kernel mode {self.kernel_mode!r}")
-
-    def energy(self, graph, frozen_alpha=None) -> EnergyBreakdown:
-        return total_energy(graph, kernel=self.kernel, embed=self.embed, reg=self.reg,
-                            lambda_photo=self.lambda_photo, lambda_embed=self.lambda_embed,
-                            kernel_mode=self.kernel_mode, fixed_alpha=self.fixed_alpha,
-                            frozen_alpha=frozen_alpha)
+        if not self.lm_grow > 1:
+            raise ValueError("lm_grow must be > 1, or a rejected step repeats forever")
+        if self.fixed_alpha is not None and not math.isfinite(self.fixed_alpha):
+            raise ValueError(f"fixed_alpha must be finite or None, got {self.fixed_alpha!r}")
 
 
 @dataclass(eq=False)
@@ -131,14 +127,21 @@ def _check_finite(arrays, edge, context):
                 f"non-finite {context} at edge ({edge.i}, {edge.j}), pixel index {pixel}")
 
 
-def _frozen_alphas(graph: KeyframeGraph, config: SolverConfig):
-    """Similarity-driven shape parameters captured at the current state."""
+def kernel_alphas(graph: KeyframeGraph, config: SolverConfig) -> list:
+    """The robust-kernel shape of every edge pixel at the current state, one array per edge.
+
+    A fixed kernel gives constant arrays without evaluating any edge; the
+    adaptive kernel maps each pixel's cross-view similarity through
+    adaptive_edge_alpha. The solver holds these shapes fixed for one iteration.
+    """
+    if config.fixed_alpha is not None:
+        return [np.full(obs.confidence.size, float(config.fixed_alpha)) for obs in graph.edges]
     alphas = []
     for obs in graph.edges:
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
                            graph.intrinsics, config.embed,
                            need_similarity=True, need_embedding=False)
-        alphas.append(residuals.alpha_for_edge(ev, config.kernel, "ark", config.fixed_alpha))
+        alphas.append(adaptive_edge_alpha(ev, config.kernel))
     return alphas
 
 
@@ -175,13 +178,13 @@ def _accumulate_edge(ne: NormalEquations, blocks, d_slice: slice, ev, w_flow, w_
     ne.pose_g[cols] += weighted.T @ res.reshape(-1)
 
 
-def assemble(graph: KeyframeGraph, config: SolverConfig, frozen_alpha=None) -> NormalEquations:
+def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquations:
     """Accumulate the weighted Gauss-Newton normal equations over all edges and priors.
 
     Per pixel the flow residual is robustified through the IRLS weight of the
-    similarity-adapted loss (folded with the flow confidence); the embedding
-    term enters as a plain weighted quadratic; the disparity prior anchors each
-    pixel with weight alpha_disp.
+    loss with shape alphas[edge][pixel] (from kernel_alphas), folded with the
+    flow confidence; the embedding term enters as a plain weighted quadratic;
+    the disparity prior anchors each pixel with weight alpha_disp.
     """
     layout = ProblemLayout.build(graph, config)
     p = layout.n_reduced
@@ -193,21 +196,16 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, frozen_alpha=None) -> N
     e_embed = 0.0
 
     need_embedding = config.lambda_embed != 0.0
-    need_similarity = config.kernel_mode == "ark" and frozen_alpha is None
-
-    for eidx, obs in enumerate(graph.edges):
+    for obs, alpha in zip(graph.edges, alphas, strict=True):
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
                            graph.intrinsics, config.embed,
-                           need_similarity=need_similarity, need_embedding=need_embedding,
+                           need_similarity=False, need_embedding=need_embedding,
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
         _check_finite((ev.r_flow, ev.jf_pose_i, ev.jf_pose_j, ev.jf_disp,
                        ev.r_embed, ev.je_pose_i, ev.je_pose_j, ev.je_disp),
                       obs, "residual/Jacobian")
 
-        override = frozen_alpha[eidx] if frozen_alpha is not None else None
-        alpha = residuals.alpha_for_edge(ev, config.kernel, config.kernel_mode,
-                                         config.fixed_alpha, override)
-        ep, ee = edge_energies(ev, config.kernel, config.kernel_mode, config.fixed_alpha, alpha)
+        ep, ee = edge_energies(ev, alpha, config.kernel.c)
         e_photo += ep
         e_embed += ee
 
@@ -297,9 +295,10 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     """Damped Gauss-Newton loop per the joint bundle-adjustment recipe.
 
     Each outer iteration follows the IRLS treatment of the adaptive kernel:
-    the similarity-driven shape parameters are derived from the current state
-    and held fixed while the normal equations are built, solved, and the step
-    is scored (b is then the exact objective gradient for that kernel state).
+    kernel_alphas decides the shape parameters once from the current state,
+    and they are held fixed while the normal equations are built, solved, and
+    the step is scored (b is then the exact objective gradient for that kernel
+    state).
 
     Returns (optimized graph, trace). Row 0 of the trace holds the initial
     energies; each further row is one solve attempt with its accept flag, all
@@ -310,12 +309,10 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
         raise ValueError("graph has no edges; the problem is unconstrained")
 
     state = graph.copy()
-    adaptive = config.kernel_mode == "ark"
-
     trace = []
     lm = config.lm_init
     for it in range(1, config.max_iters + 1):
-        alphas = _frozen_alphas(state, config) if adaptive else None
+        alphas = kernel_alphas(state, config)
         ne = assemble(state, config, alphas)
         e_cur = ne.energies
         if it == 1:
@@ -335,7 +332,7 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
             if np.linalg.norm(delta) < config.update_tol:
                 return state, trace
             candidate = retract(state, delta, config)
-            e_new = config.energy(candidate, alphas)
+            e_new = total_energy(candidate, config, alphas)
             accepted = e_new.total < e_cur.total
             trace.append(IterationRecord(it, e_new.total, e_new.photo_ark, e_new.embed,
                                          e_new.reg, accepted))

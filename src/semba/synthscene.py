@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .features import in_bounds
 from .geometry import Intrinsics, Pose, se3_exp
 from .graph import Keyframe, KeyframeGraph, plan_edges
-from .residuals import FlowObservation, grid_pixels, in_bounds
+from .residuals import FlowObservation, grid_pixels
 
 _NEWTON_ITERS = 16
 

@@ -342,28 +342,40 @@ def load_problem_bundle(bundle_dir) -> KeyframeGraph:
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{graph_path}: invalid JSON ({exc})") from None
 
-    cameras = doc["intrinsics"]
-    if not isinstance(cameras, dict) or len(cameras) != 1:
+    def field(obj, key, kind, where):
+        value = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise FileFormatError(f"{graph_path}: {where} field {key!r} is missing or is "
+                                  f"not of type {getattr(kind, '__name__', 'number')}")
+        return value
+
+    cameras = field(doc, "intrinsics", dict, "top-level")
+    if len(cameras) != 1:
         raise FileFormatError(f"{graph_path}: 'intrinsics' must hold exactly one camera, "
                               f"got {cameras!r}")
     [(stream, v)] = cameras.items()
-    intrinsics = Intrinsics(v["fx"], v["fy"], v["cx"], v["cy"])
+    intrinsics = Intrinsics(*(field(v, key, (int, float), f"camera {stream!r}")
+                              for key in ("fx", "fy", "cx", "cy")))
     keyframes = []
-    for entry in doc["keyframes"]:
+    for n, entry in enumerate(field(doc, "keyframes", list, "top-level")):
+        where = f"keyframes[{n}]"
+        index = field(entry, "index", int, where)
         if str(entry.get("stream", stream)) != stream:
-            raise FileFormatError(f"{graph_path}: keyframe {entry['index']} names stream "
+            raise FileFormatError(f"{graph_path}: keyframe {index} names stream "
                                   f"{entry['stream']!r}, but the only camera is {stream!r}")
-        features = read_tensor(root / entry["features"]).astype(float)
-        disparity = read_map(root / entry["disparity"])
-        prior = read_map(root / entry["disparity_prior"])
+        features = read_tensor(root / field(entry, "features", str, where)).astype(float)
+        disparity = read_map(root / field(entry, "disparity", str, where))
+        prior = read_map(root / field(entry, "disparity_prior", str, where))
         keyframes.append(Keyframe(
-            index=entry["index"], pose=_pose_from_list(entry["pose_w2c"]),
+            index=index, pose=_pose_from_list(field(entry, "pose_w2c", list, where)),
             disparity=disparity, disparity_prior=prior, features=features,
             frozen=bool(entry.get("frozen", False)), timestamp=entry.get("timestamp")))
     edges = []
-    for entry in doc["edges"]:
-        flow = read_tensor(root / entry["flow"]).astype(float)
-        confidence = read_map(root / entry["confidence"])
-        edges.append(FlowObservation(i=entry["i"], j=entry["j"], flow=flow,
+    for n, entry in enumerate(field(doc, "edges", list, "top-level")):
+        where = f"edges[{n}]"
+        flow = read_tensor(root / field(entry, "flow", str, where)).astype(float)
+        confidence = read_map(root / field(entry, "confidence", str, where))
+        edges.append(FlowObservation(i=field(entry, "i", int, where),
+                                     j=field(entry, "j", int, where), flow=flow,
                                      confidence=confidence))
     return KeyframeGraph(keyframes=keyframes, edges=edges, intrinsics=intrinsics)

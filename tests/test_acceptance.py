@@ -17,7 +17,7 @@ from semba.graph import Keyframe
 from semba.residuals import (EmbeddingResidualConfig, FlowObservation, evaluate_edge, grid_pixels,
                              total_energy)
 from semba.robust import barron_psi, barron_rho
-from semba.solver import SolverConfig, assemble, solve, solve_normal_equations
+from semba.solver import SolverConfig, assemble, kernel_alphas, solve, solve_normal_equations
 from semba.synthscene import SceneConfig, gen_scene
 
 K = Intrinsics(40.0, 42.0, 15.5, 11.5)
@@ -187,7 +187,8 @@ class TestCriterion2BarronTable:
 class TestCriterion3OracleConsistency:
     def test_ground_truth_energy_vanishes(self):
         bundle = gen_scene(SceneConfig(num_keyframes=8, height=48, width=64, seed=7))
-        e = total_energy(bundle.to_graph(initial=False))
+        graph, config = bundle.to_graph(initial=False), SolverConfig()
+        e = total_energy(graph, config, kernel_alphas(graph, config))
         assert e.total <= 1e-9
         report(3, f"noise-free bundle E_total at ground truth = {e.total:.2e}")
 
@@ -218,9 +219,9 @@ class TestCriterion5DynamicRobustness:
                                            pose_sigma=0.01, dynamic_fraction=0.2,
                                            dynamic_motion_px=5.0,
                                            embedding_decorrelation=1.0, seed=seed))
-            for mode, acc in (("ark", ark), ("fixed", l2)):
+            for fixed_alpha, acc in ((None, ark), (2.0, l2)):
                 opt, _ = solve(bundle.to_graph(initial=True),
-                               SolverConfig(max_iters=15, kernel_mode=mode, fixed_alpha=2.0))
+                               SolverConfig(max_iters=15, fixed_alpha=fixed_alpha))
                 acc.append(trajectory_ate([kf.pose for kf in opt.keyframes],
                                           bundle.gt_poses, "rigid"))
         med_ark = float(np.median(ark))
@@ -238,7 +239,7 @@ class TestCriterion6NormalEquationOracle:
         toy = ToyBundle(seed=5)
         graph = toy.to_graph()
         config = SolverConfig(max_iters=5)
-        ne = assemble(graph, config)
+        ne = assemble(graph, config, kernel_alphas(graph, config))
         n = ne.layout.n_total
         assert n <= 500
         h_dense, b_dense = ne.to_dense()

@@ -129,6 +129,28 @@ scene:
         assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
         assert "graph.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", [("intrinsics", "0", "fx"), ("keyframes", 1, "features"),
+                                      ("edges", 0, "flow"), ("edges",)],
+                             ids=["camera_fx", "keyframe_features", "edge_flow", "edges"])
+    def test_missing_field_names_graph_json(self, synth_run, tmp_path, capsys, path):
+        import json
+        import shutil
+        from semba.tensorio import FileFormatError, load_problem_bundle
+        root, cfg, bundle = synth_run
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle, broken)
+        doc = json.loads((broken / "graph.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        (broken / "graph.json").write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=rf"graph\.json: .*'{path[-1]}'"):
+            load_problem_bundle(broken)
+        assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "graph.json" in err and f"'{path[-1]}'" in err
+
     def test_determinism_identical_energy_traces(self, synth_run, tmp_path):
         root, cfg, bundle = synth_run
         a, b = tmp_path / "a", tmp_path / "b"

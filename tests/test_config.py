@@ -7,7 +7,7 @@ class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None)
         assert cfg.scene.num_keyframes == 8
-        assert cfg.solver.kernel_mode == "ark"
+        assert cfg.solver.fixed_alpha is None  # the adaptive kernel
         assert cfg.solver.lambda_embed == 2.0
         assert cfg.solver.reg.alpha_disp == 1.0
         assert cfg.evaluation.cloud_stride == 2
@@ -49,6 +49,7 @@ evaluation:
         path = tmp_path / "cfg.yaml"
         for section, key, value in (("solver", "warp_speed", "9"),
                                     ("solver", "freeze_similarity", "true"),
+                                    ("solver", "kernel_mode", "fixed"),
                                     ("evaluation", "align", "rigid")):
             path.write_text(f"{section}:\n  {key}: {value}\n")
             with pytest.raises(ValueError, match=f"{section}.{key}"):

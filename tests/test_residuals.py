@@ -7,7 +7,7 @@ from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import (EmbeddingResidualConfig, FlowObservation, RegConfig,
                              disparity_reg_residual, evaluate_edge, grid_pixels, total_energy)
 from semba.robust import KernelConfig, adaptive_alpha, barron_rho, fold_weight, irls_weight
-from semba.solver import SolverConfig, assemble
+from semba.solver import SolverConfig, assemble, kernel_alphas
 from semba.synthscene import SceneConfig, gen_scene
 
 K = Intrinsics(40.0, 42.0, 15.5, 11.5)
@@ -297,7 +297,9 @@ class TestDisparityReg:
 
 class TestTotalEnergy:
     def test_zero_at_ground_truth(self, clean_bundle):
-        e = total_energy(clean_bundle.to_graph(initial=False))
+        graph = clean_bundle.to_graph(initial=False)
+        config = SolverConfig()
+        e = total_energy(graph, config, kernel_alphas(graph, config))
         assert e.total <= 1e-9
         assert e.photo_ark <= 1e-9 and e.embed <= 1e-9 and e.reg == 0.0
 
@@ -328,8 +330,8 @@ class TestTotalEnergy:
                               intrinsics=bundle.intrinsics)
         kernel = KernelConfig()
         embed_cfg = EmbeddingResidualConfig()
-        got = total_energy(graph, kernel=kernel, embed=embed_cfg,
-                           lambda_photo=1.3, lambda_embed=2.0)
+        config = SolverConfig(kernel=kernel, embed=embed_cfg, lambda_photo=1.3, lambda_embed=2.0)
+        got = total_energy(graph, config, kernel_alphas(graph, config))
 
         e_photo = 0.0
         e_embed = 0.0
@@ -395,11 +397,12 @@ class TestInvalidPixels:
         muted = obs.confidence.copy()
         muted[dead.reshape(h, w)] = 0.0
         config = SolverConfig()
-        ne = assemble(KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=K),
-                      config)
-        ne_muted = assemble(KeyframeGraph(
+        graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=K)
+        graph_muted = KeyframeGraph(
             keyframes=[kf_i, kf_j], intrinsics=K,
-            edges=[FlowObservation(i=0, j=1, flow=obs.flow, confidence=muted)]), config)
+            edges=[FlowObservation(i=0, j=1, flow=obs.flow, confidence=muted)])
+        ne = assemble(graph, config, kernel_alphas(graph, config))
+        ne_muted = assemble(graph_muted, config, kernel_alphas(graph_muted, config))
         for name in ("pose_h", "pose_g", "coupling", "disp_h", "disp_g"):
             assert np.array_equal(getattr(ne, name), getattr(ne_muted, name)), name
         assert ne.energies == ne_muted.energies

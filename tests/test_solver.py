@@ -6,10 +6,10 @@ import pytest
 from semba.evaluation import trajectory_ate
 from semba.geometry import Intrinsics, se3_exp, se3_log
 from semba.graph import KeyframeGraph
-from semba.residuals import EmbeddingResidualConfig, evaluate_edge
+from semba.residuals import EmbeddingResidualConfig, adaptive_edge_alpha, evaluate_edge
 from semba.robust import KernelConfig, adaptive_alpha, irls_weight
-from semba.solver import (NormalEquations, ProblemLayout, SolverConfig, assemble, retract,
-                          solve, solve_normal_equations)
+from semba.solver import (NormalEquations, ProblemLayout, SolverConfig, assemble, kernel_alphas,
+                          retract, solve, solve_normal_equations)
 from semba.synthscene import SceneConfig, gen_scene
 
 
@@ -36,7 +36,7 @@ def brute_force_normal_equations(graph, config):
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
         alpha = np.where(ev.valid_embed, adaptive_alpha(ev.cs, config.kernel),
                          config.kernel.alpha_static)
-        if config.kernel_mode == "fixed":
+        if config.fixed_alpha is not None:
             alpha = np.full_like(alpha, config.fixed_alpha)
         r_norm = np.linalg.norm(ev.r_flow, axis=1)
         w_ark = irls_weight(r_norm, alpha, config.kernel.c)
@@ -134,7 +134,7 @@ def toy_bundle():
 
 
 def assert_matches_brute_force(graph, config):
-    h_dense, b_dense = assemble(graph, config).to_dense()
+    h_dense, b_dense = assemble(graph, config, kernel_alphas(graph, config)).to_dense()
     h_ref, b_ref = brute_force_normal_equations(graph, config)
     assert np.abs(h_dense - h_ref).max() / max(np.abs(h_ref).max(), 1.0) < 1e-9
     assert np.abs(b_dense - b_ref).max() / max(np.abs(b_ref).max(), 1.0) < 1e-9
@@ -145,18 +145,19 @@ class TestAssemble:
         assert_matches_brute_force(toy_bundle.to_graph(initial=True), small_config())
 
     @pytest.mark.parametrize("options", [{"optimize_intrinsics": True},
-                                         {"kernel_mode": "fixed", "fixed_alpha": 1.0}],
+                                         {"fixed_alpha": 1.0}],
                              ids=["intrinsics", "fixed-kernel"])
     def test_matches_dense_brute_force_in_other_modes(self, toy_bundle, options):
         assert_matches_brute_force(toy_bundle.to_graph(initial=True), small_config(**options))
 
     def test_symmetric(self, toy_bundle):
-        ne = assemble(toy_bundle.to_graph(initial=True), small_config())
-        h, _ = ne.to_dense()
+        graph, config = toy_bundle.to_graph(initial=True), small_config()
+        h, _ = assemble(graph, config, kernel_alphas(graph, config)).to_dense()
         assert np.abs(h - h.T).max() < 1e-9
 
     def test_zero_residual_state_zero_gradient(self, clean_bundle):
-        ne = assemble(clean_bundle.to_graph(initial=False), small_config())
+        graph, config = clean_bundle.to_graph(initial=False), small_config()
+        ne = assemble(graph, config, kernel_alphas(graph, config))
         assert np.abs(ne.pose_g).max() < 1e-9
         assert np.abs(ne.disp_g).max() < 1e-9
         h, _ = ne.to_dense()
@@ -168,17 +169,58 @@ class TestAssemble:
 
     def test_nonfinite_input_aborts_with_location(self, toy_bundle):
         graph = toy_bundle.to_graph(initial=True)
+        config = small_config()
         graph.edges[1].flow[0, 3, 4] = np.nan
         with pytest.raises(FloatingPointError, match=r"edge \(.*\), pixel"):
-            assemble(graph, small_config())
+            assemble(graph, config, kernel_alphas(graph, config))
         graph.edges[1].flow[0, 3, 4] = 0.0
+
+
+class TestKernelAlphas:
+    def test_fixed_kernel_evaluates_no_edge(self, toy_bundle, monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("a fixed kernel must not evaluate edges")
+
+        monkeypatch.setattr("semba.solver.evaluate_edge", no_evaluation)
+        graph = toy_bundle.to_graph(initial=True)
+        alphas = kernel_alphas(graph, small_config(fixed_alpha=1.0))
+        assert len(alphas) == len(graph.edges)
+        for alpha, obs in zip(alphas, graph.edges):
+            assert alpha.shape == (obs.confidence.size,)
+            assert np.all(alpha == 1.0)
+
+    def test_adaptive_matches_jacobian_pass(self, dynamic_bundle):
+        # The similarity-only pass must decide exactly the shapes that the
+        # full Jacobian pass at the same state would.
+        graph = dynamic_bundle.to_graph(initial=True)
+        config = small_config()
+        alphas = kernel_alphas(graph, config)
+        assert len(alphas) == len(graph.edges)
+        for alpha, obs in zip(alphas, graph.edges):
+            ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
+                               graph.intrinsics, config.embed, with_jacobians=True)
+            assert np.array_equal(alpha, adaptive_edge_alpha(ev, config.kernel))
+        assert np.unique(np.concatenate(alphas)).size > 2  # shapes really vary
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("options", [{"lm_grow": 1.0}, {"lm_grow": 0.5},
+                                         {"lm_grow": float("nan")},
+                                         {"fixed_alpha": float("inf")},
+                                         {"fixed_alpha": float("nan")}],
+                             ids=["lm_grow-1", "lm_grow-half", "lm_grow-nan", "alpha-inf",
+                                  "alpha-nan"])
+    def test_config_rejected_before_any_solve(self, options):
+        # lm_grow <= 1 would retry a rejected step with the same damping forever.
+        with pytest.raises(ValueError, match=next(iter(options))):
+            small_config(**options)
 
 
 class TestSchurSolve:
     def test_matches_dense_solve(self, toy_bundle):
         graph = toy_bundle.to_graph(initial=True)
         config = small_config()
-        ne = assemble(graph, config)
+        ne = assemble(graph, config, kernel_alphas(graph, config))
         assert ne.layout.n_total <= 500
         lm = 1e-4
         delta = solve_normal_equations(ne, lm)
@@ -283,9 +325,9 @@ class TestSolve:
                                            pose_sigma=0.01, dynamic_fraction=0.2,
                                            dynamic_motion_px=5.0,
                                            embedding_decorrelation=1.0, seed=seed))
-            for mode, acc in (("ark", ark_ates), ("fixed", l2_ates)):
+            for fixed_alpha, acc in ((None, ark_ates), (2.0, l2_ates)):
                 opt, _ = solve(bundle.to_graph(initial=True),
-                               small_config(kernel_mode=mode, fixed_alpha=2.0))
+                               small_config(fixed_alpha=fixed_alpha))
                 acc.append(trajectory_ate([kf.pose for kf in opt.keyframes],
                                           bundle.gt_poses, "rigid"))
         assert np.median(ark_ates) < np.median(l2_ates)

@@ -3,7 +3,10 @@ import pytest
 
 from semba.evaluation import trajectory_ate
 from semba.residuals import EmbeddingResidualConfig, evaluate_edge, total_energy
+from semba.solver import SolverConfig, kernel_alphas
 from semba.synthscene import SceneConfig, gen_scene, inject_dynamics, perturb_init
+
+CONFIG = SolverConfig()  # default objective, adaptive kernel
 
 
 def bundles_equal(a, b):
@@ -35,7 +38,8 @@ class TestGenScene:
         assert not bundles_equal(a, b)
 
     def test_ground_truth_is_zero_energy(self, clean_bundle):
-        e = total_energy(clean_bundle.to_graph(initial=False))
+        graph = clean_bundle.to_graph(initial=False)
+        e = total_energy(graph, CONFIG, kernel_alphas(graph, CONFIG))
         assert e.total <= 1e-9
 
     def test_labels_cover_at_least_four_classes(self, clean_bundle):
@@ -63,7 +67,8 @@ class TestGenScene:
         for kind in ("arc", "orbit", "random-walk"):
             bundle = gen_scene(SceneConfig(num_keyframes=4, height=24, width=32,
                                            trajectory=kind, seed=2))
-            assert total_energy(bundle.to_graph(initial=False)).total <= 1e-9
+            graph = bundle.to_graph(initial=False)
+            assert total_energy(graph, CONFIG, kernel_alphas(graph, CONFIG)).total <= 1e-9
 
     def test_unknown_trajectory(self):
         with pytest.raises(ValueError, match="unknown trajectory"):
@@ -84,7 +89,8 @@ class TestGenScene:
     def test_flow_sigma_breaks_exactness(self):
         noisy = gen_scene(SceneConfig(num_keyframes=3, height=24, width=32,
                                       flow_sigma=0.1, seed=4))
-        e = total_energy(noisy.to_graph(initial=False))
+        graph = noisy.to_graph(initial=False)
+        e = total_energy(graph, CONFIG, kernel_alphas(graph, CONFIG))
         assert e.total > 1e-6
 
 
@@ -158,7 +164,8 @@ class TestPerturbInit:
 
     def test_disparity_noise_creates_prior_energy(self, clean_bundle):
         out = perturb_init(clean_bundle, 0.0, 0.05, seed=7)
-        e = total_energy(out.to_graph(initial=True))
+        graph = out.to_graph(initial=True)
+        e = total_energy(graph, CONFIG, kernel_alphas(graph, CONFIG))
         assert e.reg > 0.0
         for d in out.init_disparity:
             assert d.min() > 0.0

@@ -231,8 +231,10 @@ class TestProblemBundle:
         # The whole point of the f64 tensor default: the on-disk problem
         # evaluates exactly like the in-memory one.
         from semba.residuals import total_energy
+        from semba.solver import SolverConfig, kernel_alphas
         bundle = gen_scene(SceneConfig(num_keyframes=3, height=24, width=32, seed=4))
         out = tmp_path / "bundle"
         write_problem_bundle(out, bundle)
         graph = load_problem_bundle(out)
-        assert total_energy(graph).total <= 1e-9
+        config = SolverConfig()
+        assert total_energy(graph, config, kernel_alphas(graph, config)).total <= 1e-9
