@@ -1,7 +1,7 @@
 """Run configuration: one YAML document with a flat section per module.
 
 Sections and their dataclasses (every field has a documented default; unknown
-sections or keys are rejected):
+sections or keys and values of the wrong type are rejected):
 
     scene:      synthscene.SceneConfig
     solver:     solver.SolverConfig (scalar fields only; nested configs come
@@ -49,6 +49,22 @@ class RunConfig:
 _TUPLE_FIELDS = {"depth_range"}
 # Solver fields owned by their own sections.
 _SOLVER_NESTED = {"kernel", "embed", "reg"}
+# What a YAML value must be, per annotated field type; str and tuple fields
+# are checked by their own dataclass.
+_VALUE_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                "bool": (bool, "true or false")}
+
+
+def _check_value(field, value, name):
+    """Raise ValueError unless value fits the field's type (bools only fit bool fields)."""
+    kind = field.type.removesuffix(" | None")
+    if kind not in _VALUE_TYPES or (value is None and field.default is None):
+        return
+    accepted, expected = _VALUE_TYPES[kind]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted):
+        if field.default is None:
+            expected += " or null"
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 def _build(cls, mapping, section):
@@ -58,6 +74,7 @@ def _build(cls, mapping, section):
         if key not in known:
             raise ValueError(f"unknown key '{section}.{key}' "
                              f"(known: {', '.join(sorted(known))})")
+        _check_value(known[key], value, f"{section}.{key}")
         if key in _TUPLE_FIELDS and isinstance(value, list):
             value = tuple(value)
         cleaned[key] = value
@@ -77,13 +94,17 @@ def load_config(path=None) -> RunConfig:
     unknown = set(doc) - known_sections
     if unknown:
         raise ValueError(f"unknown config section(s): {', '.join(sorted(unknown))}")
+    for name, section in doc.items():
+        if section is not None and not isinstance(section, dict):
+            raise ValueError(f"config section '{name}' must be a mapping")
+    doc = {name: section or {} for name, section in doc.items()}
 
     scene = _build(SceneConfig, doc.get("scene", {}), "scene")
     kernel = _build(KernelConfig, doc.get("kernel", {}), "kernel")
     embed = _build(EmbeddingResidualConfig, doc.get("embed", {}), "embed")
     reg = _build(RegConfig, doc.get("reg", {}), "reg")
 
-    solver_map = dict(doc.get("solver", {}))
+    solver_map = doc.get("solver", {})
     bad = _SOLVER_NESTED & set(solver_map)
     if bad:
         raise ValueError(f"solver.{bad.pop()} belongs in its own top-level section")

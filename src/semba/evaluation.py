@@ -126,13 +126,13 @@ def knn_transfer(pred: SemanticPointCloud, gt_points) -> np.ndarray:
     _, idx = cKDTree(points).query(gt_points, k=k)
     idx = np.atleast_2d(idx.T).T if k == 1 else idx
     votes = labels[idx.reshape(len(gt_points), k)]
-    out = np.empty(len(gt_points), dtype=int)
-    for row in range(votes.shape[0]):
-        cands, counts = np.unique(votes[row], return_counts=True)
-        top = counts.max()
-        winners = cands[counts == top]
-        out[row] = winners[0] if len(winners) == 1 else votes[row, 0]
-    return out
+    # counts[n, v]: how many of row n's votes equal its v-th vote. The top label
+    # is unique exactly when the votes reaching the top count number that count.
+    counts = np.sum(votes[:, :, None] == votes[:, None, :], axis=2)
+    top = counts.max(axis=1)
+    unique_top = np.sum(counts == top[:, None], axis=1) == top
+    leader = votes[np.arange(len(votes)), np.argmax(counts, axis=1)]
+    return np.where(unique_top, leader, votes[:, 0])
 
 
 def _group_sizes(n: int):

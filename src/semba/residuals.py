@@ -18,6 +18,8 @@ from .features import bilinear_sample, in_bounds
 from .geometry import Intrinsics
 
 _NORM_EPS = 1e-8
+# Keeps the photometric residual's derivative finite where cs -> 1 (r -> 0).
+_EMBED_DERIV_EPS = 1e-6
 
 
 @dataclass(eq=False)
@@ -49,7 +51,6 @@ class EmbeddingResidualConfig:
 
     mode: str = "photometric"
     lambda_embed: float = 2.0
-    eps: float = 1e-6
 
     def __post_init__(self):
         if self.mode not in ("angular", "photometric"):
@@ -92,7 +93,7 @@ def _embed_residual_from_cs(cs, cfg: EmbeddingResidualConfig):
 def _embed_dresidual_dcs(r, cfg: EmbeddingResidualConfig):
     if cfg.mode == "angular":
         return -np.ones_like(r)
-    return -cfg.lambda_embed**2 / (r + cfg.eps)
+    return -cfg.lambda_embed**2 / (r + _EMBED_DERIV_EPS)
 
 
 def disparity_reg_residual(disparity, prior, cfg: RegConfig = RegConfig()):
@@ -194,7 +195,7 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics,
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Component energies: total = lambda_photo * photo_ark + lambda_embed * embed + reg."""
+    """Component energies: total = photo_ark + lambda_embed * embed + reg."""
 
     total: float
     photo_ark: float
@@ -220,9 +221,9 @@ def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray, c: float):
 def total_energy(graph, config, alphas) -> EnergyBreakdown:
     """Objective value over a keyframe graph at its current state.
 
-    config is a solver.SolverConfig (read for its kernel, embed, reg,
-    lambda_photo and lambda_embed fields); alphas holds one per-pixel shape
-    array per edge of graph.edges, as decided by solver.kernel_alphas.
+    config is a solver.SolverConfig (read for its kernel, embed, reg and
+    lambda_embed fields); alphas holds one per-pixel shape array per edge of
+    graph.edges, as decided by solver.kernel_alphas.
     """
     e_photo = 0.0
     e_embed = 0.0
@@ -237,5 +238,5 @@ def total_energy(graph, config, alphas) -> EnergyBreakdown:
     for kf in graph.keyframes:
         res, valid = disparity_reg_residual(kf.disparity, kf.disparity_prior, config.reg)
         e_reg += float(np.sum(res[valid] ** 2))
-    total = config.lambda_photo * e_photo + config.lambda_embed * e_embed + e_reg
+    total = e_photo + config.lambda_embed * e_embed + e_reg
     return EnergyBreakdown(total=total, photo_ark=e_photo, embed=e_embed, reg=e_reg)

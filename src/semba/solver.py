@@ -21,32 +21,31 @@ from .residuals import (EmbeddingResidualConfig, EnergyBreakdown, RegConfig,
                         adaptive_edge_alpha, edge_energies, evaluate_edge, total_energy)
 from .robust import KernelConfig
 
+# Levenberg damping schedule: start at LM_INIT, multiply by LM_GROW after a
+# rejected or singular step and by LM_SHRINK (floored at LM_MIN) after an
+# accepted one; past LM_MAX the solve stops.
+LM_INIT = 1e-4
+LM_GROW = 10.0
+LM_SHRINK = 0.5
+LM_MIN = 1e-12
+LM_MAX = 1e10
+UPDATE_TOL = 1e-8      # converged once the step norm falls below this
+MIN_DISPARITY = 1e-6   # disparities are clamped here after every update
+
 
 @dataclass
 class SolverConfig:
     max_iters: int = 30
-    update_tol: float = 1e-8
-    lm_init: float = 1e-4
-    lm_grow: float = 10.0
-    lm_shrink: float = 0.5
-    lm_min: float = 1e-12
-    lm_max: float = 1e10
     kernel: KernelConfig = field(default_factory=KernelConfig)
     embed: EmbeddingResidualConfig = field(default_factory=EmbeddingResidualConfig)
     reg: RegConfig = field(default_factory=RegConfig)
-    lambda_photo: float = 1.0
     lambda_embed: float = 2.0
     fixed_alpha: float | None = None   # None: similarity-adaptive (ARK) shapes
     optimize_intrinsics: bool = False
-    min_disparity: float = 1e-6
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.update_tol <= 0 or self.lm_init <= 0:
-            raise ValueError("update_tol and lm_init must be positive")
-        if not self.lm_grow > 1:
-            raise ValueError("lm_grow must be > 1, or a rejected step repeats forever")
         if self.fixed_alpha is not None and not math.isfinite(self.fixed_alpha):
             raise ValueError(f"fixed_alpha must be finite or None, got {self.fixed_alpha!r}")
 
@@ -211,7 +210,7 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
 
         r_norm = np.linalg.norm(ev.r_flow, axis=-1)
         w_ark = robust.irls_weight(r_norm, alpha, config.kernel.c)
-        w_flow = config.lambda_photo * robust.fold_weight(ev.confidence, w_ark) * ev.valid_flow
+        w_flow = robust.fold_weight(ev.confidence, w_ark) * ev.valid_flow
         # True gradient of lambda * sum w r^2 carries a factor 2.
         w_emb = (2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
                  if need_embedding else None)
@@ -232,7 +231,7 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
         diff = (kf.disparity - kf.disparity_prior).reshape(-1)
         ne.disp_g[d_slice] += w_reg * np.where(valid.reshape(-1), diff, 0.0)
 
-    total = config.lambda_photo * e_photo + config.lambda_embed * e_embed + e_reg
+    total = e_photo + config.lambda_embed * e_embed + e_reg
     ne.energies = EnergyBreakdown(total, e_photo, e_embed, e_reg)
     return ne
 
@@ -273,7 +272,7 @@ def retract(graph: KeyframeGraph, delta: np.ndarray, config: SolverConfig) -> Ke
         slot = layout.pose_slices[kf.index]
         pose = kf.pose if slot is None else se3_exp(delta[slot]).compose(kf.pose)
         disp = kf.disparity + disp_delta[layout.disparity_slice(kf.index)].reshape(kf.disparity.shape)
-        disp = np.maximum(disp, config.min_disparity)
+        disp = np.maximum(disp, MIN_DISPARITY)
         keyframes.append(replace(kf, pose=pose, disparity=disp))
     intrinsics = graph.intrinsics
     if layout.intrinsics_slice is not None:
@@ -310,7 +309,7 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
 
     state = graph.copy()
     trace = []
-    lm = config.lm_init
+    lm = LM_INIT
     for it in range(1, config.max_iters + 1):
         alphas = kernel_alphas(state, config)
         ne = assemble(state, config, alphas)
@@ -323,13 +322,13 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
             try:
                 delta = solve_normal_equations(ne, lm)
             except np.linalg.LinAlgError:
-                lm *= config.lm_grow
-                if lm > config.lm_max:
+                lm *= LM_GROW
+                if lm > LM_MAX:
                     raise RuntimeError(
                         "reduced system stayed singular through damping escalation; "
                         "the problem is degenerate") from None
                 continue
-            if np.linalg.norm(delta) < config.update_tol:
+            if np.linalg.norm(delta) < UPDATE_TOL:
                 return state, trace
             candidate = retract(state, delta, config)
             e_new = total_energy(candidate, config, alphas)
@@ -338,10 +337,10 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
                                          e_new.reg, accepted))
             if accepted:
                 state = candidate
-                lm = max(lm * config.lm_shrink, config.lm_min)
+                lm = max(lm * LM_SHRINK, LM_MIN)
                 break
-            lm *= config.lm_grow
-            if lm > config.lm_max:
+            lm *= LM_GROW
+            if lm > LM_MAX:
                 # Gradient-direction steps stopped helping under the current
                 # kernel state: treat as converged.
                 return state, trace

@@ -47,7 +47,6 @@ class SceneConfig:
     flow_sigma: float = 0.0
     disparity_sigma: float = 0.0
     pose_sigma: float = 0.0
-    embedding_noise: float = 0.0   # amplitude of the smooth feature perturbation
     feature_smooth_radius: int = 2  # class-boundary blending radius (pixels)
     temporal_radius: int = 2
     covis_threshold: float = 1.1   # > 1 disables covisibility edges
@@ -321,8 +320,10 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
     The order of randomness consumption is fixed by independent child seeds,
     so toggling one knob never reshuffles the others.
     """
+    # A child's stream depends on its position, so the unused fourth child
+    # stays in place to keep every other stream's numbers.
     seeds = np.random.SeedSequence(cfg.seed).spawn(6)
-    rng_vec, rng_traj, rng_surf, rng_feat_noise, rng_flow_noise, rng_init = \
+    rng_vec, rng_traj, rng_surf, _, rng_flow_noise, rng_init = \
         (np.random.default_rng(s) for s in seeds)
 
     intr = cfg.intrinsics()
@@ -341,16 +342,7 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
         lab = lab.reshape(h, w)
         labels.append(lab)
         purity.append(_label_purity(lab, surface.smooth_radius))
-        feat = _smooth_class_features(lab, class_vectors, surface.smooth_radius)
-        if cfg.embedding_noise > 0:
-            noise = rng_feat_noise.normal(0.0, cfg.embedding_noise,
-                                          size=(cfg.embedding_dim, h, w))
-            # Smooth the perturbation so neighbouring pixels stay correlated.
-            for axis in (1, 2):
-                noise = 0.25 * (np.roll(noise, 1, axis) + np.roll(noise, -1, axis)) + 0.5 * noise
-            feat = feat + noise
-            feat /= np.linalg.norm(feat, axis=0, keepdims=True)
-        features.append(feat)
+        features.append(_smooth_class_features(lab, class_vectors, surface.smooth_radius))
 
     if len(np.unique(np.concatenate([l.reshape(-1) for l in labels]))) < 4:
         raise ValueError("scene shows fewer than 4 classes; enlarge the grid or field of view")

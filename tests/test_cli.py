@@ -3,12 +3,23 @@ import pytest
 
 from semba.cli import main
 from semba.evaluation import align_trajectories, ate_rmse
-from semba.tensorio import read_tensor, read_trajectory, write_tensor, write_trajectory
+from semba.features import PcaModel, pca_decode
+from semba.tensorio import (read_point_cloud, read_tensor, read_trajectory, write_pca,
+                            write_tensor, write_trajectory)
 
 
 def write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+# Config values of the wrong type, each as (section, key, YAML value).
+WRONG_TYPES = [("solver", "max_iters", "abc"), ("solver", "max_iters", "2.5"),
+               ("solver", "max_iters", "true"), ("scene", "height", '"48"'),
+               ("solver", "fixed_alpha", "abc"), ("reg", "alpha_disp", "abc"),
+               ("solver", "optimize_intrinsics", "1")]
+WRONG_TYPE_IDS = ["max_iters-str", "max_iters-float", "max_iters-bool", "height-str",
+                  "fixed_alpha-str", "alpha_disp-str", "optimize_intrinsics-int"]
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +91,13 @@ scene:
         assert main(["synth", str(tmp_path / "x"), "--config", cfg]) != 0
         assert "nonsense_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+    def test_wrong_value_type_rejected(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path / "cfg.yaml", f"{section}:\n  {key}: {value}\n")
+        assert main(["synth", str(tmp_path / "x"), "--config", cfg]) == 1
+        assert f"error: {section}.{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestBa:
     def test_noise_free_bundle_reaches_zero_energy(self, tmp_path):
@@ -150,6 +168,46 @@ scene:
         assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "graph.json" in err and f"'{path[-1]}'" in err
+
+    @pytest.mark.parametrize("section, key, value", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+    def test_wrong_value_type_rejected(self, synth_run, tmp_path, capsys, section, key, value):
+        root, cfg, bundle = synth_run
+        bad = write_config(tmp_path / "bad.yaml", f"{section}:\n  {key}: {value}\n")
+        assert main(["ba", str(bundle), str(tmp_path / "out"), "--config", bad]) == 1
+        assert f"error: {section}.{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pca_decodes_exported_embeddings(self, synth_run, tmp_path, rng):
+        root, cfg, bundle = synth_run
+        codes = read_tensor(bundle / "keyframes" / "kf_000_features.kmvt").shape[0]
+        c = codes + 5
+        basis, _ = np.linalg.qr(rng.normal(size=(c, codes)))
+        model = PcaModel(rng.normal(size=c), basis)
+        write_pca(tmp_path / "model.kmvp", model)
+        plain, decoded = tmp_path / "plain", tmp_path / "decoded"
+        assert main(["ba", str(bundle), str(plain), "--config", cfg,
+                     "--export-cloud", str(plain / "cloud.ply")]) == 0
+        assert main(["ba", str(bundle), str(decoded), "--config", cfg,
+                     "--export-cloud", str(decoded / "cloud.ply"),
+                     "--pca", str(tmp_path / "model.kmvp")]) == 0
+        points, _ = read_point_cloud(decoded / "cloud.ply")
+        emb = read_tensor(decoded / "cloud.embeddings.kmvt").astype(float)
+        assert emb.shape == (c, 1, len(points))
+        raw = read_tensor(plain / "cloud.embeddings.kmvt").astype(float)
+        assert raw.shape == (codes, 1, len(points))
+        expected = pca_decode(raw[:, 0, :].T, model).T
+        assert np.allclose(emb[:, 0, :], expected, atol=1e-5)
+
+    def test_pca_output_dim_mismatch_rejected(self, synth_run, tmp_path, capsys):
+        root, cfg, bundle = synth_run
+        codes = read_tensor(bundle / "keyframes" / "kf_000_features.kmvt").shape[0]
+        write_pca(tmp_path / "model.kmvp", PcaModel.identity(codes + 1))
+        out = tmp_path / "out"
+        assert main(["ba", str(bundle), str(out), "--config", cfg,
+                     "--export-cloud", str(out / "cloud.ply"),
+                     "--pca", str(tmp_path / "model.kmvp")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "cloud.embeddings.kmvt").exists()
 
     def test_determinism_identical_energy_traces(self, synth_run, tmp_path):
         root, cfg, bundle = synth_run

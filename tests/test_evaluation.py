@@ -120,6 +120,16 @@ def labeled_cloud(points, labels):
                               labels=np.asarray(labels))
 
 
+def reference_vote(votes):
+    """Per-row loop vote: the unique top label, else the nearest point's label."""
+    out = np.empty(votes.shape[0], dtype=int)
+    for row in range(votes.shape[0]):
+        cands, counts = np.unique(votes[row], return_counts=True)
+        winners = cands[counts == counts.max()]
+        out[row] = winners[0] if len(winners) == 1 else votes[row, 0]
+    return out
+
+
 class TestKnnTransfer:
     def test_coincident_same_label(self):
         pred = labeled_cloud(np.zeros((5, 3)), [2] * 5)
@@ -135,6 +145,28 @@ class TestKnnTransfer:
         pts = np.array([[0.1, 0, 0], [0.5, 0, 0], [0.2, 0, 0], [0.4, 0, 0], [0.3, 0, 0]])
         pred = labeled_cloud(pts, [9, 9, 4, 4, 1])
         assert knn_transfer(pred, np.array([[0.0, 0.0, 0.0]]))[0] == 9
+
+    def test_tie_without_nearest_label_takes_nearest(self):
+        # [a, b, b, c, c] by distance: b and c tie, and the nearest label a,
+        # although not among the tied ones, still wins.
+        pts = np.array([[0.1, 0, 0], [0.2, 0, 0], [0.3, 0, 0], [0.4, 0, 0], [0.5, 0, 0]])
+        pred = labeled_cloud(pts, [1, 2, 2, 3, 3])
+        assert knn_transfer(pred, np.array([[0.0, 0.0, 0.0]]))[0] == 1
+
+    @pytest.mark.parametrize("n_points, n_labels", [(60, 2), (60, 3), (4, 3), (3, 2), (1, 2)],
+                             ids=["k5-2labels", "k5-3labels", "k4", "k3", "k1"])
+    def test_matches_reference_vote(self, rng, n_points, n_labels):
+        from scipy.spatial import cKDTree
+        pts = rng.normal(size=(n_points, 3))
+        labels = rng.integers(0, n_labels, size=n_points)
+        gt = rng.normal(size=(500, 3))
+        k = min(5, n_points)
+        _, idx = cKDTree(pts).query(gt, k=k)
+        votes = labels[idx.reshape(len(gt), k)]
+        expected = reference_vote(votes)
+        assert np.array_equal(knn_transfer(labeled_cloud(pts, labels), gt), expected)
+        if k == 5 and n_labels == 3:  # 2-2-1 votes: the tie rule is really exercised
+            assert np.any(expected != reference_vote(votes[:, ::-1]))
 
     def test_fewer_than_five_points(self):
         pred = labeled_cloud([[0, 0, 0], [1, 0, 0]], [5, 5])

@@ -330,7 +330,7 @@ class TestTotalEnergy:
                               intrinsics=bundle.intrinsics)
         kernel = KernelConfig()
         embed_cfg = EmbeddingResidualConfig()
-        config = SolverConfig(kernel=kernel, embed=embed_cfg, lambda_photo=1.3, lambda_embed=2.0)
+        config = SolverConfig(kernel=kernel, embed=embed_cfg, lambda_embed=1.3)
         got = total_energy(graph, config, kernel_alphas(graph, config))
 
         e_photo = 0.0
@@ -359,7 +359,7 @@ class TestTotalEnergy:
                 for x in range(w):
                     if kf.disparity_prior[y, x] > 0:
                         e_reg += (kf.disparity[y, x] - kf.disparity_prior[y, x]) ** 2
-        expected = 1.3 * e_photo + 2.0 * e_embed + e_reg
+        expected = e_photo + 1.3 * e_embed + e_reg
         assert got.embed > 0.0
         assert got.total == pytest.approx(expected, abs=1e-9)
         assert got.photo_ark == pytest.approx(e_photo, abs=1e-9)

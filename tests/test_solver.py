@@ -8,8 +8,8 @@ from semba.geometry import Intrinsics, se3_exp, se3_log
 from semba.graph import KeyframeGraph
 from semba.residuals import EmbeddingResidualConfig, adaptive_edge_alpha, evaluate_edge
 from semba.robust import KernelConfig, adaptive_alpha, irls_weight
-from semba.solver import (NormalEquations, ProblemLayout, SolverConfig, assemble, kernel_alphas,
-                          retract, solve, solve_normal_equations)
+from semba.solver import (MIN_DISPARITY, NormalEquations, ProblemLayout, SolverConfig, assemble,
+                          kernel_alphas, retract, solve, solve_normal_equations)
 from semba.synthscene import SceneConfig, gen_scene
 
 
@@ -40,7 +40,7 @@ def brute_force_normal_equations(graph, config):
             alpha = np.full_like(alpha, config.fixed_alpha)
         r_norm = np.linalg.norm(ev.r_flow, axis=1)
         w_ark = irls_weight(r_norm, alpha, config.kernel.c)
-        w_flow = config.lambda_photo * ev.confidence * w_ark * ev.valid_flow
+        w_flow = ev.confidence * w_ark * ev.valid_flow
         w_emb = 2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
         slot_i = layout.pose_slices[obs.i]
         slot_j = layout.pose_slices[obs.j]
@@ -204,14 +204,10 @@ class TestKernelAlphas:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("options", [{"lm_grow": 1.0}, {"lm_grow": 0.5},
-                                         {"lm_grow": float("nan")},
-                                         {"fixed_alpha": float("inf")},
+    @pytest.mark.parametrize("options", [{"fixed_alpha": float("inf")},
                                          {"fixed_alpha": float("nan")}],
-                             ids=["lm_grow-1", "lm_grow-half", "lm_grow-nan", "alpha-inf",
-                                  "alpha-nan"])
+                             ids=["alpha-inf", "alpha-nan"])
     def test_config_rejected_before_any_solve(self, options):
-        # lm_grow <= 1 would retry a rejected step with the same damping forever.
         with pytest.raises(ValueError, match=next(iter(options))):
             small_config(**options)
 
@@ -273,7 +269,7 @@ class TestRetract:
         delta = np.zeros(layout.n_total)
         delta[layout.n_reduced:] = -100.0
         out = retract(graph, delta, config)
-        assert out.keyframes[0].disparity.min() == config.min_disparity
+        assert out.keyframes[0].disparity.min() == MIN_DISPARITY
 
     def test_dimension_check(self, toy_bundle):
         graph = toy_bundle.to_graph(initial=True)
