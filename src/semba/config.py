@@ -46,11 +46,11 @@ class RunConfig:
         return RunConfig(scene=SceneConfig(), solver=SolverConfig(), evaluation=EvalConfig())
 
 
-_TUPLE_FIELDS = {"depth_range"}
 # Solver fields owned by their own sections.
 _SOLVER_NESTED = {"kernel", "embed", "reg"}
-# What a YAML value must be, per annotated field type; str and tuple fields
-# are checked by their own dataclass.
+# What a YAML value must be, per annotated field type; str fields are checked
+# by their own dataclass, tuple fields take a list of numbers as long as their
+# default.
 _VALUE_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
                 "bool": (bool, "true or false")}
 
@@ -58,6 +58,12 @@ _VALUE_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
 def _check_value(field, value, name):
     """Raise ValueError unless value fits the field's type (bools only fit bool fields)."""
     kind = field.type.removesuffix(" | None")
+    if kind == "tuple":
+        n = len(field.default)
+        if not (isinstance(value, list) and len(value) == n
+                and all(type(v) in (int, float) for v in value)):
+            raise ValueError(f"{name} must be a list of {n} numbers, got {value!r}")
+        return
     if kind not in _VALUE_TYPES or (value is None and field.default is None):
         return
     accepted, expected = _VALUE_TYPES[kind]
@@ -75,9 +81,7 @@ def _build(cls, mapping, section):
             raise ValueError(f"unknown key '{section}.{key}' "
                              f"(known: {', '.join(sorted(known))})")
         _check_value(known[key], value, f"{section}.{key}")
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        cleaned[key] = value
+        cleaned[key] = tuple(value) if known[key].type == "tuple" else value
     return cls(**cleaned)
 
 

@@ -2,8 +2,10 @@
 
 Unknown ordering: [6 per non-frozen pose | 4 if optimizing intrinsics | 1 per
 pixel per keyframe]. The disparity block is diagonal and is eliminated by a
-Schur complement; Levenberg damping (lm * diag) guards steps, falling back to
-plain Gauss-Newton as steps keep being accepted.
+Schur complement, one keyframe at a time, since a frame's disparities couple
+only to the poses of its edges and to the intrinsics (Triggs et al., "Bundle
+Adjustment - A Modern Synthesis", 2000). Levenberg damping (lm * diag) guards
+steps, falling back to plain Gauss-Newton as steps keep being accepted.
 """
 
 from __future__ import annotations
@@ -52,13 +54,21 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class ProblemLayout:
-    """Index bookkeeping for the stacked unknown vector."""
+    """Index bookkeeping for the stacked unknown vector and the coupling rows.
+
+    Keyframe k's disparities couple to coupling_cols[k], the sorted reduced
+    unknowns of its edges (k, j): the poses of k and j and the intrinsics.
+    Their coupling rows are coupling_rows[k], a contiguous slice of the one
+    (sum of r_k, H*W) coupling array, in the order of coupling_cols[k].
+    """
 
     pose_slices: list          # per keyframe: slice into the reduced block, or None if frozen
     intrinsics_slice: slice    # None unless optimizing intrinsics
     n_reduced: int             # poses + intrinsics
     pixels_per_frame: int
     n_disparity: int
+    coupling_cols: list        # per keyframe: sorted int array of reduced unknowns
+    coupling_rows: list        # per keyframe: slice of coupling rows
 
     @staticmethod
     def build(graph: KeyframeGraph, config: SolverConfig) -> "ProblemLayout":
@@ -74,10 +84,20 @@ class ProblemLayout:
         if config.optimize_intrinsics:
             intrinsics_slice = slice(offset, offset + 4)
             offset += 4
+        coupled = [set() for _ in graph.keyframes]
+        for obs in graph.edges:
+            for s in (pose_slices[obs.i], pose_slices[obs.j], intrinsics_slice):
+                if s is not None:
+                    coupled[obs.i].update(range(s.start, s.stop))
+        coupling_cols, coupling_rows, row = [], [], 0
+        for cols in coupled:
+            coupling_cols.append(np.array(sorted(cols), dtype=int))
+            coupling_rows.append(slice(row, row + len(cols)))
+            row += len(cols)
         h, w = graph.grid_shape
         n_px = h * w
         return ProblemLayout(pose_slices, intrinsics_slice, offset, n_px,
-                             n_px * len(graph.keyframes))
+                             n_px * len(graph.keyframes), coupling_cols, coupling_rows)
 
     def disparity_slice(self, kf_index: int) -> slice:
         start = kf_index * self.pixels_per_frame
@@ -92,12 +112,16 @@ class ProblemLayout:
 class NormalEquations:
     """Gauss-Newton system in block form; b is the objective gradient.
 
-    The full matrix is [[pose_h, coupling], [coupling.T, diag(disp_h)]].
+    The full matrix is [[pose_h, C], [C.T, diag(disp_h)]], where the (P, D)
+    pose-disparity coupling C is stored by keyframe: coupling rows
+    layout.coupling_rows[k] hold the rows layout.coupling_cols[k] of C over
+    keyframe k's pixels, and every other entry of C is zero. So coupling has
+    shape (sum of r_k, H*W), which grows linearly in the number of keyframes.
     """
 
     layout: ProblemLayout
     pose_h: np.ndarray     # (P, P)
-    coupling: np.ndarray   # (P, D)
+    coupling: np.ndarray   # (sum of r_k, H*W)
     disp_h: np.ndarray     # (D,)
     pose_g: np.ndarray     # (P,)
     disp_g: np.ndarray     # (D,)
@@ -105,12 +129,15 @@ class NormalEquations:
 
     def to_dense(self):
         """Materialize (H, b); intended for small oracle problems only."""
-        n = self.layout.n_total
-        p = self.layout.n_reduced
+        layout = self.layout
+        n = layout.n_total
+        p = layout.n_reduced
         h = np.zeros((n, n))
         h[:p, :p] = self.pose_h
-        h[:p, p:] = self.coupling
-        h[p:, :p] = self.coupling.T
+        for k, (cols, rows) in enumerate(zip(layout.coupling_cols, layout.coupling_rows)):
+            d = layout.disparity_slice(k)
+            h[cols, p + d.start:p + d.stop] = self.coupling[rows]
+        h[p:, :p] = h[:p, p:].T
         h[p:, p:] = np.diag(self.disp_h)
         return h, np.concatenate([self.pose_g, self.disp_g])
 
@@ -144,8 +171,8 @@ def kernel_alphas(graph: KeyframeGraph, config: SolverConfig) -> list:
     return alphas
 
 
-def _accumulate_edge(ne: NormalEquations, blocks, d_slice: slice, ev, w_flow, w_emb):
-    """Add one edge's weighted Gauss-Newton terms to ne in place.
+def _accumulate_edge(ne: NormalEquations, kf_index: int, blocks, ev, w_flow, w_emb):
+    """Add the weighted Gauss-Newton terms of one edge out of keyframe kf_index to ne in place.
 
     blocks: per block of reduced unknowns, (slice or None if frozen or absent, flow
     Jacobian (N, 2, m), embedding Jacobian (N, m)); w_emb is None without the
@@ -157,6 +184,10 @@ def _accumulate_edge(ne: NormalEquations, blocks, d_slice: slice, ev, w_flow, w_
     """
     blocks = [blk for blk in blocks if blk[0] is not None]
     cols = np.array([k for s, _, _ in blocks for k in range(s.start, s.stop)], dtype=int)
+    layout = ne.layout
+    d_slice = layout.disparity_slice(kf_index)
+    coupling_rows = (layout.coupling_rows[kf_index].start
+                     + np.searchsorted(layout.coupling_cols[kf_index], cols))
     jac = np.concatenate([ev.jf_disp[:, :, None]] + [jf for _, jf, _ in blocks], axis=2)
     res = ev.r_flow
     weight = np.repeat(w_flow[:, None], 2, axis=1)
@@ -170,7 +201,7 @@ def _accumulate_edge(ne: NormalEquations, blocks, d_slice: slice, ev, w_flow, w_
     cross = np.matmul(w_disp[:, None, :], jac)[:, 0, :]
     ne.disp_h[d_slice] += cross[:, 0]
     ne.disp_g[d_slice] += np.sum(w_disp * res, axis=1)
-    ne.coupling[cols, d_slice] += cross[:, 1:].T
+    ne.coupling[coupling_rows] += cross[:, 1:].T
     rows = jac[:, :, 1:].reshape(weight.size, cols.size)
     weighted = weight.reshape(-1, 1) * rows
     ne.pose_h[np.ix_(cols, cols)] += rows.T @ weighted
@@ -188,7 +219,8 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
     layout = ProblemLayout.build(graph, config)
     p = layout.n_reduced
     ne = NormalEquations(layout=layout, pose_h=np.zeros((p, p)),
-                         coupling=np.zeros((p, layout.n_disparity)),
+                         coupling=np.zeros((layout.coupling_rows[-1].stop,
+                                            layout.pixels_per_frame)),
                          disp_h=np.zeros(layout.n_disparity), pose_g=np.zeros(p),
                          disp_g=np.zeros(layout.n_disparity), energies=None)
     e_photo = 0.0
@@ -218,7 +250,7 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
         blocks = [(layout.pose_slices[obs.i], ev.jf_pose_i, ev.je_pose_i),
                   (layout.pose_slices[obs.j], ev.jf_pose_j, ev.je_pose_j),
                   (layout.intrinsics_slice, ev.jf_intr, ev.je_intr)]
-        _accumulate_edge(ne, blocks, layout.disparity_slice(obs.i), ev, w_flow, w_emb)
+        _accumulate_edge(ne, obs.i, blocks, ev, w_flow, w_emb)
 
     e_reg = 0.0
     for kf in graph.keyframes:
@@ -239,25 +271,37 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
 def solve_normal_equations(ne: NormalEquations, lm: float) -> np.ndarray:
     """Solve (H + lm diag(H)) delta = -b via Schur elimination of the disparity block.
 
+    The reduced system is S = H_pp - sum_k C_k D_k^-1 C_k^T, where keyframe k's
+    coupling block C_k enters only the rows and columns of its unknowns
+    (layout.coupling_cols[k]): one small product per keyframe, and the
+    back-substitution for the disparities also runs one keyframe at a time.
     Raises numpy.linalg.LinAlgError when the damped reduced system cannot be
     factorized. Disparity entries with an identically zero diagonal receive a
     zero update (unobserved pixels).
     """
-    p = ne.layout.n_reduced
+    layout = ne.layout
     disp_damped = ne.disp_h * (1.0 + lm)
     inv_disp = np.zeros_like(disp_damped)
     np.divide(1.0, disp_damped, out=inv_disp, where=disp_damped > 0)
+    blocks = [(cols, ne.coupling[rows], layout.disparity_slice(k))
+              for k, (cols, rows) in enumerate(zip(layout.coupling_cols, layout.coupling_rows))]
 
-    if p > 0:
-        pose_damped = ne.pose_h + lm * np.diag(np.diag(ne.pose_h))
-        ec = ne.coupling * inv_disp[None, :]
-        schur = pose_damped - ec @ ne.coupling.T
-        rhs = -ne.pose_g + ec @ ne.disp_g
+    if layout.n_reduced > 0:
+        reduction = np.zeros_like(ne.pose_h)
+        reduced_g = np.zeros_like(ne.pose_g)
+        for cols, c, d in blocks:
+            ec = c * inv_disp[d]
+            reduction[np.ix_(cols, cols)] += ec @ c.T
+            reduced_g[cols] += ec @ ne.disp_g[d]
+        schur = ne.pose_h + lm * np.diag(np.diag(ne.pose_h)) - reduction
+        rhs = reduced_g - ne.pose_g
         cho = scipy.linalg.cho_factor(schur, check_finite=False)
         delta_pose = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
     else:
         delta_pose = np.zeros(0)
-    delta_disp = inv_disp * (-ne.disp_g - ne.coupling.T @ delta_pose)
+    delta_disp = np.empty_like(inv_disp)
+    for cols, c, d in blocks:
+        delta_disp[d] = inv_disp[d] * (-ne.disp_g[d] - c.T @ delta_pose[cols])
     return np.concatenate([delta_pose, delta_disp])
 
 

@@ -79,6 +79,11 @@ evaluation:
         ("scene", "focal", "[1, 2]", "a number or null"),
         ("solver", "optimize_intrinsics", "1", "true or false"),
         ("solver", "optimize_intrinsics", '"yes"', "true or false"),
+        ("scene", "depth_range", "5", "a list of 2 numbers"),
+        ("scene", "depth_range", '[1, "a"]', "a list of 2 numbers"),
+        ("scene", "depth_range", "[1, 2, 3]", "a list of 2 numbers"),
+        ("scene", "depth_range", "[true, 2]", "a list of 2 numbers"),
+        ("scene", "depth_range", "null", "a list of 2 numbers"),
     ])
     def test_value_of_wrong_type_rejected(self, tmp_path, section, key, value, expected):
         path = tmp_path / "cfg.yaml"

@@ -134,10 +134,40 @@ def toy_bundle():
 
 
 def assert_matches_brute_force(graph, config):
-    h_dense, b_dense = assemble(graph, config, kernel_alphas(graph, config)).to_dense()
+    """Assemble and compare to_dense() with the brute-force system; returns both."""
+    ne = assemble(graph, config, kernel_alphas(graph, config))
+    h_dense, b_dense = ne.to_dense()
     h_ref, b_ref = brute_force_normal_equations(graph, config)
     assert np.abs(h_dense - h_ref).max() / max(np.abs(h_ref).max(), 1.0) < 1e-9
     assert np.abs(b_dense - b_ref).max() / max(np.abs(b_ref).max(), 1.0) < 1e-9
+    return ne, h_ref, b_ref
+
+
+def assert_schur_matches_dense(ne, h, b, lm=1e-4):
+    """The Schur step of ne against the damped dense solve of (h, b)."""
+    delta = solve_normal_equations(ne, lm)
+    h_damped = h + lm * np.diag(np.diag(h))
+    # Unobserved disparities (identically zero diagonal) are frozen by the
+    # Schur path; mirror that in the dense reference.
+    free = np.diag(h_damped) > 0
+    dense = np.zeros_like(delta)
+    dense[free] = np.linalg.solve(h_damped[np.ix_(free, free)], -b[free])
+    denom = max(np.abs(dense).max(), 1e-12)
+    assert np.abs(delta - dense).max() / denom < 1e-8
+
+
+def covisibility_graph(frozen):
+    """Five keyframes with temporal and covisibility edges, poses `frozen` held fixed.
+
+    Covisibility edges join frames that are not neighbours, so the keyframes
+    couple to uneven sets of poses; keyframe 1 has the edge (1, 4) but not
+    (1, 3), so its coupled unknowns have a gap.
+    """
+    bundle = gen_scene(SceneConfig(num_keyframes=5, height=8, width=10, temporal_radius=1,
+                                   covis_threshold=0.8, pose_sigma=0.01, seed=3))
+    graph = bundle.to_graph(initial=True)
+    keyframes = [dataclasses.replace(kf, frozen=kf.index in frozen) for kf in graph.keyframes]
+    return KeyframeGraph(keyframes=keyframes, edges=graph.edges, intrinsics=graph.intrinsics)
 
 
 class TestAssemble:
@@ -218,17 +248,47 @@ class TestSchurSolve:
         config = small_config()
         ne = assemble(graph, config, kernel_alphas(graph, config))
         assert ne.layout.n_total <= 500
-        lm = 1e-4
-        delta = solve_normal_equations(ne, lm)
-        h, b = ne.to_dense()
-        h_damped = h + lm * np.diag(np.diag(h))
-        # Unobserved disparities (identically zero diagonal) are frozen by the
-        # Schur path; mirror that in the dense reference.
-        free = np.diag(h_damped) > 0
-        dense = np.zeros_like(delta)
-        dense[free] = np.linalg.solve(h_damped[np.ix_(free, free)], -b[free])
-        denom = max(np.abs(dense).max(), 1e-12)
-        assert np.abs(delta - dense).max() / denom < 1e-8
+        assert_schur_matches_dense(ne, *ne.to_dense())
+
+    @pytest.mark.parametrize("frozen, options", [
+        ({0}, {}),
+        ({0, 2}, {}),
+        ({0}, {"optimize_intrinsics": True}),
+        (set(range(5)), {}),
+    ], ids=["covisibility", "frozen-keyframe", "intrinsics", "all-poses-frozen"])
+    def test_uneven_coupling_blocks_match_dense_oracle(self, frozen, options):
+        graph = covisibility_graph(frozen)
+        config = small_config(**options)
+        assert any(abs(obs.i - obs.j) > 1 for obs in graph.edges)
+        ne, h_ref, b_ref = assert_matches_brute_force(graph, config)
+        layout = ne.layout
+        sizes = [cols.size for cols in layout.coupling_cols]
+        assert ne.coupling.shape == (sum(sizes), layout.pixels_per_frame)
+        if layout.n_reduced == 0:
+            assert ne.coupling.shape[0] == 0
+        else:
+            assert len(set(sizes)) > 1
+            assert np.any(np.diff(layout.coupling_cols[1]) > 1)
+        assert_schur_matches_dense(ne, h_ref, b_ref)
+
+
+class TestCouplingMemory:
+    def test_coupling_rows_grow_linearly_in_keyframes(self):
+        radius, h, w = 2, 8, 10
+        config = small_config(fixed_alpha=2.0)
+        nbytes = []
+        for k in (8, 16):
+            graph = gen_scene(SceneConfig(num_keyframes=k, height=h, width=w,
+                                          temporal_radius=radius, seed=3)).to_graph()
+            ne = assemble(graph, config, kernel_alphas(graph, config))
+            # Frame f couples to the free poses within the temporal radius.
+            r = [6 * sum(not graph.keyframes[m].frozen
+                         for m in range(max(0, f - radius), min(k, f + radius + 1)))
+                 for f in range(k)]
+            assert ne.coupling.shape == (sum(r), h * w)
+            nbytes.append(ne.coupling.nbytes)
+        # A dense (P, K*H*W) coupling would grow 4.3-fold here.
+        assert nbytes[1] / nbytes[0] < 2.5
 
 
 class TestRetract:
