@@ -7,9 +7,8 @@ from .features import PcaModel, bilinear_sample, pca_decode, pca_encode, pca_fit
 from .geometry import (Intrinsics, Pose, relative_pose, reproject, reprojection_jacobian,
                        se3_exp, se3_log)
 from .graph import Keyframe, KeyframeGraph, plan_edges
-from .residuals import (EmbeddingResidualConfig, FlowObservation, RegConfig,
-                        disparity_reg_residual, total_energy)
-from .robust import KernelConfig, adaptive_alpha, barron_psi, barron_rho, fold_weight, irls_weight
+from .residuals import FlowObservation, RegConfig, disparity_reg_residual, total_energy
+from .robust import KernelConfig, adaptive_alpha, barron_psi, barron_rho, irls_weight
 from .solver import NormalEquations, SolverConfig, assemble, kernel_alphas, retract, solve
 from .synthscene import SceneBundle, SceneConfig, gen_scene, inject_dynamics, perturb_init
 

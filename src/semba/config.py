@@ -1,13 +1,12 @@
 """Run configuration: one YAML document with a flat section per module.
 
 Sections and their dataclasses (every field has a documented default; unknown
-sections or keys and values of the wrong type are rejected):
+sections or keys, values of the wrong type and non-finite numbers are rejected):
 
     scene:      synthscene.SceneConfig
     solver:     solver.SolverConfig (scalar fields only; nested configs come
                 from the sections below)
     kernel:     robust.KernelConfig
-    embed:      residuals.EmbeddingResidualConfig
     reg:        residuals.RegConfig
     evaluation: EvalConfig (fused-cloud stride)
 """
@@ -15,12 +14,13 @@ sections or keys and values of the wrong type are rejected):
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
 
-from .residuals import EmbeddingResidualConfig, RegConfig
+from .residuals import RegConfig
 from .robust import KernelConfig
 from .solver import SolverConfig
 from .synthscene import SceneConfig
@@ -47,7 +47,7 @@ class RunConfig:
 
 
 # Solver fields owned by their own sections.
-_SOLVER_NESTED = {"kernel", "embed", "reg"}
+_SOLVER_NESTED = {"kernel", "reg"}
 # What a YAML value must be, per annotated field type; str fields are checked
 # by their own dataclass, tuple fields take a list of numbers as long as their
 # default.
@@ -56,7 +56,8 @@ _VALUE_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
 
 
 def _check_value(field, value, name):
-    """Raise ValueError unless value fits the field's type (bools only fit bool fields)."""
+    """Raise ValueError unless value fits the field's type (bools only fit bool fields,
+    and float fields take only finite numbers)."""
     kind = field.type.removesuffix(" | None")
     if kind == "tuple":
         n = len(field.default)
@@ -67,10 +68,13 @@ def _check_value(field, value, name):
     if kind not in _VALUE_TYPES or (value is None and field.default is None):
         return
     accepted, expected = _VALUE_TYPES[kind]
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted):
-        if field.default is None:
-            expected += " or null"
-        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    if isinstance(value, bool) == (kind == "bool") and isinstance(value, accepted):
+        if kind != "float" or math.isfinite(value):
+            return
+        expected = "a finite number"
+    if field.default is None:
+        expected += " or null"
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 def _build(cls, mapping, section):
@@ -94,7 +98,7 @@ def load_config(path=None) -> RunConfig:
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: config root must be a mapping")
 
-    known_sections = {"scene", "solver", "kernel", "embed", "reg", "evaluation"}
+    known_sections = {"scene", "solver", "kernel", "reg", "evaluation"}
     unknown = set(doc) - known_sections
     if unknown:
         raise ValueError(f"unknown config section(s): {', '.join(sorted(unknown))}")
@@ -105,7 +109,6 @@ def load_config(path=None) -> RunConfig:
 
     scene = _build(SceneConfig, doc.get("scene", {}), "scene")
     kernel = _build(KernelConfig, doc.get("kernel", {}), "kernel")
-    embed = _build(EmbeddingResidualConfig, doc.get("embed", {}), "embed")
     reg = _build(RegConfig, doc.get("reg", {}), "reg")
 
     solver_map = doc.get("solver", {})
@@ -113,7 +116,7 @@ def load_config(path=None) -> RunConfig:
     if bad:
         raise ValueError(f"solver.{bad.pop()} belongs in its own top-level section")
     solver = _build(SolverConfig, solver_map, "solver")
-    solver = dataclasses.replace(solver, kernel=kernel, embed=embed, reg=reg)
+    solver = dataclasses.replace(solver, kernel=kernel, reg=reg)
 
     evaluation = _build(EvalConfig, doc.get("evaluation", {}), "evaluation")
     return RunConfig(scene=scene, solver=solver, evaluation=evaluation)

@@ -18,7 +18,9 @@ from .features import bilinear_sample, in_bounds
 from .geometry import Intrinsics
 
 _NORM_EPS = 1e-8
-# Keeps the photometric residual's derivative finite where cs -> 1 (r -> 0).
+# The embedding residual is r = _EMBED_SCALE * sqrt(2 (1 - cs)); _EMBED_DERIV_EPS
+# keeps its derivative finite where cs -> 1 (r -> 0).
+_EMBED_SCALE = 2.0
 _EMBED_DERIV_EPS = 1e-6
 
 
@@ -46,20 +48,6 @@ class FlowObservation:
 
 
 @dataclass(frozen=True)
-class EmbeddingResidualConfig:
-    """mode 'angular': r = 1 - cs; mode 'photometric': r = lambda * sqrt(2 (1 - cs))."""
-
-    mode: str = "photometric"
-    lambda_embed: float = 2.0
-
-    def __post_init__(self):
-        if self.mode not in ("angular", "photometric"):
-            raise ValueError(f"unknown embedding residual mode {self.mode!r}")
-        if self.lambda_embed <= 0:
-            raise ValueError("lambda_embed must be positive")
-
-
-@dataclass(frozen=True)
 class RegConfig:
     alpha_disp: float = 1.0
 
@@ -84,16 +72,12 @@ def _cosine(z_src, z_sampled):
     return np.where(ok, cs, 0.0), n_src, n_smp, ok
 
 
-def _embed_residual_from_cs(cs, cfg: EmbeddingResidualConfig):
-    if cfg.mode == "angular":
-        return 1.0 - cs
-    return cfg.lambda_embed * np.sqrt(2.0 * np.maximum(1.0 - cs, 0.0))
+def _embed_residual_from_cs(cs):
+    return _EMBED_SCALE * np.sqrt(2.0 * np.maximum(1.0 - cs, 0.0))
 
 
-def _embed_dresidual_dcs(r, cfg: EmbeddingResidualConfig):
-    if cfg.mode == "angular":
-        return -np.ones_like(r)
-    return -cfg.lambda_embed**2 / (r + _EMBED_DERIV_EPS)
+def _embed_dresidual_dcs(r):
+    return -_EMBED_SCALE**2 / (r + _EMBED_DERIV_EPS)
 
 
 def disparity_reg_residual(disparity, prior, cfg: RegConfig = RegConfig()):
@@ -132,10 +116,9 @@ class EdgeEvaluation:
     je_intr: np.ndarray = None    # (N, 4)
 
 
-def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics,
-                  embed_cfg: EmbeddingResidualConfig, *, need_similarity: bool = True,
-                  need_embedding: bool = True, with_jacobians: bool = False,
-                  with_intrinsics: bool = False) -> EdgeEvaluation:
+def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
+                  need_similarity: bool = True, need_embedding: bool = True,
+                  with_jacobians: bool = False, with_intrinsics: bool = False) -> EdgeEvaluation:
     """Evaluate flow and embedding residuals (and optionally Jacobians) for one edge.
 
     The reprojection is computed once and shared between the two terms.
@@ -177,14 +160,14 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics,
         out.cs = np.where(valid_embed, cs, 0.0)
         out.valid_embed = valid_embed
         if need_embedding:
-            r_embed = np.where(valid_embed, _embed_residual_from_cs(cs, embed_cfg), 0.0)
+            r_embed = np.where(valid_embed, _embed_residual_from_cs(cs), 0.0)
             out.r_embed = r_embed
             if with_jacobians:
                 safe_src = np.where(norm_ok, n_src, 1.0)[:, None]
                 safe_smp = np.where(norm_ok, n_smp, 1.0)[:, None]
                 dcs_dz = (z_src / safe_src - cs[:, None] * (z_smp / safe_smp)) / safe_smp
                 dcs_du = np.einsum("nk,nki->ni", dcs_dz, dz_du)
-                scale = np.where(valid_embed, _embed_dresidual_dcs(r_embed, embed_cfg), 0.0)
+                scale = np.where(valid_embed, _embed_dresidual_dcs(r_embed), 0.0)
                 out.je_pose_i = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jf_i)
                 out.je_pose_j = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jf_j)
                 out.je_disp = scale * np.einsum("ni,ni->n", dcs_du, jf_d)
@@ -221,15 +204,15 @@ def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray, c: float):
 def total_energy(graph, config, alphas) -> EnergyBreakdown:
     """Objective value over a keyframe graph at its current state.
 
-    config is a solver.SolverConfig (read for its kernel, embed, reg and
-    lambda_embed fields); alphas holds one per-pixel shape array per edge of
+    config is a solver.SolverConfig (read for its kernel, reg and lambda_embed
+    fields); alphas holds one per-pixel shape array per edge of
     graph.edges, as decided by solver.kernel_alphas.
     """
     e_photo = 0.0
     e_embed = 0.0
     for obs, alpha in zip(graph.edges, alphas, strict=True):
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, config.embed, need_similarity=False,
+                           graph.intrinsics, need_similarity=False,
                            need_embedding=config.lambda_embed != 0.0)
         ep, ee = edge_energies(ev, alpha, config.kernel.c)
         e_photo += ep

@@ -123,13 +123,3 @@ def adaptive_alpha(cs, cfg: KernelConfig):
     out = (cfg.alpha_dynamic - cfg.alpha_static) / (1.0 + np.exp((cs - cfg.kappa) / cfg.tau)) \
         + cfg.alpha_static
     return out if out.ndim else float(out)
-
-
-def fold_weight(w_flow, w_ark):
-    """Combine flow confidence with the robust-kernel weight (plain product)."""
-    w_flow = np.asarray(w_flow, dtype=float)
-    w_ark = np.asarray(w_ark, dtype=float)
-    if np.any(w_flow < 0) or np.any(w_ark < 0):
-        raise ValueError("weights must be non-negative")
-    out = w_flow * w_ark
-    return out if out.ndim else float(out)

@@ -19,8 +19,8 @@ import scipy.linalg
 from . import residuals, robust
 from .geometry import Intrinsics, se3_exp
 from .graph import KeyframeGraph
-from .residuals import (EmbeddingResidualConfig, EnergyBreakdown, RegConfig,
-                        adaptive_edge_alpha, edge_energies, evaluate_edge, total_energy)
+from .residuals import (EnergyBreakdown, RegConfig, adaptive_edge_alpha, edge_energies,
+                        evaluate_edge, total_energy)
 from .robust import KernelConfig
 
 # Levenberg damping schedule: start at LM_INIT, multiply by LM_GROW after a
@@ -39,7 +39,6 @@ MIN_DISPARITY = 1e-6   # disparities are clamped here after every update
 class SolverConfig:
     max_iters: int = 30
     kernel: KernelConfig = field(default_factory=KernelConfig)
-    embed: EmbeddingResidualConfig = field(default_factory=EmbeddingResidualConfig)
     reg: RegConfig = field(default_factory=RegConfig)
     lambda_embed: float = 2.0
     fixed_alpha: float | None = None   # None: similarity-adaptive (ARK) shapes
@@ -50,6 +49,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.fixed_alpha is not None and not math.isfinite(self.fixed_alpha):
             raise ValueError(f"fixed_alpha must be finite or None, got {self.fixed_alpha!r}")
+        if not (math.isfinite(self.lambda_embed) and self.lambda_embed >= 0):
+            raise ValueError(f"lambda_embed must be finite and >= 0, got {self.lambda_embed!r}")
 
 
 @dataclass(eq=False)
@@ -165,8 +166,7 @@ def kernel_alphas(graph: KeyframeGraph, config: SolverConfig) -> list:
     alphas = []
     for obs in graph.edges:
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, config.embed,
-                           need_similarity=True, need_embedding=False)
+                           graph.intrinsics, need_similarity=True, need_embedding=False)
         alphas.append(adaptive_edge_alpha(ev, config.kernel))
     return alphas
 
@@ -229,8 +229,7 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
     need_embedding = config.lambda_embed != 0.0
     for obs, alpha in zip(graph.edges, alphas, strict=True):
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, config.embed,
-                           need_similarity=False, need_embedding=need_embedding,
+                           graph.intrinsics, need_similarity=False, need_embedding=need_embedding,
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
         _check_finite((ev.r_flow, ev.jf_pose_i, ev.jf_pose_j, ev.jf_disp,
                        ev.r_embed, ev.je_pose_i, ev.je_pose_j, ev.je_disp),
@@ -242,7 +241,7 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
 
         r_norm = np.linalg.norm(ev.r_flow, axis=-1)
         w_ark = robust.irls_weight(r_norm, alpha, config.kernel.c)
-        w_flow = robust.fold_weight(ev.confidence, w_ark) * ev.valid_flow
+        w_flow = ev.confidence * w_ark * ev.valid_flow
         # True gradient of lambda * sum w r^2 carries a factor 2.
         w_emb = (2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
                  if need_embedding else None)

@@ -344,7 +344,7 @@ def load_problem_bundle(bundle_dir) -> KeyframeGraph:
 
     def field(obj, key, kind, where):
         value = obj.get(key) if isinstance(obj, dict) else None
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
             raise FileFormatError(f"{graph_path}: {where} field {key!r} is missing or is "
                                   f"not of type {getattr(kind, '__name__', 'number')}")
         return value
@@ -369,7 +369,9 @@ def load_problem_bundle(bundle_dir) -> KeyframeGraph:
         keyframes.append(Keyframe(
             index=index, pose=_pose_from_list(field(entry, "pose_w2c", list, where)),
             disparity=disparity, disparity_prior=prior, features=features,
-            frozen=bool(entry.get("frozen", False)), timestamp=entry.get("timestamp")))
+            frozen=field(entry, "frozen", bool, where) if "frozen" in entry else False,
+            timestamp=(field(entry, "timestamp", (int, float), where)
+                       if "timestamp" in entry else None)))
     edges = []
     for n, entry in enumerate(field(doc, "edges", list, "top-level")):
         where = f"edges[{n}]"

@@ -149,10 +149,15 @@ scene:
         assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
         assert "graph.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("path", [("intrinsics", "0", "fx"), ("keyframes", 1, "features"),
-                                      ("edges", 0, "flow"), ("edges",)],
-                             ids=["camera_fx", "keyframe_features", "edge_flow", "edges"])
-    def test_missing_field_names_graph_json(self, synth_run, tmp_path, capsys, path):
+    # Each case deletes the field at path, or sets it to a value of the wrong type.
+    @pytest.mark.parametrize("path, value", [(("intrinsics", "0", "fx"), None),
+                                             (("keyframes", 1, "features"), None),
+                                             (("edges", 0, "flow"), None), (("edges",), None),
+                                             (("keyframes", 1, "frozen"), "false"),
+                                             (("keyframes", 2, "timestamp"), "soon")],
+                             ids=["camera_fx", "keyframe_features", "edge_flow", "edges",
+                                  "keyframe_frozen_str", "keyframe_timestamp_str"])
+    def test_missing_field_names_graph_json(self, synth_run, tmp_path, capsys, path, value):
         import json
         import shutil
         from semba.tensorio import FileFormatError, load_problem_bundle
@@ -163,13 +168,18 @@ scene:
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        del parent[path[-1]]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
         (broken / "graph.json").write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match=rf"graph\.json: .*'{path[-1]}'"):
             load_problem_bundle(broken)
         assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "graph.json" in err and f"'{path[-1]}'" in err
+        if len(path) == 3 and isinstance(path[1], int):
+            assert f"{path[0]}[{path[1]}]" in err  # the keyframe or edge entry
 
     @pytest.mark.parametrize("section, key, value", WRONG_TYPES, ids=WRONG_TYPE_IDS)
     def test_wrong_value_type_rejected(self, synth_run, tmp_path, capsys, section, key, value):

@@ -21,8 +21,6 @@ scene:
 kernel:
   kappa: 0.4
   tau: 0.2
-embed:
-  mode: angular
 reg:
   alpha_disp: 0.5
 solver:
@@ -36,15 +34,15 @@ evaluation:
         assert cfg.solver.max_iters == 7
         assert cfg.solver.lambda_embed == 1.5
         assert cfg.solver.kernel.kappa == 0.4
-        assert cfg.solver.embed.mode == "angular"
         assert cfg.solver.reg.alpha_disp == 0.5
         assert cfg.evaluation.cloud_stride == 3
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        path.write_text("mystery:\n  a: 1\n")
-        with pytest.raises(ValueError, match="unknown config section"):
-            load_config(path)
+        for text in ("mystery:\n  a: 1\n", "embed:\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="unknown config section"):
+                load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -60,11 +58,15 @@ evaluation:
                                     ("solver", "update_tol", "1e-8"),
                                     ("solver", "min_disparity", "1e-6"),
                                     ("solver", "lambda_photo", "1.0"),
-                                    ("embed", "eps", "1e-6"),
                                     ("scene", "embedding_noise", "0.0"),
                                     ("evaluation", "align", "rigid")):
             path.write_text(f"{section}:\n  {key}: {value}\n")
             with pytest.raises(ValueError, match=f"{section}.{key}"):
+                load_config(path)
+        # The embedding residual has one fixed form and scale: no section selects them.
+        for key, value in (("mode", "angular"), ("lambda_embed", "2.0"), ("eps", "1e-6")):
+            path.write_text(f"embed:\n  {key}: {value}\n")
+            with pytest.raises(ValueError, match="unknown config section.*embed"):
                 load_config(path)
 
     @pytest.mark.parametrize("section, key, value, expected", [
@@ -84,6 +86,12 @@ evaluation:
         ("scene", "depth_range", "[1, 2, 3]", "a list of 2 numbers"),
         ("scene", "depth_range", "[true, 2]", "a list of 2 numbers"),
         ("scene", "depth_range", "null", "a list of 2 numbers"),
+        ("kernel", "c", ".nan", "a finite number"),
+        ("kernel", "kappa", "-.inf", "a finite number"),
+        ("reg", "alpha_disp", ".nan", "a finite number"),
+        ("solver", "lambda_embed", ".inf", "a finite number"),
+        ("solver", "fixed_alpha", ".nan", "a finite number or null"),
+        ("scene", "focal", ".inf", "a finite number or null"),
     ])
     def test_value_of_wrong_type_rejected(self, tmp_path, section, key, value, expected):
         path = tmp_path / "cfg.yaml"

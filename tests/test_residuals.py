@@ -4,9 +4,9 @@ import pytest
 from semba.features import bilinear_sample
 from semba.geometry import Intrinsics, Pose, reproject, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
-from semba.residuals import (EmbeddingResidualConfig, FlowObservation, RegConfig,
-                             disparity_reg_residual, evaluate_edge, grid_pixels, total_energy)
-from semba.robust import KernelConfig, adaptive_alpha, barron_rho, fold_weight, irls_weight
+from semba.residuals import (FlowObservation, RegConfig, disparity_reg_residual, evaluate_edge,
+                             grid_pixels, total_energy)
+from semba.robust import KernelConfig, adaptive_alpha, barron_rho, irls_weight
 from semba.solver import SolverConfig, assemble, kernel_alphas
 from semba.synthscene import SceneConfig, gen_scene
 
@@ -21,8 +21,7 @@ def smooth_map(rng, c=6, h=24, w=32, offset=2.0):
     return m + offset
 
 
-def edge_eval(z_i, z_j, disparity, pose_i, pose_j, cfg=EmbeddingResidualConfig(), intr=K,
-              flow=None, **kwargs):
+def edge_eval(z_i, z_j, disparity, pose_i, pose_j, intr=K, flow=None, **kwargs):
     """evaluate_edge on an edge 0 -> 1 whose keyframes share one disparity map, unit confidence."""
     h, w = disparity.shape
     kf_i = Keyframe(index=0, pose=pose_i, disparity=disparity, disparity_prior=disparity,
@@ -31,7 +30,7 @@ def edge_eval(z_i, z_j, disparity, pose_i, pose_j, cfg=EmbeddingResidualConfig()
                     features=z_j)
     obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)) if flow is None else flow,
                           confidence=np.ones((h, w)))
-    return evaluate_edge(kf_i, kf_j, obs, intr, cfg, **kwargs)
+    return evaluate_edge(kf_i, kf_j, obs, intr, **kwargs)
 
 
 def central_differences(evaluate, n_steps, eps=1e-6):
@@ -77,8 +76,7 @@ class TestFlowResidual:
         for obs in g.edges:
             kf_i, kf_j = g.keyframes[obs.i], g.keyframes[obs.j]
             ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics,
-                               EmbeddingResidualConfig(), need_similarity=False,
-                               need_embedding=False)
+                               need_similarity=False, need_embedding=False)
             used = ev.valid_flow & (ev.confidence > 0)
             assert np.abs(ev.r_flow[used]).max() < 1e-9
 
@@ -121,8 +119,7 @@ class TestEmbeddingResidual:
         g = clean_bundle.to_graph(initial=False)
         for obs in g.edges[:4]:
             kf_i, kf_j = g.keyframes[obs.i], g.keyframes[obs.j]
-            ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics,
-                               EmbeddingResidualConfig())
+            ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics)
             used = ev.valid_embed & (ev.confidence > 0)
             assert used.any()
             assert np.abs(ev.cs[used] - 1.0).max() < 1e-6
@@ -133,21 +130,10 @@ class TestEmbeddingResidual:
         h, w = 8, 8
         z_i = np.zeros((2, h, w)); z_i[0] = 1.0
         z_j = np.zeros((2, h, w)); z_j[1] = 1.0
-        cfg = EmbeddingResidualConfig(mode="photometric", lambda_embed=2.0)
-        ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), Pose.identity(), Pose.identity(), cfg)
+        ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), Pose.identity(), Pose.identity())
         assert ev.valid_embed.all()
         assert ev.cs == pytest.approx(0.0, abs=1e-12)
         assert ev.r_embed == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
-
-    def test_opposite_embeddings_angular(self):
-        h, w = 8, 8
-        z_i = np.ones((1, h, w))
-        z_j = -np.ones((1, h, w))
-        cfg = EmbeddingResidualConfig(mode="angular")
-        ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), Pose.identity(), Pose.identity(), cfg)
-        assert ev.valid_embed.all()
-        assert ev.cs == pytest.approx(-1.0)
-        assert ev.r_embed == pytest.approx(2.0)
 
     def test_invariant_to_positive_rescaling(self, rng):
         z_i = smooth_map(rng)
@@ -160,19 +146,6 @@ class TestEmbeddingResidual:
         assert ev1.cs == pytest.approx(ev0.cs, abs=1e-12)
         assert ev1.r_embed == pytest.approx(ev0.r_embed, abs=1e-12)
 
-    def test_modes_are_monotone_transforms(self, rng):
-        z_i, z_j = smooth_map(rng), smooth_map(rng)
-        d = np.full((24, 32), 0.5)
-        pose_j = se3_exp([0.03, 0.01, 0.0, 0.0, 0.01, 0.0])
-        ev_ang = edge_eval(z_i, z_j, d, Pose.identity(), pose_j,
-                           EmbeddingResidualConfig(mode="angular"))
-        ev_pho = edge_eval(z_i, z_j, d, Pose.identity(), pose_j,
-                           EmbeddingResidualConfig(mode="photometric"))
-        valid = ev_ang.valid_embed & ev_pho.valid_embed
-        order_a = np.argsort(ev_ang.r_embed[valid], kind="stable")
-        order_p = np.argsort(ev_pho.r_embed[valid], kind="stable")
-        assert np.array_equal(order_a, order_p)
-
     def test_zero_norm_embedding_invalid(self):
         h, w = 8, 8
         z_i = np.zeros((2, h, w))
@@ -182,9 +155,9 @@ class TestEmbeddingResidual:
 
 
 class TestEmbeddingJacobian:
-    @pytest.mark.parametrize("mode", ["angular", "photometric"])
+    # One residual form; the parametrization keeps the suite's test id.
+    @pytest.mark.parametrize("mode", ["photometric"])
     def test_matches_finite_differences(self, mode, rng):
-        cfg = EmbeddingResidualConfig(mode=mode)
         checked = 0
         worst = 0.0
         while checked < 100:
@@ -192,15 +165,15 @@ class TestEmbeddingJacobian:
             t_i = se3_exp(rng.normal(0, 0.05, 6))
             t_j = se3_exp(rng.normal(0, 0.05, 6))
             d = rng.uniform(0.3, 1.2, size=(24, 32))
-            ev = edge_eval(z_i, z_j, d, t_i, t_j, cfg, with_jacobians=True)
+            ev = edge_eval(z_i, z_j, d, t_i, t_j, with_jacobians=True)
             _, fd_i, _, ok_i = central_differences(
                 lambda k, h: edge_eval(z_i, z_j, d, se3_exp(h * np.eye(6)[k]).compose(t_i),
-                                       t_j, cfg), 6)
+                                       t_j), 6)
             _, fd_j, _, ok_j = central_differences(
                 lambda k, h: edge_eval(z_i, z_j, d, t_i,
-                                       se3_exp(h * np.eye(6)[k]).compose(t_j), cfg), 6)
+                                       se3_exp(h * np.eye(6)[k]).compose(t_j)), 6)
             _, fd_d, _, ok_d = central_differences(
-                lambda k, h: edge_eval(z_i, z_j, d + h, t_i, t_j, cfg), 1)
+                lambda k, h: edge_eval(z_i, z_j, d + h, t_i, t_j), 1)
             used = (ev.valid_embed & (ev.r_embed >= 1e-3) & ok_i & ok_j & ok_d
                     & off_grid_lines(d, t_i, t_j))
             checked += int(used.sum())
@@ -209,20 +182,18 @@ class TestEmbeddingJacobian:
                 worst = max(worst, block_error(analytic[used], fd[used], 1e-3).max())
         assert worst < 1e-4
 
-    @pytest.mark.parametrize("mode", ["angular", "photometric"])
+    @pytest.mark.parametrize("mode", ["photometric"])
     def test_intrinsics_jacobians_match_finite_differences(self, mode, rng):
-        cfg = EmbeddingResidualConfig(mode=mode)
         worst_flow = worst_embed = 0.0
         for _ in range(4):
             z_i, z_j = smooth_map(rng), smooth_map(rng)
             t_i = se3_exp(rng.normal(0, 0.05, 6))
             t_j = se3_exp(rng.normal(0, 0.05, 6))
             d = rng.uniform(0.3, 1.2, size=(24, 32))
-            ev = edge_eval(z_i, z_j, d, t_i, t_j, cfg, with_jacobians=True,
-                           with_intrinsics=True)
+            ev = edge_eval(z_i, z_j, d, t_i, t_j, with_jacobians=True, with_intrinsics=True)
             base = K.as_array()
             fd_f, fd_e, ok_f, ok_e = central_differences(
-                lambda k, h: edge_eval(z_i, z_j, d, t_i, t_j, cfg,
+                lambda k, h: edge_eval(z_i, z_j, d, t_i, t_j,
                                        intr=Intrinsics.from_array(base + h * np.eye(4)[k])), 4)
             used_f = ev.valid_flow & ok_f
             used_e = ev.valid_embed & (ev.r_embed >= 1e-3) & ok_e & off_grid_lines(d, t_i, t_j)
@@ -245,21 +216,20 @@ class TestEmbeddingJacobian:
         assert np.abs(ev.je_disp[valid]).max() < 1e-12
 
     def test_directional_derivative_sign(self, rng):
-        cfg = EmbeddingResidualConfig(mode="angular")
         d = np.full((24, 32), 0.5)
         checked = 0
         while checked < 10:
             z_i, z_j = smooth_map(rng), smooth_map(rng)
             t_j = se3_exp(rng.normal(0, 0.05, 6))
-            ev = edge_eval(z_i, z_j, d, Pose.identity(), t_j, cfg, with_jacobians=True)
+            ev = edge_eval(z_i, z_j, d, Pose.identity(), t_j, with_jacobians=True)
             norms = np.linalg.norm(ev.je_pose_i, axis=1)
             candidates = np.flatnonzero(ev.valid_embed & (norms >= 1e-6))
             for p in rng.permutation(candidates)[:10 - checked]:
                 checked += 1
                 direction = ev.je_pose_i[p] / norms[p]
                 eps = 1e-6
-                rp = edge_eval(z_i, z_j, d, se3_exp(eps * direction), t_j, cfg).r_embed[p]
-                rm = edge_eval(z_i, z_j, d, se3_exp(-eps * direction), t_j, cfg).r_embed[p]
+                rp = edge_eval(z_i, z_j, d, se3_exp(eps * direction), t_j).r_embed[p]
+                rm = edge_eval(z_i, z_j, d, se3_exp(-eps * direction), t_j).r_embed[p]
                 assert (rp - rm) > 0  # moving along the gradient increases the residual
 
 
@@ -329,8 +299,7 @@ class TestTotalEnergy:
         graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs],
                               intrinsics=bundle.intrinsics)
         kernel = KernelConfig()
-        embed_cfg = EmbeddingResidualConfig()
-        config = SolverConfig(kernel=kernel, embed=embed_cfg, lambda_embed=1.3)
+        config = SolverConfig(kernel=kernel, lambda_embed=1.3)
         got = total_energy(graph, config, kernel_alphas(graph, config))
 
         e_photo = 0.0
@@ -347,7 +316,7 @@ class TestTotalEnergy:
                 norms = np.linalg.norm(z_src) * np.linalg.norm(z_smp)
                 ok_e = ok and np.linalg.norm(z_src) > 1e-8 and np.linalg.norm(z_smp) > 1e-8
                 cs = min(float(z_src @ z_smp) / norms, 1.0) if ok_e else 0.0
-                re = embed_cfg.lambda_embed * np.sqrt(2.0 * (1.0 - cs))
+                re = 2.0 * np.sqrt(2.0 * (1.0 - cs))
                 alpha = adaptive_alpha(cs, kernel) if ok_e else kernel.alpha_static
                 if ok:
                     e_photo += conf[y, x] * barron_rho(np.linalg.norm(r), alpha, kernel.c)
@@ -383,8 +352,7 @@ class TestInvalidPixels:
                         disparity_prior=disparity, features=smooth_map(rng, h=h, w=w))
         obs = FlowObservation(i=0, j=1, flow=rng.normal(0, 0.5, size=(2, h, w)),
                               confidence=rng.uniform(0.2, 1.0, size=(h, w)))
-        ev = evaluate_edge(kf_i, kf_j, obs, K, EmbeddingResidualConfig(),
-                           with_jacobians=True)
+        ev = evaluate_edge(kf_i, kf_j, obs, K, with_jacobians=True)
         dead = ~ev.valid_flow
         _, geometric_ok = reproject(grid_pixels(h, w), disparity.reshape(-1), kf_i.pose,
                                     pose_j, K)
@@ -418,7 +386,7 @@ class TestInvalidPixels:
         kf_j = Keyframe(index=1, pose=se3_exp([0.01, 0, 0, 0, 0, 0]), disparity=disparity,
                         disparity_prior=disparity, features=features_j)
         obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)), confidence=np.ones((h, w)))
-        ev = evaluate_edge(kf_i, kf_j, obs, K, EmbeddingResidualConfig())
+        ev = evaluate_edge(kf_i, kf_j, obs, K)
         p = 2 * w + 3
         assert ev.valid_flow[p]
         assert not ev.valid_embed[p]
@@ -430,6 +398,7 @@ class TestWeights:
         conf = rng.uniform(0, 1, size=50)
         r = rng.uniform(0, 4, size=50)
         alpha = rng.uniform(-2, 2, size=50)
-        w = fold_weight(conf, irls_weight(r, alpha, 1.0))
-        manual = conf * irls_weight(r, alpha, 1.0)
-        assert np.abs(w - manual).max() == 0.0
+        w = conf * irls_weight(r, alpha, 1.0)
+        manual = conf * (r**2 / np.abs(alpha - 2.0) + 1.0) ** (alpha / 2.0 - 1.0)
+        assert np.all(w >= 0.0)
+        assert w == pytest.approx(manual, rel=1e-12, abs=0.0)

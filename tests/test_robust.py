@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semba.robust import (KernelConfig, adaptive_alpha, barron_psi, barron_rho, fold_weight,
-                          irls_weight)
+from semba.robust import KernelConfig, adaptive_alpha, barron_psi, barron_rho, irls_weight
 
 
 class TestBarronRho:
@@ -139,17 +138,6 @@ class TestAdaptiveAlpha:
     def test_range(self, cs):
         val = adaptive_alpha(cs, self.CFG)
         assert self.CFG.alpha_dynamic <= val <= self.CFG.alpha_static
-
-
-class TestFoldWeight:
-    def test_examples(self):
-        assert fold_weight(0.0, 123.0) == 0.0
-        assert fold_weight(1.0, 0.77) == pytest.approx(0.77)
-        assert fold_weight(0.5, 0.64) == pytest.approx(0.32)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            fold_weight(-0.1, 1.0)
 
 
 class TestKernelConfig:

@@ -6,7 +6,7 @@ import pytest
 from semba.evaluation import trajectory_ate
 from semba.geometry import Intrinsics, se3_exp, se3_log
 from semba.graph import KeyframeGraph
-from semba.residuals import EmbeddingResidualConfig, adaptive_edge_alpha, evaluate_edge
+from semba.residuals import adaptive_edge_alpha, evaluate_edge
 from semba.robust import KernelConfig, adaptive_alpha, irls_weight
 from semba.solver import (MIN_DISPARITY, NormalEquations, ProblemLayout, SolverConfig, assemble,
                           kernel_alphas, retract, solve, solve_normal_equations)
@@ -32,8 +32,8 @@ def brute_force_normal_equations(graph, config):
 
     for obs in graph.edges:
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, config.embed,
-                           with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
+                           graph.intrinsics, with_jacobians=True,
+                           with_intrinsics=config.optimize_intrinsics)
         alpha = np.where(ev.valid_embed, adaptive_alpha(ev.cs, config.kernel),
                          config.kernel.alpha_static)
         if config.fixed_alpha is not None:
@@ -228,15 +228,19 @@ class TestKernelAlphas:
         assert len(alphas) == len(graph.edges)
         for alpha, obs in zip(alphas, graph.edges):
             ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                               graph.intrinsics, config.embed, with_jacobians=True)
+                               graph.intrinsics, with_jacobians=True)
             assert np.array_equal(alpha, adaptive_edge_alpha(ev, config.kernel))
         assert np.unique(np.concatenate(alphas)).size > 2  # shapes really vary
 
 
 class TestSolverConfig:
     @pytest.mark.parametrize("options", [{"fixed_alpha": float("inf")},
-                                         {"fixed_alpha": float("nan")}],
-                             ids=["alpha-inf", "alpha-nan"])
+                                         {"fixed_alpha": float("nan")},
+                                         {"lambda_embed": -5.0},
+                                         {"lambda_embed": float("nan")},
+                                         {"lambda_embed": float("inf")}],
+                             ids=["alpha-inf", "alpha-nan", "lambda-negative", "lambda-nan",
+                                  "lambda-inf"])
     def test_config_rejected_before_any_solve(self, options):
         with pytest.raises(ValueError, match=next(iter(options))):
             small_config(**options)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semba.evaluation import trajectory_ate
-from semba.residuals import EmbeddingResidualConfig, evaluate_edge, total_energy
+from semba.residuals import evaluate_edge, total_energy
 from semba.solver import SolverConfig, kernel_alphas
 from semba.synthscene import SceneConfig, gen_scene, inject_dynamics, perturb_init
 
@@ -107,7 +107,7 @@ class TestInjectDynamics:
         cs_vals = []
         for obs in dynamic_bundle.edges:
             ev = evaluate_edge(g.keyframes[obs.i], g.keyframes[obs.j], obs,
-                               dynamic_bundle.intrinsics, EmbeddingResidualConfig())
+                               dynamic_bundle.intrinsics)
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_embed
             cs_vals.append(ev.cs[sel])
         assert np.mean(np.concatenate(cs_vals)) <= 0.1
@@ -117,7 +117,7 @@ class TestInjectDynamics:
         mags = []
         for obs in dynamic_bundle.edges:
             ev = evaluate_edge(g.keyframes[obs.i], g.keyframes[obs.j], obs,
-                               dynamic_bundle.intrinsics, EmbeddingResidualConfig())
+                               dynamic_bundle.intrinsics)
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_flow
             mags.append(np.linalg.norm(ev.r_flow[sel], axis=1))
         mean = np.mean(np.concatenate(mags))
