@@ -3,8 +3,9 @@
 
 Generates dynamic scenes over a set of seeds and solves each with four solver
 variants (adaptive / fixed-l2 kernel, with and without the embedding term),
-reporting per-seed and median trajectory errors. This is the experiment whose
-first run pinned the acceptance-suite ratio threshold.
+reporting per-seed and median trajectory errors next to the median initial
+error, and how many seeds each variant ends worse than it started. This is the
+experiment whose first run pinned the acceptance-suite ratio threshold.
 
 Usage:
     python scripts/run_dynamic_ablation.py [--seeds 10] [--keyframes 6]
@@ -46,6 +47,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     results = {arm: [] for arm in ARMS}
+    init = []
     start = time.time()
     for seed in range(args.seeds):
         cfg = SceneConfig(num_keyframes=args.keyframes, height=args.height,
@@ -54,6 +56,7 @@ def main(argv=None):
                           embedding_decorrelation=args.decorrelation, seed=seed)
         bundle = gen_scene(cfg)
         init_ate = trajectory_ate(bundle.init_poses, bundle.gt_poses, "rigid")
+        init.append(init_ate)
         line = [f"seed {seed}: init {init_ate:.4f}"]
         for arm, kw in ARMS.items():
             opt, _ = solve(bundle.to_graph(initial=True),
@@ -63,9 +66,11 @@ def main(argv=None):
             line.append(f"{arm} {ate:.4f}")
         print("  ".join(line), flush=True)
 
-    print(f"\n{'arm':<14}{'median ATE [m]':>16}")
+    print(f"\n{'arm':<14}{'median ATE [m]':>16}{'worse than start':>18}")
+    print(f"{'initial':<14}{np.median(init):>16.5f}")
     for arm, vals in results.items():
-        print(f"{arm:<14}{np.median(vals):>16.5f}")
+        worse = f"{sum(a > b for a, b in zip(vals, init))}/{len(vals)}"
+        print(f"{arm:<14}{np.median(vals):>16.5f}{worse:>18}")
     ratio = np.median(results["ark"]) / np.median(results["l2"])
     ratio_ne = np.median(results["ark-noembed"]) / np.median(results["l2-noembed"])
     print(f"\nmedian ratio ark/l2 (full pipeline): {ratio:.4f}")
@@ -75,9 +80,9 @@ def main(argv=None):
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["seed"] + list(ARMS))
+            writer.writerow(["seed", "initial"] + list(ARMS))
             for seed in range(args.seeds):
-                writer.writerow([seed] + [results[arm][seed] for arm in ARMS])
+                writer.writerow([seed, init[seed]] + [results[arm][seed] for arm in ARMS])
         print(f"per-seed results written to {args.csv}")
     return 0
 

@@ -225,8 +225,10 @@ def reproject(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics):
 def reprojection_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics):
     """Analytic derivatives of reproject under left-multiplicative twists.
 
-    Returns (d_pose_i (..., 2, 6), d_pose_j (..., 2, 6), d_disparity (..., 2),
-    mu (..., 2), valid (...,)). Twist columns are ordered [v; w].
+    Returns (adjoint (6, 6), d_pose_j (..., 2, 6), d_disparity (..., 2),
+    mu (..., 2), valid (...,)). Twist columns are ordered [v; w]. Pose i enters
+    only through T_ji, and T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji, so the
+    derivative under a twist on T_i is -d_pose_j @ adjoint with adjoint = Ad(T_ji).
     """
     points_j, valid, rot_ji, t_ji, d_safe = _transform(u, disparity, pose_i, pose_j, intrinsics)
     mu = project(points_j, intrinsics)
@@ -241,26 +243,24 @@ def reprojection_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: 
                         axis=-1).reshape(a.shape + (2, 6))
     d_pose_j *= np.array([[intrinsics.fx], [intrinsics.fy]])
 
-    # Perturbing T_i: T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji.
     adjoint = np.zeros((6, 6))
     adjoint[:3, :3] = adjoint[3:, 3:] = rot_ji
     adjoint[:3, 3:] = skew(t_ji) @ rot_ji
-    d_pose_i = -(d_pose_j.reshape(-1, 6) @ adjoint).reshape(d_pose_j.shape)
 
     # X_i = dir / d  =>  dX_j/dd = R_ji dX_i/dd = -(X_j - t_ji) / d
     d_point_disp = (t_ji - points_j) / d_safe[..., None]
     d_disparity = np.einsum("...ij,...j->...i", d_pose_j[..., :3], d_point_disp)
 
-    return d_pose_i, d_pose_j, d_disparity, mu, valid
+    return adjoint, d_pose_j, d_disparity, mu, valid
 
 
-def reprojection_intrinsics_jacobian(u, disparity, mu, d_pose_i, intrinsics: Intrinsics):
+def reprojection_intrinsics_jacobian(u, disparity, mu, d_pose_j, adjoint, intrinsics: Intrinsics):
     """d(reproject)/d[fx, fy, cx, cy], (..., 2, 4).
 
-    mu and d_pose_i are reprojection_jacobian's outputs for the same pixels. The
-    intrinsics enter through the projection in frame j (the direct term) and
-    through the unprojection in frame i. A shift of X_i acts on mu like the
-    translation of a twist on T_i with opposite sign, hence -d_pose_i[..., :3].
+    mu, d_pose_j and adjoint are reprojection_jacobian's outputs for the same
+    pixels. The intrinsics enter through the projection in frame j (the direct
+    term) and through the unprojection in frame i. A shift of X_i moves X_j by
+    R_ji = adjoint[:3, :3] times it, and d_pose_j[..., :3] is d(mu)/dX_j.
     """
     u = np.asarray(u, dtype=float)
     d = np.asarray(disparity, dtype=float)
@@ -281,4 +281,4 @@ def reprojection_intrinsics_jacobian(u, disparity, mu, d_pose_i, intrinsics: Int
     dxi[..., 0, 2] = -1.0 / (k.fx * d_safe)
     dxi[..., 1, 1] = -(u[..., 1] - k.cy) / (k.fy**2 * d_safe)
     dxi[..., 1, 3] = -1.0 / (k.fy * d_safe)
-    return direct - d_pose_i[..., :3] @ dxi
+    return direct + d_pose_j[..., :3] @ adjoint[:3, :3] @ dxi

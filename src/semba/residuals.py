@@ -52,8 +52,8 @@ class RegConfig:
     alpha_disp: float = 1.0
 
     def __post_init__(self):
-        if self.alpha_disp < 0:
-            raise ValueError("alpha_disp must be non-negative")
+        if not (np.isfinite(self.alpha_disp) and self.alpha_disp >= 0):
+            raise ValueError(f"alpha_disp must be finite and >= 0, got {self.alpha_disp!r}")
 
 
 def grid_pixels(height: int, width: int) -> np.ndarray:
@@ -106,14 +106,9 @@ class EdgeEvaluation:
     r_embed: np.ndarray           # (N,)
     cs: np.ndarray                # (N,)
     valid_embed: np.ndarray       # (N,)
-    jf_pose_i: np.ndarray = None  # (N, 2, 6)
-    jf_pose_j: np.ndarray = None
-    jf_disp: np.ndarray = None    # (N, 2)
-    je_pose_i: np.ndarray = None  # (N, 6)
-    je_pose_j: np.ndarray = None
-    je_disp: np.ndarray = None    # (N,)
-    jf_intr: np.ndarray = None    # (N, 2, 4)
-    je_intr: np.ndarray = None    # (N, 4)
+    jf: np.ndarray = None         # (N, 2, 7 or 11) over [disparity | pose j | intrinsics]
+    je: np.ndarray = None         # (N, 7 or 11), same columns
+    adjoint: np.ndarray = None    # (6, 6) Ad(T_ji): pose-i columns = -(pose-j columns) @ adjoint
 
 
 def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
@@ -129,15 +124,17 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
     u = grid_pixels(h, w)
     d = kf_i.disparity.reshape(-1)
 
-    jf_k = None
+    jf = adjoint = None
     if with_jacobians:
-        jf_i, jf_j, jf_d, mu, valid_geo = geometry.reprojection_jacobian(
+        adjoint, jf_j, jf_d, mu, valid_geo = geometry.reprojection_jacobian(
             u, d, kf_i.pose, kf_j.pose, intrinsics)
+        parts = [jf_d[:, :, None], jf_j]
         if with_intrinsics:
-            jf_k = geometry.reprojection_intrinsics_jacobian(u, d, mu, jf_i, intrinsics)
+            parts.append(geometry.reprojection_intrinsics_jacobian(u, d, mu, jf_j, adjoint,
+                                                                   intrinsics))
+        jf = np.concatenate(parts, axis=2)
     else:
         mu, valid_geo = geometry.reproject(u, d, kf_i.pose, kf_j.pose, intrinsics)
-        jf_i = jf_j = jf_d = None
 
     valid_flow = valid_geo & in_bounds(mu, h, w)
     target = obs.flow.reshape(2, -1).T
@@ -148,7 +145,7 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
     out = EdgeEvaluation(
         obs=obs, pixels=u, confidence=conf, r_flow=r_flow, valid_flow=valid_flow,
         r_embed=np.zeros(n), cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool),
-        jf_pose_i=jf_i, jf_pose_j=jf_j, jf_disp=jf_d, jf_intr=jf_k)
+        jf=jf, adjoint=adjoint)
 
     if need_similarity or need_embedding:
         z_src = kf_i.features.reshape(kf_i.features.shape[0], n).T  # u is the row-major grid
@@ -168,11 +165,7 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
                 dcs_dz = (z_src / safe_src - cs[:, None] * (z_smp / safe_smp)) / safe_smp
                 dcs_du = np.einsum("nk,nki->ni", dcs_dz, dz_du)
                 scale = np.where(valid_embed, _embed_dresidual_dcs(r_embed), 0.0)
-                out.je_pose_i = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jf_i)
-                out.je_pose_j = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jf_j)
-                out.je_disp = scale * np.einsum("ni,ni->n", dcs_du, jf_d)
-                if jf_k is not None:
-                    out.je_intr = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jf_k)
+                out.je = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jf)
     return out
 
 

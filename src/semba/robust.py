@@ -34,6 +34,9 @@ class KernelConfig:
     tau: float = 0.1
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.c <= 0 or self.tau <= 0:
             raise ValueError("c and tau must be positive")
         if self.alpha_dynamic > self.alpha_static:

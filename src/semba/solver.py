@@ -171,41 +171,49 @@ def kernel_alphas(graph: KeyframeGraph, config: SolverConfig) -> list:
     return alphas
 
 
-def _accumulate_edge(ne: NormalEquations, kf_index: int, blocks, ev, w_flow, w_emb):
-    """Add the weighted Gauss-Newton terms of one edge out of keyframe kf_index to ne in place.
+def _accumulate_edge(ne: NormalEquations, obs, ev, w_flow, w_emb):
+    """Add the weighted Gauss-Newton terms of edge obs (i -> j) to ne in place.
 
-    blocks: per block of reduced unknowns, (slice or None if frozen or absent, flow
-    Jacobian (N, 2, m), embedding Jacobian (N, m)); w_emb is None without the
-    embedding term. Per pixel the rows (flow x, flow y[, embedding]) are stacked
-    with the pixel's own disparity as column 0, so the pose block, the gradient
-    and the per-pixel [disparity diagonal, coupling row] are one weighted
-    product each. A function of its own so that these per-edge temporaries are
-    freed before the next edge is evaluated, which keeps peak memory flat.
+    w_emb is None without the embedding term. Per pixel the rows (flow x, flow
+    y[, embedding]) of ev's Jacobian [disparity | pose j | intrinsics] give the
+    [disparity diagonal, coupling row] in one batched product, and the edge's
+    pose block and gradient over [pose j | intrinsics] are one weighted product
+    each. L = [[-Ad, I, 0], [0, 0, I]] lifts them once per edge to [pose i |
+    pose j | intrinsics] (H <- L^T H L, g <- L^T g, C <- L^T C), keeping only
+    the columns of non-frozen unknowns. A function of its own so that these
+    per-edge temporaries are freed before the next edge is evaluated, which
+    keeps peak memory flat.
     """
-    blocks = [blk for blk in blocks if blk[0] is not None]
-    cols = np.array([k for s, _, _ in blocks for k in range(s.start, s.stop)], dtype=int)
     layout = ne.layout
-    d_slice = layout.disparity_slice(kf_index)
-    coupling_rows = (layout.coupling_rows[kf_index].start
-                     + np.searchsorted(layout.coupling_cols[kf_index], cols))
-    jac = np.concatenate([ev.jf_disp[:, :, None]] + [jf for _, jf, _ in blocks], axis=2)
-    res = ev.r_flow
+    cols, lift_cols = [], []
+    for s, offset in ((layout.pose_slices[obs.i], 0), (layout.pose_slices[obs.j], 6),
+                      (layout.intrinsics_slice, 12)):
+        if s is not None:
+            cols += range(s.start, s.stop)
+            lift_cols += range(offset, offset + s.stop - s.start)
+    jac, res = ev.jf, ev.r_flow
     weight = np.repeat(w_flow[:, None], 2, axis=1)
     if w_emb is not None:
-        je = np.concatenate([ev.je_disp[:, None]] + [j for _, _, j in blocks], axis=1)
-        jac = np.concatenate([jac, je[:, None, :]], axis=1)
+        jac = np.concatenate([jac, ev.je[:, None, :]], axis=1)
         res = np.concatenate([res, ev.r_embed[:, None]], axis=1)
         weight = np.concatenate([weight, w_emb[:, None]], axis=1)
+    m = jac.shape[2] - 1
+    lift = np.eye(m, m + 6, 6)  # L without its -Ad block
+    lift[:6, :6] = -ev.adjoint
+    lift = lift[:, lift_cols]
 
+    d_slice = layout.disparity_slice(obs.i)
+    coupling_rows = (layout.coupling_rows[obs.i].start
+                     + np.searchsorted(layout.coupling_cols[obs.i], cols))
     w_disp = weight * jac[:, :, 0]
     cross = np.matmul(w_disp[:, None, :], jac)[:, 0, :]
     ne.disp_h[d_slice] += cross[:, 0]
     ne.disp_g[d_slice] += np.sum(w_disp * res, axis=1)
-    ne.coupling[coupling_rows] += cross[:, 1:].T
-    rows = jac[:, :, 1:].reshape(weight.size, cols.size)
+    ne.coupling[coupling_rows] += lift.T @ cross[:, 1:].T
+    rows = jac[:, :, 1:].reshape(weight.size, m)
     weighted = weight.reshape(-1, 1) * rows
-    ne.pose_h[np.ix_(cols, cols)] += rows.T @ weighted
-    ne.pose_g[cols] += weighted.T @ res.reshape(-1)
+    ne.pose_h[np.ix_(cols, cols)] += lift.T @ (rows.T @ weighted) @ lift
+    ne.pose_g[cols] += lift.T @ (weighted.T @ res.reshape(-1))
 
 
 def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquations:
@@ -231,9 +239,7 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
                            graph.intrinsics, need_similarity=False, need_embedding=need_embedding,
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
-        _check_finite((ev.r_flow, ev.jf_pose_i, ev.jf_pose_j, ev.jf_disp,
-                       ev.r_embed, ev.je_pose_i, ev.je_pose_j, ev.je_disp),
-                      obs, "residual/Jacobian")
+        _check_finite((ev.r_flow, ev.jf, ev.r_embed, ev.je), obs, "residual/Jacobian")
 
         ep, ee = edge_energies(ev, alpha, config.kernel.c)
         e_photo += ep
@@ -245,11 +251,7 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
         # True gradient of lambda * sum w r^2 carries a factor 2.
         w_emb = (2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
                  if need_embedding else None)
-
-        blocks = [(layout.pose_slices[obs.i], ev.jf_pose_i, ev.je_pose_i),
-                  (layout.pose_slices[obs.j], ev.jf_pose_j, ev.je_pose_j),
-                  (layout.intrinsics_slice, ev.jf_intr, ev.je_intr)]
-        _accumulate_edge(ne, obs.i, blocks, ev, w_flow, w_emb)
+        _accumulate_edge(ne, obs, ev, w_flow, w_emb)
 
     e_reg = 0.0
     for kf in graph.keyframes:

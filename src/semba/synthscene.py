@@ -62,8 +62,8 @@ class SceneConfig:
         if not 0.0 <= self.embedding_decorrelation <= 1.0:
             raise ValueError("embedding_decorrelation must lie in [0, 1]")
         lo, hi = self.depth_range
-        if not 0 < lo < hi:
-            raise ValueError("depth_range must satisfy 0 < near < far")
+        if not 0 < lo < hi < np.inf:
+            raise ValueError(f"depth_range must satisfy 0 < near < far < inf, got {lo}, {hi}")
         if self.num_classes < 4:
             raise ValueError("need at least 4 classes")
 

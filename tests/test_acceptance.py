@@ -71,12 +71,12 @@ class TestCriterion1Jacobians:
             t_j = se3_exp(rng.normal(0, 0.2, 6))
             u = rng.uniform(5, 55, size=2)
             d = rng.uniform(0.3, 1.5)
-            j_i, j_j, j_d, _, valid = reprojection_jacobian(u, d, t_i, t_j, K)
+            adjoint, j_j, j_d, _, valid = reprojection_jacobian(u, d, t_i, t_j, K)
             if not valid:
                 continue
             checked += 1
             eps = 1e-6
-            for which, analytic in (("i", j_i), ("j", j_j)):
+            for which, analytic in (("i", -j_j @ adjoint), ("j", j_j)):
                 fd = np.zeros((2, 6))
                 for k in range(6):
                     tw = np.zeros(6)
@@ -127,14 +127,15 @@ class TestCriterion1Jacobians:
             used = smooth & ev.valid_embed & (ev.r_embed >= 1e-3)
             checked += int(used.sum())
             fd = np.concatenate([fd_ei, fd_ej, fd_edisp], axis=1)[used]
-            analytic = np.concatenate([ev.je_pose_i, ev.je_pose_j, ev.je_disp[:, None]],
+            # Columns [disparity | pose j]; pose i's are pose j's times -Ad(T_ji).
+            analytic = np.concatenate([-ev.je[:, 1:] @ ev.adjoint, ev.je[:, 1:], ev.je[:, :1]],
                                       axis=1)[used]
             scale = np.maximum(np.abs(fd).max(axis=1), 1e-3)
             worst_embed = max(worst_embed, (np.abs(analytic - fd).max(axis=1) / scale).max())
 
             used = smooth & ev.valid_flow
-            for analytic, fd in ((ev.jf_pose_i, fd_fi), (ev.jf_pose_j, fd_fj),
-                                 (ev.jf_disp[..., None], fd_fdisp)):
+            for analytic, fd in ((-ev.jf[..., 1:] @ ev.adjoint, fd_fi), (ev.jf[..., 1:], fd_fj),
+                                 (ev.jf[..., :1], fd_fdisp)):
                 err = np.abs(analytic[used] - fd[used]).max(axis=(1, 2))
                 scale = np.maximum(np.abs(fd[used]).max(axis=(1, 2)), 1.0)
                 worst_flow = max(worst_flow, (err / scale).max())

@@ -134,6 +134,13 @@ evaluation:
         path.write_text("scene:\n  depth_range: [2.0, 6.0]\n")
         assert load_config(path).scene.depth_range == (2.0, 6.0)
 
+    @pytest.mark.parametrize("value", ["[1.0, .inf]", "[.nan, 5.0]"])
+    def test_non_finite_depth_range_rejected(self, tmp_path, value):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"scene:\n  depth_range: {value}\n")
+        with pytest.raises(ValueError, match="depth_range"):
+            load_config(path)
+
     def test_default_runconfig(self):
         cfg = RunConfig.default()
         assert isinstance(cfg.evaluation, EvalConfig)

@@ -155,7 +155,7 @@ class TestReprojectionJacobian:
             t_i, t_j = random_pose(rng), random_pose(rng)
             u = rng.uniform(5, 55, size=2)
             d = rng.uniform(0.3, 1.5)
-            j_i, j_j, j_d, _, valid = reprojection_jacobian(u, d, t_i, t_j, K)
+            adjoint, j_j, j_d, _, valid = reprojection_jacobian(u, d, t_i, t_j, K)
             if not valid:
                 continue
             checked += 1
@@ -164,7 +164,7 @@ class TestReprojectionJacobian:
             mu_p, _ = reproject(u, d + 1e-6, t_i, t_j, K)
             mu_m, _ = reproject(u, d - 1e-6, t_i, t_j, K)
             fd_d = (mu_p - mu_m) / 2e-6
-            for analytic, fd in ((j_i, fd_i), (j_j, fd_j), (j_d, fd_d)):
+            for analytic, fd in ((-j_j @ adjoint, fd_i), (j_j, fd_j), (j_d, fd_d)):
                 scale = max(np.abs(fd).max(), 1.0)
                 worst = max(worst, np.abs(analytic - fd).max() / scale)
         assert worst < 1e-4, f"worst {worst:.2e}"
@@ -173,9 +173,11 @@ class TestReprojectionJacobian:
         pose = random_pose(rng)
         u = rng.uniform(5, 55, size=(20, 2))
         d = rng.uniform(0.3, 1.5, size=20)
-        j_i, j_j, _, _, valid = reprojection_jacobian(u, d, pose, pose, K)
+        adjoint, j_j, _, _, valid = reprojection_jacobian(u, d, pose, pose, K)
         assert valid.all()
-        assert np.abs(j_i + j_j).max() < 1e-9
+        # The pose-i and pose-j derivatives cancel: Ad(T_ji) = I for T_ji = I.
+        assert np.abs(-j_j @ adjoint + j_j).max() < 1e-9
+        assert np.abs(adjoint - np.eye(6)).max() < 1e-9
 
     def test_pure_rotation_flow_is_depth_independent(self, rng):
         t_i = random_pose(rng)
@@ -192,10 +194,10 @@ class TestReprojectionJacobian:
             t_i, t_j = random_pose(rng), random_pose(rng)
             u = rng.uniform(5, 55, size=2)
             d = rng.uniform(0.3, 1.5)
-            j_i, _, _, mu, valid = reprojection_jacobian(u, d, t_i, t_j, K)
+            adjoint, j_j, _, mu, valid = reprojection_jacobian(u, d, t_i, t_j, K)
             if not valid:
                 continue
-            jk = reprojection_intrinsics_jacobian(u, d, mu, j_i, K)
+            jk = reprojection_intrinsics_jacobian(u, d, mu, j_j, adjoint, K)
             fd = np.zeros((2, 4))
             base = K.as_array()
             for p in range(4):

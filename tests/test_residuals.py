@@ -101,7 +101,7 @@ class TestFlowResidual:
         z = np.ones((1, h, w))
         p = 7 * w + 8
         ev = edge_eval(z, z, np.full((h, w), d), t_i, t_j, flow=flow, with_jacobians=True)
-        slope = np.linalg.norm(ev.jf_disp[p])
+        slope = np.linalg.norm(ev.jf[p, :, 0])
         for delta in (1e-5, 1e-4, 1e-3):
             ev = edge_eval(z, z, np.full((h, w), d + delta), t_i, t_j, flow=flow)
             assert ev.valid_flow[p]
@@ -177,8 +177,9 @@ class TestEmbeddingJacobian:
             used = (ev.valid_embed & (ev.r_embed >= 1e-3) & ok_i & ok_j & ok_d
                     & off_grid_lines(d, t_i, t_j))
             checked += int(used.sum())
-            for analytic, fd in ((ev.je_pose_i, fd_i), (ev.je_pose_j, fd_j),
-                                 (ev.je_disp, fd_d)):
+            # Columns [disparity | pose j]; pose i's are pose j's times -Ad(T_ji).
+            for analytic, fd in ((-ev.je[:, 1:] @ ev.adjoint, fd_i), (ev.je[:, 1:], fd_j),
+                                 (ev.je[:, 0], fd_d)):
                 worst = max(worst, block_error(analytic[used], fd[used], 1e-3).max())
         assert worst < 1e-4
 
@@ -198,9 +199,9 @@ class TestEmbeddingJacobian:
             used_f = ev.valid_flow & ok_f
             used_e = ev.valid_embed & (ev.r_embed >= 1e-3) & ok_e & off_grid_lines(d, t_i, t_j)
             assert used_f.sum() >= 100 and used_e.sum() >= 100
-            worst_flow = max(worst_flow, block_error(ev.jf_intr[used_f], fd_f[used_f], 1.0).max())
+            worst_flow = max(worst_flow, block_error(ev.jf[used_f, :, 7:], fd_f[used_f], 1.0).max())
             worst_embed = max(worst_embed,
-                              block_error(ev.je_intr[used_e], fd_e[used_e], 1e-3).max())
+                              block_error(ev.je[used_e, 7:], fd_e[used_e], 1e-3).max())
         assert worst_flow < 1e-4
         assert worst_embed < 1e-4
 
@@ -211,9 +212,7 @@ class TestEmbeddingJacobian:
                        se3_exp([0.02, 0, 0, 0, 0, 0]), with_jacobians=True)
         valid = ev.valid_embed
         assert valid.any()
-        assert np.abs(ev.je_pose_i[valid]).max() < 1e-12
-        assert np.abs(ev.je_pose_j[valid]).max() < 1e-12
-        assert np.abs(ev.je_disp[valid]).max() < 1e-12
+        assert np.abs(ev.je[valid]).max() < 1e-12
 
     def test_directional_derivative_sign(self, rng):
         d = np.full((24, 32), 0.5)
@@ -222,11 +221,12 @@ class TestEmbeddingJacobian:
             z_i, z_j = smooth_map(rng), smooth_map(rng)
             t_j = se3_exp(rng.normal(0, 0.05, 6))
             ev = edge_eval(z_i, z_j, d, Pose.identity(), t_j, with_jacobians=True)
-            norms = np.linalg.norm(ev.je_pose_i, axis=1)
+            je_pose_i = -ev.je[:, 1:] @ ev.adjoint
+            norms = np.linalg.norm(je_pose_i, axis=1)
             candidates = np.flatnonzero(ev.valid_embed & (norms >= 1e-6))
             for p in rng.permutation(candidates)[:10 - checked]:
                 checked += 1
-                direction = ev.je_pose_i[p] / norms[p]
+                direction = je_pose_i[p] / norms[p]
                 eps = 1e-6
                 rp = edge_eval(z_i, z_j, d, se3_exp(eps * direction), t_j).r_embed[p]
                 rm = edge_eval(z_i, z_j, d, se3_exp(-eps * direction), t_j).r_embed[p]
@@ -252,6 +252,11 @@ class TestDisparityReg:
         d = rng.uniform(0.2, 1.0, size=(4, 4))
         res, _ = disparity_reg_residual(d, d + 0.3, RegConfig(alpha_disp=0.0))
         assert np.abs(res).max() == 0.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_config_rejects_non_finite_or_negative(self, value):
+        with pytest.raises(ValueError, match="alpha_disp must be finite and >= 0"):
+            RegConfig(alpha_disp=value)
 
     def test_invalid_prior_excluded(self):
         d = np.array([[0.5, 0.5]])

@@ -150,3 +150,9 @@ class TestKernelConfig:
             KernelConfig(alpha_static=0.0, alpha_dynamic=1.0)
         with pytest.raises(ValueError):
             KernelConfig(kappa=1.5)
+
+    @pytest.mark.parametrize("field", ["c", "alpha_static", "alpha_dynamic", "kappa", "tau"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            KernelConfig(**{field: value})

@@ -45,28 +45,31 @@ def brute_force_normal_equations(graph, config):
         slot_i = layout.pose_slices[obs.i]
         slot_j = layout.pose_slices[obs.j]
         d_base = layout.n_reduced + obs.i * layout.pixels_per_frame
+        # Columns [disparity | pose j | intrinsics]; pose i's are pose j's times -Ad(T_ji).
+        jf_pose_i = -ev.jf[..., 1:7] @ ev.adjoint
+        je_pose_i = -ev.je[:, 1:7] @ ev.adjoint
         for p in range(ev.pixels.shape[0]):
             for axis in range(2):
                 row = np.zeros(n)
                 if slot_i is not None:
-                    row[slot_i] = ev.jf_pose_i[p, axis]
+                    row[slot_i] = jf_pose_i[p, axis]
                 if slot_j is not None:
-                    row[slot_j] = ev.jf_pose_j[p, axis]
+                    row[slot_j] = ev.jf[p, axis, 1:7]
                 if config.optimize_intrinsics:
-                    row[layout.intrinsics_slice] = ev.jf_intr[p, axis]
-                row[d_base + p] = ev.jf_disp[p, axis]
+                    row[layout.intrinsics_slice] = ev.jf[p, axis, 7:]
+                row[d_base + p] = ev.jf[p, axis, 0]
                 rows_j.append(row)
                 rows_w.append(w_flow[p])
                 rows_r.append(ev.r_flow[p, axis])
             if config.lambda_embed != 0.0:
                 row = np.zeros(n)
                 if slot_i is not None:
-                    row[slot_i] = ev.je_pose_i[p]
+                    row[slot_i] = je_pose_i[p]
                 if slot_j is not None:
-                    row[slot_j] = ev.je_pose_j[p]
-                if config.optimize_intrinsics and ev.je_intr is not None:
-                    row[layout.intrinsics_slice] = ev.je_intr[p]
-                row[d_base + p] = ev.je_disp[p]
+                    row[slot_j] = ev.je[p, 1:7]
+                if config.optimize_intrinsics:
+                    row[layout.intrinsics_slice] = ev.je[p, 7:]
+                row[d_base + p] = ev.je[p, 0]
                 rows_j.append(row)
                 rows_w.append(w_emb[p])
                 rows_r.append(ev.r_embed[p])
@@ -156,6 +159,12 @@ def assert_schur_matches_dense(ne, h, b, lm=1e-4):
     assert np.abs(delta - dense).max() / denom < 1e-8
 
 
+def with_frozen(graph, frozen):
+    """graph with exactly the poses of the keyframe indices in frozen held fixed."""
+    keyframes = [dataclasses.replace(kf, frozen=kf.index in frozen) for kf in graph.keyframes]
+    return KeyframeGraph(keyframes=keyframes, edges=graph.edges, intrinsics=graph.intrinsics)
+
+
 def covisibility_graph(frozen):
     """Five keyframes with temporal and covisibility edges, poses `frozen` held fixed.
 
@@ -165,20 +174,26 @@ def covisibility_graph(frozen):
     """
     bundle = gen_scene(SceneConfig(num_keyframes=5, height=8, width=10, temporal_radius=1,
                                    covis_threshold=0.8, pose_sigma=0.01, seed=3))
-    graph = bundle.to_graph(initial=True)
-    keyframes = [dataclasses.replace(kf, frozen=kf.index in frozen) for kf in graph.keyframes]
-    return KeyframeGraph(keyframes=keyframes, edges=graph.edges, intrinsics=graph.intrinsics)
+    return with_frozen(bundle.to_graph(initial=True), frozen)
 
 
 class TestAssemble:
     def test_matches_dense_brute_force(self, toy_bundle):
         assert_matches_brute_force(toy_bundle.to_graph(initial=True), small_config())
 
-    @pytest.mark.parametrize("options", [{"optimize_intrinsics": True},
-                                         {"fixed_alpha": 1.0}],
-                             ids=["intrinsics", "fixed-kernel"])
-    def test_matches_dense_brute_force_in_other_modes(self, toy_bundle, options):
-        assert_matches_brute_force(toy_bundle.to_graph(initial=True), small_config(**options))
+    # Keyframe 0 is frozen in the toy bundle. Freezing keyframe 1 as well adds
+    # edges with a frozen j and a free i, whose pose block is lifted through
+    # -Ad(T_ji) alone; with every pose frozen only the intrinsics columns remain.
+    @pytest.mark.parametrize("frozen, options", [({0}, {"optimize_intrinsics": True}),
+                                                 ({0}, {"fixed_alpha": 1.0}),
+                                                 ({0, 1}, {}),
+                                                 ({0, 1, 2}, {"optimize_intrinsics": True})],
+                             ids=["intrinsics", "fixed-kernel", "second-frozen-keyframe",
+                                  "intrinsics-only"])
+    def test_matches_dense_brute_force_in_other_modes(self, toy_bundle, frozen, options):
+        graph = with_frozen(toy_bundle.to_graph(initial=True), frozen)
+        ne, h, b = assert_matches_brute_force(graph, small_config(**options))
+        assert_schur_matches_dense(ne, h, b)
 
     def test_symmetric(self, toy_bundle):
         graph, config = toy_bundle.to_graph(initial=True), small_config()
