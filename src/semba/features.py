@@ -1,6 +1,8 @@
 """Dense embedding maps: PCA compression, bilinear sampling.
 
-Feature maps are float arrays of shape (C, H, W), channel-major.
+Feature maps are float arrays of shape (C, H, W). bilinear_sample reads them
+pixel-major, so a (C, H, W) view of a C-contiguous (H, W, C) buffer (as
+graph.Keyframe stores its features) is sampled without a copy.
 """
 
 from __future__ import annotations
@@ -110,22 +112,24 @@ def bilinear_sample(fmap: np.ndarray, u, with_grad: bool = True):
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
 
-    # Pixel-major copy so that each neighbour gather reads C contiguous values.
+    # One gather of the four neighbours (x0, y0), (x1, y0), (x0, y1), (x1, y1) from
+    # the pixel-major map; for a view of a pixel-major buffer this makes no copy.
     flat = np.ascontiguousarray(np.moveaxis(fmap, 0, -1)).reshape(h * w, c)
-    f00 = flat.take(y0 * w + x0, axis=0)   # (..., C)
-    f10 = flat.take(y0 * w + x1, axis=0)
-    f01 = flat.take(y1 * w + x0, axis=0)
-    f11 = flat.take(y1 * w + x1, axis=0)
+    corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], axis=-1)
+    nbr = flat.take(corners, axis=0)   # (..., 4, C)
 
-    wa, wb = (1.0 - a)[..., None], (1.0 - b)[..., None]
-    a, b = a[..., None], b[..., None]
-    values = wa * wb * f00 + a * wb * f10 + wa * b * f01 + a * b * f11
+    wa, wb = 1.0 - a, 1.0 - b
+    # The (..., 1, 4) blend is the same product with or without the gradient, so
+    # both modes return bitwise-equal values.
+    blend = np.stack([wa * wb, a * wb, wa * b, a * b], axis=-1)[..., None, :]
+    values = np.matmul(blend, nbr)[..., 0, :]
     invalid = ~valid
     values[invalid] = 0.0
     if not with_grad:
         return values, None, valid
-    grad_x = wb * (f10 - f00) + b * (f11 - f01)
-    grad_y = wa * (f01 - f00) + a * (f11 - f10)
-    grad = np.stack([grad_x, grad_y], axis=-1)
+    # d(blend)/dx and d(blend)/dy, (..., 2, 4).
+    dblend = np.stack([np.stack([-wb, wb, -b, b], axis=-1),
+                       np.stack([-wa, -a, wa, a], axis=-1)], axis=-2)
+    grad = np.swapaxes(np.matmul(dblend, nbr), -1, -2)   # (..., C, 2)
     grad[invalid] = 0.0
     return values, grad, valid

@@ -7,10 +7,16 @@ Conventions used throughout the package:
   * Pose perturbations are left-multiplicative: T <- se3_exp(delta) @ T.
   * Pixel coordinates are (x, y); dense maps are indexed [y, x].
   * Disparity is inverse depth in 1/meters, 0 meaning invalid.
+
+Pose arithmetic (rotation matrix, composition, inverse, exponential) is done in
+closed form on the stored unit quaternion: the Hamilton product and the
+conjugate. scipy's Rotation serves only the conversions from a rotation matrix
+(Pose.from_matrix) and to a rotation vector (se3_log).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +58,11 @@ class Intrinsics:
 
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """World-to-camera rigid transform (unit quaternion + translation)."""
+    """World-to-camera rigid transform (unit quaternion + translation).
+
+    The quaternion is stored as given when it is unit to round-off; every
+    method works on it in closed form.
+    """
 
     rotation: np.ndarray     # (4,) quaternion (qx, qy, qz, qw)
     translation: np.ndarray  # (3,) meters
@@ -79,7 +89,12 @@ class Pose:
         return Pose(q, mat[:3, 3])
 
     def rotation_matrix(self) -> np.ndarray:
-        return Rotation.from_quat(self.rotation).as_matrix()
+        x, y, z, w = self.rotation.tolist()
+        return np.array([
+            [x * x - y * y - z * z + w * w, 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
+            [2.0 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2.0 * (y * z - x * w)],
+            [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), -x * x - y * y + z * z + w * w],
+        ])
 
     def matrix(self) -> np.ndarray:
         mat = np.eye(4)
@@ -89,22 +104,26 @@ class Pose:
 
     def compose(self, other: "Pose") -> "Pose":
         """Return self o other (other applied first)."""
-        r_a = Rotation.from_quat(self.rotation)
-        r_b = Rotation.from_quat(other.rotation)
-        return Pose((r_a * r_b).as_quat(), r_a.apply(other.translation) + self.translation)
+        ax, ay, az, aw = self.rotation.tolist()
+        bx, by, bz, bw = other.rotation.tolist()
+        q = np.array([aw * bx + ax * bw + ay * bz - az * by,
+                      aw * by - ax * bz + ay * bw + az * bx,
+                      aw * bz + ax * by - ay * bx + az * bw,
+                      aw * bw - ax * bx - ay * by - az * bz])
+        return Pose(q, self.rotation_matrix() @ other.translation + self.translation)
 
     def inverse(self) -> "Pose":
-        r_inv = Rotation.from_quat(self.rotation).inv()
-        return Pose(r_inv.as_quat(), -r_inv.apply(self.translation))
+        x, y, z, w = self.rotation.tolist()
+        return Pose(np.array([-x, -y, -z, w]), self.camera_center())
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform world points (..., 3) into the camera frame."""
         points = np.asarray(points, dtype=float)
-        return Rotation.from_quat(self.rotation).apply(points.reshape(-1, 3)).reshape(points.shape) + self.translation
+        return points @ self.rotation_matrix().T + self.translation
 
     def camera_center(self) -> np.ndarray:
         """Camera position in world coordinates."""
-        return -Rotation.from_quat(self.rotation).inv().apply(self.translation)
+        return -(self.rotation_matrix().T @ self.translation)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -144,8 +163,13 @@ def se3_exp(twist) -> Pose:
     if not np.all(np.isfinite(twist)):
         raise ValueError("twist must be finite")
     v, omega = twist[:3], twist[3:]
-    rot = Rotation.from_rotvec(omega)
-    return Pose(rot.as_quat(), _so3_left_jacobian(omega) @ v)
+    theta = float(np.linalg.norm(omega))
+    # Unit quaternion (sin(theta/2) omega/theta, cos(theta/2)); Taylor series near 0.
+    if theta <= 1e-3:
+        scale = 0.5 - theta**2 / 48.0 + theta**4 / 3840.0
+    else:
+        scale = math.sin(0.5 * theta) / theta
+    return Pose(np.append(scale * omega, math.cos(0.5 * theta)), _so3_left_jacobian(omega) @ v)
 
 
 def se3_log(pose: Pose) -> np.ndarray:

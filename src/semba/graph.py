@@ -16,7 +16,10 @@ class Keyframe:
     """One optimizable vertex: pose, dense disparity, its prior, and embeddings.
 
     Disparity maps and features share the same 1/8-resolution grid. frozen
-    excludes the pose from optimization (disparities stay free).
+    excludes the pose from optimization (disparities stay free). features is
+    stored pixel-major: a (K, H, W) view of a C-contiguous (H, W, K) buffer, so
+    that the K channels of a pixel are adjacent for sampling. A keyframe built
+    from such a view (dataclasses.replace, KeyframeGraph.copy) shares the buffer.
     """
 
     index: int
@@ -41,6 +44,7 @@ class Keyframe:
                 raise ValueError(f"keyframe {self.index}: {name} must be finite and >= 0")
         if not np.all(np.isfinite(self.features)):
             raise ValueError(f"keyframe {self.index}: features must be finite")
+        self.features = np.moveaxis(np.ascontiguousarray(np.moveaxis(self.features, 0, -1)), -1, 0)
         if self.timestamp is None:
             self.timestamp = float(self.index)
 

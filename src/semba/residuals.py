@@ -9,6 +9,7 @@ Validity conventions (enforced here and relied on by the solver):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,19 +57,25 @@ class RegConfig:
             raise ValueError(f"alpha_disp must be finite and >= 0, got {self.alpha_disp!r}")
 
 
+@functools.cache
 def grid_pixels(height: int, width: int) -> np.ndarray:
-    """All integer pixel coordinates of an H x W grid, row-major, as (H*W, 2) floats."""
+    """All integer pixel coordinates of an H x W grid, row-major, as (H*W, 2) floats.
+
+    One read-only array per grid shape, shared by every caller.
+    """
     xs, ys = np.meshgrid(np.arange(width), np.arange(height))
-    return np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(float)
+    u = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(float)
+    u.flags.writeable = False
+    return u
 
 
 def _cosine(z_src, z_sampled):
-    """Cosine similarity of row vectors with degenerate-norm masking."""
-    n_src = np.linalg.norm(z_src, axis=-1)
-    n_smp = np.linalg.norm(z_sampled, axis=-1)
+    """Cosine similarity of (N, C) row vectors with degenerate-norm masking."""
+    n_src = np.sqrt(np.einsum("nc,nc->n", z_src, z_src))
+    n_smp = np.sqrt(np.einsum("nc,nc->n", z_sampled, z_sampled))
     ok = (n_src > _NORM_EPS) & (n_smp > _NORM_EPS)
     denom = np.where(ok, n_src * n_smp, 1.0)
-    cs = np.clip(np.sum(z_src * z_sampled, axis=-1) / denom, -1.0, 1.0)
+    cs = np.clip(np.einsum("nc,nc->n", z_src, z_sampled) / denom, -1.0, 1.0)
     return np.where(ok, cs, 0.0), n_src, n_smp, ok
 
 
@@ -148,7 +155,8 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
         jf=jf, adjoint=adjoint)
 
     if need_similarity or need_embedding:
-        z_src = kf_i.features.reshape(kf_i.features.shape[0], n).T  # u is the row-major grid
+        # u is the row-major grid; for pixel-major features this is a view.
+        z_src = np.moveaxis(kf_i.features, 0, -1).reshape(n, -1)
         # Only the embedding Jacobian reads the sampling gradient.
         z_smp, dz_du, valid_bi = bilinear_sample(kf_j.features, mu,
                                                  with_grad=with_jacobians and need_embedding)

@@ -17,6 +17,7 @@ network's uncertainty at depth edges), which removes them from every term.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,15 @@ class SceneConfig:
             raise ValueError(f"depth_range must satisfy 0 < near < far < inf, got {lo}, {hi}")
         if self.num_classes < 4:
             raise ValueError("need at least 4 classes")
+        if not (math.isfinite(self.magnitude) and self.magnitude > 0):
+            raise ValueError(f"magnitude must be finite and positive (zero baseline is "
+                             f"degenerate), got {self.magnitude!r}")
+        if self.focal is not None and not (math.isfinite(self.focal) and self.focal > 0):
+            raise ValueError(f"focal must be finite and positive or None, got {self.focal!r}")
+        for name in ("flow_sigma", "disparity_sigma", "pose_sigma", "dynamic_motion_px"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def intrinsics(self) -> Intrinsics:
         f = self.focal if self.focal is not None else 0.8 * self.width
@@ -121,8 +131,6 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> Pose:
 
 
 def _trajectory(cfg: SceneConfig, rng: np.random.Generator):
-    if cfg.magnitude <= 0:
-        raise ValueError("trajectory magnitude must be positive (zero baseline is degenerate)")
     lo, hi = cfg.depth_range
     z0 = 0.5 * (lo + hi)
     target = np.array([0.0, 0.0, z0])

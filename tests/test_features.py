@@ -159,3 +159,34 @@ class TestBilinearSample:
         assert valid[:-4].all() and not valid[-4:].any()
         assert np.array_equal(values_only, values)
         assert np.array_equal(valid_only, valid)
+
+    @staticmethod
+    def literal_blend(fmap, x, y):
+        """The four-term blend and its (x, y) derivative at one in-domain point."""
+        _, h, w = fmap.shape
+        x0 = min(max(int(np.floor(x)), 0), max(w - 2, 0))
+        y0 = min(max(int(np.floor(y)), 0), max(h - 2, 0))
+        x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+        a, b = x - x0, y - y0
+        f00, f10, f01, f11 = fmap[:, y0, x0], fmap[:, y0, x1], fmap[:, y1, x0], fmap[:, y1, x1]
+        value = (1 - a) * (1 - b) * f00 + a * (1 - b) * f10 + (1 - a) * b * f01 + a * b * f11
+        grad_x = (1 - b) * (f10 - f00) + b * (f11 - f01)
+        grad_y = (1 - a) * (f01 - f00) + a * (f11 - f10)
+        return value, np.stack([grad_x, grad_y], axis=-1)
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (6, 1), (4, 5)])
+    def test_matches_literal_blend_on_thin_maps(self, rng, h, w):
+        # With H = 1 or W = 1 the far neighbour is the clamped x1 / y1, never the
+        # next flat index, so the derivative across the missing axis is zero
+        # (to rounding) rather than a difference with a pixel of another row.
+        fmap = rng.normal(size=(3, h, w))
+        pixel_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(fmap, 0, -1)), -1, 0)
+        u = rng.uniform(0.0, [w - 1, h - 1], size=(30, 2))
+        u = np.concatenate([u, [[0.0, 0.0], [w - 1, h - 1], [w - 1, 0.0], [0.0, h - 1]]])
+        for m in (fmap, pixel_major):
+            values, grad, valid = bilinear_sample(m, u)
+            assert valid.all()
+            for p, (x, y) in enumerate(u):
+                value, g = self.literal_blend(fmap, x, y)
+                assert np.abs(values[p] - value).max() <= 1e-14
+                assert np.abs(grad[p] - g).max() <= 1e-14

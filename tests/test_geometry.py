@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from semba.geometry import (Intrinsics, Pose, relative_pose, reproject,
                             reprojection_intrinsics_jacobian, reprojection_jacobian, se3_exp,
@@ -64,6 +65,58 @@ class TestSe3:
             omega = (np.pi - 2e-3) * axis
             twist = np.concatenate([rng.normal(0, 0.5, 3), omega])
             assert np.abs(se3_log(se3_exp(twist)) - twist).max() < 1e-9
+
+
+class TestClosedFormPose:
+    """Pose arithmetic against scipy's Rotation as the oracle."""
+
+    @staticmethod
+    def unit_quaternion(rng):
+        q = rng.normal(size=4)
+        return q / np.linalg.norm(q)
+
+    @staticmethod
+    def assert_close(actual, expected):
+        # Rotation entries to 1e-15; translations and points relative to their size.
+        bound = 1e-15 * max(1.0, np.abs(expected).max())
+        assert np.abs(actual - expected).max() <= bound
+
+    def test_methods_match_rotation_oracle(self, rng):
+        for _ in range(200):
+            qa, qb = self.unit_quaternion(rng), self.unit_quaternion(rng)
+            ta, tb, points = rng.normal(size=3), rng.normal(size=3), rng.normal(size=(5, 3))
+            for sign in (1.0, -1.0):
+                a, b = Pose(sign * qa, ta), Pose(qb, tb)
+                r_a, r_b = Rotation.from_quat(sign * qa), Rotation.from_quat(qb)
+                self.assert_close(a.rotation_matrix(), r_a.as_matrix())
+                ab = a.compose(b)
+                self.assert_close(ab.rotation_matrix(), (r_a * r_b).as_matrix())
+                self.assert_close(ab.translation, r_a.apply(tb) + ta)
+                inv = a.inverse()
+                self.assert_close(inv.rotation_matrix(), r_a.inv().as_matrix())
+                self.assert_close(inv.translation, -r_a.inv().apply(ta))
+                self.assert_close(a.apply(points), r_a.apply(points) + ta)
+                self.assert_close(a.apply(points[0]), r_a.apply(points[0]) + ta)
+                self.assert_close(a.camera_center(), -r_a.inv().apply(ta))
+
+    def test_q_and_minus_q_give_the_same_matrix(self, rng):
+        for _ in range(50):
+            q, t = self.unit_quaternion(rng), rng.normal(size=3)
+            assert np.array_equal(Pose(q, t).matrix(), Pose(-q, t).matrix())
+
+    def test_quaternion_stored_as_given(self, rng):
+        for _ in range(50):
+            q = self.unit_quaternion(rng)
+            pose = Pose(q, rng.normal(size=3))
+            assert np.array_equal(pose.rotation, q)
+            assert np.array_equal(pose.inverse().inverse().rotation, q)
+
+    def test_exp_matches_rotation_oracle(self, rng):
+        for scale in (1e-5, 1e-3, 0.5, 2.0):
+            for _ in range(50):
+                omega = rng.normal(0.0, scale, 3)
+                pose = se3_exp(np.concatenate([np.zeros(3), omega]))
+                self.assert_close(pose.rotation_matrix(), Rotation.from_rotvec(omega).as_matrix())
 
 
 class TestRelativePose:

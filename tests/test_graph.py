@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from semba.geometry import Intrinsics, Pose, se3_exp
 from semba.graph import Keyframe, KeyframeGraph, covisibility_fraction, plan_edges
 from semba.residuals import FlowObservation
+from semba.solver import ProblemLayout, SolverConfig, retract
 
 K = Intrinsics(30.0, 30.0, 7.5, 5.5)
 H, W = 12, 16
@@ -85,3 +88,24 @@ class TestKeyframeGraphValidation:
         with pytest.raises(ValueError, match="disparity grid"):
             Keyframe(index=0, pose=Pose.identity(), disparity=np.ones((4, 4)),
                      disparity_prior=np.ones((4, 4)), features=np.ones((2, 5, 4)))
+
+
+class TestKeyframeFeatures:
+    def test_stored_pixel_major_with_the_same_values(self, rng):
+        features = rng.normal(size=(4, H, W))
+        kf = Keyframe(index=0, pose=Pose.identity(), disparity=np.full((H, W), 0.5),
+                      disparity_prior=np.full((H, W), 0.5), features=features)
+        assert kf.features.shape == (4, H, W)
+        assert np.array_equal(kf.features, features)
+        assert np.moveaxis(kf.features, 0, -1).flags.c_contiguous
+
+    def test_replace_copy_and_retract_share_the_buffer(self):
+        graph = KeyframeGraph(keyframes=[make_frame(0), make_frame(1)],
+                              edges=[zero_obs(0, 1), zero_obs(1, 0)], intrinsics=K)
+        config = SolverConfig()
+        moved = retract(graph, np.zeros(ProblemLayout.build(graph, config).n_total), config)
+        for k, kf in enumerate(graph.keyframes):
+            replaced = replace(kf, disparity=kf.disparity + 1.0)
+            for other in (replaced, graph.copy().keyframes[k], moved.keyframes[k]):
+                assert np.shares_memory(other.features, kf.features)
+                assert np.moveaxis(other.features, 0, -1).flags.c_contiguous

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from semba import geometry
 from semba.features import bilinear_sample
 from semba.geometry import Intrinsics, Pose, reproject, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import (FlowObservation, RegConfig, disparity_reg_residual, evaluate_edge,
                              grid_pixels, total_energy)
 from semba.robust import KernelConfig, adaptive_alpha, barron_rho, irls_weight
-from semba.solver import SolverConfig, assemble, kernel_alphas
+from semba.solver import ProblemLayout, SolverConfig, assemble, kernel_alphas, retract
 from semba.synthscene import SceneConfig, gen_scene
 
 K = Intrinsics(40.0, 42.0, 15.5, 11.5)
@@ -407,3 +408,32 @@ class TestWeights:
         manual = conf * (r**2 / np.abs(alpha - 2.0) + 1.0) ** (alpha / 2.0 - 1.0)
         assert np.all(w >= 0.0)
         assert w == pytest.approx(manual, rel=1e-12, abs=0.0)
+
+
+class TestHotPath:
+    def test_edge_evaluation_and_retract_build_no_rotation_or_grid(self, dynamic_bundle,
+                                                                   monkeypatch):
+        # Pose arithmetic on the per-edge path is closed-form quaternion algebra,
+        # and the pixel grid is built once per shape.
+        graph = dynamic_bundle.to_graph(initial=True)
+        config = SolverConfig()
+        obs = graph.edges[0]
+        kf_i, kf_j = graph.keyframes[obs.i], graph.keyframes[obs.j]
+
+        def no_rotation(*args, **kwargs):
+            raise AssertionError("scipy Rotation used on the edge evaluation path")
+
+        # Calling it raises, and so does looking up any of Rotation's constructors on it.
+        monkeypatch.setattr(geometry, "Rotation", no_rotation)
+        ev = evaluate_edge(kf_i, kf_j, obs, graph.intrinsics, with_jacobians=True)
+        assert ev.je is not None and np.isfinite(ev.jf).all()
+        evaluate_edge(kf_i, kf_j, obs, graph.intrinsics, need_similarity=False)
+        layout = ProblemLayout.build(graph, config)
+        delta = np.random.default_rng(3).normal(0.0, 1e-3, layout.n_total)
+        moved = retract(graph, delta, config)
+        assert not np.array_equal(moved.keyframes[1].pose.rotation,
+                                  graph.keyframes[1].pose.rotation)
+
+        h, w = graph.grid_shape
+        assert grid_pixels(h, w) is grid_pixels(h, w)
+        assert not grid_pixels(h, w).flags.writeable

@@ -186,3 +186,19 @@ class TestCrampedScenes:
             assert "cramped" in str(exc) or "classes" in str(exc)
         else:
             assert np.mean([e.confidence.mean() for e in bundle.edges]) > 0.01
+
+
+@pytest.mark.parametrize("field", ["magnitude", "flow_sigma", "disparity_sigma", "pose_sigma",
+                                   "dynamic_motion_px", "focal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_scene_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SceneConfig(num_keyframes=3, height=16, width=16, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("magnitude", -0.1), ("focal", 0.0),
+                                          ("flow_sigma", -1.0), ("disparity_sigma", -1.0),
+                                          ("pose_sigma", -1.0), ("dynamic_motion_px", -1.0)])
+def test_scene_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SceneConfig(num_keyframes=3, height=16, width=16, **{field: value})
