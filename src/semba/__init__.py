@@ -6,7 +6,7 @@ from .evaluation import (LabelSet, SegMetrics, SemanticPointCloud, align_traject
 from .features import PcaModel, bilinear_sample, pca_decode, pca_encode, pca_fit
 from .geometry import (Intrinsics, Pose, relative_pose, reproject, reprojection_jacobian,
                        se3_exp, se3_log)
-from .graph import Keyframe, KeyframeGraph, plan_edges
+from .graph import Keyframe, KeyframeGraph
 from .residuals import FlowObservation, RegConfig, disparity_reg_residual, total_energy
 from .robust import KernelConfig, adaptive_alpha, barron_psi, barron_rho, irls_weight
 from .solver import NormalEquations, SolverConfig, assemble, kernel_alphas, retract, solve

@@ -1,7 +1,8 @@
 """Run configuration: one YAML document with a flat section per module.
 
 Sections and their dataclasses (every field has a documented default; unknown
-sections or keys, values of the wrong type and non-finite numbers are rejected):
+sections or keys and values of the wrong type are rejected, and each dataclass
+rejects out-of-range values, naming the section):
 
     scene:      synthscene.SceneConfig
     solver:     solver.SolverConfig (scalar fields only; nested configs come
@@ -14,7 +15,6 @@ sections or keys, values of the wrong type and non-finite numbers are rejected):
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -46,18 +46,20 @@ class RunConfig:
         return RunConfig(scene=SceneConfig(), solver=SolverConfig(), evaluation=EvalConfig())
 
 
-# Solver fields owned by their own sections.
+# Section name -> dataclass of its keys. The solver section takes the scalar
+# fields of SolverConfig; its nested kernel and reg configs are sections.
+SECTIONS = {"scene": SceneConfig, "kernel": KernelConfig, "reg": RegConfig,
+            "solver": SolverConfig, "evaluation": EvalConfig}
 _SOLVER_NESTED = {"kernel", "reg"}
-# What a YAML value must be, per annotated field type; str fields are checked
-# by their own dataclass, tuple fields take a list of numbers as long as their
-# default.
+# What a YAML value must be, per annotated field type; tuple fields take a
+# list of numbers as long as their default.
 _VALUE_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
                 "bool": (bool, "true or false")}
 
 
 def _check_value(field, value, name):
-    """Raise ValueError unless value fits the field's type (bools only fit bool fields,
-    and float fields take only finite numbers)."""
+    """Raise ValueError unless value has the field's YAML type (bools only fit bool
+    fields); the field's dataclass checks its range."""
     kind = field.type.removesuffix(" | None")
     if kind == "tuple":
         n = len(field.default)
@@ -65,13 +67,11 @@ def _check_value(field, value, name):
                 and all(type(v) in (int, float) for v in value)):
             raise ValueError(f"{name} must be a list of {n} numbers, got {value!r}")
         return
-    if kind not in _VALUE_TYPES or (value is None and field.default is None):
+    if value is None and field.default is None:
         return
     accepted, expected = _VALUE_TYPES[kind]
     if isinstance(value, bool) == (kind == "bool") and isinstance(value, accepted):
-        if kind != "float" or math.isfinite(value):
-            return
-        expected = "a finite number"
+        return
     if field.default is None:
         expected += " or null"
     raise ValueError(f"{name} must be {expected}, got {value!r}")
@@ -79,14 +79,17 @@ def _check_value(field, value, name):
 
 def _build(cls, mapping, section):
     known = {f.name: f for f in fields(cls)}
-    cleaned = {}
     for key, value in mapping.items():
         if key not in known:
             raise ValueError(f"unknown key '{section}.{key}' "
                              f"(known: {', '.join(sorted(known))})")
         _check_value(known[key], value, f"{section}.{key}")
-        cleaned[key] = tuple(value) if known[key].type == "tuple" else value
-    return cls(**cleaned)
+    cleaned = {key: tuple(value) if known[key].type == "tuple" else value
+               for key, value in mapping.items()}
+    try:
+        return cls(**cleaned)
+    except ValueError as exc:
+        raise ValueError(f"{section}: {exc}") from exc
 
 
 def load_config(path=None) -> RunConfig:
@@ -98,8 +101,7 @@ def load_config(path=None) -> RunConfig:
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: config root must be a mapping")
 
-    known_sections = {"scene", "solver", "kernel", "reg", "evaluation"}
-    unknown = set(doc) - known_sections
+    unknown = set(doc) - set(SECTIONS)
     if unknown:
         raise ValueError(f"unknown config section(s): {', '.join(sorted(unknown))}")
     for name, section in doc.items():
@@ -107,16 +109,9 @@ def load_config(path=None) -> RunConfig:
             raise ValueError(f"config section '{name}' must be a mapping")
     doc = {name: section or {} for name, section in doc.items()}
 
-    scene = _build(SceneConfig, doc.get("scene", {}), "scene")
-    kernel = _build(KernelConfig, doc.get("kernel", {}), "kernel")
-    reg = _build(RegConfig, doc.get("reg", {}), "reg")
-
-    solver_map = doc.get("solver", {})
-    bad = _SOLVER_NESTED & set(solver_map)
+    bad = _SOLVER_NESTED & set(doc.get("solver", {}))
     if bad:
         raise ValueError(f"solver.{bad.pop()} belongs in its own top-level section")
-    solver = _build(SolverConfig, solver_map, "solver")
-    solver = dataclasses.replace(solver, kernel=kernel, reg=reg)
-
-    evaluation = _build(EvalConfig, doc.get("evaluation", {}), "evaluation")
-    return RunConfig(scene=scene, solver=solver, evaluation=evaluation)
+    built = {name: _build(cls, doc.get(name, {}), name) for name, cls in SECTIONS.items()}
+    solver = dataclasses.replace(built["solver"], kernel=built["kernel"], reg=built["reg"])
+    return RunConfig(scene=built["scene"], solver=solver, evaluation=built["evaluation"])

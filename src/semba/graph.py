@@ -1,4 +1,4 @@
-"""Keyframe factor graph: vertices, edges and edge planning."""
+"""Keyframe factor graph: vertices and edges."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import geometry
-from .features import in_bounds
 from .geometry import Intrinsics, Pose
 
 
@@ -90,37 +88,3 @@ class KeyframeGraph:
             intrinsics=self.intrinsics,
         )
 
-
-def covisibility_fraction(kf_i: Keyframe, kf_j: Keyframe, intrinsics: Intrinsics,
-                          stride: int = 4) -> float:
-    """Fraction of frame-i pixels (on a strided grid) reprojecting inside frame j."""
-    h, w = kf_i.grid_shape
-    ys, xs = np.mgrid[0:h:stride, 0:w:stride]
-    u = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(float)
-    d = kf_i.disparity[ys, xs].reshape(-1)
-    mu, valid = geometry.reproject(u, d, kf_i.pose, kf_j.pose, intrinsics)
-    ok = valid & in_bounds(mu, h, w)
-    return float(np.mean(ok))
-
-
-def plan_edges(frames, intrinsics, temporal_radius: int = 1, covis_threshold: float = 1.1,
-               covis_stride: int = 4):
-    """Directed edge set: temporal neighbours plus high-covisibility pairs.
-
-    Pairs within temporal_radius are always connected; more distant pairs are
-    connected when the in-bounds reprojection fraction (under the current
-    state) reaches covis_threshold. Both directions are added.
-    """
-    n = len(frames)
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if abs(i - j) <= temporal_radius:
-                pairs.append((i, j))
-            elif covis_threshold <= 1.0:
-                frac = covisibility_fraction(frames[i], frames[j], intrinsics, covis_stride)
-                if frac >= covis_threshold:
-                    pairs.append((i, j))
-    return pairs

@@ -105,8 +105,6 @@ def disparity_reg_residual(disparity, prior, cfg: RegConfig = RegConfig()):
 class EdgeEvaluation:
     """Flattened per-pixel quantities for one directed edge (row-major pixel order)."""
 
-    obs: FlowObservation
-    pixels: np.ndarray            # (N, 2)
     confidence: np.ndarray        # (N,)
     r_flow: np.ndarray            # (N, 2)
     valid_flow: np.ndarray        # (N,)
@@ -150,9 +148,8 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
 
     n = u.shape[0]
     out = EdgeEvaluation(
-        obs=obs, pixels=u, confidence=conf, r_flow=r_flow, valid_flow=valid_flow,
-        r_embed=np.zeros(n), cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool),
-        jf=jf, adjoint=adjoint)
+        confidence=conf, r_flow=r_flow, valid_flow=valid_flow, r_embed=np.zeros(n),
+        cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool), jf=jf, adjoint=adjoint)
 
     if need_similarity or need_embedding:
         # u is the row-major grid; for pixel-major features this is a view.

@@ -1,10 +1,12 @@
 """Self-consistent synthetic scenes for exercising the bundle-adjustment engine.
 
 The generator builds a world surface (fronto-parallel patches hashed on a world
-grid plus a smooth height field), camera trajectories that keep it in view,
-and per-keyframe disparity / embedding maps. Edge flow fields are rendered
-through the exact reprojection chain, so with zero noise the generated state
-is a global optimum of the objective: every valid residual vanishes there.
+grid plus a smooth height field), a camera arc that keeps it in view, and
+per-keyframe disparity / embedding maps. Each keyframe is joined to the
+keyframes within TEMPORAL_RADIUS of its index, in both directions. Edge flow
+fields are rendered noise-free through the exact reprojection chain, so
+without injected dynamics the generated state is a global optimum of the
+objective: every valid residual vanishes there.
 
 Class boundaries are smoothed over a few pixels so the embedding term carries
 usable gradients (hard one-pixel cliffs starve Gauss-Newton). Cross-view
@@ -25,10 +27,19 @@ import numpy as np
 from . import geometry
 from .features import in_bounds
 from .geometry import Intrinsics, Pose, se3_exp
-from .graph import Keyframe, KeyframeGraph, plan_edges
+from .graph import Keyframe, KeyframeGraph
 from .residuals import FlowObservation, grid_pixels
 
 _NEWTON_ITERS = 16
+
+# Fixed scene constants. The flow is noise-free and the initial disparities
+# are the ground truth; pose_sigma perturbs only the initial poses.
+FOCAL_PER_WIDTH = 0.8          # pinhole focal length = 0.8 * width (pixels)
+ARC_SWEEP = 0.4                # radians the camera arc sweeps around the scene
+EMBEDDING_DIM = 16
+NUM_CLASSES = 6
+FEATURE_SMOOTH_RADIUS = 2      # class-boundary blending radius (pixels)
+TEMPORAL_RADIUS = 2            # keyframes within this index distance share both edges
 
 
 @dataclass
@@ -36,21 +47,11 @@ class SceneConfig:
     num_keyframes: int = 8
     height: int = 48
     width: int = 64
-    focal: float = None            # defaults to 0.8 * width
-    trajectory: str = "arc"        # arc | orbit | random-walk
-    magnitude: float = 0.4         # arc: radians of sweep; orbit: ring radius scale; walk: step scale
-    depth_range: tuple = (1.0, 5.0)
-    embedding_dim: int = 16
-    num_classes: int = 6
+    depth_range: tuple = (1.0, 5.0)  # world depth band (meters)
     dynamic_fraction: float = 0.0
     dynamic_motion_px: float = 5.0
     embedding_decorrelation: float = 1.0
-    flow_sigma: float = 0.0
-    disparity_sigma: float = 0.0
     pose_sigma: float = 0.0
-    feature_smooth_radius: int = 2  # class-boundary blending radius (pixels)
-    temporal_radius: int = 2
-    covis_threshold: float = 1.1   # > 1 disables covisibility edges
     seed: int = 0
 
     def __post_init__(self):
@@ -65,20 +66,13 @@ class SceneConfig:
         lo, hi = self.depth_range
         if not 0 < lo < hi < np.inf:
             raise ValueError(f"depth_range must satisfy 0 < near < far < inf, got {lo}, {hi}")
-        if self.num_classes < 4:
-            raise ValueError("need at least 4 classes")
-        if not (math.isfinite(self.magnitude) and self.magnitude > 0):
-            raise ValueError(f"magnitude must be finite and positive (zero baseline is "
-                             f"degenerate), got {self.magnitude!r}")
-        if self.focal is not None and not (math.isfinite(self.focal) and self.focal > 0):
-            raise ValueError(f"focal must be finite and positive or None, got {self.focal!r}")
-        for name in ("flow_sigma", "disparity_sigma", "pose_sigma", "dynamic_motion_px"):
+        for name in ("pose_sigma", "dynamic_motion_px"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def intrinsics(self) -> Intrinsics:
-        f = self.focal if self.focal is not None else 0.8 * self.width
+        f = FOCAL_PER_WIDTH * self.width
         return Intrinsics(f, f, (self.width - 1) / 2.0, (self.height - 1) / 2.0)
 
 
@@ -130,36 +124,19 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> Pose:
                                       [np.zeros((1, 3)), np.ones((1, 1))]]))
 
 
-def _trajectory(cfg: SceneConfig, rng: np.random.Generator):
+def _trajectory(cfg: SceneConfig):
+    """Cameras on an arc of ARC_SWEEP radians, all looking at the depth band's middle."""
+    n = cfg.num_keyframes
     lo, hi = cfg.depth_range
     z0 = 0.5 * (lo + hi)
     target = np.array([0.0, 0.0, z0])
-    n = cfg.num_keyframes
     poses = []
-    if cfg.trajectory == "arc":
-        half = 0.5 * cfg.magnitude
-        for k in range(n):
-            theta = -half + cfg.magnitude * k / (n - 1)
-            center = np.array([z0 * np.sin(theta),
-                               0.1 * cfg.magnitude * np.sin(2.0 * np.pi * k / n),
-                               z0 * (1.0 - np.cos(theta))])
-            poses.append(_look_at(center, target))
-    elif cfg.trajectory == "orbit":
-        radius = 0.3 * z0 * cfg.magnitude
-        for k in range(n):
-            phi = 2.0 * np.pi * k / n
-            center = np.array([radius * np.cos(phi), radius * np.sin(phi), 0.0])
-            poses.append(_look_at(center, target))
-    elif cfg.trajectory == "random-walk":
-        pose = _look_at(np.zeros(3), target)
-        poses.append(pose)
-        for _ in range(n - 1):
-            step = np.concatenate([rng.normal(0.0, 0.08 * cfg.magnitude, 3),
-                                   rng.normal(0.0, 0.03 * cfg.magnitude, 3)])
-            pose = se3_exp(step).compose(pose)
-            poses.append(pose)
-    else:
-        raise ValueError(f"unknown trajectory kind {cfg.trajectory!r}")
+    for k in range(n):
+        theta = -0.5 * ARC_SWEEP + ARC_SWEEP * k / (n - 1)
+        center = np.array([z0 * np.sin(theta),
+                           0.1 * ARC_SWEEP * np.sin(2.0 * np.pi * k / n),
+                           z0 * (1.0 - np.cos(theta))])
+        poses.append(_look_at(center, target))
     return poses
 
 
@@ -191,14 +168,13 @@ class _WorldSurface:
         # Cap the boundary smoothing on small grids, then size the class cells
         # (in image pixels at the reference depth) to at least twice the purity
         # window so confident interiors survive the masking.
-        self.smooth_radius = max(1, min(cfg.feature_smooth_radius,
+        self.smooth_radius = max(1, min(FEATURE_SMOOTH_RADIUS,
                                         cfg.width // 12, cfg.height // 12))
         cell_px = max(cfg.width / 6.0, 2.0 * (2 * self.smooth_radius + 1))
         self.cell = self.z0 * cell_px / k.fx
         self.patch_amp = 0.15 * (hi - lo)
         self.smooth_amp = 0.04 * (hi - lo)
         self.salt = np.uint64(rng.integers(1, 2**31))
-        self.num_classes = cfg.num_classes
         self.freq = rng.uniform(0.7, 1.3, size=3)
         self.phase = rng.uniform(0.0, 2.0 * np.pi, size=3)
 
@@ -214,7 +190,7 @@ class _WorldSurface:
         return np.floor(x / self.cell).astype(np.int64), np.floor(y / self.cell).astype(np.int64)
 
     def cell_class(self, ix, iy):
-        return (self._hash(ix, iy) % np.uint64(self.num_classes)).astype(int)
+        return (self._hash(ix, iy) % np.uint64(NUM_CLASSES)).astype(int)
 
     def cell_offset(self, ix, iy):
         frac = ((self._hash(ix, iy) >> np.uint64(8)) % np.uint64(4096)).astype(float) / 4095.0
@@ -328,16 +304,16 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
     The order of randomness consumption is fixed by independent child seeds,
     so toggling one knob never reshuffles the others.
     """
-    # A child's stream depends on its position, so the unused fourth child
-    # stays in place to keep every other stream's numbers.
+    # A child's stream depends on its position, so the unused second (once
+    # the random-walk trajectory), fourth and fifth (once the flow noise)
+    # children stay in place to keep every other stream's numbers.
     seeds = np.random.SeedSequence(cfg.seed).spawn(6)
-    rng_vec, rng_traj, rng_surf, _, rng_flow_noise, rng_init = \
-        (np.random.default_rng(s) for s in seeds)
+    rng_vec, _, rng_surf, _, _, rng_init = (np.random.default_rng(s) for s in seeds)
 
     intr = cfg.intrinsics()
     h, w = cfg.height, cfg.width
-    class_vectors = _class_vectors(rng_vec, cfg.num_classes, cfg.embedding_dim)
-    gt_poses = _trajectory(cfg, rng_traj)
+    class_vectors = _class_vectors(rng_vec, NUM_CLASSES, EMBEDDING_DIM)
+    gt_poses = _trajectory(cfg)
     surface = _WorldSurface(cfg, rng_surf)
 
     gt_disparity, features, labels, purity = [], [], [], []
@@ -355,13 +331,8 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
     if len(np.unique(np.concatenate([l.reshape(-1) for l in labels]))) < 4:
         raise ValueError("scene shows fewer than 4 classes; enlarge the grid or field of view")
 
-    frames = [Keyframe(index=k, pose=gt_poses[k], disparity=gt_disparity[k],
-                       disparity_prior=gt_disparity[k], features=features[k])
-              for k in range(cfg.num_keyframes)]
-    pairs = plan_edges(frames, intr, cfg.temporal_radius, cfg.covis_threshold)
-    if not pairs:
-        raise ValueError("edge planning produced no edges")
-
+    n = cfg.num_keyframes
+    pairs = [(i, j) for i in range(n) for j in range(n) if 0 < abs(i - j) <= TEMPORAL_RADIUS]
     u = grid_pixels(h, w)
     edges = []
     for i, j in pairs:
@@ -371,15 +342,12 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
         flow = np.where(usable[:, None], mu - u, 0.0)
         conf = _edge_confidence(mu, labels[i].reshape(-1), purity[i].reshape(-1),
                                 labels[j], purity[j], usable)
-        flow_map = flow.T.reshape(2, h, w)
-        if cfg.flow_sigma > 0:
-            flow_map = flow_map + rng_flow_noise.normal(0.0, cfg.flow_sigma, size=flow_map.shape)
-        edges.append(FlowObservation(i=i, j=j, flow=flow_map,
+        edges.append(FlowObservation(i=i, j=j, flow=flow.T.reshape(2, h, w),
                                      confidence=conf.reshape(h, w).astype(float)))
 
     if np.mean([e.confidence.mean() for e in edges]) <= 0.01:
         raise ValueError("scene too cramped: almost no confident pixels survive the "
-                         "boundary masking; enlarge the grid or reduce feature_smooth_radius")
+                         "boundary masking; enlarge the grid")
 
     bundle = SceneBundle(
         config=cfg, intrinsics=intr, class_vectors=class_vectors,
@@ -387,15 +355,14 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
         gt_disparity=gt_disparity, prior_disparity=[d.copy() for d in gt_disparity],
         init_disparity=[d.copy() for d in gt_disparity],
         features=features, labels=labels,
-        dynamic_masks=[np.zeros((h, w), dtype=bool) for _ in range(cfg.num_keyframes)],
+        dynamic_masks=[np.zeros((h, w), dtype=bool) for _ in range(n)],
         edges=edges)
 
     if cfg.dynamic_fraction > 0:
         bundle = inject_dynamics(bundle, cfg.dynamic_fraction, cfg.dynamic_motion_px,
                                  cfg.embedding_decorrelation)
-    if cfg.pose_sigma > 0 or cfg.disparity_sigma > 0:
-        bundle = perturb_init(bundle, cfg.pose_sigma, cfg.disparity_sigma,
-                              seed=int(rng_init.integers(2**31)))
+    if cfg.pose_sigma > 0:
+        bundle = perturb_init(bundle, cfg.pose_sigma, seed=int(rng_init.integers(2**31)))
     return bundle
 
 
@@ -461,10 +428,9 @@ def inject_dynamics(bundle: SceneBundle, fraction: float, motion_px: float,
                 obs.flow[1][sel] += delta[1]
 
     if decorrelation > 0:
-        k = bundle.config.embedding_dim
         kernel = np.array([1.0, 2.0, 3.0, 2.0, 1.0]) / 9.0
         for feat in out.features:
-            fresh = rng.normal(size=(n_blobs, k))
+            fresh = rng.normal(size=(n_blobs, EMBEDDING_DIM))
             fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
             for blob in range(n_blobs):
                 # Ramped blend weight: spatially coherent object feature with
@@ -477,16 +443,13 @@ def inject_dynamics(bundle: SceneBundle, fraction: float, motion_px: float,
     return out
 
 
-def perturb_init(bundle: SceneBundle, pose_sigma: float, disparity_sigma: float,
-                 seed: int = 0) -> SceneBundle:
-    """Produce the solver's starting state: noisy poses and disparities, truth retained.
+def perturb_init(bundle: SceneBundle, pose_sigma: float, seed: int = 0) -> SceneBundle:
+    """Produce the solver's starting state: noisy poses, truth retained.
 
-    Keyframe 0 is the gauge anchor and keeps its pose. Disparities are scaled
-    by (1 + N(0, sigma^2)) and clamped positive; the prior stays untouched, so
-    a nonzero disparity_sigma shows up as prior energy at the initial state.
+    Keyframe 0 is the gauge anchor and keeps its pose.
     """
-    if pose_sigma < 0 or disparity_sigma < 0:
-        raise ValueError("noise scales must be non-negative")
+    if pose_sigma < 0:
+        raise ValueError("pose_sigma must be non-negative")
     out = copy.deepcopy(bundle)
     rng = np.random.default_rng(seed)
     init_poses = [bundle.gt_poses[0]]
@@ -495,10 +458,4 @@ def perturb_init(bundle: SceneBundle, pose_sigma: float, disparity_sigma: float,
             pose = se3_exp(rng.normal(0.0, pose_sigma, 6)).compose(pose)
         init_poses.append(pose)
     out.init_poses = init_poses
-    init_disp = []
-    for d in bundle.init_disparity:
-        if disparity_sigma > 0:
-            d = np.maximum(d * (1.0 + rng.normal(0.0, disparity_sigma, size=d.shape)), 1e-6)
-        init_disp.append(d.copy())
-    out.init_disparity = init_disp
     return out

@@ -18,10 +18,11 @@ WRONG_TYPES = [("solver", "max_iters", "abc"), ("solver", "max_iters", "2.5"),
                ("solver", "max_iters", "true"), ("scene", "height", '"48"'),
                ("solver", "fixed_alpha", "abc"), ("reg", "alpha_disp", "abc"),
                ("solver", "optimize_intrinsics", "1"), ("scene", "depth_range", "5"),
-               ("scene", "depth_range", '[1, "a"]')]
+               ("scene", "depth_range", '[1, "a"]'), ("scene", "pose_sigma", "[1, 2]"),
+               ("kernel", "c", '"a"')]
 WRONG_TYPE_IDS = ["max_iters-str", "max_iters-float", "max_iters-bool", "height-str",
                   "fixed_alpha-str", "alpha_disp-str", "optimize_intrinsics-int",
-                  "depth_range-int", "depth_range-str-item"]
+                  "depth_range-int", "depth_range-str-item", "pose_sigma-list", "c-str"]
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,13 @@ scene:
         bad = write_config(tmp_path / "bad.yaml", f"{section}:\n  {key}: {value}\n")
         assert main(["ba", str(bundle), str(tmp_path / "out"), "--config", bad]) == 1
         assert f"error: {section}.{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_value_rejected_before_any_work(self, synth_run, tmp_path, capsys):
+        root, cfg, bundle = synth_run
+        bad = write_config(tmp_path / "bad.yaml", "kernel:\n  c: .nan\n")
+        assert main(["ba", str(bundle), str(tmp_path / "out"), "--config", bad]) == 1
+        assert "error: kernel: c must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_pca_decodes_exported_embeddings(self, synth_run, tmp_path, rng):

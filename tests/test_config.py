@@ -1,6 +1,29 @@
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from semba.config import EvalConfig, RunConfig, load_config
+from semba.config import SECTIONS, EvalConfig, RunConfig, load_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_keys():
+    """section.key names of README's configuration table; a cell such as
+    `kernel.alpha_static` / `alpha_dynamic` names two keys of one section."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| section.key | default | meaning |") + 2
+    keys = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        section = None
+        for name in line.split("|")[1].split(" / "):
+            name = name.strip().strip("`")
+            if "." in name:
+                section, name = name.split(".")
+            keys.append(f"{section}.{name}")
+    return keys
 
 
 class TestLoadConfig:
@@ -59,6 +82,17 @@ evaluation:
                                     ("solver", "min_disparity", "1e-6"),
                                     ("solver", "lambda_photo", "1.0"),
                                     ("scene", "embedding_noise", "0.0"),
+                                    # Fixed scene constants, not settings.
+                                    ("scene", "focal", "40.0"),
+                                    ("scene", "trajectory", "orbit"),
+                                    ("scene", "magnitude", "0.4"),
+                                    ("scene", "embedding_dim", "16"),
+                                    ("scene", "num_classes", "6"),
+                                    ("scene", "flow_sigma", "0.0"),
+                                    ("scene", "disparity_sigma", "0.0"),
+                                    ("scene", "feature_smooth_radius", "2"),
+                                    ("scene", "temporal_radius", "2"),
+                                    ("scene", "covis_threshold", "1.1"),
                                     ("evaluation", "align", "rigid")):
             path.write_text(f"{section}:\n  {key}: {value}\n")
             with pytest.raises(ValueError, match=f"{section}.{key}"):
@@ -78,7 +112,7 @@ evaluation:
         ("reg", "alpha_disp", "abc", "a number"),
         ("kernel", "kappa", "true", "a number"),
         ("solver", "fixed_alpha", "abc", "a number or null"),
-        ("scene", "focal", "[1, 2]", "a number or null"),
+        ("solver", "fixed_alpha", "[1, 2]", "a number or null"),
         ("solver", "optimize_intrinsics", "1", "true or false"),
         ("solver", "optimize_intrinsics", '"yes"', "true or false"),
         ("scene", "depth_range", "5", "a list of 2 numbers"),
@@ -86,17 +120,27 @@ evaluation:
         ("scene", "depth_range", "[1, 2, 3]", "a list of 2 numbers"),
         ("scene", "depth_range", "[true, 2]", "a list of 2 numbers"),
         ("scene", "depth_range", "null", "a list of 2 numbers"),
-        ("kernel", "c", ".nan", "a finite number"),
-        ("kernel", "kappa", "-.inf", "a finite number"),
-        ("reg", "alpha_disp", ".nan", "a finite number"),
-        ("solver", "lambda_embed", ".inf", "a finite number"),
-        ("solver", "fixed_alpha", ".nan", "a finite number or null"),
-        ("scene", "focal", ".inf", "a finite number or null"),
     ])
     def test_value_of_wrong_type_rejected(self, tmp_path, section, key, value, expected):
         path = tmp_path / "cfg.yaml"
         path.write_text(f"{section}:\n  {key}: {value}\n")
         with pytest.raises(ValueError, match=f"{section}.{key} must be {expected}, got"):
+            load_config(path)
+
+    # The dataclasses check the range; the loader names the section.
+    @pytest.mark.parametrize("section, key, value", [
+        ("kernel", "c", ".nan"),
+        ("kernel", "kappa", "-.inf"),
+        ("reg", "alpha_disp", ".nan"),
+        ("solver", "lambda_embed", ".inf"),
+        ("solver", "fixed_alpha", ".nan"),
+        ("solver", "fixed_alpha", ".inf"),
+        ("scene", "pose_sigma", ".nan"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, section, key, value):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"{section}:\n  {key}: {value}\n")
+        with pytest.raises(ValueError, match=f"^{section}: {key} must be finite"):
             load_config(path)
 
     @pytest.mark.parametrize("section, key, value, attr", [
@@ -105,7 +149,7 @@ evaluation:
         ("reg", "alpha_disp", "0.25", 0.25),
         ("solver", "fixed_alpha", "null", None),
         ("solver", "fixed_alpha", "-2", -2),
-        ("scene", "focal", "40.5", 40.5),
+        ("solver", "fixed_alpha", "0.5", 0.5),
         ("solver", "optimize_intrinsics", "true", True),
     ])
     def test_value_of_field_type_accepted(self, tmp_path, section, key, value, attr):
@@ -140,6 +184,12 @@ evaluation:
         path.write_text(f"scene:\n  depth_range: {value}\n")
         with pytest.raises(ValueError, match="depth_range"):
             load_config(path)
+
+    def test_readme_table_names_every_accepted_key(self):
+        # Nested solver fields (kernel, reg) are sections of their own.
+        accepted = [f"{section}.{f.name}" for section, cls in SECTIONS.items()
+                    for f in fields(cls) if f.name not in SECTIONS]
+        assert sorted(readme_config_keys()) == sorted(accepted)
 
     def test_default_runconfig(self):
         cfg = RunConfig.default()

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semba.geometry import Intrinsics, Pose, se3_exp
-from semba.graph import Keyframe, KeyframeGraph, covisibility_fraction, plan_edges
+from semba.geometry import Intrinsics, Pose
+from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import FlowObservation
 from semba.solver import ProblemLayout, SolverConfig, retract
 
@@ -12,9 +12,9 @@ K = Intrinsics(30.0, 30.0, 7.5, 5.5)
 H, W = 12, 16
 
 
-def make_frame(index, pose=None, rng=None):
-    rng = rng or np.random.default_rng(index)
-    return Keyframe(index=index, pose=pose or Pose.identity(),
+def make_frame(index):
+    rng = np.random.default_rng(index)
+    return Keyframe(index=index, pose=Pose.identity(),
                     disparity=np.full((H, W), 0.5),
                     disparity_prior=np.full((H, W), 0.5),
                     features=rng.normal(size=(4, H, W)) + 2.0)
@@ -22,43 +22,6 @@ def make_frame(index, pose=None, rng=None):
 
 def zero_obs(i, j):
     return FlowObservation(i=i, j=j, flow=np.zeros((2, H, W)), confidence=np.ones((H, W)))
-
-
-class TestPlanEdges:
-    def test_chain_radius_one(self):
-        frames = [make_frame(k) for k in range(3)]
-        pairs = plan_edges(frames, K, temporal_radius=1, covis_threshold=1.1)
-        assert sorted(pairs) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-
-    def test_large_radius_complete_digraph(self):
-        n = 4
-        frames = [make_frame(k) for k in range(n)]
-        pairs = plan_edges(frames, K, temporal_radius=n, covis_threshold=1.1)
-        assert len(pairs) == n * (n - 1)
-        assert all(i != j for i, j in pairs)
-
-    def test_unsatisfiable_covis_threshold(self):
-        frames = [make_frame(k) for k in range(5)]
-        pairs = plan_edges(frames, K, temporal_radius=1, covis_threshold=1.1)
-        assert all(abs(i - j) <= 1 for i, j in pairs)
-
-    def test_covisibility_adds_distant_edges(self):
-        # Identical poses see identical footprints: fraction 1 connects everything.
-        frames = [make_frame(k) for k in range(4)]
-        pairs = plan_edges(frames, K, temporal_radius=1, covis_threshold=0.99)
-        assert (0, 3) in pairs and (3, 0) in pairs
-
-
-class TestCovisibility:
-    def test_identical_views(self):
-        a, b = make_frame(0), make_frame(1)
-        assert covisibility_fraction(a, b, K) == 1.0
-
-    def test_disjoint_views(self):
-        a = make_frame(0)
-        away = se3_exp([0.0, 0.0, 0.0, 0.0, np.pi / 2.5, 0.0])
-        b = make_frame(1, pose=away)
-        assert covisibility_fraction(a, b, K) < 0.5
 
 
 class TestKeyframeGraphValidation:

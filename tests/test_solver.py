@@ -10,7 +10,7 @@ from semba.residuals import adaptive_edge_alpha, evaluate_edge
 from semba.robust import KernelConfig, adaptive_alpha, irls_weight
 from semba.solver import (MIN_DISPARITY, NormalEquations, ProblemLayout, SolverConfig, assemble,
                           kernel_alphas, retract, solve, solve_normal_equations)
-from semba.synthscene import SceneConfig, gen_scene
+from semba.synthscene import TEMPORAL_RADIUS, SceneConfig, gen_scene
 
 
 def small_config(**kw):
@@ -48,7 +48,7 @@ def brute_force_normal_equations(graph, config):
         # Columns [disparity | pose j | intrinsics]; pose i's are pose j's times -Ad(T_ji).
         jf_pose_i = -ev.jf[..., 1:7] @ ev.adjoint
         je_pose_i = -ev.je[:, 1:7] @ ev.adjoint
-        for p in range(ev.pixels.shape[0]):
+        for p in range(ev.confidence.size):
             for axis in range(2):
                 row = np.zeros(n)
                 if slot_i is not None:
@@ -165,16 +165,17 @@ def with_frozen(graph, frozen):
     return KeyframeGraph(keyframes=keyframes, edges=graph.edges, intrinsics=graph.intrinsics)
 
 
-def covisibility_graph(frozen):
-    """Five keyframes with temporal and covisibility edges, poses `frozen` held fixed.
+def gapped_graph(frozen):
+    """Five keyframes without the edge (1, 2), poses `frozen` held fixed.
 
-    Covisibility edges join frames that are not neighbours, so the keyframes
-    couple to uneven sets of poses; keyframe 1 has the edge (1, 4) but not
-    (1, 3), so its coupled unknowns have a gap.
+    Edges join frames up to two indices apart, so the keyframes couple to
+    uneven sets of poses; keyframe 1 has the edge (1, 3) but not (1, 2), so its
+    coupled unknowns have a gap.
     """
-    bundle = gen_scene(SceneConfig(num_keyframes=5, height=8, width=10, temporal_radius=1,
-                                   covis_threshold=0.8, pose_sigma=0.01, seed=3))
-    return with_frozen(bundle.to_graph(initial=True), frozen)
+    graph = gen_scene(SceneConfig(num_keyframes=5, height=8, width=10, pose_sigma=0.01,
+                                  seed=3)).to_graph(initial=True)
+    graph.edges = [obs for obs in graph.edges if (obs.i, obs.j) != (1, 2)]
+    return with_frozen(graph, frozen)
 
 
 class TestAssemble:
@@ -269,14 +270,16 @@ class TestSchurSolve:
         assert ne.layout.n_total <= 500
         assert_schur_matches_dense(ne, *ne.to_dense())
 
+    # Keyframe 1 couples to poses 1 and 3 with the free pose 2 between them, so
+    # the second frozen keyframe is 4: freezing 2 would close the gap.
     @pytest.mark.parametrize("frozen, options", [
         ({0}, {}),
-        ({0, 2}, {}),
+        ({0, 4}, {}),
         ({0}, {"optimize_intrinsics": True}),
         (set(range(5)), {}),
     ], ids=["covisibility", "frozen-keyframe", "intrinsics", "all-poses-frozen"])
     def test_uneven_coupling_blocks_match_dense_oracle(self, frozen, options):
-        graph = covisibility_graph(frozen)
+        graph = gapped_graph(frozen)
         config = small_config(**options)
         assert any(abs(obs.i - obs.j) > 1 for obs in graph.edges)
         ne, h_ref, b_ref = assert_matches_brute_force(graph, config)
@@ -293,12 +296,11 @@ class TestSchurSolve:
 
 class TestCouplingMemory:
     def test_coupling_rows_grow_linearly_in_keyframes(self):
-        radius, h, w = 2, 8, 10
+        radius, h, w = TEMPORAL_RADIUS, 8, 10
         config = small_config(fixed_alpha=2.0)
         nbytes = []
         for k in (8, 16):
-            graph = gen_scene(SceneConfig(num_keyframes=k, height=h, width=w,
-                                          temporal_radius=radius, seed=3)).to_graph()
+            graph = gen_scene(SceneConfig(num_keyframes=k, height=h, width=w, seed=3)).to_graph()
             ne = assemble(graph, config, kernel_alphas(graph, config))
             # Frame f couples to the free poses within the temporal radius.
             r = [6 * sum(not graph.keyframes[m].frozen
