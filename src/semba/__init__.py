@@ -10,6 +10,6 @@ from .graph import Keyframe, KeyframeGraph
 from .residuals import FlowObservation, RegConfig, disparity_reg_residual, total_energy
 from .robust import KernelConfig, adaptive_alpha, barron_psi, barron_rho, irls_weight
 from .solver import NormalEquations, SolverConfig, assemble, kernel_alphas, retract, solve
-from .synthscene import SceneBundle, SceneConfig, gen_scene, inject_dynamics, perturb_init
+from .synthscene import SceneBundle, SceneConfig, gen_scene
 
 __version__ = "0.1.0"

@@ -51,8 +51,7 @@ class RunConfig:
 SECTIONS = {"scene": SceneConfig, "kernel": KernelConfig, "reg": RegConfig,
             "solver": SolverConfig, "evaluation": EvalConfig}
 _SOLVER_NESTED = {"kernel", "reg"}
-# What a YAML value must be, per annotated field type; tuple fields take a
-# list of numbers as long as their default.
+# What a YAML value must be, per annotated field type.
 _VALUE_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
                 "bool": (bool, "true or false")}
 
@@ -61,12 +60,6 @@ def _check_value(field, value, name):
     """Raise ValueError unless value has the field's YAML type (bools only fit bool
     fields); the field's dataclass checks its range."""
     kind = field.type.removesuffix(" | None")
-    if kind == "tuple":
-        n = len(field.default)
-        if not (isinstance(value, list) and len(value) == n
-                and all(type(v) in (int, float) for v in value)):
-            raise ValueError(f"{name} must be a list of {n} numbers, got {value!r}")
-        return
     if value is None and field.default is None:
         return
     accepted, expected = _VALUE_TYPES[kind]
@@ -84,10 +77,8 @@ def _build(cls, mapping, section):
             raise ValueError(f"unknown key '{section}.{key}' "
                              f"(known: {', '.join(sorted(known))})")
         _check_value(known[key], value, f"{section}.{key}")
-    cleaned = {key: tuple(value) if known[key].type == "tuple" else value
-               for key, value in mapping.items()}
     try:
-        return cls(**cleaned)
+        return cls(**mapping)
     except ValueError as exc:
         raise ValueError(f"{section}: {exc}") from exc
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .features import PcaModel, pca_decode
-from .geometry import Pose, unproject
+from .geometry import Intrinsics, Pose, unproject
 
 UNLABELED = -1
 _NORM_EPS = 1e-8
@@ -67,6 +67,21 @@ class SegMetrics:
     class_names: list = None
 
 
+def unproject_keyframe(disparity: np.ndarray, pose: Pose, intrinsics: Intrinsics, stride: int):
+    """World points of every stride-th pixel with positive disparity.
+
+    Returns (points (N, 3), rows (N,), cols (N,)); rows and cols pick the same
+    pixels out of the keyframe's other maps.
+    """
+    h, w = disparity.shape
+    ys, xs = np.mgrid[0:h:stride, 0:w:stride]
+    d = disparity[ys, xs].reshape(-1)
+    ok = d > 0
+    rows, cols = ys.reshape(-1)[ok], xs.reshape(-1)[ok]
+    u = np.stack([cols, rows], axis=-1).astype(float)
+    return pose.inverse().apply(unproject(u, d[ok], intrinsics)), rows, cols
+
+
 def fuse_point_cloud(graph, pca: PcaModel = None, stride: int = 1) -> SemanticPointCloud:
     """Unproject every stride-th valid pixel of every keyframe into the world.
 
@@ -77,16 +92,11 @@ def fuse_point_cloud(graph, pca: PcaModel = None, stride: int = 1) -> SemanticPo
         raise ValueError("empty graph")
     pts, embs = [], []
     for kf in graph.keyframes:
-        h, w = kf.grid_shape
-        ys, xs = np.mgrid[0:h:stride, 0:w:stride]
-        d = kf.disparity[ys, xs].reshape(-1)
-        ok = d > 0
-        if not ok.any():
+        points, rows, cols = unproject_keyframe(kf.disparity, kf.pose, graph.intrinsics, stride)
+        if not rows.size:
             continue
-        u = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(float)[ok]
-        cam = unproject(u, d[ok], graph.intrinsics)
-        pts.append(kf.pose.inverse().apply(cam))
-        feats = kf.features[:, ys.reshape(-1)[ok], xs.reshape(-1)[ok]].T
+        pts.append(points)
+        feats = kf.features[:, rows, cols].T
         embs.append(pca_decode(feats, pca) if pca is not None else feats)
     if not pts:
         raise ValueError("no valid pixels to fuse")

@@ -18,7 +18,6 @@ network's uncertainty at depth edges), which removes them from every term.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ _NEWTON_ITERS = 16
 
 # Fixed scene constants. The flow is noise-free and the initial disparities
 # are the ground truth; pose_sigma perturbs only the initial poses.
+DEPTH_RANGE = (1.0, 5.0)       # world depth band (meters)
 FOCAL_PER_WIDTH = 0.8          # pinhole focal length = 0.8 * width (pixels)
 ARC_SWEEP = 0.4                # radians the camera arc sweeps around the scene
 EMBEDDING_DIM = 16
@@ -47,7 +47,6 @@ class SceneConfig:
     num_keyframes: int = 8
     height: int = 48
     width: int = 64
-    depth_range: tuple = (1.0, 5.0)  # world depth band (meters)
     dynamic_fraction: float = 0.0
     dynamic_motion_px: float = 5.0
     embedding_decorrelation: float = 1.0
@@ -63,9 +62,6 @@ class SceneConfig:
             raise ValueError("dynamic_fraction must lie in [0, 1]")
         if not 0.0 <= self.embedding_decorrelation <= 1.0:
             raise ValueError("embedding_decorrelation must lie in [0, 1]")
-        lo, hi = self.depth_range
-        if not 0 < lo < hi < np.inf:
-            raise ValueError(f"depth_range must satisfy 0 < near < far < inf, got {lo}, {hi}")
         for name in ("pose_sigma", "dynamic_motion_px"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -85,9 +81,7 @@ class SceneBundle:
     class_vectors: np.ndarray     # (L, K) unit rows
     gt_poses: list                # world-to-camera
     init_poses: list
-    gt_disparity: list            # (H, W) each
-    prior_disparity: list
-    init_disparity: list
+    gt_disparity: list            # (H, W) each; also the initial state and the prior
     features: list                # (K, H, W)
     labels: list                  # (H, W) int
     dynamic_masks: list           # (H, W) bool
@@ -96,10 +90,9 @@ class SceneBundle:
     def to_graph(self, initial: bool = True) -> KeyframeGraph:
         """Problem graph at the perturbed initial state (default) or at ground truth."""
         poses = self.init_poses if initial else self.gt_poses
-        disps = self.init_disparity if initial else self.gt_disparity
         kfs = [
-            Keyframe(index=k, pose=poses[k], disparity=disps[k].copy(),
-                     disparity_prior=self.prior_disparity[k], features=self.features[k],
+            Keyframe(index=k, pose=poses[k], disparity=self.gt_disparity[k].copy(),
+                     disparity_prior=self.gt_disparity[k], features=self.features[k],
                      frozen=(k == 0))
             for k in range(self.config.num_keyframes)
         ]
@@ -127,7 +120,7 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> Pose:
 def _trajectory(cfg: SceneConfig):
     """Cameras on an arc of ARC_SWEEP radians, all looking at the depth band's middle."""
     n = cfg.num_keyframes
-    lo, hi = cfg.depth_range
+    lo, hi = DEPTH_RANGE
     z0 = 0.5 * (lo + hi)
     target = np.array([0.0, 0.0, z0])
     poses = []
@@ -162,7 +155,7 @@ class _WorldSurface:
     """Height field z(x, y) = z0 + hashed per-cell offset + smooth modulation."""
 
     def __init__(self, cfg: SceneConfig, rng: np.random.Generator):
-        lo, hi = cfg.depth_range
+        lo, hi = DEPTH_RANGE
         self.z0 = 0.5 * (lo + hi)
         k = cfg.intrinsics()
         # Cap the boundary smoothing on small grids, then size the class cells
@@ -197,18 +190,16 @@ class _WorldSurface:
         return self.patch_amp * (2.0 * frac - 1.0)
 
     def smooth(self, x, y):
-        return self.smooth_amp * (np.sin(self.freq[0] * x + self.phase[0])
-                                  * np.sin(self.freq[1] * y + self.phase[1])
-                                  + 0.5 * np.sin(self.freq[2] * (x + y) + self.phase[2]))
-
-    def smooth_grad(self, x, y):
-        gx = self.smooth_amp * (self.freq[0] * np.cos(self.freq[0] * x + self.phase[0])
-                                * np.sin(self.freq[1] * y + self.phase[1])
-                                + 0.5 * self.freq[2] * np.cos(self.freq[2] * (x + y) + self.phase[2]))
-        gy = self.smooth_amp * (np.sin(self.freq[0] * x + self.phase[0])
-                                * self.freq[1] * np.cos(self.freq[1] * y + self.phase[1])
-                                + 0.5 * self.freq[2] * np.cos(self.freq[2] * (x + y) + self.phase[2]))
-        return gx, gy
+        """Smooth modulation and its x and y derivatives, one sine or cosine per term."""
+        ax = self.freq[0] * x + self.phase[0]
+        ay = self.freq[1] * y + self.phase[1]
+        axy = self.freq[2] * (x + y) + self.phase[2]
+        sin_x, sin_y = np.sin(ax), np.sin(ay)
+        grad_xy = 0.5 * self.freq[2] * np.cos(axy)  # the (x + y) term's slope along x and y
+        value = self.smooth_amp * (sin_x * sin_y + 0.5 * np.sin(axy))
+        gx = self.smooth_amp * (self.freq[0] * np.cos(ax) * sin_y + grad_xy)
+        gy = self.smooth_amp * (sin_x * self.freq[1] * np.cos(ay) + grad_xy)
+        return value, gx, gy
 
     def raycast(self, pose: Pose, intrinsics: Intrinsics, height: int, width: int):
         """Per-pixel ray depths and world points; returns (depth (H*W,), labels (H*W,))."""
@@ -231,8 +222,8 @@ class _WorldSurface:
         for _ in range(_NEWTON_ITERS):
             px = origin[0] + s * ray_w[:, 0]
             py = origin[1] + s * ray_w[:, 1]
-            f = origin[2] + s * ray_w[:, 2] - z_cell - self.smooth(px, py)
-            gx, gy = self.smooth_grad(px, py)
+            z, gx, gy = self.smooth(px, py)
+            f = origin[2] + s * ray_w[:, 2] - z_cell - z
             fp = ray_w[:, 2] - gx * ray_w[:, 0] - gy * ray_w[:, 1]
             s = s - f / fp
         px = origin[0] + s * ray_w[:, 0]
@@ -316,10 +307,10 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
     gt_poses = _trajectory(cfg)
     surface = _WorldSurface(cfg, rng_surf)
 
+    lo, hi = DEPTH_RANGE
     gt_disparity, features, labels, purity = [], [], [], []
     for pose in gt_poses:
         depth, lab = surface.raycast(pose, intr, h, w)
-        lo, hi = cfg.depth_range
         if depth.min() <= 0.25 * lo or depth.max() >= 4.0 * hi:
             raise ValueError("raycast produced out-of-range depths; scene degenerate")
         gt_disparity.append((1.0 / depth).reshape(h, w))
@@ -349,21 +340,19 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
         raise ValueError("scene too cramped: almost no confident pixels survive the "
                          "boundary masking; enlarge the grid")
 
-    bundle = SceneBundle(
-        config=cfg, intrinsics=intr, class_vectors=class_vectors,
-        gt_poses=gt_poses, init_poses=list(gt_poses),
-        gt_disparity=gt_disparity, prior_disparity=[d.copy() for d in gt_disparity],
-        init_disparity=[d.copy() for d in gt_disparity],
-        features=features, labels=labels,
-        dynamic_masks=[np.zeros((h, w), dtype=bool) for _ in range(n)],
-        edges=edges)
-
-    if cfg.dynamic_fraction > 0:
-        bundle = inject_dynamics(bundle, cfg.dynamic_fraction, cfg.dynamic_motion_px,
-                                 cfg.embedding_decorrelation)
+    mask = (_move_blobs(edges, features, cfg) if cfg.dynamic_fraction > 0
+            else np.zeros((h, w), dtype=bool))
+    # Keyframe 0 is the gauge anchor and keeps its pose.
+    init_poses = list(gt_poses)
     if cfg.pose_sigma > 0:
-        bundle = perturb_init(bundle, cfg.pose_sigma, seed=int(rng_init.integers(2**31)))
-    return bundle
+        rng_pose = np.random.default_rng(int(rng_init.integers(2**31)))
+        for k in range(1, n):
+            init_poses[k] = se3_exp(rng_pose.normal(0.0, cfg.pose_sigma, 6)).compose(gt_poses[k])
+    return SceneBundle(
+        config=cfg, intrinsics=intr, class_vectors=class_vectors,
+        gt_poses=gt_poses, init_poses=init_poses, gt_disparity=gt_disparity,
+        features=features, labels=labels, dynamic_masks=[mask.copy() for _ in range(n)],
+        edges=edges)
 
 
 def _grow_blobs(rng: np.random.Generator, height: int, width: int, target: int):
@@ -394,68 +383,43 @@ def _grow_blobs(rng: np.random.Generator, height: int, width: int, target: int):
     return mask, ids
 
 
-def inject_dynamics(bundle: SceneBundle, fraction: float, motion_px: float,
-                    decorrelation: float) -> SceneBundle:
-    """Contaminate contiguous blobs, modelling objects that moved between frames.
+def _move_blobs(edges: list, features: list, cfg: SceneConfig) -> np.ndarray:
+    """Contaminate contiguous blobs in place, modelling objects that moved between
+    frames; returns the (H, W) mask of moved pixels.
 
     Each blob gets an independent rigid 2-D flow displacement of magnitude
-    motion_px per edge (violating the static geometry) and, per frame, its
-    embeddings are blended toward a fresh blob-wide vector so cross-view
+    dynamic_motion_px per edge (violating the static geometry) and, per frame,
+    its embeddings are blended toward a fresh blob-wide vector so cross-view
     similarity collapses while the field stays spatially coherent. Confidence
     is deliberately left unchanged: the corruption stays invisible to the
     weighting, and only the similarity-driven kernel can respond.
 
-    Deterministic: randomness derives from the bundle's scene seed.
+    Deterministic: randomness derives from the scene seed.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
-    out = copy.deepcopy(bundle)
-    if fraction == 0.0:
-        return out
-    h, w = bundle.config.height, bundle.config.width
-    rng = np.random.default_rng(np.random.SeedSequence((bundle.config.seed, 0xD1)))
-    mask, blob_ids = _grow_blobs(rng, h, w, round(fraction * h * w))
-    out.dynamic_masks = [mask.copy() for _ in range(bundle.config.num_keyframes)]
-    n_blobs = int(blob_ids.max()) + 1
+    h, w = cfg.height, cfg.width
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xD1)))
+    mask, blob_ids = _grow_blobs(rng, h, w, round(cfg.dynamic_fraction * h * w))
+    blobs = [blob_ids == blob for blob in range(int(blob_ids.max()) + 1)]
 
-    if motion_px > 0:
-        for obs in out.edges:
-            for blob in range(n_blobs):
+    if cfg.dynamic_motion_px > 0:
+        for obs in edges:
+            for sel in blobs:
                 theta = rng.uniform(0.0, 2.0 * np.pi)
-                delta = motion_px * np.array([np.cos(theta), np.sin(theta)])
-                sel = blob_ids == blob
+                delta = cfg.dynamic_motion_px * np.array([np.cos(theta), np.sin(theta)])
                 obs.flow[0][sel] += delta[0]
                 obs.flow[1][sel] += delta[1]
 
-    if decorrelation > 0:
+    if cfg.embedding_decorrelation > 0:
+        # Ramped blend weights: spatially coherent object features with soft
+        # edges instead of one-pixel cliffs.
         kernel = np.array([1.0, 2.0, 3.0, 2.0, 1.0]) / 9.0
-        for feat in out.features:
-            fresh = rng.normal(size=(n_blobs, EMBEDDING_DIM))
+        weights = [cfg.embedding_decorrelation * _conv1d_edge(
+            _conv1d_edge(sel.astype(float), kernel, 0), kernel, 1) for sel in blobs]
+        for feat in features:
+            fresh = rng.normal(size=(len(blobs), EMBEDDING_DIM))
             fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
-            for blob in range(n_blobs):
-                # Ramped blend weight: spatially coherent object feature with
-                # soft edges instead of one-pixel cliffs.
-                weight = decorrelation * _conv1d_edge(
-                    _conv1d_edge((blob_ids == blob).astype(float), kernel, 0), kernel, 1)
-                blended = (1.0 - weight)[None] * feat + weight[None] * fresh[blob][:, None, None]
+            for weight, vec in zip(weights, fresh):
+                blended = (1.0 - weight)[None] * feat + weight[None] * vec[:, None, None]
                 blended /= np.maximum(np.linalg.norm(blended, axis=0, keepdims=True), 1e-12)
                 feat[:] = blended
-    return out
-
-
-def perturb_init(bundle: SceneBundle, pose_sigma: float, seed: int = 0) -> SceneBundle:
-    """Produce the solver's starting state: noisy poses, truth retained.
-
-    Keyframe 0 is the gauge anchor and keeps its pose.
-    """
-    if pose_sigma < 0:
-        raise ValueError("pose_sigma must be non-negative")
-    out = copy.deepcopy(bundle)
-    rng = np.random.default_rng(seed)
-    init_poses = [bundle.gt_poses[0]]
-    for pose in bundle.gt_poses[1:]:
-        if pose_sigma > 0:
-            pose = se3_exp(rng.normal(0.0, pose_sigma, 6)).compose(pose)
-        init_poses.append(pose)
-    out.init_poses = init_poses
-    return out
+    return mask

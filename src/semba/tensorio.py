@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import LabelSet, SegMetrics
+from .evaluation import LabelSet, SegMetrics, unproject_keyframe
 from .features import PcaModel
 from .geometry import Intrinsics, Pose
 from .graph import Keyframe, KeyframeGraph
@@ -25,6 +25,7 @@ PCA_MAGIC = b"KMVP"
 TENSOR_VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_TAGS = {np.dtype("float32"): 0, np.dtype("float64"): 1}
+_PLY_TYPES = {"float": "<f4", "int": "<i4"}
 
 
 class FileFormatError(ValueError):
@@ -137,7 +138,10 @@ def read_trajectory(path):
         parts = line.split()
         if len(parts) != 8:
             raise FileFormatError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-        vals = [float(p) for p in parts]
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
         timestamps.append(vals[0])
         positions.append(vals[1:4])
         quats.append(vals[4:8])
@@ -188,13 +192,23 @@ def read_point_cloud(path):
     fields = []
     for line in header_lines:
         if line.startswith("element vertex"):
-            n = int(line.split()[-1])
+            count = line.split()[-1]
+            if not count.isdigit():
+                raise FileFormatError(f"{path}: bad PLY vertex count {count!r}")
+            n = int(count)
         elif line.startswith("property"):
-            _, ptype, name = line.split()
-            fields.append((name, {"float": "<f4", "int": "<i4"}[ptype]))
+            parts = line.split()
+            if len(parts) != 3 or parts[1] not in _PLY_TYPES:
+                raise FileFormatError(f"{path}: unsupported PLY property {line!r}")
+            fields.append((parts[2], _PLY_TYPES[parts[1]]))
     if n is None or [f[0] for f in fields[:3]] != ["x", "y", "z"]:
         raise FileFormatError(f"{path}: unexpected PLY layout")
-    rec = np.frombuffer(blob[end + len(b"end_header\n"):], dtype=fields, count=n)
+    payload = blob[end + len(b"end_header\n"):]
+    dtype = np.dtype(fields)
+    if len(payload) < n * dtype.itemsize:
+        raise FileFormatError(f"{path}: truncated PLY payload ({len(payload)} bytes for "
+                              f"{n} vertices of {dtype.itemsize} bytes)")
+    rec = np.frombuffer(payload, dtype=dtype, count=n)
     points = np.stack([rec["x"], rec["y"], rec["z"]], axis=1)
     labels = rec["label"].copy() if "label" in rec.dtype.names else None
     return points, labels
@@ -218,8 +232,11 @@ def read_labelset(path) -> LabelSet:
         parts = line.split(",")
         if len(parts) < 2:
             raise FileFormatError(f"{path}:{lineno}: expected `name,v1,...`")
+        try:
+            rows.append([float(p) for p in parts[1:]])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
         names.append(parts[0])
-        rows.append([float(p) for p in parts[1:]])
     if not names:
         raise FileFormatError(f"{path}: empty label set")
     return LabelSet(names=names, vectors=np.array(rows))
@@ -275,8 +292,8 @@ def write_problem_bundle(out_dir, bundle) -> None:
             "disparity_prior": f"keyframes/kf_{k:03d}_disparity_prior.kmvt",
         }
         write_tensor(out / names["features"], bundle.features[k])
-        write_tensor(out / names["disparity"], bundle.init_disparity[k])
-        write_tensor(out / names["disparity_prior"], bundle.prior_disparity[k])
+        write_tensor(out / names["disparity"], bundle.gt_disparity[k])
+        write_tensor(out / names["disparity_prior"], bundle.gt_disparity[k])
         keyframes.append({
             "index": k,
             "stream": 0,
@@ -315,19 +332,11 @@ def write_problem_bundle(out_dir, bundle) -> None:
 
 def _ground_truth_cloud(bundle, stride: int = 2):
     """World points and class labels unprojected from the ground-truth geometry."""
-    from .geometry import unproject
-
     pts, labs = [], []
-    h, w = bundle.config.height, bundle.config.width
-    for k in range(bundle.config.num_keyframes):
-        ys, xs = np.mgrid[0:h:stride, 0:w:stride]
-        d = bundle.gt_disparity[k][ys, xs].reshape(-1)
-        ok = d > 0
-        u = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(float)[ok]
-        cam = unproject(u, d[ok], bundle.intrinsics)
-        world = bundle.gt_poses[k].inverse().apply(cam)
-        pts.append(world)
-        labs.append(bundle.labels[k][ys, xs].reshape(-1)[ok])
+    for disparity, pose, labels in zip(bundle.gt_disparity, bundle.gt_poses, bundle.labels):
+        points, rows, cols = unproject_keyframe(disparity, pose, bundle.intrinsics, stride)
+        pts.append(points)
+        labs.append(labels[rows, cols])
     return np.concatenate(pts), np.concatenate(labs)
 
 

@@ -17,12 +17,11 @@ def write_config(path, text):
 WRONG_TYPES = [("solver", "max_iters", "abc"), ("solver", "max_iters", "2.5"),
                ("solver", "max_iters", "true"), ("scene", "height", '"48"'),
                ("solver", "fixed_alpha", "abc"), ("reg", "alpha_disp", "abc"),
-               ("solver", "optimize_intrinsics", "1"), ("scene", "depth_range", "5"),
-               ("scene", "depth_range", '[1, "a"]'), ("scene", "pose_sigma", "[1, 2]"),
+               ("solver", "optimize_intrinsics", "1"), ("scene", "pose_sigma", "[1, 2]"),
                ("kernel", "c", '"a"')]
 WRONG_TYPE_IDS = ["max_iters-str", "max_iters-float", "max_iters-bool", "height-str",
                   "fixed_alpha-str", "alpha_disp-str", "optimize_intrinsics-int",
-                  "depth_range-int", "depth_range-str-item", "pose_sigma-list", "c-str"]
+                  "pose_sigma-list", "c-str"]
 
 
 @pytest.fixture(scope="module")

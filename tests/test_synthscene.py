@@ -3,9 +3,8 @@ import pytest
 
 from semba.evaluation import trajectory_ate
 from semba.residuals import evaluate_edge, total_energy
-from semba.solver import SolverConfig, kernel_alphas
-from semba.synthscene import (TEMPORAL_RADIUS, SceneConfig, gen_scene, inject_dynamics,
-                              perturb_init)
+from semba.solver import SolverConfig, kernel_alphas, solve
+from semba.synthscene import DEPTH_RANGE, TEMPORAL_RADIUS, SceneConfig, gen_scene
 
 CONFIG = SolverConfig()  # default objective, adaptive kernel
 
@@ -16,7 +15,7 @@ def bundles_equal(a, b):
     for x, y in zip(a.edges, b.edges):
         if not (np.array_equal(x.flow, y.flow) and np.array_equal(x.confidence, y.confidence)):
             return False
-    for attr in ("gt_disparity", "prior_disparity", "init_disparity", "features", "labels"):
+    for attr in ("gt_disparity", "features", "labels"):
         for x, y in zip(getattr(a, attr), getattr(b, attr)):
             if not np.array_equal(x, y):
                 return False
@@ -63,7 +62,7 @@ class TestGenScene:
         assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() < 1e-12
 
     def test_disparities_positive_and_in_range(self, clean_bundle):
-        lo, hi = clean_bundle.config.depth_range
+        lo, hi = DEPTH_RANGE
         for d in clean_bundle.gt_disparity:
             depth = 1.0 / d
             assert depth.min() > 0.25 * lo and depth.max() < 4.0 * hi
@@ -75,8 +74,14 @@ class TestGenScene:
             SceneConfig(height=4, width=32)
         with pytest.raises(ValueError):
             SceneConfig(dynamic_fraction=1.5)
-        with pytest.raises(ValueError):
-            SceneConfig(depth_range=(5.0, 1.0))
+
+    def test_solving_leaves_ground_truth_disparity_unchanged(self, perturbed_bundle):
+        # gt_disparity is the truth, the initial state and the prior at once.
+        before = [d.copy() for d in perturbed_bundle.gt_disparity]
+        opt, _ = solve(perturbed_bundle.to_graph(), SolverConfig(max_iters=2))
+        assert not all(np.array_equal(kf.disparity, d) for kf, d in zip(opt.keyframes, before))
+        for d, ref in zip(perturbed_bundle.gt_disparity, before):
+            assert np.array_equal(d, ref)
 
 
 class TestInjectDynamics:
@@ -109,7 +114,9 @@ class TestInjectDynamics:
         assert 4.0 <= mean <= 6.0
 
     def test_noop_corruption_keeps_data(self, clean_bundle):
-        out = inject_dynamics(clean_bundle, fraction=0.2, motion_px=0.0, decorrelation=0.0)
+        out = gen_scene(SceneConfig(num_keyframes=5, height=24, width=32, seed=11,
+                                    dynamic_fraction=0.2, dynamic_motion_px=0.0,
+                                    embedding_decorrelation=0.0))
         for a, b in zip(out.edges, clean_bundle.edges):
             assert np.array_equal(a.flow, b.flow)
             assert np.array_equal(a.confidence, b.confidence)
@@ -124,32 +131,27 @@ class TestInjectDynamics:
         for a, b in zip(dynamic_bundle.edges, clean_cfg_bundle.edges):
             assert np.array_equal(a.confidence, b.confidence)
 
-    def test_fraction_bounds(self, clean_bundle):
-        with pytest.raises(ValueError):
-            inject_dynamics(clean_bundle, fraction=1.2, motion_px=1.0, decorrelation=0.5)
-
 
 class TestPerturbInit:
     def test_zero_noise_is_identity(self, clean_bundle):
-        out = perturb_init(clean_bundle, 0.0, seed=7)
-        assert bundles_equal(out, clean_bundle)
+        assert clean_bundle.config.pose_sigma == 0.0
+        for p, q in zip(clean_bundle.init_poses, clean_bundle.gt_poses):
+            assert np.array_equal(p.matrix(), q.matrix())
 
-    def test_pose_noise_creates_initial_error(self, clean_bundle):
-        out = perturb_init(clean_bundle, 0.01, seed=7)
-        ate = trajectory_ate(out.init_poses, out.gt_poses, "rigid")
+    def test_pose_noise_creates_initial_error(self, clean_bundle, perturbed_bundle):
+        ate = trajectory_ate(perturbed_bundle.init_poses, perturbed_bundle.gt_poses, "rigid")
         assert ate > 1e-4
         # Ground truth retained.
-        for p, q in zip(out.gt_poses, clean_bundle.gt_poses):
+        for p, q in zip(perturbed_bundle.gt_poses, clean_bundle.gt_poses):
             assert np.array_equal(p.translation, q.translation)
 
     def test_anchor_pose_kept(self, clean_bundle):
-        out = perturb_init(clean_bundle, 0.05, seed=3)
+        out = gen_scene(SceneConfig(num_keyframes=5, height=24, width=32,
+                                    pose_sigma=0.05, seed=11))
         assert np.array_equal(out.init_poses[0].translation,
                               clean_bundle.gt_poses[0].translation)
-
-    def test_negative_sigma_rejected(self, clean_bundle):
-        with pytest.raises(ValueError):
-            perturb_init(clean_bundle, -0.1)
+        for p, q in zip(out.init_poses[1:], clean_bundle.gt_poses[1:]):
+            assert not np.array_equal(p.translation, q.translation)
 
 
 class TestCrampedScenes:

@@ -122,6 +122,12 @@ class TestTrajectoryFormat:
         with pytest.raises(FileFormatError, match="empty"):
             read_trajectory(path)
 
+    def test_non_numeric_field(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1 2 3 0 0 0 1\n1 1 two 3 0 0 0 1\n")
+        with pytest.raises(FileFormatError, match="bad.txt:2: non-numeric"):
+            read_trajectory(path)
+
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# header\n0 1 2 3 0 0 0 1\n")
@@ -148,6 +154,18 @@ class TestPlyFormat:
         with pytest.raises(FileFormatError, match="bad.ply"):
             read_point_cloud(path)
 
+    @pytest.mark.parametrize("old, new, expected", [
+        (b"property float x", b"property double x", "unsupported PLY property"),
+        (b"element vertex 4", b"element vertex 5", "truncated PLY payload"),
+        (b"element vertex 4", b"element vertex four", "bad PLY vertex count"),
+    ], ids=["double-property", "short-payload", "non-integer-count"])
+    def test_malformed_header_names_file(self, tmp_path, old, new, expected):
+        path = tmp_path / "bad.ply"
+        write_point_cloud(path, np.zeros((4, 3)))
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        with pytest.raises(FileFormatError, match=f"bad.ply: {expected}"):
+            read_point_cloud(path)
+
 
 class TestLabelSetFormat:
     def test_roundtrip(self, tmp_path, rng):
@@ -162,6 +180,12 @@ class TestLabelSetFormat:
         path = tmp_path / "bad.csv"
         path.write_text("loner\n")
         with pytest.raises(FileFormatError, match="bad.csv:1"):
+            read_labelset(path)
+
+    def test_non_numeric_value(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("chair,1.0,0.0\ncup,0.0,x\n")
+        with pytest.raises(FileFormatError, match="bad.csv:2: non-numeric"):
             read_labelset(path)
 
 
@@ -199,11 +223,10 @@ class TestProblemBundle:
         assert len(graph.keyframes) == 3
         assert len(graph.edges) == len(bundle.edges)
         assert graph.keyframes[0].frozen and not graph.keyframes[1].frozen
-        for kf, init_pose, disp, prior, feat in zip(
-                graph.keyframes, bundle.init_poses, bundle.init_disparity,
-                bundle.prior_disparity, bundle.features):
+        for kf, init_pose, disp, feat in zip(
+                graph.keyframes, bundle.init_poses, bundle.gt_disparity, bundle.features):
             assert np.array_equal(kf.disparity, disp)
-            assert np.array_equal(kf.disparity_prior, prior)
+            assert np.array_equal(kf.disparity_prior, disp)
             assert np.array_equal(kf.features, feat)
             assert np.abs(kf.pose.matrix() - init_pose.matrix()).max() < 1e-12
         for obs, ref in zip(graph.edges, bundle.edges):
