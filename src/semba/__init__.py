@@ -3,9 +3,9 @@
 from .evaluation import (LabelSet, SegMetrics, SemanticPointCloud, align_trajectories,
                          assign_labels, ate_rmse, fuse_point_cloud, knn_transfer, seg_metrics,
                          trajectory_ate)
-from .features import PcaModel, bilinear_sample, pca_decode, pca_encode, pca_fit
+from .features import PcaModel, bilinear_sample, pca_decode
 from .geometry import (Intrinsics, Pose, relative_pose, reproject, reprojection_jacobian,
-                       se3_exp, se3_log)
+                       se3_exp)
 from .graph import Keyframe, KeyframeGraph
 from .residuals import FlowObservation, RegConfig, disparity_reg_residual, total_energy
 from .robust import KernelConfig, adaptive_alpha, barron_psi, barron_rho, irls_weight

@@ -46,6 +46,9 @@ def _parse_kernel(spec: str):
 
 
 def cmd_ba(args) -> int:
+    if args.pca and not args.export_cloud:
+        print("error: --pca requires --export-cloud", file=sys.stderr)
+        return 1
     cfg = load_config(args.config)
     solver_cfg = cfg.solver
     if args.kernel:
@@ -53,7 +56,13 @@ def cmd_ba(args) -> int:
     if args.no_embed:
         solver_cfg = dataclasses.replace(solver_cfg, lambda_embed=0.0)
 
+    pca = tensorio.read_pca(args.pca) if args.pca else None
     graph = tensorio.load_problem_bundle(args.bundle)
+    if pca is not None:
+        channels = {kf.features.shape[0] for kf in graph.keyframes}
+        if channels - {pca.output_dim}:
+            raise ValueError(f"PCA model {args.pca} decodes {pca.output_dim}-channel codes, "
+                             f"but the bundle's features have {sorted(channels)} channels")
     optimized, trace = solver_mod.solve(graph, solver_cfg)
 
     final = trace[-1]
@@ -70,7 +79,6 @@ def cmd_ba(args) -> int:
     for kf in optimized.keyframes:
         tensorio.write_tensor(out / "disparity" / f"kf_{kf.index:03d}.kmvt", kf.disparity)
     if args.export_cloud:
-        pca = tensorio.read_pca(args.pca) if args.pca else None
         cloud = evaluation.fuse_point_cloud(optimized, pca=pca,
                                             stride=cfg.evaluation.cloud_stride)
         cloud_path = Path(args.export_cloud)

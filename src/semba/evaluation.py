@@ -215,27 +215,26 @@ class Alignment:
     scale: float           # size of the estimate relative to ground truth
 
 
-def _as_translations(trajectory) -> np.ndarray:
-    if isinstance(trajectory, np.ndarray):
-        return np.asarray(trajectory, dtype=float)
-    first = trajectory[0]
-    if isinstance(first, Pose):
-        return np.stack([p.translation for p in trajectory])
-    return np.asarray(trajectory, dtype=float)
+def _as_track(trajectory, name: str) -> np.ndarray:
+    """The (N, 3) float array of positions; any other shape raises ValueError."""
+    track = np.asarray(trajectory, dtype=float)
+    if track.ndim != 2 or track.shape[1] != 3:
+        raise ValueError(f"{name} must be an (N, 3) array of positions, got shape {track.shape}")
+    return track
 
 
 def align_trajectories(est, gt, mode: str = "similarity"):
     """Least-squares alignment of the estimated track onto the ground truth.
 
-    est/gt: (N, 3) arrays or Pose sequences (translation components are used).
+    est/gt: (N, 3) arrays of positions.
     Returns (aligned_est (N, 3), Alignment). The reported scale is the size of
     the estimate relative to the ground truth; the aligned track divides it
     out: aligned = (1/scale) * R @ est + t.
     """
     if mode not in ("rigid", "similarity"):
         raise ValueError(f"unknown alignment mode {mode!r}")
-    src = _as_translations(est)
-    dst = _as_translations(gt)
+    src = _as_track(est, "est")
+    dst = _as_track(gt, "gt")
     if src.shape != dst.shape or src.shape[0] < 3:
         raise ValueError(f"need two equal trajectories of >= 3 poses, got {src.shape} vs {dst.shape}")
     mu_src = src.mean(axis=0)
@@ -262,8 +261,8 @@ def align_trajectories(est, gt, mode: str = "similarity"):
 
 def ate_rmse(est_aligned, gt) -> float:
     """Root-mean-square translation error between aligned tracks, in meters."""
-    est_aligned = _as_translations(est_aligned)
-    gt = _as_translations(gt)
+    est_aligned = _as_track(est_aligned, "est_aligned")
+    gt = _as_track(gt, "gt")
     if est_aligned.shape != gt.shape:
         raise ValueError("trajectories must have equal length")
     return float(np.sqrt(np.mean(np.sum((est_aligned - gt) ** 2, axis=1))))

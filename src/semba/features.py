@@ -1,4 +1,4 @@
-"""Dense embedding maps: PCA compression, bilinear sampling.
+"""Dense embedding maps: PCA decoding, bilinear sampling.
 
 Feature maps are float arrays of shape (C, H, W). bilinear_sample reads them
 pixel-major, so a (C, H, W) view of a C-contiguous (H, W, C) buffer (as
@@ -14,7 +14,11 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
-    """Affine subspace model: encode(f) = basis.T @ (f - mean)."""
+    """Affine subspace model: pca_decode maps (..., K) codes to codes @ basis.T + mean.
+
+    input_dim is C, the width of the decoded vectors; output_dim is K, the width
+    of the codes (the keyframe feature channels the model decodes).
+    """
 
     mean: np.ndarray   # (C,)
     basis: np.ndarray  # (C, K), column-orthonormal
@@ -37,36 +41,6 @@ class PcaModel:
     @property
     def output_dim(self) -> int:
         return self.basis.shape[1]
-
-    @staticmethod
-    def identity(dim: int) -> "PcaModel":
-        return PcaModel(np.zeros(dim), np.eye(dim))
-
-
-def pca_fit(samples: np.ndarray, k: int) -> PcaModel:
-    """Fit a K-component PCA model to (N, C) samples via SVD of the centered matrix.
-
-    Basis columns are ordered by descending singular value; the sign of each is
-    fixed so its largest-magnitude entry is positive.
-    """
-    samples = np.asarray(samples, dtype=float)
-    n, c = samples.shape
-    if not (0 < k <= min(n - 1, c)):
-        raise ValueError(f"k={k} must satisfy 1 <= k <= min(N-1, C) = {min(n - 1, c)}")
-    mean = samples.mean(axis=0)
-    _, _, vt = np.linalg.svd(samples - mean, full_matrices=False)
-    basis = vt[:k].T
-    flip = np.sign(basis[np.abs(basis).argmax(axis=0), np.arange(k)])
-    flip[flip == 0] = 1.0
-    return PcaModel(mean, basis * flip)
-
-
-def pca_encode(features: np.ndarray, model: PcaModel) -> np.ndarray:
-    """Project (..., C) feature vectors into the model subspace, (..., K)."""
-    features = np.asarray(features, dtype=float)
-    if features.shape[-1] != model.input_dim:
-        raise ValueError(f"feature dim {features.shape[-1]} != model input dim {model.input_dim}")
-    return (features - model.mean) @ model.basis
 
 
 def pca_decode(codes: np.ndarray, model: PcaModel) -> np.ndarray:

@@ -10,8 +10,8 @@ Conventions used throughout the package:
 
 Pose arithmetic (rotation matrix, composition, inverse, exponential) is done in
 closed form on the stored unit quaternion: the Hamilton product and the
-conjugate. scipy's Rotation serves only the conversions from a rotation matrix
-(Pose.from_matrix) and to a rotation vector (se3_log).
+conjugate. scipy's Rotation serves only the conversion from a rotation matrix
+(Pose.from_matrix).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ Z_EPS = 1e-4
 # idempotent in binary64, so renormalizing it would break bit-faithful round trips.
 _UNIT_NORM_TOL = 4 * np.finfo(float).eps
 
-# Below this rotation angle the exp/log helper matrices use series expansions
-# (the closed forms lose precision to cancellation long before they divide byzero).
+# Below this rotation angle the exp helper matrix uses series expansions
+# (the closed forms lose precision to cancellation long before they divide by zero).
 _SMALL_ANGLE = 1e-4
 
 
@@ -145,18 +145,6 @@ def _so3_left_jacobian(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * w + b * ww
 
 
-def _so3_left_jacobian_inv(omega: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(omega)
-    w = skew(omega)
-    ww = w @ w
-    if theta < _SMALL_ANGLE:
-        c = 1.0 / 12.0 + theta**2 / 720.0
-    else:
-        half = 0.5 * theta
-        c = (1.0 - half * np.cos(half) / np.sin(half)) / theta**2
-    return np.eye(3) - 0.5 * w + c * ww
-
-
 def se3_exp(twist) -> Pose:
     """SE(3) exponential of a twist [v; w]."""
     twist = np.asarray(twist, dtype=float).reshape(6)
@@ -170,17 +158,6 @@ def se3_exp(twist) -> Pose:
     else:
         scale = math.sin(0.5 * theta) / theta
     return Pose(np.append(scale * omega, math.cos(0.5 * theta)), _so3_left_jacobian(omega) @ v)
-
-
-def se3_log(pose: Pose) -> np.ndarray:
-    """Inverse of se3_exp. Raises for rotations too close to pi."""
-    rot = Rotation.from_quat(pose.rotation)
-    omega = rot.as_rotvec()
-    theta = np.linalg.norm(omega)
-    if theta >= np.pi - 1e-6:
-        raise ValueError(f"se3_log ill-conditioned: rotation angle {theta:.9f} is within 1e-6 of pi")
-    v = _so3_left_jacobian_inv(omega) @ pose.translation
-    return np.concatenate([v, omega])
 
 
 def relative_pose(pose_i: Pose, pose_j: Pose) -> Pose:

@@ -98,7 +98,10 @@ def read_pca(path) -> PcaModel:
         if len(header) != 8:
             raise FileFormatError(f"{path}: truncated PCA header")
         c, k = struct.unpack("<2I", header)
-        mean = np.frombuffer(f.read(4 * c), dtype="<f4").astype(float)
+        mean_raw = f.read(4 * c)
+        if len(mean_raw) != 4 * c:
+            raise FileFormatError(f"{path}: truncated PCA mean")
+        mean = np.frombuffer(mean_raw, dtype="<f4").astype(float)
         basis_raw = f.read(4 * c * k)
         if len(basis_raw) != 4 * c * k:
             raise FileFormatError(f"{path}: truncated PCA basis")
@@ -236,10 +239,16 @@ def read_labelset(path) -> LabelSet:
             rows.append([float(p) for p in parts[1:]])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise FileFormatError(f"{path}:{lineno}: expected {len(rows[0])} values as on the "
+                                  f"first row, got {len(rows[-1])}")
         names.append(parts[0])
     if not names:
         raise FileFormatError(f"{path}: empty label set")
-    return LabelSet(names=names, vectors=np.array(rows))
+    try:
+        return LabelSet(names=names, vectors=np.array(rows))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def write_seg_metrics(path, metrics: SegMetrics) -> None:
@@ -358,13 +367,21 @@ def load_problem_bundle(bundle_dir) -> KeyframeGraph:
                                   f"not of type {getattr(kind, '__name__', 'number')}")
         return value
 
+    def build(where, make, *args, **kwargs):
+        # A failed constructor check (focal length, self-edge, index order) names the entry.
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise FileFormatError(f"{graph_path}: {where + ': ' if where else ''}{exc}") from None
+
     cameras = field(doc, "intrinsics", dict, "top-level")
     if len(cameras) != 1:
         raise FileFormatError(f"{graph_path}: 'intrinsics' must hold exactly one camera, "
                               f"got {cameras!r}")
     [(stream, v)] = cameras.items()
-    intrinsics = Intrinsics(*(field(v, key, (int, float), f"camera {stream!r}")
-                              for key in ("fx", "fy", "cx", "cy")))
+    intrinsics = build(f"camera {stream!r}", Intrinsics,
+                       *(field(v, key, (int, float), f"camera {stream!r}")
+                         for key in ("fx", "fy", "cx", "cy")))
     keyframes = []
     for n, entry in enumerate(field(doc, "keyframes", list, "top-level")):
         where = f"keyframes[{n}]"
@@ -375,8 +392,13 @@ def load_problem_bundle(bundle_dir) -> KeyframeGraph:
         features = read_tensor(root / field(entry, "features", str, where)).astype(float)
         disparity = read_map(root / field(entry, "disparity", str, where))
         prior = read_map(root / field(entry, "disparity_prior", str, where))
-        keyframes.append(Keyframe(
-            index=index, pose=_pose_from_list(field(entry, "pose_w2c", list, where)),
+        pose = field(entry, "pose_w2c", list, where)
+        if len(pose) != 7 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                     for x in pose):
+            raise FileFormatError(f"{graph_path}: {where} field 'pose_w2c' must hold 7 numbers "
+                                  f"(tx ty tz qx qy qz qw), got {pose!r}")
+        keyframes.append(build(
+            where, Keyframe, index=index, pose=build(where, _pose_from_list, pose),
             disparity=disparity, disparity_prior=prior, features=features,
             frozen=field(entry, "frozen", bool, where) if "frozen" in entry else False,
             timestamp=(field(entry, "timestamp", (int, float), where)
@@ -386,7 +408,6 @@ def load_problem_bundle(bundle_dir) -> KeyframeGraph:
         where = f"edges[{n}]"
         flow = read_tensor(root / field(entry, "flow", str, where)).astype(float)
         confidence = read_map(root / field(entry, "confidence", str, where))
-        edges.append(FlowObservation(i=field(entry, "i", int, where),
-                                     j=field(entry, "j", int, where), flow=flow,
-                                     confidence=confidence))
-    return KeyframeGraph(keyframes=keyframes, edges=edges, intrinsics=intrinsics)
+        edges.append(build(where, FlowObservation, i=field(entry, "i", int, where),
+                           j=field(entry, "j", int, where), flow=flow, confidence=confidence))
+    return build(None, KeyframeGraph, keyframes=keyframes, edges=edges, intrinsics=intrinsics)

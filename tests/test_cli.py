@@ -24,6 +24,18 @@ WRONG_TYPE_IDS = ["max_iters-str", "max_iters-float", "max_iters-bool", "height-
                   "pose_sigma-list", "c-str"]
 
 
+def edited_bundle(bundle, tmp_path, edit):
+    """A copy of bundle whose graph.json document went through edit(doc)."""
+    import json
+    import shutil
+    broken = tmp_path / "broken"
+    shutil.copytree(bundle, broken)
+    doc = json.loads((broken / "graph.json").read_text())
+    edit(doc)
+    (broken / "graph.json").write_text(json.dumps(doc))
+    return broken
+
+
 @pytest.fixture(scope="module")
 def small_cfg_text():
     return """
@@ -132,18 +144,16 @@ scene:
 
     @pytest.mark.parametrize("edit", ["second_camera", "second_stream"])
     def test_more_than_one_camera_rejected(self, synth_run, tmp_path, capsys, edit):
-        import json
-        import shutil
         from semba.tensorio import FileFormatError, load_problem_bundle
         root, cfg, bundle = synth_run
-        broken = tmp_path / "broken"
-        shutil.copytree(bundle, broken)
-        doc = json.loads((broken / "graph.json").read_text())
-        if edit == "second_camera":
-            doc["intrinsics"]["1"] = doc["intrinsics"]["0"]
-        else:
-            doc["keyframes"][1]["stream"] = 1
-        (broken / "graph.json").write_text(json.dumps(doc))
+
+        def second_camera(doc):
+            if edit == "second_camera":
+                doc["intrinsics"]["1"] = doc["intrinsics"]["0"]
+            else:
+                doc["keyframes"][1]["stream"] = 1
+
+        broken = edited_bundle(bundle, tmp_path, second_camera)
         with pytest.raises(FileFormatError, match="graph.json"):
             load_problem_bundle(broken)
         assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
@@ -158,21 +168,19 @@ scene:
                              ids=["camera_fx", "keyframe_features", "edge_flow", "edges",
                                   "keyframe_frozen_str", "keyframe_timestamp_str"])
     def test_missing_field_names_graph_json(self, synth_run, tmp_path, capsys, path, value):
-        import json
-        import shutil
         from semba.tensorio import FileFormatError, load_problem_bundle
         root, cfg, bundle = synth_run
-        broken = tmp_path / "broken"
-        shutil.copytree(bundle, broken)
-        doc = json.loads((broken / "graph.json").read_text())
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if value is None:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
-        (broken / "graph.json").write_text(json.dumps(doc))
+
+        def set_field(doc):
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+
+        broken = edited_bundle(bundle, tmp_path, set_field)
         with pytest.raises(FileFormatError, match=rf"graph\.json: .*'{path[-1]}'"):
             load_problem_bundle(broken)
         assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
@@ -180,6 +188,29 @@ scene:
         assert "graph.json" in err and f"'{path[-1]}'" in err
         if len(path) == 3 and isinstance(path[1], int):
             assert f"{path[0]}[{path[1]}]" in err  # the keyframe or edge entry
+
+    # Each case sets the value at path; expected is the part of the message after graph.json.
+    @pytest.mark.parametrize("path, value, expected", [
+        (("edges", 0, "i"), 99, "edge (99, 1) references a missing keyframe"),
+        (("edges", 0, "j"), 0, "edges[0]: self-edge (0, 0)"),
+        (("keyframes", 1, "index"), 2, "keyframe at position 1 carries index 2"),
+        (("keyframes", 1, "pose_w2c"), [0.0, 0.0, 1.0],
+         "keyframes[1] field 'pose_w2c' must hold 7 numbers"),
+        (("intrinsics", "0", "fx"), -1, "camera '0': focal lengths must be positive")],
+        ids=["edge_to_missing_keyframe", "self_edge", "index_out_of_order", "short_pose",
+             "negative_fx"])
+    def test_invalid_entry_names_graph_json(self, synth_run, tmp_path, capsys, path, value,
+                                            expected):
+        root, cfg, bundle = synth_run
+
+        def set_field(doc):
+            doc[path[0]][path[1]][path[2]] = value
+
+        broken = edited_bundle(bundle, tmp_path, set_field)
+        assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "graph.json: " + expected in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value", WRONG_TYPES, ids=WRONG_TYPE_IDS)
     def test_wrong_value_type_rejected(self, synth_run, tmp_path, capsys, section, key, value):
@@ -217,16 +248,46 @@ scene:
         expected = pca_decode(raw[:, 0, :].T, model).T
         assert np.allclose(emb[:, 0, :], expected, atol=1e-5)
 
-    def test_pca_output_dim_mismatch_rejected(self, synth_run, tmp_path, capsys):
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        from semba import solver
+
+        def solve(*args, **kwargs):
+            pytest.fail("solve ran although the PCA model was unusable")
+
+        monkeypatch.setattr(solver, "solve", solve)
+
+    def test_pca_output_dim_mismatch_rejected(self, synth_run, tmp_path, capsys, no_solve):
         root, cfg, bundle = synth_run
         codes = read_tensor(bundle / "keyframes" / "kf_000_features.kmvt").shape[0]
-        write_pca(tmp_path / "model.kmvp", PcaModel.identity(codes + 1))
+        write_pca(tmp_path / "model.kmvp", PcaModel(np.zeros(codes + 1), np.eye(codes + 1)))
         out = tmp_path / "out"
         assert main(["ba", str(bundle), str(out), "--config", cfg,
                      "--export-cloud", str(out / "cloud.ply"),
                      "--pca", str(tmp_path / "model.kmvp")]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert not (out / "cloud.embeddings.kmvt").exists()
+        assert f"decodes {codes + 1}-channel codes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_pca_model_rejected_before_solve(self, synth_run, tmp_path, capsys,
+                                                       no_solve):
+        root, cfg, bundle = synth_run
+        codes = read_tensor(bundle / "keyframes" / "kf_000_features.kmvt").shape[0]
+        model = tmp_path / "model.kmvp"
+        write_pca(model, PcaModel(np.zeros(codes), np.eye(codes)))
+        model.write_bytes(model.read_bytes()[:4 + 8 + 5])  # cut inside the mean
+        out = tmp_path / "out"
+        assert main(["ba", str(bundle), str(out), "--config", cfg,
+                     "--export-cloud", str(out / "cloud.ply"), "--pca", str(model)]) == 2
+        assert "model.kmvp: truncated PCA mean" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pca_requires_export_cloud(self, synth_run, tmp_path, capsys, no_solve):
+        root, cfg, bundle = synth_run
+        out = tmp_path / "out"
+        assert main(["ba", str(bundle), str(out), "--config", cfg,
+                     "--pca", str(tmp_path / "model.kmvp")]) == 1
+        assert "error: --pca requires --export-cloud" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_determinism_identical_energy_traces(self, synth_run, tmp_path):
         root, cfg, bundle = synth_run
@@ -290,6 +351,18 @@ class TestEval:
         short.write_text("\n".join((gt).read_text().splitlines()[:-1]) + "\n")
         assert main(["eval", str(short), str(gt)]) == 1
         assert "lengths differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, expected", [("a,1.0,0.0\nb,0.0\n", "labels.csv:2: expected 2"),
+                                                ("a,1.0,0.0\n", "labels.csv: need at least two")],
+                             ids=["ragged_row", "one_class"])
+    def test_malformed_label_set_exits_2(self, synth_run, tmp_path, capsys, text, expected):
+        root, cfg, bundle = synth_run
+        gt = bundle / "ground_truth"
+        (tmp_path / "labels.csv").write_text(text)
+        assert main(["eval", str(gt / "trajectory.txt"), str(gt / "trajectory.txt"),
+                     "--pred-cloud", str(tmp_path / "cloud.ply"), "--gt-cloud",
+                     str(gt / "cloud.ply"), "--labels", str(tmp_path / "labels.csv")]) == 2
+        assert expected in capsys.readouterr().err
 
     def test_semantic_pipeline_end_to_end(self, synth_run, tmp_path, capsys):
         root, cfg, bundle = synth_run

@@ -4,7 +4,7 @@ import pytest
 from semba.evaluation import (UNLABELED, LabelSet, SemanticPointCloud, align_trajectories,
                               assign_labels, ate_rmse, fuse_point_cloud, knn_transfer,
                               seg_metrics, trajectory_ate)
-from semba.features import PcaModel, pca_fit
+from semba.features import PcaModel
 from semba.geometry import Intrinsics, Pose, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
 
@@ -53,7 +53,7 @@ class TestFusePointCloud:
     def test_square_pca_roundtrips_features(self, rng):
         disparity = np.full((5, 5), 0.8)
         features = rng.normal(size=(4, 5, 5))
-        model = pca_fit(rng.normal(size=(50, 4)), 4)
+        model = PcaModel(rng.normal(size=4), np.linalg.qr(rng.normal(size=(4, 4)))[0])
         graph = tiny_graph(disparity, features)
         raw = fuse_point_cloud(graph)
         decoded = fuse_point_cloud(graph, pca=model)
@@ -284,10 +284,14 @@ class TestAlignment:
             a_rig, _ = align_trajectories(est, gt, "rigid")
             assert ate_rmse(a_sim, gt) <= ate_rmse(a_rig, gt) + 1e-12
 
-    def test_accepts_pose_sequences(self, rng):
-        poses = [se3_exp(rng.normal(0, 0.2, 6)) for _ in range(6)]
-        aligned, _ = align_trajectories(poses, poses, "rigid")
-        assert ate_rmse(aligned, np.stack([p.translation for p in poses])) < 1e-9
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (15,), (5, 3, 1)])
+    def test_non_track_shapes_rejected(self, rng, shape):
+        bad, good = rng.normal(size=shape), rng.normal(size=(5, 3))
+        for est, gt in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+                align_trajectories(est, gt, "rigid")
+            with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+                ate_rmse(est, gt)
 
     def test_collinear_rejected(self):
         line = np.outer(np.arange(5.0), [1.0, 0.0, 0.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semba.evaluation import trajectory_ate
-from semba.geometry import Intrinsics, se3_exp, se3_log
+from semba.geometry import Intrinsics, se3_exp
 from semba.graph import KeyframeGraph
 from semba.residuals import adaptive_edge_alpha, evaluate_edge
 from semba.robust import KernelConfig, adaptive_alpha, irls_weight

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semba.evaluation import LabelSet, seg_metrics
-from semba.features import pca_fit
+from semba.features import PcaModel
 from semba.geometry import Pose, se3_exp
 from semba.solver import IterationRecord
 from semba.synthscene import SceneConfig, gen_scene
@@ -64,9 +64,13 @@ class TestTensorFormat:
         assert len(blob) == 4 + 20 + 2 * 3 * 4 * 4
 
 
+def qr_model(rng, c, k):
+    return PcaModel(rng.normal(size=c), np.linalg.qr(rng.normal(size=(c, k)))[0])
+
+
 class TestPcaFormat:
     def test_roundtrip(self, tmp_path, rng):
-        model = pca_fit(rng.normal(size=(40, 6)).astype(np.float32).astype(float), 3)
+        model = qr_model(rng, 6, 3)
         path = tmp_path / "m.kmvp"
         write_pca(path, model)
         back = read_pca(path)
@@ -78,7 +82,7 @@ class TestPcaFormat:
 
     def test_corrupted_magic(self, tmp_path, rng):
         path = tmp_path / "bad.kmvp"
-        write_pca(path, pca_fit(rng.normal(size=(20, 4)), 2))
+        write_pca(path, qr_model(rng, 4, 2))
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
@@ -86,10 +90,18 @@ class TestPcaFormat:
             read_pca(path)
 
     def test_layout_is_binary32(self, tmp_path, rng):
-        model = pca_fit(rng.normal(size=(20, 5)), 2)
         path = tmp_path / "m.kmvp"
-        write_pca(path, model)
+        write_pca(path, qr_model(rng, 5, 2))
         assert len(path.read_bytes()) == 4 + 8 + 4 * 5 + 4 * 5 * 2
+
+    @pytest.mark.parametrize("keep, part", [(4 + 8 + 5, "mean"), (4 + 8 + 4 * 5 + 4, "basis")],
+                             ids=["mean", "basis"])
+    def test_truncated_file_names_file(self, tmp_path, rng, keep, part):
+        path = tmp_path / "cut.kmvp"
+        write_pca(path, qr_model(rng, 5, 2))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FileFormatError, match=f"cut.kmvp: truncated PCA {part}"):
+            read_pca(path)
 
 
 class TestTrajectoryFormat:
@@ -186,6 +198,18 @@ class TestLabelSetFormat:
         path = tmp_path / "bad.csv"
         path.write_text("chair,1.0,0.0\ncup,0.0,x\n")
         with pytest.raises(FileFormatError, match="bad.csv:2: non-numeric"):
+            read_labelset(path)
+
+    def test_ragged_row_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("chair,1.0,0.0\ncup,0.0,1.0,2.0\n")
+        with pytest.raises(FileFormatError, match="bad.csv:2: expected 2 values"):
+            read_labelset(path)
+
+    def test_single_class_names_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("chair,1.0,0.0\n")
+        with pytest.raises(FileFormatError, match="bad.csv: need at least two"):
             read_labelset(path)
 
 
