@@ -5,12 +5,17 @@ Validity conventions (enforced here and relied on by the solver):
     invalidate a pixel for every term;
   * a degenerate embedding norm invalidates only the embedding term;
   * invalid pixels contribute exactly zero to energies and normal equations.
+
+Every term of an edge is scaled by its flow confidence, so a pixel of zero
+confidence contributes exactly zero as well. Each edge is therefore evaluated
+on its support only: FlowObservation.pixels, the flat grid indices of its
+pixels with non-zero confidence, fixed when the observation is built.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,12 +32,17 @@ _EMBED_DERIV_EPS = 1e-6
 
 @dataclass(eq=False)
 class FlowObservation:
-    """Dense target flow and confidence for a directed keyframe pair i -> j."""
+    """Dense target flow and confidence for a directed keyframe pair i -> j.
+
+    pixels, the support, is derived from confidence once at construction;
+    confidence is not to be modified in place afterwards.
+    """
 
     i: int
     j: int
-    flow: np.ndarray        # (2, H, W), channels (dx, dy)
+    flow: np.ndarray        # (2, H, W), channels (dx, dy), finite
     confidence: np.ndarray  # (H, W), finite and non-negative
+    pixels: np.ndarray = field(init=False, repr=False)  # flat indices where confidence > 0
 
     def __post_init__(self):
         self.flow = np.asarray(self.flow, dtype=float)
@@ -46,6 +56,11 @@ class FlowObservation:
                 f"confidence shape {self.confidence.shape} does not match flow {self.flow.shape}")
         if not np.all(np.isfinite(self.confidence)) or np.any(self.confidence < 0):
             raise ValueError("confidence must be finite and non-negative")
+        if not np.isfinite(self.flow).all():
+            bad = ~(np.isfinite(self.flow[0]) & np.isfinite(self.flow[1]))
+            raise ValueError(f"edge ({self.i}, {self.j}): flow is not finite at pixel index "
+                             f"{np.flatnonzero(bad)[0]}")
+        self.pixels = np.flatnonzero(self.confidence > 0)
 
 
 @dataclass(frozen=True)
@@ -103,8 +118,13 @@ def disparity_reg_residual(disparity, prior, cfg: RegConfig = RegConfig()):
 
 @dataclass(eq=False)
 class EdgeEvaluation:
-    """Flattened per-pixel quantities for one directed edge (row-major pixel order)."""
+    """Per-pixel quantities for one directed edge, one row per pixel of its support.
 
+    Row n belongs to the grid pixel pixels[n] (a flat row-major index); N is the
+    number of pixels with non-zero confidence, not H*W.
+    """
+
+    pixels: np.ndarray            # (N,) flat grid indices, ascending
     confidence: np.ndarray        # (N,)
     r_flow: np.ndarray            # (N, 2)
     valid_flow: np.ndarray        # (N,)
@@ -121,13 +141,15 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
                   with_jacobians: bool = False, with_intrinsics: bool = False) -> EdgeEvaluation:
     """Evaluate flow and embedding residuals (and optionally Jacobians) for one edge.
 
-    The reprojection is computed once and shared between the two terms.
+    Only the pixels of the edge's support (obs.pixels) are evaluated. The
+    reprojection is computed once and shared between the two terms.
     need_similarity requests the cosine field even when the embedding term
     itself is disabled (the adaptive kernel consumes it either way).
     """
     h, w = kf_i.disparity.shape
-    u = grid_pixels(h, w)
-    d = kf_i.disparity.reshape(-1)
+    pixels = obs.pixels
+    u = grid_pixels(h, w)[pixels]
+    d = kf_i.disparity.reshape(-1)[pixels]
 
     jf = adjoint = None
     if with_jacobians:
@@ -142,18 +164,19 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
         mu, valid_geo = geometry.reproject(u, d, kf_i.pose, kf_j.pose, intrinsics)
 
     valid_flow = valid_geo & in_bounds(mu, h, w)
-    target = obs.flow.reshape(2, -1).T
+    target = obs.flow.reshape(2, -1)[:, pixels].T
     r_flow = np.where(valid_flow[:, None], (mu - u) - target, 0.0)
-    conf = obs.confidence.reshape(-1)
+    conf = obs.confidence.reshape(-1)[pixels]
 
-    n = u.shape[0]
+    n = pixels.size
     out = EdgeEvaluation(
-        confidence=conf, r_flow=r_flow, valid_flow=valid_flow, r_embed=np.zeros(n),
-        cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool), jf=jf, adjoint=adjoint)
+        pixels=pixels, confidence=conf, r_flow=r_flow, valid_flow=valid_flow,
+        r_embed=np.zeros(n), cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool), jf=jf,
+        adjoint=adjoint)
 
     if need_similarity or need_embedding:
-        # u is the row-major grid; for pixel-major features this is a view.
-        z_src = np.moveaxis(kf_i.features, 0, -1).reshape(n, -1)
+        # For pixel-major features the reshape is a view; the support rows are gathered.
+        z_src = np.moveaxis(kf_i.features, 0, -1).reshape(h * w, -1)[pixels]
         # Only the embedding Jacobian reads the sampling gradient.
         z_smp, dz_du, valid_bi = bilinear_sample(kf_j.features, mu,
                                                  with_grad=with_jacobians and need_embedding)

@@ -10,8 +10,9 @@ steps, falling back to plain Gauss-Newton as steps keep being accepted.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -143,26 +144,27 @@ class NormalEquations:
         return h, np.concatenate([self.pose_g, self.disp_g])
 
 
-def _check_finite(arrays, edge, context):
+def _check_finite(arrays, edge, pixels, context):
+    """Raise FloatingPointError naming the grid pixel pixels[n] of the first non-finite row n."""
     for arr in arrays:
         if arr is None:
             continue
         bad = ~np.isfinite(arr)
         if bad.any():
-            pixel = int(np.argwhere(bad)[0][0])
+            pixel = int(pixels[np.argwhere(bad)[0][0]])
             raise FloatingPointError(
                 f"non-finite {context} at edge ({edge.i}, {edge.j}), pixel index {pixel}")
 
 
 def kernel_alphas(graph: KeyframeGraph, config: SolverConfig) -> list:
-    """The robust-kernel shape of every edge pixel at the current state, one array per edge.
+    """The robust-kernel shape of every support pixel at the current state, one array per edge.
 
     A fixed kernel gives constant arrays without evaluating any edge; the
     adaptive kernel maps each pixel's cross-view similarity through
     adaptive_edge_alpha. The solver holds these shapes fixed for one iteration.
     """
     if config.fixed_alpha is not None:
-        return [np.full(obs.confidence.size, float(config.fixed_alpha)) for obs in graph.edges]
+        return [np.full(obs.pixels.size, float(config.fixed_alpha)) for obs in graph.edges]
     alphas = []
     for obs in graph.edges:
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
@@ -180,9 +182,10 @@ def _accumulate_edge(ne: NormalEquations, obs, ev, w_flow, w_emb):
     pose block and gradient over [pose j | intrinsics] are one weighted product
     each. L = [[-Ad, I, 0], [0, 0, I]] lifts them once per edge to [pose i |
     pose j | intrinsics] (H <- L^T H L, g <- L^T g, C <- L^T C), keeping only
-    the columns of non-frozen unknowns. A function of its own so that these
-    per-edge temporaries are freed before the next edge is evaluated, which
-    keeps peak memory flat.
+    the columns of non-frozen unknowns. Row n of ev lands in the disparity entry
+    and coupling column of grid pixel ev.pixels[n]. A function of its own so
+    that these per-edge temporaries are freed before the next edge is
+    evaluated, which keeps peak memory flat.
     """
     layout = ne.layout
     cols, lift_cols = [], []
@@ -202,14 +205,14 @@ def _accumulate_edge(ne: NormalEquations, obs, ev, w_flow, w_emb):
     lift[:6, :6] = -ev.adjoint
     lift = lift[:, lift_cols]
 
-    d_slice = layout.disparity_slice(obs.i)
+    d_index = layout.disparity_slice(obs.i).start + ev.pixels
     coupling_rows = (layout.coupling_rows[obs.i].start
                      + np.searchsorted(layout.coupling_cols[obs.i], cols))
     w_disp = weight * jac[:, :, 0]
     cross = np.matmul(w_disp[:, None, :], jac)[:, 0, :]
-    ne.disp_h[d_slice] += cross[:, 0]
-    ne.disp_g[d_slice] += np.sum(w_disp * res, axis=1)
-    ne.coupling[coupling_rows] += lift.T @ cross[:, 1:].T
+    ne.disp_h[d_index] += cross[:, 0]
+    ne.disp_g[d_index] += np.sum(w_disp * res, axis=1)
+    ne.coupling[np.ix_(coupling_rows, ev.pixels)] += lift.T @ cross[:, 1:].T
     rows = jac[:, :, 1:].reshape(weight.size, m)
     weighted = weight.reshape(-1, 1) * rows
     ne.pose_h[np.ix_(cols, cols)] += lift.T @ (rows.T @ weighted) @ lift
@@ -239,7 +242,8 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
                            graph.intrinsics, need_similarity=False, need_embedding=need_embedding,
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
-        _check_finite((ev.r_flow, ev.jf, ev.r_embed, ev.je), obs, "residual/Jacobian")
+        _check_finite((ev.r_flow, ev.jf, ev.r_embed, ev.je), obs, ev.pixels,
+                      "residual/Jacobian")
 
         ep, ee = edge_energies(ev, alpha, config.kernel.c)
         e_photo += ep
@@ -307,18 +311,27 @@ def solve_normal_equations(ne: NormalEquations, lm: float) -> np.ndarray:
 
 
 def retract(graph: KeyframeGraph, delta: np.ndarray, config: SolverConfig) -> KeyframeGraph:
-    """Apply a stacked update: exp-compose poses, add intrinsics, add and clamp disparities."""
+    """Apply a stacked update: exp-compose poses, add intrinsics, add and clamp disparities.
+
+    A finite delta keeps every keyframe valid, so delta is checked once and the
+    moved keyframes share the already validated prior and feature maps.
+    """
     layout = ProblemLayout.build(graph, config)
     if delta.shape != (layout.n_total,):
         raise ValueError(f"delta has {delta.shape[0]} entries, expected {layout.n_total}")
+    bad = ~np.isfinite(delta)
+    if bad.any():
+        entry = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"delta entry {entry} is not finite ({delta[entry]})")
     keyframes = []
     disp_delta = delta[layout.n_reduced:]
     for kf in graph.keyframes:
         slot = layout.pose_slices[kf.index]
         pose = kf.pose if slot is None else se3_exp(delta[slot]).compose(kf.pose)
         disp = kf.disparity + disp_delta[layout.disparity_slice(kf.index)].reshape(kf.disparity.shape)
-        disp = np.maximum(disp, MIN_DISPARITY)
-        keyframes.append(replace(kf, pose=pose, disparity=disp))
+        moved = copy.copy(kf)  # no Keyframe.__post_init__: the other maps are unchanged
+        moved.pose, moved.disparity = pose, np.maximum(disp, MIN_DISPARITY)
+        keyframes.append(moved)
     intrinsics = graph.intrinsics
     if layout.intrinsics_slice is not None:
         intrinsics = Intrinsics.from_array(intrinsics.as_array() + delta[layout.intrinsics_slice])

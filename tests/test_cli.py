@@ -212,6 +212,25 @@ scene:
         assert "graph.json: " + expected in err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_flow_names_the_edge(self, synth_run, tmp_path, capsys):
+        # The NaN sits on a pixel without confidence, which the solver never
+        # evaluates: only the loader can see it.
+        import json
+        import shutil
+        root, cfg, bundle = synth_run
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle, broken)
+        entry = json.loads((broken / "graph.json").read_text())["edges"][2]
+        flow = read_tensor(broken / entry["flow"])
+        confidence = read_tensor(broken / entry["confidence"])[0]
+        y, x = np.argwhere(confidence == 0)[0]
+        flow[1, y, x] = np.nan
+        write_tensor(broken / entry["flow"], flow)
+        assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "graph.json: edges[2]: " in err and "flow is not finite" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, key, value", WRONG_TYPES, ids=WRONG_TYPE_IDS)
     def test_wrong_value_type_rejected(self, synth_run, tmp_path, capsys, section, key, value):
         root, cfg, bundle = synth_run

@@ -114,6 +114,47 @@ class TestFlowResidual:
         with pytest.raises(ValueError, match="confidence"):
             FlowObservation(i=0, j=1, flow=np.zeros((2, 4, 4)), confidence=-np.ones((4, 4)))
 
+    def test_non_finite_flow_rejected_even_without_confidence(self):
+        # An unconfident pixel is never evaluated, so a bad flow there would
+        # otherwise go unnoticed.
+        flow = np.zeros((2, 4, 4))
+        flow[1, 2, 3] = np.nan
+        confidence = np.ones((4, 4))
+        confidence[2, 3] = 0.0
+        with pytest.raises(ValueError, match=r"edge \(2, 0\): flow is not finite at pixel "
+                                             r"index 11$"):
+            FlowObservation(i=2, j=0, flow=flow, confidence=confidence)
+
+
+class TestSupport:
+    def test_compact_rows_equal_full_grid_rows(self):
+        # The benchmark's dyn-k8 scene, where about a quarter of each edge's
+        # pixels is confident: every support row must be bitwise the row of the
+        # same grid pixel in a full-grid evaluation.
+        bundle = gen_scene(SceneConfig(num_keyframes=8, height=48, width=64,
+                                       dynamic_fraction=0.2, pose_sigma=0.01, seed=1009))
+        graph = bundle.to_graph(initial=True)
+        h, w = graph.grid_shape
+        for obs in graph.edges[:4]:
+            full_obs = FlowObservation(i=obs.i, j=obs.j, flow=obs.flow,
+                                       confidence=np.ones((h, w)))
+            assert np.array_equal(obs.pixels, np.flatnonzero(obs.confidence > 0))
+            assert 0 < obs.pixels.size < h * w / 2
+            for mode in ({"with_jacobians": True},
+                         {"need_similarity": True, "need_embedding": False}):
+                kf_i, kf_j = graph.keyframes[obs.i], graph.keyframes[obs.j]
+                ev = evaluate_edge(kf_i, kf_j, obs, graph.intrinsics, **mode)
+                full = evaluate_edge(kf_i, kf_j, full_obs, graph.intrinsics, **mode)
+                assert np.array_equal(ev.pixels, obs.pixels)
+                assert np.array_equal(ev.confidence, obs.confidence.reshape(-1)[ev.pixels])
+                for name in ("r_flow", "valid_flow", "r_embed", "cs", "valid_embed", "jf",
+                             "je"):
+                    got, ref = getattr(ev, name), getattr(full, name)
+                    if ref is None:
+                        assert got is None, name
+                    else:
+                        assert np.array_equal(got, ref[ev.pixels]), name
+
 
 class TestEmbeddingResidual:
     def test_warped_copy_gives_unit_similarity(self, clean_bundle):
@@ -359,6 +400,7 @@ class TestInvalidPixels:
         obs = FlowObservation(i=0, j=1, flow=rng.normal(0, 0.5, size=(2, h, w)),
                               confidence=rng.uniform(0.2, 1.0, size=(h, w)))
         ev = evaluate_edge(kf_i, kf_j, obs, K, with_jacobians=True)
+        assert ev.pixels.size == h * w  # every pixel is confident, so rows are grid pixels
         dead = ~ev.valid_flow
         _, geometric_ok = reproject(grid_pixels(h, w), disparity.reshape(-1), kf_i.pose,
                                     pose_j, K)
@@ -368,18 +410,32 @@ class TestInvalidPixels:
         assert np.abs(ev.r_flow[dead]).max() == 0.0
         assert np.abs(ev.r_embed[dead]).max() == 0.0
 
-        muted = obs.confidence.copy()
-        muted[dead.reshape(h, w)] = 0.0
         config = SolverConfig()
         graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=K)
-        graph_muted = KeyframeGraph(
-            keyframes=[kf_i, kf_j], intrinsics=K,
-            edges=[FlowObservation(i=0, j=1, flow=obs.flow, confidence=muted)])
         ne = assemble(graph, config, kernel_alphas(graph, config))
-        ne_muted = assemble(graph_muted, config, kernel_alphas(graph_muted, config))
-        for name in ("pose_h", "pose_g", "coupling", "disp_h", "disp_g"):
+        fields = ("pose_h", "pose_g", "coupling", "disp_h", "disp_g")
+
+        def assemble_with_dead_confidence(value):
+            muted = obs.confidence.copy()
+            muted[dead.reshape(h, w)] = value
+            other = KeyframeGraph(keyframes=[kf_i, kf_j], intrinsics=K, edges=[
+                FlowObservation(i=0, j=1, flow=obs.flow, confidence=muted)])
+            return assemble(other, config, kernel_alphas(other, config))
+
+        # Another positive confidence keeps the edge's support: bitwise the same.
+        ne_muted = assemble_with_dead_confidence(7.0)
+        for name in fields:
             assert np.array_equal(getattr(ne, name), getattr(ne_muted, name)), name
         assert ne.energies == ne_muted.energies
+        # Confidence 0 drops the dead pixels from the support, which changes
+        # only the order of the sums.
+        ne_muted = assemble_with_dead_confidence(0.0)
+        for name in fields:
+            ref, got = getattr(ne, name), getattr(ne_muted, name)
+            assert np.abs(got - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0), name
+        for name in ("total", "photo_ark", "embed", "reg"):
+            assert getattr(ne_muted.energies, name) == pytest.approx(
+                getattr(ne.energies, name), rel=1e-9, abs=0.0), name
 
     def test_zero_norm_embedding_keeps_flow_term(self, rng):
         h, w = 6, 8

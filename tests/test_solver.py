@@ -5,8 +5,9 @@ import pytest
 
 from semba.evaluation import trajectory_ate
 from semba.geometry import Intrinsics, se3_exp
-from semba.graph import KeyframeGraph
-from semba.residuals import adaptive_edge_alpha, evaluate_edge
+from semba.graph import Keyframe, KeyframeGraph
+from semba.residuals import (FlowObservation, adaptive_edge_alpha, evaluate_edge,
+                             total_energy)
 from semba.robust import KernelConfig, adaptive_alpha, irls_weight
 from semba.solver import (MIN_DISPARITY, NormalEquations, ProblemLayout, SolverConfig, assemble,
                           kernel_alphas, retract, solve, solve_normal_equations)
@@ -20,7 +21,9 @@ def small_config(**kw):
 
 def brute_force_normal_equations(graph, config):
     """Independent dense assembly: stack per-pixel Jacobian rows into a dense J,
-    build H = J^T W J and b = J^T W r with plain matrix products."""
+    build H = J^T W J and b = J^T W r with plain matrix products.
+
+    Row p of an edge evaluation is the grid pixel ev.pixels[p] of keyframe i."""
     layout = ProblemLayout.build(graph, config)
     n = layout.n_total
     rows_j, rows_w, rows_r = [], [], []
@@ -57,7 +60,7 @@ def brute_force_normal_equations(graph, config):
                     row[slot_j] = ev.jf[p, axis, 1:7]
                 if config.optimize_intrinsics:
                     row[layout.intrinsics_slice] = ev.jf[p, axis, 7:]
-                row[d_base + p] = ev.jf[p, axis, 0]
+                row[d_base + ev.pixels[p]] = ev.jf[p, axis, 0]
                 rows_j.append(row)
                 rows_w.append(w_flow[p])
                 rows_r.append(ev.r_flow[p, axis])
@@ -69,7 +72,7 @@ def brute_force_normal_equations(graph, config):
                     row[slot_j] = ev.je[p, 1:7]
                 if config.optimize_intrinsics:
                     row[layout.intrinsics_slice] = ev.je[p, 7:]
-                row[d_base + p] = ev.je[p, 0]
+                row[d_base + ev.pixels[p]] = ev.je[p, 0]
                 rows_j.append(row)
                 rows_w.append(w_emb[p])
                 rows_r.append(ev.r_embed[p])
@@ -102,9 +105,6 @@ class ToyBundle:
     """Hand-built 3-keyframe problem, <= 500 unknowns, every pixel observed."""
 
     def __init__(self, seed=5):
-        from semba.graph import Keyframe
-        from semba.residuals import FlowObservation
-
         rng = np.random.default_rng(seed)
         h, w = 10, 12
         self.intrinsics = Intrinsics(14.0, 15.0, 5.5, 4.5)
@@ -220,6 +220,41 @@ class TestAssemble:
         with pytest.raises(FloatingPointError, match=r"edge \(.*\), pixel"):
             assemble(graph, config, kernel_alphas(graph, config))
         graph.edges[1].flow[0, 3, 4] = 0.0
+
+    def test_nonfinite_row_names_its_grid_pixel(self, toy_bundle):
+        graph = toy_bundle.to_graph(initial=True)
+        config = small_config()
+        obs = graph.edges[1]
+        confidence = obs.confidence.copy()
+        confidence[:2] = 0.0  # the first two image rows leave the support
+        edge = FlowObservation(i=obs.i, j=obs.j, flow=obs.flow.copy(), confidence=confidence)
+        graph.edges[1] = edge
+        pixel = 3 * confidence.shape[1] + 4
+        assert np.searchsorted(edge.pixels, pixel) != pixel
+        edge.flow[0, 3, 4] = np.nan  # construction would reject it
+        with pytest.raises(FloatingPointError, match=rf"pixel index {pixel}$"):
+            assemble(graph, config, kernel_alphas(graph, config))
+
+    @pytest.mark.parametrize("options", [{}, {"fixed_alpha": 1.0, "optimize_intrinsics": True}],
+                             ids=["adaptive", "fixed-intrinsics"])
+    def test_zero_confidence_edge_changes_nothing(self, toy_bundle, options):
+        # A second edge (1, 0) with no confident pixel: the layout is unchanged,
+        # and so must be every sum.
+        graph = toy_bundle.to_graph(initial=True)
+        h, w = graph.grid_shape
+        dead = FlowObservation(i=1, j=0, flow=np.ones((2, h, w)), confidence=np.zeros((h, w)))
+        assert dead.pixels.size == 0
+        with_dead = KeyframeGraph(keyframes=graph.keyframes, intrinsics=graph.intrinsics,
+                                  edges=graph.edges[:2] + [dead] + graph.edges[2:])
+        config = small_config(**options)
+        ne = assemble(graph, config, kernel_alphas(graph, config))
+        alphas = kernel_alphas(with_dead, config)
+        assert alphas[2].shape == (0,)
+        ne_dead = assemble(with_dead, config, alphas)
+        for name in ("pose_h", "pose_g", "coupling", "disp_h", "disp_g"):
+            assert np.array_equal(getattr(ne_dead, name), getattr(ne, name)), name
+        assert ne_dead.energies == ne.energies
+        assert total_energy(with_dead, config, alphas) == ne.energies
 
 
 class TestKernelAlphas:
@@ -356,6 +391,30 @@ class TestRetract:
         graph = toy_bundle.to_graph(initial=True)
         with pytest.raises(ValueError, match="entries"):
             retract(graph, np.zeros(3), small_config())
+
+    def test_non_finite_delta_names_the_entry(self, toy_bundle):
+        graph = toy_bundle.to_graph(initial=True)
+        config = small_config()
+        delta = np.zeros(ProblemLayout.build(graph, config).n_total)
+        delta[[17, 40]] = [np.inf, np.nan]
+        with pytest.raises(ValueError, match=r"delta entry 17 is not finite \(inf\)"):
+            retract(graph, delta, config)
+
+    def test_moved_keyframes_are_not_validated_again(self, toy_bundle, monkeypatch):
+        # The delta check covers every map retract changes; the others were
+        # validated when the keyframes were built.
+        graph = toy_bundle.to_graph(initial=True)
+        config = small_config()
+
+        def no_validation(self):
+            raise AssertionError("retract re-validated a keyframe")
+
+        monkeypatch.setattr(Keyframe, "__post_init__", no_validation)
+        delta = np.full(ProblemLayout.build(graph, config).n_total, 1e-3)
+        out = retract(graph, delta, config)
+        for a, b in zip(out.keyframes, graph.keyframes):
+            assert a.disparity_prior is b.disparity_prior and a.features is b.features
+            assert np.array_equal(a.disparity, b.disparity + 1e-3)
 
 
 class TestSolve:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semba.evaluation import trajectory_ate
-from semba.residuals import evaluate_edge, total_energy
+from semba.residuals import FlowObservation, evaluate_edge, total_energy
 from semba.solver import SolverConfig, kernel_alphas, solve
 from semba.synthscene import DEPTH_RANGE, TEMPORAL_RADIUS, SceneConfig, gen_scene
 
@@ -84,6 +84,12 @@ class TestGenScene:
             assert np.array_equal(d, ref)
 
 
+def unit_confidence(obs):
+    """obs with confidence 1 everywhere, so that evaluate_edge returns every grid pixel."""
+    return FlowObservation(i=obs.i, j=obs.j, flow=obs.flow,
+                           confidence=np.ones_like(obs.confidence))
+
+
 class TestInjectDynamics:
     def test_fraction_is_exact(self, dynamic_bundle):
         measured = dynamic_bundle.measured_dynamic_fraction()
@@ -96,7 +102,7 @@ class TestInjectDynamics:
         g = dynamic_bundle.to_graph(initial=False)
         cs_vals = []
         for obs in dynamic_bundle.edges:
-            ev = evaluate_edge(g.keyframes[obs.i], g.keyframes[obs.j], obs,
+            ev = evaluate_edge(g.keyframes[obs.i], g.keyframes[obs.j], unit_confidence(obs),
                                dynamic_bundle.intrinsics)
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_embed
             cs_vals.append(ev.cs[sel])
@@ -106,7 +112,7 @@ class TestInjectDynamics:
         g = dynamic_bundle.to_graph(initial=False)
         mags = []
         for obs in dynamic_bundle.edges:
-            ev = evaluate_edge(g.keyframes[obs.i], g.keyframes[obs.j], obs,
+            ev = evaluate_edge(g.keyframes[obs.i], g.keyframes[obs.j], unit_confidence(obs),
                                dynamic_bundle.intrinsics)
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_flow
             mags.append(np.linalg.norm(ev.r_flow[sel], axis=1))
