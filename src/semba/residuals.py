@@ -1,10 +1,13 @@
-"""Per-edge residual terms: photometric flow, embedding similarity, disparity prior.
+"""The objective: every residual term, its kernel shape, energy and Gauss-Newton weights.
+
+The solver accumulates what evaluate_edge, edge_weights and prior_terms return
+and adds no rule of its own.
 
 Validity conventions (enforced here and relied on by the solver):
   * geometric failures (zero disparity, behind-camera, out-of-bounds target)
     invalidate a pixel for every term;
   * a degenerate embedding norm invalidates only the embedding term;
-  * invalid pixels contribute exactly zero to energies and normal equations.
+  * invalid pixels hold zero residuals and get zero Gauss-Newton weight.
 
 Every term of an edge is scaled by its flow confidence, so a pixel of zero
 confidence contributes exactly zero as well. Each edge is therefore evaluated
@@ -40,12 +43,12 @@ class FlowObservation:
 
     i: int
     j: int
-    flow: np.ndarray        # (2, H, W), channels (dx, dy), finite
+    flow: np.ndarray        # (2, H, W), channels (dx, dy), finite, C-contiguous
     confidence: np.ndarray  # (H, W), finite and non-negative
     pixels: np.ndarray = field(init=False, repr=False)  # flat indices where confidence > 0
 
     def __post_init__(self):
-        self.flow = np.asarray(self.flow, dtype=float)
+        self.flow = np.ascontiguousarray(self.flow, dtype=float)
         self.confidence = np.asarray(self.confidence, dtype=float)
         if self.i == self.j:
             raise ValueError(f"self-edge ({self.i}, {self.j}) is not allowed")
@@ -100,20 +103,6 @@ def _embed_residual_from_cs(cs):
 
 def _embed_dresidual_dcs(r):
     return -_EMBED_SCALE**2 / (r + _EMBED_DERIV_EPS)
-
-
-def disparity_reg_residual(disparity, prior, cfg: RegConfig = RegConfig()):
-    """Prior-anchoring residual sqrt(alpha_disp) * (d - d_prior); zero where the prior is invalid.
-
-    Returns (residuals, valid) with valid = prior > 0.
-    """
-    disparity = np.asarray(disparity, dtype=float)
-    prior = np.asarray(prior, dtype=float)
-    if disparity.shape != prior.shape:
-        raise ValueError(f"shape mismatch: {disparity.shape} vs {prior.shape}")
-    valid = prior > 0
-    res = np.sqrt(cfg.alpha_disp) * np.where(valid, disparity - prior, 0.0)
-    return res, valid
 
 
 @dataclass(eq=False)
@@ -178,10 +167,11 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
         # For pixel-major features the reshape is a view; the support rows are gathered.
         z_src = np.moveaxis(kf_i.features, 0, -1).reshape(h * w, -1)[pixels]
         # Only the embedding Jacobian reads the sampling gradient.
-        z_smp, dz_du, valid_bi = bilinear_sample(kf_j.features, mu,
-                                                 with_grad=with_jacobians and need_embedding)
+        # valid_flow already requires mu in the sampling domain.
+        z_smp, dz_du, _ = bilinear_sample(kf_j.features, mu,
+                                          with_grad=with_jacobians and need_embedding)
         cs, n_src, n_smp, norm_ok = _cosine(z_src, z_smp)
-        valid_embed = valid_flow & valid_bi & norm_ok
+        valid_embed = valid_flow & norm_ok
         out.cs = np.where(valid_embed, cs, 0.0)
         out.valid_embed = valid_embed
         if need_embedding:
@@ -197,6 +187,54 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
     return out
 
 
+def kernel_alphas(graph, config) -> list:
+    """The robust-kernel shape of every support pixel at the current state, one array per edge.
+
+    config is a solver.SolverConfig. A fixed kernel evaluates no edge; the
+    adaptive kernel maps each pixel's similarity through robust.adaptive_alpha,
+    and a pixel without a usable similarity keeps alpha_static.
+    """
+    if config.fixed_alpha is not None:
+        return [np.full(obs.pixels.size, float(config.fixed_alpha)) for obs in graph.edges]
+    alphas = []
+    for obs in graph.edges:
+        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
+                           graph.intrinsics, need_similarity=True, need_embedding=False)
+        alphas.append(np.where(ev.valid_embed, robust.adaptive_alpha(ev.cs, config.kernel),
+                               config.kernel.alpha_static))
+    return alphas
+
+
+def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray, c: float):
+    """(photo_ark, embed) energies of one evaluated edge under shapes alpha (rho(0) = 0)."""
+    rho = robust.barron_rho(np.linalg.norm(ev.r_flow, axis=-1), alpha, c)
+    return float(np.sum(ev.confidence * rho)), float(np.sum(ev.confidence * ev.r_embed**2))
+
+
+def edge_weights(ev: EdgeEvaluation, alpha: np.ndarray, config):
+    """Gauss-Newton weights (w_flow, w_emb) of one edge: the IRLS weight psi(r)/r under
+    shapes alpha and 2 * lambda_embed (the factor 2 of d(r^2)), each folded with the
+    confidence and its term's validity; w_emb is None when lambda_embed is 0.
+    """
+    w_ark = robust.irls_weight(np.linalg.norm(ev.r_flow, axis=-1), alpha, config.kernel.c)
+    w_flow = ev.confidence * w_ark * ev.valid_flow
+    if config.lambda_embed == 0.0:
+        return w_flow, None
+    return w_flow, 2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
+
+
+def prior_terms(kf, reg: RegConfig):
+    """Disparity prior alpha_disp * (d - d_prior)^2 of keyframe kf where the prior is > 0:
+    (energy, Gauss-Newton diagonal h, gradient g), h and g flat over the pixels.
+    """
+    valid = kf.disparity_prior > 0
+    diff = kf.disparity - kf.disparity_prior
+    energy = float(np.sum((np.sqrt(reg.alpha_disp) * diff[valid]) ** 2))
+    valid = valid.reshape(-1)
+    h = 2.0 * reg.alpha_disp * valid
+    return energy, h, h * np.where(valid, diff.reshape(-1), 0.0)
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """Component energies: total = photo_ark + lambda_embed * embed + reg."""
@@ -206,28 +244,17 @@ class EnergyBreakdown:
     embed: float
     reg: float
 
-
-def adaptive_edge_alpha(ev: EdgeEvaluation, kernel: robust.KernelConfig) -> np.ndarray:
-    """Similarity-driven shape per pixel; pixels without a usable similarity stay static."""
-    alpha = robust.adaptive_alpha(ev.cs, kernel)
-    return np.where(ev.valid_embed, alpha, kernel.alpha_static)
-
-
-def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray, c: float):
-    """(photo_ark, embed) energy contributions of one evaluated edge under shapes alpha."""
-    r_norm = np.linalg.norm(ev.r_flow, axis=-1)
-    rho = robust.barron_rho(r_norm, alpha, c)
-    e_photo = float(np.sum(ev.confidence * rho * ev.valid_flow))
-    e_embed = float(np.sum(ev.confidence * ev.r_embed**2 * ev.valid_embed))
-    return e_photo, e_embed
+    @classmethod
+    def of(cls, photo_ark: float, embed: float, reg: float, lambda_embed: float):
+        return cls(photo_ark + lambda_embed * embed + reg, photo_ark, embed, reg)
 
 
 def total_energy(graph, config, alphas) -> EnergyBreakdown:
     """Objective value over a keyframe graph at its current state.
 
     config is a solver.SolverConfig (read for its kernel, reg and lambda_embed
-    fields); alphas holds one per-pixel shape array per edge of
-    graph.edges, as decided by solver.kernel_alphas.
+    fields); alphas holds one per-pixel shape array per edge of graph.edges,
+    as decided by kernel_alphas.
     """
     e_photo = 0.0
     e_embed = 0.0
@@ -240,7 +267,5 @@ def total_energy(graph, config, alphas) -> EnergyBreakdown:
         e_embed += ee
     e_reg = 0.0
     for kf in graph.keyframes:
-        res, valid = disparity_reg_residual(kf.disparity, kf.disparity_prior, config.reg)
-        e_reg += float(np.sum(res[valid] ** 2))
-    total = e_photo + config.lambda_embed * e_embed + e_reg
-    return EnergyBreakdown(total=total, photo_ark=e_photo, embed=e_embed, reg=e_reg)
+        e_reg += prior_terms(kf, config.reg)[0]
+    return EnergyBreakdown.of(e_photo, e_embed, e_reg, config.lambda_embed)

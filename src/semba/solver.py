@@ -1,11 +1,13 @@
 """Gauss-Newton solver over poses, intrinsics, and dense disparities.
 
-Unknown ordering: [6 per non-frozen pose | 4 if optimizing intrinsics | 1 per
-pixel per keyframe]. The disparity block is diagonal and is eliminated by a
-Schur complement, one keyframe at a time, since a frame's disparities couple
-only to the poses of its edges and to the intrinsics (Triggs et al., "Bundle
-Adjustment - A Modern Synthesis", 2000). Levenberg damping (lm * diag) guards
-steps, falling back to plain Gauss-Newton as steps keep being accepted.
+The objective is defined in residuals; this module accumulates its terms into
+normal equations, solves them and retracts the step. Unknown ordering: [6 per
+non-frozen pose | 4 if optimizing intrinsics | 1 per pixel per keyframe]. The
+disparity block is diagonal and is eliminated by a Schur complement, one
+keyframe at a time, since a frame's disparities couple only to the poses of its
+edges and to the intrinsics (Triggs et al., "Bundle Adjustment - A Modern
+Synthesis", 2000). Levenberg damping (lm * diag) guards steps, falling back to
+plain Gauss-Newton as steps keep being accepted.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import residuals, robust
 from .geometry import Intrinsics, se3_exp
 from .graph import KeyframeGraph
-from .residuals import (EnergyBreakdown, RegConfig, adaptive_edge_alpha, edge_energies,
-                        evaluate_edge, total_energy)
+from .residuals import (EnergyBreakdown, RegConfig, edge_energies, edge_weights, evaluate_edge,
+                        kernel_alphas, prior_terms, total_energy)
 from .robust import KernelConfig
 
 # Levenberg damping schedule: start at LM_INIT, multiply by LM_GROW after a
@@ -156,23 +157,6 @@ def _check_finite(arrays, edge, pixels, context):
                 f"non-finite {context} at edge ({edge.i}, {edge.j}), pixel index {pixel}")
 
 
-def kernel_alphas(graph: KeyframeGraph, config: SolverConfig) -> list:
-    """The robust-kernel shape of every support pixel at the current state, one array per edge.
-
-    A fixed kernel gives constant arrays without evaluating any edge; the
-    adaptive kernel maps each pixel's cross-view similarity through
-    adaptive_edge_alpha. The solver holds these shapes fixed for one iteration.
-    """
-    if config.fixed_alpha is not None:
-        return [np.full(obs.pixels.size, float(config.fixed_alpha)) for obs in graph.edges]
-    alphas = []
-    for obs in graph.edges:
-        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, need_similarity=True, need_embedding=False)
-        alphas.append(adaptive_edge_alpha(ev, config.kernel))
-    return alphas
-
-
 def _accumulate_edge(ne: NormalEquations, obs, ev, w_flow, w_emb):
     """Add the weighted Gauss-Newton terms of edge obs (i -> j) to ne in place.
 
@@ -222,10 +206,9 @@ def _accumulate_edge(ne: NormalEquations, obs, ev, w_flow, w_emb):
 def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquations:
     """Accumulate the weighted Gauss-Newton normal equations over all edges and priors.
 
-    Per pixel the flow residual is robustified through the IRLS weight of the
-    loss with shape alphas[edge][pixel] (from kernel_alphas), folded with the
-    flow confidence; the embedding term enters as a plain weighted quadratic;
-    the disparity prior anchors each pixel with weight alpha_disp.
+    Each edge adds its flow and embedding rows with the weights of
+    residuals.edge_weights under shapes alphas[edge] (from kernel_alphas);
+    each keyframe adds the diagonal and gradient of residuals.prior_terms.
     """
     layout = ProblemLayout.build(graph, config)
     p = layout.n_reduced
@@ -236,40 +219,26 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
                          disp_g=np.zeros(layout.n_disparity), energies=None)
     e_photo = 0.0
     e_embed = 0.0
-
-    need_embedding = config.lambda_embed != 0.0
     for obs, alpha in zip(graph.edges, alphas, strict=True):
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, need_similarity=False, need_embedding=need_embedding,
+                           graph.intrinsics, need_similarity=False,
+                           need_embedding=config.lambda_embed != 0.0,
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
         _check_finite((ev.r_flow, ev.jf, ev.r_embed, ev.je), obs, ev.pixels,
                       "residual/Jacobian")
-
         ep, ee = edge_energies(ev, alpha, config.kernel.c)
         e_photo += ep
         e_embed += ee
-
-        r_norm = np.linalg.norm(ev.r_flow, axis=-1)
-        w_ark = robust.irls_weight(r_norm, alpha, config.kernel.c)
-        w_flow = ev.confidence * w_ark * ev.valid_flow
-        # True gradient of lambda * sum w r^2 carries a factor 2.
-        w_emb = (2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
-                 if need_embedding else None)
-        _accumulate_edge(ne, obs, ev, w_flow, w_emb)
+        _accumulate_edge(ne, obs, ev, *edge_weights(ev, alpha, config))
 
     e_reg = 0.0
     for kf in graph.keyframes:
-        res, valid = residuals.disparity_reg_residual(kf.disparity, kf.disparity_prior,
-                                                      config.reg)
-        e_reg += float(np.sum(res[valid] ** 2))
+        energy, h, g = prior_terms(kf, config.reg)
+        e_reg += energy
         d_slice = layout.disparity_slice(kf.index)
-        w_reg = 2.0 * config.reg.alpha_disp * valid.reshape(-1)
-        ne.disp_h[d_slice] += w_reg
-        diff = (kf.disparity - kf.disparity_prior).reshape(-1)
-        ne.disp_g[d_slice] += w_reg * np.where(valid.reshape(-1), diff, 0.0)
-
-    total = e_photo + config.lambda_embed * e_embed + e_reg
-    ne.energies = EnergyBreakdown(total, e_photo, e_embed, e_reg)
+        ne.disp_h[d_slice] += h
+        ne.disp_g[d_slice] += g
+    ne.energies = EnergyBreakdown.of(e_photo, e_embed, e_reg, config.lambda_embed)
     return ne
 
 

@@ -325,23 +325,24 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
     n = cfg.num_keyframes
     pairs = [(i, j) for i in range(n) for j in range(n) if 0 < abs(i - j) <= TEMPORAL_RADIUS]
     u = grid_pixels(h, w)
-    edges = []
+    flows, confidences = [], []
     for i, j in pairs:
         mu, valid = geometry.reproject(u, gt_disparity[i].reshape(-1), gt_poses[i],
                                        gt_poses[j], intr)
         usable = valid & in_bounds(mu, h, w)
-        flow = np.where(usable[:, None], mu - u, 0.0)
+        flows.append(np.where(usable, (mu - u).T, 0.0).reshape(2, h, w))
         conf = _edge_confidence(mu, labels[i].reshape(-1), purity[i].reshape(-1),
                                 labels[j], purity[j], usable)
-        edges.append(FlowObservation(i=i, j=j, flow=flow.T.reshape(2, h, w),
-                                     confidence=conf.reshape(h, w).astype(float)))
+        confidences.append(conf.reshape(h, w).astype(float))
 
-    if np.mean([e.confidence.mean() for e in edges]) <= 0.01:
+    if np.mean([c.mean() for c in confidences]) <= 0.01:
         raise ValueError("scene too cramped: almost no confident pixels survive the "
                          "boundary masking; enlarge the grid")
 
-    mask = (_move_blobs(edges, features, cfg) if cfg.dynamic_fraction > 0
+    mask = (_move_blobs(flows, features, cfg) if cfg.dynamic_fraction > 0
             else np.zeros((h, w), dtype=bool))
+    edges = [FlowObservation(i=i, j=j, flow=flow, confidence=conf)
+             for (i, j), flow, conf in zip(pairs, flows, confidences)]
     # Keyframe 0 is the gauge anchor and keeps its pose.
     init_poses = list(gt_poses)
     if cfg.pose_sigma > 0:
@@ -383,9 +384,9 @@ def _grow_blobs(rng: np.random.Generator, height: int, width: int, target: int):
     return mask, ids
 
 
-def _move_blobs(edges: list, features: list, cfg: SceneConfig) -> np.ndarray:
-    """Contaminate contiguous blobs in place, modelling objects that moved between
-    frames; returns the (H, W) mask of moved pixels.
+def _move_blobs(flows: list, features: list, cfg: SceneConfig) -> np.ndarray:
+    """Contaminate contiguous blobs of the edge flows and the features in place, modelling
+    objects that moved between frames; returns the (H, W) mask of moved pixels.
 
     Each blob gets an independent rigid 2-D flow displacement of magnitude
     dynamic_motion_px per edge (violating the static geometry) and, per frame,
@@ -402,12 +403,12 @@ def _move_blobs(edges: list, features: list, cfg: SceneConfig) -> np.ndarray:
     blobs = [blob_ids == blob for blob in range(int(blob_ids.max()) + 1)]
 
     if cfg.dynamic_motion_px > 0:
-        for obs in edges:
+        for flow in flows:
             for sel in blobs:
                 theta = rng.uniform(0.0, 2.0 * np.pi)
                 delta = cfg.dynamic_motion_px * np.array([np.cos(theta), np.sin(theta)])
-                obs.flow[0][sel] += delta[0]
-                obs.flow[1][sel] += delta[1]
+                flow[0][sel] += delta[0]
+                flow[1][sel] += delta[1]
 
     if cfg.embedding_decorrelation > 0:
         # Ramped blend weights: spatially coherent object features with soft

@@ -12,52 +12,17 @@ import pytest
 
 from semba.evaluation import (LabelSet, SemanticPointCloud, assign_labels, knn_transfer,
                               seg_metrics, trajectory_ate)
-from semba.geometry import Intrinsics, reproject, reprojection_jacobian, se3_exp
-from semba.graph import Keyframe
-from semba.residuals import FlowObservation, evaluate_edge, grid_pixels, total_energy
+from semba.geometry import reproject, reprojection_jacobian, se3_exp
+from semba.residuals import total_energy
 from semba.robust import barron_psi, barron_rho
 from semba.solver import SolverConfig, assemble, kernel_alphas, solve, solve_normal_equations
 from semba.synthscene import SceneConfig, gen_scene
-
-K = Intrinsics(40.0, 42.0, 15.5, 11.5)
+from shared import (K, ToyBundle, brute_force_normal_equations, central_differences, edge_eval,
+                    off_grid_lines, smooth_map)
 
 
 def report(criterion, detail):
     print(f"[PASS] criterion {criterion}: {detail}")
-
-
-def _smooth(rng, shape, offset=2.0):
-    m = rng.normal(size=shape)
-    for axis in range(1, m.ndim):
-        for _ in range(5):
-            m = 0.5 * m + 0.25 * (np.roll(m, 1, axis) + np.roll(m, -1, axis))
-    return m + offset
-
-
-def _edge(z_i, z_j, disparity, pose_i, pose_j, **kwargs):
-    """evaluate_edge on an edge 0 -> 1 whose keyframes share one disparity map, zero target flow."""
-    h, w = disparity.shape
-    kf_i = Keyframe(index=0, pose=pose_i, disparity=disparity, disparity_prior=disparity,
-                    features=z_i)
-    kf_j = Keyframe(index=1, pose=pose_j, disparity=disparity, disparity_prior=disparity,
-                    features=z_j)
-    obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)), confidence=np.ones((h, w)))
-    return evaluate_edge(kf_i, kf_j, obs, K, **kwargs)
-
-
-def _central_differences(evaluate, n_steps, eps=1e-6):
-    """Central differences of r_flow (N, 2, n) and r_embed (N, n) over n perturbations.
-
-    evaluate(k, h) is the EdgeEvaluation with perturbation k scaled by h. The third
-    result marks the pixels valid at every evaluation.
-    """
-    d_flow, d_embed, ok = [], [], True
-    for k in range(n_steps):
-        plus, minus = evaluate(k, eps), evaluate(k, -eps)
-        d_flow.append((plus.r_flow - minus.r_flow) / (2 * eps))
-        d_embed.append((plus.r_embed - minus.r_embed) / (2 * eps))
-        ok = ok & plus.valid_embed & minus.valid_embed & plus.valid_flow & minus.valid_flow
-    return np.stack(d_flow, axis=-1), np.stack(d_embed, axis=-1), ok
 
 
 class TestCriterion1Jacobians:
@@ -105,26 +70,23 @@ class TestCriterion1Jacobians:
         worst_flow = 0.0
         checked = 0
         while checked < 100:
-            z_i = _smooth(rng, (6, 24, 32))
-            z_j = _smooth(rng, (6, 24, 32))
+            z_i = smooth_map(rng, passes=5)
+            z_j = smooth_map(rng, passes=5)
             t_i = se3_exp(rng.normal(0, 0.05, 6))
             t_j = se3_exp(rng.normal(0, 0.05, 6))
             d = rng.uniform(0.3, 1.2, size=(24, 32))
-            ev = _edge(z_i, z_j, d, t_i, t_j, with_jacobians=True)
-            fd_fi, fd_ei, ok_i = _central_differences(
-                lambda k, h: _edge(z_i, z_j, d, se3_exp(h * np.eye(6)[k]).compose(t_i),
-                                   t_j), 6)
-            fd_fj, fd_ej, ok_j = _central_differences(
-                lambda k, h: _edge(z_i, z_j, d, t_i,
-                                   se3_exp(h * np.eye(6)[k]).compose(t_j)), 6)
-            fd_fdisp, fd_edisp, ok_d = _central_differences(
-                lambda k, h: _edge(z_i, z_j, d + h, t_i, t_j), 1)
-            # Bilinear sampling has kinks on the grid lines; a stencil
-            # straddling one measures no derivative.
-            mu, _ = reproject(grid_pixels(24, 32), d.reshape(-1), t_i, t_j, K)
-            smooth = (np.abs(mu - np.round(mu)) >= 1e-3).all(axis=1) & ok_i & ok_j & ok_d
+            ev = edge_eval(z_i, z_j, d, t_i, t_j, with_jacobians=True)
+            fd_fi, fd_ei, okf_i, oke_i = central_differences(
+                lambda k, h: edge_eval(z_i, z_j, d, se3_exp(h * np.eye(6)[k]).compose(t_i),
+                                       t_j), 6)
+            fd_fj, fd_ej, okf_j, oke_j = central_differences(
+                lambda k, h: edge_eval(z_i, z_j, d, t_i,
+                                       se3_exp(h * np.eye(6)[k]).compose(t_j)), 6)
+            fd_fdisp, fd_edisp, okf_d, oke_d = central_differences(
+                lambda k, h: edge_eval(z_i, z_j, d + h, t_i, t_j), 1)
+            smooth = off_grid_lines(d, t_i, t_j)
 
-            used = smooth & ev.valid_embed & (ev.r_embed >= 1e-3)
+            used = smooth & oke_i & oke_j & oke_d & ev.valid_embed & (ev.r_embed >= 1e-3)
             checked += int(used.sum())
             fd = np.concatenate([fd_ei, fd_ej, fd_edisp], axis=1)[used]
             # Columns [disparity | pose j]; pose i's are pose j's times -Ad(T_ji).
@@ -133,7 +95,7 @@ class TestCriterion1Jacobians:
             scale = np.maximum(np.abs(fd).max(axis=1), 1e-3)
             worst_embed = max(worst_embed, (np.abs(analytic - fd).max(axis=1) / scale).max())
 
-            used = smooth & ev.valid_flow
+            used = smooth & okf_i & okf_j & okf_d & ev.valid_flow
             for analytic, fd in ((-ev.jf[..., 1:] @ ev.adjoint, fd_fi), (ev.jf[..., 1:], fd_fj),
                                  (ev.jf[..., :1], fd_fdisp)):
                 err = np.abs(analytic[used] - fd[used]).max(axis=(1, 2))
@@ -232,8 +194,6 @@ class TestCriterion5DynamicRobustness:
 
 class TestCriterion6NormalEquationOracle:
     def test_assembly_and_solve_match_dense_reference(self):
-        from tests.test_solver import ToyBundle, brute_force_normal_equations
-
         toy = ToyBundle(seed=5)
         graph = toy.to_graph()
         config = SolverConfig(max_iters=5)

@@ -6,6 +6,7 @@ from semba.evaluation import align_trajectories, ate_rmse
 from semba.features import PcaModel, pca_decode
 from semba.tensorio import (read_point_cloud, read_tensor, read_trajectory, write_pca,
                             write_tensor, write_trajectory)
+from shared import qr_model
 
 
 def write_config(path, text):
@@ -250,8 +251,7 @@ scene:
         root, cfg, bundle = synth_run
         codes = read_tensor(bundle / "keyframes" / "kf_000_features.kmvt").shape[0]
         c = codes + 5
-        basis, _ = np.linalg.qr(rng.normal(size=(c, codes)))
-        model = PcaModel(rng.normal(size=c), basis)
+        model = qr_model(rng, c, codes)
         write_pca(tmp_path / "model.kmvp", model)
         plain, decoded = tmp_path / "plain", tmp_path / "decoded"
         assert main(["ba", str(bundle), str(plain), "--config", cfg,

@@ -4,9 +4,9 @@ import pytest
 from semba.evaluation import (UNLABELED, LabelSet, SemanticPointCloud, align_trajectories,
                               assign_labels, ate_rmse, fuse_point_cloud, knn_transfer,
                               seg_metrics, trajectory_ate)
-from semba.features import PcaModel
 from semba.geometry import Intrinsics, Pose, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
+from shared import qr_model
 
 K = Intrinsics(20.0, 20.0, 3.5, 2.5)
 
@@ -53,7 +53,7 @@ class TestFusePointCloud:
     def test_square_pca_roundtrips_features(self, rng):
         disparity = np.full((5, 5), 0.8)
         features = rng.normal(size=(4, 5, 5))
-        model = PcaModel(rng.normal(size=4), np.linalg.qr(rng.normal(size=(4, 4)))[0])
+        model = qr_model(rng, 4, 4)
         graph = tiny_graph(disparity, features)
         raw = fuse_point_cloud(graph)
         decoded = fuse_point_cloud(graph, pca=model)

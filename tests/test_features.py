@@ -4,11 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semba.features import PcaModel, bilinear_sample, pca_decode
-
-
-def qr_model(rng, c, k):
-    """A model with a random mean and the Q factor of a random (C, K) matrix as basis."""
-    return PcaModel(rng.normal(size=c), np.linalg.qr(rng.normal(size=(c, k)))[0])
+from shared import qr_model
 
 
 def encode(features, model):

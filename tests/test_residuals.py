@@ -5,62 +5,12 @@ from semba import geometry
 from semba.features import bilinear_sample
 from semba.geometry import Intrinsics, Pose, reproject, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
-from semba.residuals import (FlowObservation, RegConfig, disparity_reg_residual, evaluate_edge,
-                             grid_pixels, total_energy)
-from semba.robust import KernelConfig, adaptive_alpha, barron_rho, irls_weight
+from semba.residuals import (EdgeEvaluation, FlowObservation, RegConfig, edge_weights,
+                             evaluate_edge, grid_pixels, prior_terms, total_energy)
+from semba.robust import KernelConfig, adaptive_alpha, barron_rho
 from semba.solver import ProblemLayout, SolverConfig, assemble, kernel_alphas, retract
 from semba.synthscene import SceneConfig, gen_scene
-
-K = Intrinsics(40.0, 42.0, 15.5, 11.5)
-
-
-def smooth_map(rng, c=6, h=24, w=32, offset=2.0):
-    m = rng.normal(size=(c, h, w))
-    for _ in range(6):
-        m = 0.5 * m + 0.25 * (np.roll(m, 1, 1) + np.roll(m, -1, 1))
-        m = 0.5 * m + 0.25 * (np.roll(m, 1, 2) + np.roll(m, -1, 2))
-    return m + offset
-
-
-def edge_eval(z_i, z_j, disparity, pose_i, pose_j, intr=K, flow=None, **kwargs):
-    """evaluate_edge on an edge 0 -> 1 whose keyframes share one disparity map, unit confidence."""
-    h, w = disparity.shape
-    kf_i = Keyframe(index=0, pose=pose_i, disparity=disparity, disparity_prior=disparity,
-                    features=z_i)
-    kf_j = Keyframe(index=1, pose=pose_j, disparity=disparity, disparity_prior=disparity,
-                    features=z_j)
-    obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)) if flow is None else flow,
-                          confidence=np.ones((h, w)))
-    return evaluate_edge(kf_i, kf_j, obs, intr, **kwargs)
-
-
-def central_differences(evaluate, n_steps, eps=1e-6):
-    """Central differences of r_flow and r_embed along n_steps perturbations.
-
-    evaluate(k, h) is the EdgeEvaluation with perturbation k scaled by h. Returns
-    (d r_flow (N, 2, n_steps), d r_embed (N, n_steps), pixels whose flow term is
-    valid at every evaluation, the same for the embedding term).
-    """
-    d_flow, d_embed = [], []
-    ok_flow = ok_embed = True
-    for k in range(n_steps):
-        plus, minus = evaluate(k, eps), evaluate(k, -eps)
-        d_flow.append((plus.r_flow - minus.r_flow) / (2 * eps))
-        d_embed.append((plus.r_embed - minus.r_embed) / (2 * eps))
-        ok_flow = ok_flow & plus.valid_flow & minus.valid_flow
-        ok_embed = ok_embed & plus.valid_embed & minus.valid_embed
-    return np.stack(d_flow, axis=-1), np.stack(d_embed, axis=-1), ok_flow, ok_embed
-
-
-def off_grid_lines(disparity, pose_i, pose_j, intr=K, margin=1e-3):
-    """Pixels whose reprojection lies at least margin px from every grid line.
-
-    Bilinear sampling has kinks on the grid lines, so a central difference
-    whose stencil straddles one measures no derivative there.
-    """
-    h, w = disparity.shape
-    mu, _ = reproject(grid_pixels(h, w), disparity.reshape(-1), pose_i, pose_j, intr)
-    return (np.abs(mu - np.round(mu)) >= margin).all(axis=1)
+from shared import K, central_differences, edge_eval, off_grid_lines, smooth_map
 
 
 def block_error(analytic, fd, floor):
@@ -113,6 +63,13 @@ class TestFlowResidual:
             FlowObservation(i=1, j=1, flow=np.zeros((2, 4, 4)), confidence=np.ones((4, 4)))
         with pytest.raises(ValueError, match="confidence"):
             FlowObservation(i=0, j=1, flow=np.zeros((2, 4, 4)), confidence=-np.ones((4, 4)))
+
+    def test_strided_flow_is_stored_contiguous(self):
+        flow = np.arange(24.0).reshape(12, 2).T.reshape(2, 3, 4)  # (N, 2) rows seen as (2, H, W)
+        assert not flow.flags.c_contiguous
+        obs = FlowObservation(i=0, j=1, flow=flow, confidence=np.ones((3, 4)))
+        assert obs.flow.flags.c_contiguous
+        assert np.array_equal(obs.flow, flow)
 
     def test_non_finite_flow_rejected_even_without_confidence(self):
         # An unconfident pixel is never evaluated, so a bad flow there would
@@ -275,25 +232,32 @@ class TestEmbeddingJacobian:
                 assert (rp - rm) > 0  # moving along the gradient increases the residual
 
 
+def prior_frame(disparity, prior):
+    """A keyframe whose maps other than the disparity and its prior are placeholders."""
+    return Keyframe(index=0, pose=Pose.identity(), disparity=disparity, disparity_prior=prior,
+                    features=np.ones((1,) + disparity.shape))
+
+
 class TestDisparityReg:
     def test_zero_at_prior(self, rng):
         d = rng.uniform(0.2, 1.0, size=(6, 8))
-        res, valid = disparity_reg_residual(d, d)
-        assert valid.all()
-        assert np.abs(res).max() == 0.0
+        energy, h, g = prior_terms(prior_frame(d, d), RegConfig())
+        assert energy == 0.0
+        assert np.all(h == 2.0)
+        assert np.abs(g).max() == 0.0
 
     def test_quarter_offset(self):
-        d = np.array([[0.75]])
-        prior = np.array([[0.5]])
-        res, valid = disparity_reg_residual(d, prior, RegConfig(alpha_disp=1.0))
-        assert valid.all()
-        assert res[0, 0] == pytest.approx(0.25)
-        assert res[0, 0] ** 2 == pytest.approx(0.0625)
+        energy, h, g = prior_terms(prior_frame(np.array([[0.75]]), np.array([[0.5]])),
+                                   RegConfig(alpha_disp=1.0))
+        assert energy == pytest.approx(0.0625)
+        assert h[0] == 2.0
+        assert g[0] == pytest.approx(0.5)
 
     def test_zero_weight_vanishes(self, rng):
         d = rng.uniform(0.2, 1.0, size=(4, 4))
-        res, _ = disparity_reg_residual(d, d + 0.3, RegConfig(alpha_disp=0.0))
-        assert np.abs(res).max() == 0.0
+        energy, h, g = prior_terms(prior_frame(d, d + 0.3), RegConfig(alpha_disp=0.0))
+        assert energy == 0.0
+        assert not h.any() and not g.any()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
     def test_config_rejects_non_finite_or_negative(self, value):
@@ -301,15 +265,33 @@ class TestDisparityReg:
             RegConfig(alpha_disp=value)
 
     def test_invalid_prior_excluded(self):
-        d = np.array([[0.5, 0.5]])
-        prior = np.array([[0.0, 0.25]])
-        res, valid = disparity_reg_residual(d, prior)
-        assert not valid[0, 0] and valid[0, 1]
-        assert res[0, 0] == 0.0
+        energy, h, g = prior_terms(prior_frame(np.array([[0.5, 0.5]]), np.array([[0.0, 0.25]])),
+                                   RegConfig())
+        assert energy == pytest.approx(0.0625)
+        assert h[0] == 0.0 and g[0] == 0.0
+        assert h[1] == 2.0 and g[1] == pytest.approx(0.5)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            disparity_reg_residual(np.zeros((2, 2)), np.zeros((3, 2)))
+        # prior_terms reads a keyframe, which cannot hold maps of two shapes.
+        with pytest.raises(ValueError, match="shapes differ"):
+            prior_frame(np.zeros((2, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("alpha_disp", [1.0, 0.37])
+    def test_h_and_g_match_central_differences(self, rng, alpha_disp):
+        d = rng.uniform(0.2, 1.0, size=(3, 4))
+        prior = rng.uniform(0.2, 1.0, size=(3, 4))
+        prior[0, 1] = 0.0  # no prior here: the pixel adds no energy
+        reg = RegConfig(alpha_disp=alpha_disp)
+        _, h, g = prior_terms(prior_frame(d, prior), reg)
+        eps = 1e-4
+        for p in range(d.size):
+            step = eps * np.eye(d.size)[p].reshape(d.shape)
+            e_minus, e_zero, e_plus = (prior_terms(prior_frame(d + s * step, prior), reg)[0]
+                                       for s in (-1.0, 0.0, 1.0))
+            assert g[p] == pytest.approx((e_plus - e_minus) / (2 * eps), rel=1e-6, abs=1e-9)
+            assert h[p] == pytest.approx((e_plus - 2 * e_zero + e_minus) / eps**2,
+                                         rel=1e-5, abs=1e-5)
+        assert h[1] == 0.0 and g[1] == 0.0
 
 
 class TestTotalEnergy:
@@ -394,9 +376,9 @@ class TestInvalidPixels:
         disparity[10:12, 10:12] = 4.0              # depth 0.25 ends up behind camera j
         pose_j = se3_exp([0.05, 0.0, -0.5, 0.0, 0.0, 0.0])  # zooms the borders out of bounds
         kf_i = Keyframe(index=0, pose=Pose.identity(), disparity=disparity,
-                        disparity_prior=disparity, features=smooth_map(rng, h=h, w=w))
+                        disparity_prior=disparity, features=smooth_map(rng, (6, h, w)))
         kf_j = Keyframe(index=1, pose=pose_j, disparity=disparity,
-                        disparity_prior=disparity, features=smooth_map(rng, h=h, w=w))
+                        disparity_prior=disparity, features=smooth_map(rng, (6, h, w)))
         obs = FlowObservation(i=0, j=1, flow=rng.normal(0, 0.5, size=(2, h, w)),
                               confidence=rng.uniform(0.2, 1.0, size=(h, w)))
         ev = evaluate_edge(kf_i, kf_j, obs, K, with_jacobians=True)
@@ -439,9 +421,9 @@ class TestInvalidPixels:
 
     def test_zero_norm_embedding_keeps_flow_term(self, rng):
         h, w = 6, 8
-        features_i = smooth_map(rng, c=3, h=h, w=w)
+        features_i = smooth_map(rng, (3, h, w))
         features_i[:, 2, 3] = 0.0  # degenerate embedding at one pixel
-        features_j = smooth_map(rng, c=3, h=h, w=w)
+        features_j = smooth_map(rng, (3, h, w))
         disparity = np.full((h, w), 0.5)
         kf_i = Keyframe(index=0, pose=Pose.identity(), disparity=disparity,
                         disparity_prior=disparity, features=features_i)
@@ -457,13 +439,23 @@ class TestInvalidPixels:
 
 class TestWeights:
     def test_folded_weight_matches_manual_product(self, rng):
-        conf = rng.uniform(0, 1, size=50)
-        r = rng.uniform(0, 4, size=50)
-        alpha = rng.uniform(-2, 2, size=50)
-        w = conf * irls_weight(r, alpha, 1.0)
-        manual = conf * (r**2 / np.abs(alpha - 2.0) + 1.0) ** (alpha / 2.0 - 1.0)
-        assert np.all(w >= 0.0)
-        assert w == pytest.approx(manual, rel=1e-12, abs=0.0)
+        n = 50
+        conf = rng.uniform(0, 1, size=n)
+        r = rng.uniform(0, 4, size=n)
+        alpha = rng.uniform(-2, 2, size=n)
+        valid_flow = rng.uniform(size=n) < 0.8
+        valid_embed = valid_flow & (rng.uniform(size=n) < 0.8)
+        theta = rng.uniform(0, 2 * np.pi, size=n)
+        ev = EdgeEvaluation(pixels=np.arange(n), confidence=conf,
+                            r_flow=r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1),
+                            valid_flow=valid_flow, r_embed=np.zeros(n), cs=np.zeros(n),
+                            valid_embed=valid_embed)
+        w_flow, w_emb = edge_weights(ev, alpha, SolverConfig(lambda_embed=1.5))
+        manual = conf * (r**2 / np.abs(alpha - 2.0) + 1.0) ** (alpha / 2.0 - 1.0) * valid_flow
+        assert np.all(w_flow >= 0.0)
+        assert w_flow == pytest.approx(manual, rel=1e-12, abs=0.0)
+        assert np.array_equal(w_emb, 3.0 * conf * valid_embed)
+        assert edge_weights(ev, alpha, SolverConfig(lambda_embed=0.0))[1] is None
 
 
 class TestHotPath:

@@ -9,8 +9,6 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 TINY_ARGV = {
-    "run_convergence":
-        ["--keyframes", "3", "--height", "24", "--width", "32", "--max-iters", "2"],
     "run_dynamic_ablation":
         ["--seeds", "1", "--keyframes", "3", "--height", "24", "--width", "32", "--max-iters", "1"],
 }

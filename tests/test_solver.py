@@ -6,129 +6,17 @@ import pytest
 from semba.evaluation import trajectory_ate
 from semba.geometry import Intrinsics, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
-from semba.residuals import (FlowObservation, adaptive_edge_alpha, evaluate_edge,
-                             total_energy)
-from semba.robust import KernelConfig, adaptive_alpha, irls_weight
-from semba.solver import (MIN_DISPARITY, NormalEquations, ProblemLayout, SolverConfig, assemble,
-                          kernel_alphas, retract, solve, solve_normal_equations)
+from semba.residuals import FlowObservation, evaluate_edge, total_energy
+from semba.robust import adaptive_alpha
+from semba.solver import (MIN_DISPARITY, ProblemLayout, SolverConfig, assemble, kernel_alphas,
+                          retract, solve, solve_normal_equations)
 from semba.synthscene import TEMPORAL_RADIUS, SceneConfig, gen_scene
+from shared import ToyBundle, brute_force_normal_equations
 
 
 def small_config(**kw):
     kw.setdefault("max_iters", 12)
     return SolverConfig(**kw)
-
-
-def brute_force_normal_equations(graph, config):
-    """Independent dense assembly: stack per-pixel Jacobian rows into a dense J,
-    build H = J^T W J and b = J^T W r with plain matrix products.
-
-    Row p of an edge evaluation is the grid pixel ev.pixels[p] of keyframe i."""
-    layout = ProblemLayout.build(graph, config)
-    n = layout.n_total
-    rows_j, rows_w, rows_r = [], [], []
-
-    def jac_row(slot_cols, jac, n_cols=n):
-        row = np.zeros(n_cols)
-        row[slot_cols] = jac
-        return row
-
-    for obs in graph.edges:
-        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, with_jacobians=True,
-                           with_intrinsics=config.optimize_intrinsics)
-        alpha = np.where(ev.valid_embed, adaptive_alpha(ev.cs, config.kernel),
-                         config.kernel.alpha_static)
-        if config.fixed_alpha is not None:
-            alpha = np.full_like(alpha, config.fixed_alpha)
-        r_norm = np.linalg.norm(ev.r_flow, axis=1)
-        w_ark = irls_weight(r_norm, alpha, config.kernel.c)
-        w_flow = ev.confidence * w_ark * ev.valid_flow
-        w_emb = 2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
-        slot_i = layout.pose_slices[obs.i]
-        slot_j = layout.pose_slices[obs.j]
-        d_base = layout.n_reduced + obs.i * layout.pixels_per_frame
-        # Columns [disparity | pose j | intrinsics]; pose i's are pose j's times -Ad(T_ji).
-        jf_pose_i = -ev.jf[..., 1:7] @ ev.adjoint
-        je_pose_i = -ev.je[:, 1:7] @ ev.adjoint
-        for p in range(ev.confidence.size):
-            for axis in range(2):
-                row = np.zeros(n)
-                if slot_i is not None:
-                    row[slot_i] = jf_pose_i[p, axis]
-                if slot_j is not None:
-                    row[slot_j] = ev.jf[p, axis, 1:7]
-                if config.optimize_intrinsics:
-                    row[layout.intrinsics_slice] = ev.jf[p, axis, 7:]
-                row[d_base + ev.pixels[p]] = ev.jf[p, axis, 0]
-                rows_j.append(row)
-                rows_w.append(w_flow[p])
-                rows_r.append(ev.r_flow[p, axis])
-            if config.lambda_embed != 0.0:
-                row = np.zeros(n)
-                if slot_i is not None:
-                    row[slot_i] = je_pose_i[p]
-                if slot_j is not None:
-                    row[slot_j] = ev.je[p, 1:7]
-                if config.optimize_intrinsics:
-                    row[layout.intrinsics_slice] = ev.je[p, 7:]
-                row[d_base + ev.pixels[p]] = ev.je[p, 0]
-                rows_j.append(row)
-                rows_w.append(w_emb[p])
-                rows_r.append(ev.r_embed[p])
-    for kf in graph.keyframes:
-        d_base = layout.n_reduced + kf.index * layout.pixels_per_frame
-        prior = kf.disparity_prior.reshape(-1)
-        disp = kf.disparity.reshape(-1)
-        for p in range(prior.shape[0]):
-            if prior[p] > 0:
-                row = np.zeros(n)
-                row[d_base + p] = 1.0
-                rows_j.append(row)
-                rows_w.append(2.0 * config.reg.alpha_disp)
-                rows_r.append(disp[p] - prior[p])
-    j = np.stack(rows_j)
-    w = np.array(rows_w)
-    r = np.array(rows_r)
-    return j.T @ (w[:, None] * j), j.T @ (w * r)
-
-
-def _smooth(rng, shape):
-    m = rng.normal(size=shape)
-    for axis in range(1, m.ndim):
-        for _ in range(4):
-            m = 0.5 * m + 0.25 * (np.roll(m, 1, axis) + np.roll(m, -1, axis))
-    return m
-
-
-class ToyBundle:
-    """Hand-built 3-keyframe problem, <= 500 unknowns, every pixel observed."""
-
-    def __init__(self, seed=5):
-        rng = np.random.default_rng(seed)
-        h, w = 10, 12
-        self.intrinsics = Intrinsics(14.0, 15.0, 5.5, 4.5)
-        self.keyframes = []
-        for k in range(3):
-            disp = 0.4 + 0.08 * _smooth(rng, (h, w))
-            self.keyframes.append(Keyframe(
-                index=k, pose=se3_exp(rng.normal(0.0, 0.02, 6)),
-                disparity=disp, disparity_prior=disp * (1.0 + rng.normal(0, 0.03, (h, w))),
-                features=_smooth(rng, (5, h, w)) + 2.0, frozen=(k == 0)))
-        self.edges = []
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    self.edges.append(FlowObservation(
-                        i=i, j=j, flow=rng.normal(0.0, 0.4, size=(2, h, w)),
-                        confidence=rng.uniform(0.1, 1.0, size=(h, w))))
-
-    def to_graph(self, initial=True):
-        from semba.graph import KeyframeGraph
-        import dataclasses
-        kfs = [dataclasses.replace(kf, disparity=kf.disparity.copy())
-               for kf in self.keyframes]
-        return KeyframeGraph(keyframes=kfs, edges=list(self.edges), intrinsics=self.intrinsics)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +68,7 @@ def gapped_graph(frozen):
 
 class TestAssemble:
     def test_matches_dense_brute_force(self, toy_bundle):
-        assert_matches_brute_force(toy_bundle.to_graph(initial=True), small_config())
+        assert_matches_brute_force(toy_bundle.to_graph(), small_config())
 
     # Keyframe 0 is frozen in the toy bundle. Freezing keyframe 1 as well adds
     # edges with a frozen j and a free i, whose pose block is lifted through
@@ -192,12 +80,12 @@ class TestAssemble:
                              ids=["intrinsics", "fixed-kernel", "second-frozen-keyframe",
                                   "intrinsics-only"])
     def test_matches_dense_brute_force_in_other_modes(self, toy_bundle, frozen, options):
-        graph = with_frozen(toy_bundle.to_graph(initial=True), frozen)
+        graph = with_frozen(toy_bundle.to_graph(), frozen)
         ne, h, b = assert_matches_brute_force(graph, small_config(**options))
         assert_schur_matches_dense(ne, h, b)
 
     def test_symmetric(self, toy_bundle):
-        graph, config = toy_bundle.to_graph(initial=True), small_config()
+        graph, config = toy_bundle.to_graph(), small_config()
         h, _ = assemble(graph, config, kernel_alphas(graph, config)).to_dense()
         assert np.abs(h - h.T).max() < 1e-9
 
@@ -210,11 +98,11 @@ class TestAssemble:
         assert np.linalg.eigvalsh(h).min() > -1e-9
 
     def test_flow_only_when_embedding_disabled(self, toy_bundle):
-        assert_matches_brute_force(toy_bundle.to_graph(initial=True),
+        assert_matches_brute_force(toy_bundle.to_graph(),
                                    small_config(lambda_embed=0.0))
 
     def test_nonfinite_input_aborts_with_location(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         config = small_config()
         graph.edges[1].flow[0, 3, 4] = np.nan
         with pytest.raises(FloatingPointError, match=r"edge \(.*\), pixel"):
@@ -222,7 +110,7 @@ class TestAssemble:
         graph.edges[1].flow[0, 3, 4] = 0.0
 
     def test_nonfinite_row_names_its_grid_pixel(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         config = small_config()
         obs = graph.edges[1]
         confidence = obs.confidence.copy()
@@ -240,7 +128,7 @@ class TestAssemble:
     def test_zero_confidence_edge_changes_nothing(self, toy_bundle, options):
         # A second edge (1, 0) with no confident pixel: the layout is unchanged,
         # and so must be every sum.
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         h, w = graph.grid_shape
         dead = FlowObservation(i=1, j=0, flow=np.ones((2, h, w)), confidence=np.zeros((h, w)))
         assert dead.pixels.size == 0
@@ -262,8 +150,8 @@ class TestKernelAlphas:
         def no_evaluation(*args, **kwargs):
             raise AssertionError("a fixed kernel must not evaluate edges")
 
-        monkeypatch.setattr("semba.solver.evaluate_edge", no_evaluation)
-        graph = toy_bundle.to_graph(initial=True)
+        monkeypatch.setattr("semba.residuals.evaluate_edge", no_evaluation)
+        graph = toy_bundle.to_graph()
         alphas = kernel_alphas(graph, small_config(fixed_alpha=1.0))
         assert len(alphas) == len(graph.edges)
         for alpha, obs in zip(alphas, graph.edges):
@@ -280,7 +168,9 @@ class TestKernelAlphas:
         for alpha, obs in zip(alphas, graph.edges):
             ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
                                graph.intrinsics, with_jacobians=True)
-            assert np.array_equal(alpha, adaptive_edge_alpha(ev, config.kernel))
+            expected = np.where(ev.valid_embed, adaptive_alpha(ev.cs, config.kernel),
+                                config.kernel.alpha_static)
+            assert np.array_equal(alpha, expected)
         assert np.unique(np.concatenate(alphas)).size > 2  # shapes really vary
 
 
@@ -299,7 +189,7 @@ class TestSolverConfig:
 
 class TestSchurSolve:
     def test_matches_dense_solve(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         config = small_config()
         ne = assemble(graph, config, kernel_alphas(graph, config))
         assert ne.layout.n_total <= 500
@@ -349,7 +239,7 @@ class TestCouplingMemory:
 
 class TestRetract:
     def test_zero_delta_identity(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         config = small_config()
         layout = ProblemLayout.build(graph, config)
         out = retract(graph, np.zeros(layout.n_total), config)
@@ -358,7 +248,7 @@ class TestRetract:
             assert np.abs(a.pose.matrix() - b.pose.matrix()).max() == 0.0
 
     def test_pose_update_left_composes(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         config = small_config()
         layout = ProblemLayout.build(graph, config)
         delta = np.zeros(layout.n_total)
@@ -369,7 +259,7 @@ class TestRetract:
         assert np.abs(out.keyframes[1].pose.matrix() - expected.matrix()).max() < 1e-12
 
     def test_frozen_pose_untouched(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         config = small_config()
         layout = ProblemLayout.build(graph, config)
         assert layout.pose_slices[0] is None  # keyframe 0 is the gauge anchor
@@ -379,7 +269,7 @@ class TestRetract:
                       - graph.keyframes[0].pose.matrix()).max() == 0.0
 
     def test_disparity_clamped(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         config = small_config()
         layout = ProblemLayout.build(graph, config)
         delta = np.zeros(layout.n_total)
@@ -388,12 +278,12 @@ class TestRetract:
         assert out.keyframes[0].disparity.min() == MIN_DISPARITY
 
     def test_dimension_check(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         with pytest.raises(ValueError, match="entries"):
             retract(graph, np.zeros(3), small_config())
 
     def test_non_finite_delta_names_the_entry(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         config = small_config()
         delta = np.zeros(ProblemLayout.build(graph, config).n_total)
         delta[[17, 40]] = [np.inf, np.nan]
@@ -403,7 +293,7 @@ class TestRetract:
     def test_moved_keyframes_are_not_validated_again(self, toy_bundle, monkeypatch):
         # The delta check covers every map retract changes; the others were
         # validated when the keyframes were built.
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         config = small_config()
 
         def no_validation(self):
@@ -491,6 +381,6 @@ class TestIntrinsicsOptimization:
         assert trace[-1].e_total < 1e-6
 
     def test_layout_includes_intrinsics(self, toy_bundle):
-        graph = toy_bundle.to_graph(initial=True)
+        graph = toy_bundle.to_graph()
         layout = ProblemLayout.build(graph, small_config(optimize_intrinsics=True))
         assert layout.n_reduced == 6 * 2 + 4  # keyframe 0 frozen

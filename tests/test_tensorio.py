@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from semba.evaluation import LabelSet, seg_metrics
-from semba.features import PcaModel
 from semba.geometry import Pose, se3_exp
 from semba.solver import IterationRecord
 from semba.synthscene import SceneConfig, gen_scene
@@ -10,6 +9,7 @@ from semba.tensorio import (FileFormatError, load_problem_bundle, read_labelset,
                             read_point_cloud, read_tensor, read_trajectory, write_energy_trace,
                             write_labelset, write_pca, write_point_cloud, write_problem_bundle,
                             write_seg_metrics, write_tensor, write_trajectory)
+from shared import qr_model
 
 
 class TestTensorFormat:
@@ -62,10 +62,6 @@ class TestTensorFormat:
         blob = path.read_bytes()
         # magic + 5 u32 header words + payload
         assert len(blob) == 4 + 20 + 2 * 3 * 4 * 4
-
-
-def qr_model(rng, c, k):
-    return PcaModel(rng.normal(size=c), np.linalg.qr(rng.normal(size=(c, k)))[0])
 
 
 class TestPcaFormat:
