@@ -94,6 +94,12 @@ def cmd_ba(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not args.pred_cloud:
+        for flag, value in (("--gt-cloud", args.gt_cloud), ("--labels", args.labels),
+                            ("--metrics-out", args.metrics_out)):
+            if value:
+                print(f"error: {flag} requires --pred-cloud", file=sys.stderr)
+                return 1
     _, est_pos, _ = tensorio.read_trajectory(args.est)
     _, gt_pos, _ = tensorio.read_trajectory(args.gt)
     if est_pos.shape != gt_pos.shape:

@@ -5,23 +5,21 @@ sections or keys and values of the wrong type are rejected, and each dataclass
 rejects out-of-range values, naming the section):
 
     scene:      synthscene.SceneConfig
-    solver:     solver.SolverConfig (scalar fields only; nested configs come
-                from the sections below)
-    kernel:     robust.KernelConfig
-    reg:        residuals.RegConfig
+    solver:     solver.SolverConfig
     evaluation: EvalConfig (fused-cloud stride)
+
+The robust kernel's shape parameters and the disparity-prior weight are
+constants (robust.ALPHA_STATIC, ALPHA_DYNAMIC, KAPPA, TAU, residuals.ALPHA_DISP),
+not settings.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
 
-from .residuals import RegConfig
-from .robust import KernelConfig
 from .solver import SolverConfig
 from .synthscene import SceneConfig
 
@@ -46,11 +44,8 @@ class RunConfig:
         return RunConfig(scene=SceneConfig(), solver=SolverConfig(), evaluation=EvalConfig())
 
 
-# Section name -> dataclass of its keys. The solver section takes the scalar
-# fields of SolverConfig; its nested kernel and reg configs are sections.
-SECTIONS = {"scene": SceneConfig, "kernel": KernelConfig, "reg": RegConfig,
-            "solver": SolverConfig, "evaluation": EvalConfig}
-_SOLVER_NESTED = {"kernel", "reg"}
+# Section name -> dataclass of its keys.
+SECTIONS = {"scene": SceneConfig, "solver": SolverConfig, "evaluation": EvalConfig}
 # What a YAML value must be, per annotated field type.
 _VALUE_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
                 "bool": (bool, "true or false")}
@@ -98,11 +93,5 @@ def load_config(path=None) -> RunConfig:
     for name, section in doc.items():
         if section is not None and not isinstance(section, dict):
             raise ValueError(f"config section '{name}' must be a mapping")
-    doc = {name: section or {} for name, section in doc.items()}
-
-    bad = _SOLVER_NESTED & set(doc.get("solver", {}))
-    if bad:
-        raise ValueError(f"solver.{bad.pop()} belongs in its own top-level section")
-    built = {name: _build(cls, doc.get(name, {}), name) for name, cls in SECTIONS.items()}
-    solver = dataclasses.replace(built["solver"], kernel=built["kernel"], reg=built["reg"])
-    return RunConfig(scene=built["scene"], solver=solver, evaluation=built["evaluation"])
+    return RunConfig(**{name: _build(cls, doc.get(name) or {}, name)
+                        for name, cls in SECTIONS.items()})

@@ -31,6 +31,8 @@ _NORM_EPS = 1e-8
 # keeps its derivative finite where cs -> 1 (r -> 0).
 _EMBED_SCALE = 2.0
 _EMBED_DERIV_EPS = 1e-6
+# Weight of the disparity prior ALPHA_DISP * (d - d_prior)^2.
+ALPHA_DISP = 1.0
 
 
 @dataclass(eq=False)
@@ -64,15 +66,6 @@ class FlowObservation:
             raise ValueError(f"edge ({self.i}, {self.j}): flow is not finite at pixel index "
                              f"{np.flatnonzero(bad)[0]}")
         self.pixels = np.flatnonzero(self.confidence > 0)
-
-
-@dataclass(frozen=True)
-class RegConfig:
-    alpha_disp: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha_disp) and self.alpha_disp >= 0):
-            raise ValueError(f"alpha_disp must be finite and >= 0, got {self.alpha_disp!r}")
 
 
 @functools.cache
@@ -192,7 +185,7 @@ def kernel_alphas(graph, config) -> list:
 
     config is a solver.SolverConfig. A fixed kernel evaluates no edge; the
     adaptive kernel maps each pixel's similarity through robust.adaptive_alpha,
-    and a pixel without a usable similarity keeps alpha_static.
+    and a pixel without a usable similarity keeps robust.ALPHA_STATIC.
     """
     if config.fixed_alpha is not None:
         return [np.full(obs.pixels.size, float(config.fixed_alpha)) for obs in graph.edges]
@@ -200,14 +193,14 @@ def kernel_alphas(graph, config) -> list:
     for obs in graph.edges:
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
                            graph.intrinsics, need_similarity=True, need_embedding=False)
-        alphas.append(np.where(ev.valid_embed, robust.adaptive_alpha(ev.cs, config.kernel),
-                               config.kernel.alpha_static))
+        alphas.append(np.where(ev.valid_embed, robust.adaptive_alpha(ev.cs),
+                               robust.ALPHA_STATIC))
     return alphas
 
 
-def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray, c: float):
+def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray):
     """(photo_ark, embed) energies of one evaluated edge under shapes alpha (rho(0) = 0)."""
-    rho = robust.barron_rho(np.linalg.norm(ev.r_flow, axis=-1), alpha, c)
+    rho = robust.barron_rho(np.linalg.norm(ev.r_flow, axis=-1), alpha)
     return float(np.sum(ev.confidence * rho)), float(np.sum(ev.confidence * ev.r_embed**2))
 
 
@@ -216,22 +209,22 @@ def edge_weights(ev: EdgeEvaluation, alpha: np.ndarray, config):
     shapes alpha and 2 * lambda_embed (the factor 2 of d(r^2)), each folded with the
     confidence and its term's validity; w_emb is None when lambda_embed is 0.
     """
-    w_ark = robust.irls_weight(np.linalg.norm(ev.r_flow, axis=-1), alpha, config.kernel.c)
+    w_ark = robust.irls_weight(np.linalg.norm(ev.r_flow, axis=-1), alpha)
     w_flow = ev.confidence * w_ark * ev.valid_flow
     if config.lambda_embed == 0.0:
         return w_flow, None
     return w_flow, 2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
 
 
-def prior_terms(kf, reg: RegConfig):
-    """Disparity prior alpha_disp * (d - d_prior)^2 of keyframe kf where the prior is > 0:
+def prior_terms(kf):
+    """Disparity prior ALPHA_DISP * (d - d_prior)^2 of keyframe kf where the prior is > 0:
     (energy, Gauss-Newton diagonal h, gradient g), h and g flat over the pixels.
     """
     valid = kf.disparity_prior > 0
     diff = kf.disparity - kf.disparity_prior
-    energy = float(np.sum((np.sqrt(reg.alpha_disp) * diff[valid]) ** 2))
+    energy = ALPHA_DISP * float(np.sum(diff[valid] ** 2))
     valid = valid.reshape(-1)
-    h = 2.0 * reg.alpha_disp * valid
+    h = 2.0 * ALPHA_DISP * valid
     return energy, h, h * np.where(valid, diff.reshape(-1), 0.0)
 
 
@@ -252,9 +245,8 @@ class EnergyBreakdown:
 def total_energy(graph, config, alphas) -> EnergyBreakdown:
     """Objective value over a keyframe graph at its current state.
 
-    config is a solver.SolverConfig (read for its kernel, reg and lambda_embed
-    fields); alphas holds one per-pixel shape array per edge of graph.edges,
-    as decided by kernel_alphas.
+    config is a solver.SolverConfig (read for lambda_embed); alphas holds one
+    per-pixel shape array per edge of graph.edges, as decided by kernel_alphas.
     """
     e_photo = 0.0
     e_embed = 0.0
@@ -262,10 +254,10 @@ def total_energy(graph, config, alphas) -> EnergyBreakdown:
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
                            graph.intrinsics, need_similarity=False,
                            need_embedding=config.lambda_embed != 0.0)
-        ep, ee = edge_energies(ev, alpha, config.kernel.c)
+        ep, ee = edge_energies(ev, alpha)
         e_photo += ep
         e_embed += ee
     e_reg = 0.0
     for kf in graph.keyframes:
-        e_reg += prior_terms(kf, config.reg)[0]
+        e_reg += prior_terms(kf)[0]
     return EnergyBreakdown.of(e_photo, e_embed, e_reg, config.lambda_embed)

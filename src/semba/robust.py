@@ -6,8 +6,6 @@ be arrays of matching shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # The general expression is evaluated through expm1/log1p and stays accurate
@@ -17,32 +15,13 @@ import numpy as np
 _ALPHA_TWO_BAND = 1e-9
 _ALPHA_ZERO_BAND = 1e-9
 
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Adaptive-kernel parameters.
-
-    c: residual scale of the loss family.
-    alpha_static / alpha_dynamic: shape values at high / low embedding similarity.
-    kappa: similarity threshold (sigmoid midpoint), tau: transition sharpness.
-    """
-
-    c: float = 1.0
-    alpha_static: float = 2.0
-    alpha_dynamic: float = -2.0
-    kappa: float = 0.5
-    tau: float = 0.1
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.c <= 0 or self.tau <= 0:
-            raise ValueError("c and tau must be positive")
-        if self.alpha_dynamic > self.alpha_static:
-            raise ValueError("alpha_dynamic must not exceed alpha_static")
-        if not -1.0 <= self.kappa <= 1.0:
-            raise ValueError("kappa must lie in [-1, 1]")
+# The adaptive kernel: shape ALPHA_STATIC (near-quadratic) at high embedding
+# similarity and ALPHA_DYNAMIC (strongly down-weighting) at low similarity, with
+# a sigmoid switch of midpoint KAPPA and sharpness TAU between them.
+ALPHA_STATIC = 2.0
+ALPHA_DYNAMIC = -2.0
+KAPPA = 0.5
+TAU = 0.1
 
 
 def barron_rho(r, alpha, c: float = 1.0):
@@ -116,13 +95,12 @@ def irls_weight(r, alpha, c: float = 1.0):
     return out if out.ndim else float(out)
 
 
-def adaptive_alpha(cs, cfg: KernelConfig):
+def adaptive_alpha(cs):
     """Map cosine similarity to a shape parameter via a sigmoid between the two regimes.
 
-    High similarity -> alpha_static (trusted, near-quadratic); low similarity ->
-    alpha_dynamic (aggressively down-weighted).
+    High similarity -> ALPHA_STATIC (trusted, near-quadratic); low similarity ->
+    ALPHA_DYNAMIC (aggressively down-weighted).
     """
     cs = np.asarray(cs, dtype=float)
-    out = (cfg.alpha_dynamic - cfg.alpha_static) / (1.0 + np.exp((cs - cfg.kappa) / cfg.tau)) \
-        + cfg.alpha_static
+    out = (ALPHA_DYNAMIC - ALPHA_STATIC) / (1.0 + np.exp((cs - KAPPA) / TAU)) + ALPHA_STATIC
     return out if out.ndim else float(out)

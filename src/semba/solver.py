@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .geometry import Intrinsics, se3_exp
 from .graph import KeyframeGraph
-from .residuals import (EnergyBreakdown, RegConfig, edge_energies, edge_weights, evaluate_edge,
+from .residuals import (EnergyBreakdown, edge_energies, edge_weights, evaluate_edge,
                         kernel_alphas, prior_terms, total_energy)
-from .robust import KernelConfig
 
 # Levenberg damping schedule: start at LM_INIT, multiply by LM_GROW after a
-# rejected or singular step and by LM_SHRINK (floored at LM_MIN) after an
-# accepted one; past LM_MAX the solve stops.
+# rejected, singular or out-of-model step and by LM_SHRINK (floored at LM_MIN)
+# after an accepted one; past LM_MAX the solve stops.
 LM_INIT = 1e-4
 LM_GROW = 10.0
 LM_SHRINK = 0.5
@@ -40,8 +39,6 @@ MIN_DISPARITY = 1e-6   # disparities are clamped here after every update
 @dataclass
 class SolverConfig:
     max_iters: int = 30
-    kernel: KernelConfig = field(default_factory=KernelConfig)
-    reg: RegConfig = field(default_factory=RegConfig)
     lambda_embed: float = 2.0
     fixed_alpha: float | None = None   # None: similarity-adaptive (ARK) shapes
     optimize_intrinsics: bool = False
@@ -226,14 +223,14 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
         _check_finite((ev.r_flow, ev.jf, ev.r_embed, ev.je), obs, ev.pixels,
                       "residual/Jacobian")
-        ep, ee = edge_energies(ev, alpha, config.kernel.c)
+        ep, ee = edge_energies(ev, alpha)
         e_photo += ep
         e_embed += ee
         _accumulate_edge(ne, obs, ev, *edge_weights(ev, alpha, config))
 
     e_reg = 0.0
     for kf in graph.keyframes:
-        energy, h, g = prior_terms(kf, config.reg)
+        energy, h, g = prior_terms(kf)
         e_reg += energy
         d_slice = layout.disparity_slice(kf.index)
         ne.disp_h[d_slice] += h
@@ -327,9 +324,11 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     state).
 
     Returns (optimized graph, trace). Row 0 of the trace holds the initial
-    energies; each further row is one solve attempt with its accept flag, all
-    evaluated under that iteration's kernel state. Raises RuntimeError when
-    the damped reduced system stays singular.
+    energies; each further row is one scored solve attempt with its accept
+    flag, all evaluated under that iteration's kernel state. A step that would
+    make a focal length non-positive leaves the camera model: it is rejected
+    unscored and untraced, and the damping grows as after a rejected step.
+    Raises RuntimeError when the damped reduced system stays singular.
     """
     if not graph.edges:
         raise ValueError("graph has no edges; the problem is unconstrained")
@@ -344,7 +343,6 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
         if it == 1:
             trace.append(IterationRecord(0, e_cur.total, e_cur.photo_ark, e_cur.embed,
                                          e_cur.reg, True))
-        accepted = False
         while True:
             try:
                 delta = solve_normal_equations(ne, lm)
@@ -357,15 +355,19 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
                 continue
             if np.linalg.norm(delta) < UPDATE_TOL:
                 return state, trace
-            candidate = retract(state, delta, config)
-            e_new = total_energy(candidate, config, alphas)
-            accepted = e_new.total < e_cur.total
-            trace.append(IterationRecord(it, e_new.total, e_new.photo_ark, e_new.embed,
-                                         e_new.reg, accepted))
-            if accepted:
-                state = candidate
-                lm = max(lm * LM_SHRINK, LM_MIN)
-                break
+            # A step that makes a focal length <= 0 leaves the camera model: like
+            # a singular one, it is neither scored nor traced.
+            k = ne.layout.intrinsics_slice
+            if k is None or np.all(state.intrinsics.as_array()[:2] + delta[k][:2] > 0):
+                candidate = retract(state, delta, config)
+                e_new = total_energy(candidate, config, alphas)
+                accepted = e_new.total < e_cur.total
+                trace.append(IterationRecord(it, e_new.total, e_new.photo_ark, e_new.embed,
+                                             e_new.reg, accepted))
+                if accepted:
+                    state = candidate
+                    lm = max(lm * LM_SHRINK, LM_MIN)
+                    break
             lm *= LM_GROW
             if lm > LM_MAX:
                 # Gradient-direction steps stopped helping under the current

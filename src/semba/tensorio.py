@@ -9,6 +9,7 @@ through round trips). KMVP is binary32 throughout.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -127,6 +128,18 @@ def write_trajectory(path, poses, timestamps=None, world_to_camera: bool = True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_floats(fields, path, lineno):
+    """The fields of one text line as finite floats; FileFormatError names the file and line."""
+    try:
+        vals = [float(p) for p in fields]
+    except ValueError as exc:
+        raise FileFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+    for text, val in zip(fields, vals):
+        if not math.isfinite(val):
+            raise FileFormatError(f"{path}:{lineno}: non-finite field {text!r}")
+    return vals
+
+
 def read_trajectory(path):
     """Parse a TUM trajectory; returns (timestamps (N,), positions (N, 3), quaternions (N, 4)).
 
@@ -141,10 +154,7 @@ def read_trajectory(path):
         parts = line.split()
         if len(parts) != 8:
             raise FileFormatError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+        vals = _parse_floats(parts, path, lineno)
         timestamps.append(vals[0])
         positions.append(vals[1:4])
         quats.append(vals[4:8])
@@ -235,10 +245,7 @@ def read_labelset(path) -> LabelSet:
         parts = line.split(",")
         if len(parts) < 2:
             raise FileFormatError(f"{path}:{lineno}: expected `name,v1,...`")
-        try:
-            rows.append([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+        rows.append(_parse_floats(parts[1:], path, lineno))
         if len(rows[-1]) != len(rows[0]):
             raise FileFormatError(f"{path}:{lineno}: expected {len(rows[0])} values as on the "
                                   f"first row, got {len(rows[-1])}")

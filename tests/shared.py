@@ -8,8 +8,8 @@ import numpy as np
 from semba.features import PcaModel
 from semba.geometry import Intrinsics, reproject, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
-from semba.residuals import FlowObservation, evaluate_edge, grid_pixels
-from semba.robust import adaptive_alpha, irls_weight
+from semba.residuals import ALPHA_DISP, FlowObservation, evaluate_edge, grid_pixels
+from semba.robust import ALPHA_STATIC, adaptive_alpha, irls_weight
 from semba.solver import ProblemLayout
 
 K = Intrinsics(40.0, 42.0, 15.5, 11.5)
@@ -110,12 +110,11 @@ def brute_force_normal_equations(graph, config):
         ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
                            graph.intrinsics, with_jacobians=True,
                            with_intrinsics=config.optimize_intrinsics)
-        alpha = np.where(ev.valid_embed, adaptive_alpha(ev.cs, config.kernel),
-                         config.kernel.alpha_static)
+        alpha = np.where(ev.valid_embed, adaptive_alpha(ev.cs), ALPHA_STATIC)
         if config.fixed_alpha is not None:
             alpha = np.full_like(alpha, config.fixed_alpha)
         r_norm = np.linalg.norm(ev.r_flow, axis=1)
-        w_ark = irls_weight(r_norm, alpha, config.kernel.c)
+        w_ark = irls_weight(r_norm, alpha)
         w_flow = ev.confidence * w_ark * ev.valid_flow
         w_emb = 2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
         slot_i = layout.pose_slices[obs.i]
@@ -158,7 +157,7 @@ def brute_force_normal_equations(graph, config):
                 row = np.zeros(n)
                 row[d_base + p] = 1.0
                 rows_j.append(row)
-                rows_w.append(2.0 * config.reg.alpha_disp)
+                rows_w.append(2.0 * ALPHA_DISP)
                 rows_r.append(disp[p] - prior[p])
     j = np.stack(rows_j)
     w = np.array(rows_w)

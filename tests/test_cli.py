@@ -17,12 +17,11 @@ def write_config(path, text):
 # Config values of the wrong type, each as (section, key, YAML value).
 WRONG_TYPES = [("solver", "max_iters", "abc"), ("solver", "max_iters", "2.5"),
                ("solver", "max_iters", "true"), ("scene", "height", '"48"'),
-               ("solver", "fixed_alpha", "abc"), ("reg", "alpha_disp", "abc"),
-               ("solver", "optimize_intrinsics", "1"), ("scene", "pose_sigma", "[1, 2]"),
-               ("kernel", "c", '"a"')]
+               ("solver", "fixed_alpha", "abc"), ("solver", "optimize_intrinsics", "1"),
+               ("scene", "pose_sigma", "[1, 2]"), ("evaluation", "cloud_stride", '"a"')]
 WRONG_TYPE_IDS = ["max_iters-str", "max_iters-float", "max_iters-bool", "height-str",
-                  "fixed_alpha-str", "alpha_disp-str", "optimize_intrinsics-int",
-                  "pose_sigma-list", "c-str"]
+                  "fixed_alpha-str", "optimize_intrinsics-int", "pose_sigma-list",
+                  "cloud_stride-str"]
 
 
 def edited_bundle(bundle, tmp_path, edit):
@@ -242,9 +241,10 @@ scene:
 
     def test_non_finite_value_rejected_before_any_work(self, synth_run, tmp_path, capsys):
         root, cfg, bundle = synth_run
-        bad = write_config(tmp_path / "bad.yaml", "kernel:\n  c: .nan\n")
+        bad = write_config(tmp_path / "bad.yaml", "solver:\n  lambda_embed: .nan\n")
         assert main(["ba", str(bundle), str(tmp_path / "out"), "--config", bad]) == 1
-        assert "error: kernel: c must be finite, got nan" in capsys.readouterr().err
+        assert ("error: solver: lambda_embed must be finite and >= 0, got nan"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_pca_decodes_exported_embeddings(self, synth_run, tmp_path, rng):
@@ -372,8 +372,10 @@ class TestEval:
         assert "lengths differ" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, expected", [("a,1.0,0.0\nb,0.0\n", "labels.csv:2: expected 2"),
-                                                ("a,1.0,0.0\n", "labels.csv: need at least two")],
-                             ids=["ragged_row", "one_class"])
+                                                ("a,1.0,0.0\n", "labels.csv: need at least two"),
+                                                ("a,1.0,nan\nb,0.0,1.0\n",
+                                                 "labels.csv:1: non-finite field 'nan'")],
+                             ids=["ragged_row", "one_class", "nan_value"])
     def test_malformed_label_set_exits_2(self, synth_run, tmp_path, capsys, text, expected):
         root, cfg, bundle = synth_run
         gt = bundle / "ground_truth"
@@ -382,6 +384,32 @@ class TestEval:
                      "--pred-cloud", str(tmp_path / "cloud.ply"), "--gt-cloud",
                      str(gt / "cloud.ply"), "--labels", str(tmp_path / "labels.csv")]) == 2
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("align", ["none", "rigid"])
+    def test_non_finite_trajectory_exits_2(self, synth_run, tmp_path, capsys, align):
+        root, cfg, bundle = synth_run
+        gt = bundle / "ground_truth" / "trajectory.txt"
+        lines = gt.read_text().splitlines()
+        fields = lines[1].split()
+        fields[2] = "nan"
+        lines[1] = " ".join(fields)
+        est = tmp_path / "est.txt"
+        est.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(est), str(gt), "--align", align]) == 2
+        captured = capsys.readouterr()
+        assert "est.txt:2: non-finite field 'nan'" in captured.err
+        assert "ATE" not in captured.out
+
+    @pytest.mark.parametrize("flag", ["--gt-cloud", "--labels", "--metrics-out"])
+    def test_cloud_flag_without_pred_cloud_exits_1(self, synth_run, tmp_path, capsys, flag):
+        root, cfg, bundle = synth_run
+        gt = bundle / "ground_truth" / "trajectory.txt"
+        target = tmp_path / "metrics.csv"
+        assert main(["eval", str(gt), str(gt), flag, str(target)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {flag} requires --pred-cloud" in captured.err
+        assert "ATE" not in captured.out
+        assert not target.exists()
 
     def test_semantic_pipeline_end_to_end(self, synth_run, tmp_path, capsys):
         root, cfg, bundle = synth_run

@@ -10,7 +10,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def readme_config_keys():
     """section.key names of README's configuration table; a cell such as
-    `kernel.alpha_static` / `alpha_dynamic` names two keys of one section."""
+    `scene.height` / `scene.width` names two keys (a bare name keeps the section
+    of the name before it)."""
     lines = README.read_text().splitlines()
     start = lines.index("| section.key | default | meaning |") + 2
     keys = []
@@ -32,7 +33,6 @@ class TestLoadConfig:
         assert cfg.scene.num_keyframes == 8
         assert cfg.solver.fixed_alpha is None  # the adaptive kernel
         assert cfg.solver.lambda_embed == 2.0
-        assert cfg.solver.reg.alpha_disp == 1.0
         assert cfg.evaluation.cloud_stride == 2
 
     def test_sections_populate_nested_configs(self, tmp_path):
@@ -41,11 +41,6 @@ class TestLoadConfig:
 scene:
   num_keyframes: 4
   seed: 3
-kernel:
-  kappa: 0.4
-  tau: 0.2
-reg:
-  alpha_disp: 0.5
 solver:
   max_iters: 7
   lambda_embed: 1.5
@@ -56,13 +51,14 @@ evaluation:
         assert cfg.scene.num_keyframes == 4
         assert cfg.solver.max_iters == 7
         assert cfg.solver.lambda_embed == 1.5
-        assert cfg.solver.kernel.kappa == 0.4
-        assert cfg.solver.reg.alpha_disp == 0.5
         assert cfg.evaluation.cloud_stride == 3
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        for text in ("mystery:\n  a: 1\n", "embed:\n"):
+        # The robust kernel's shape parameters and the prior weight are constants.
+        for text in ("mystery:\n  a: 1\n", "embed:\n", "kernel:\n  c: 1.0\n",
+                     "kernel:\n  alpha_static: 2.0\n  alpha_dynamic: -2.0\n",
+                     "kernel:\n  kappa: 0.5\n  tau: 0.1\n", "reg:\n  alpha_disp: 1.0\n"):
             path.write_text(text)
             with pytest.raises(ValueError, match="unknown config section"):
                 load_config(path)
@@ -81,6 +77,8 @@ evaluation:
                                     ("solver", "update_tol", "1e-8"),
                                     ("solver", "min_disparity", "1e-6"),
                                     ("solver", "lambda_photo", "1.0"),
+                                    ("solver", "kernel", "{c: 2.0}"),
+                                    ("solver", "reg", "{alpha_disp: 1.0}"),
                                     ("scene", "embedding_noise", "0.0"),
                                     # Fixed scene constants, not settings.
                                     ("scene", "focal", "40.0"),
@@ -110,8 +108,6 @@ evaluation:
         ("solver", "max_iters", "true", "an integer"),
         ("scene", "height", '"48"', "an integer"),
         ("scene", "seed", "null", "an integer"),
-        ("reg", "alpha_disp", "abc", "a number"),
-        ("kernel", "kappa", "true", "a number"),
         ("solver", "fixed_alpha", "abc", "a number or null"),
         ("solver", "fixed_alpha", "[1, 2]", "a number or null"),
         ("solver", "optimize_intrinsics", "1", "true or false"),
@@ -125,9 +121,6 @@ evaluation:
 
     # The dataclasses check the range; the loader names the section.
     @pytest.mark.parametrize("section, key, value", [
-        ("kernel", "c", ".nan"),
-        ("kernel", "kappa", "-.inf"),
-        ("reg", "alpha_disp", ".nan"),
         ("solver", "lambda_embed", ".inf"),
         ("solver", "fixed_alpha", ".nan"),
         ("solver", "fixed_alpha", ".inf"),
@@ -142,7 +135,6 @@ evaluation:
     @pytest.mark.parametrize("section, key, value, attr", [
         ("solver", "max_iters", "3", 3),
         ("solver", "lambda_embed", "1", 1),
-        ("reg", "alpha_disp", "0.25", 0.25),
         ("solver", "fixed_alpha", "null", None),
         ("solver", "fixed_alpha", "-2", -2),
         ("solver", "fixed_alpha", "0.5", 0.5),
@@ -152,8 +144,7 @@ evaluation:
         path = tmp_path / "cfg.yaml"
         path.write_text(f"{section}:\n  {key}: {value}\n")
         cfg = load_config(path)
-        owner = {"scene": cfg.scene, "solver": cfg.solver, "reg": cfg.solver.reg}[section]
-        assert getattr(owner, key) == attr
+        assert getattr(getattr(cfg, section), key) == attr
 
     def test_section_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -163,16 +154,10 @@ evaluation:
         path.write_text("solver:\nscene:\n")  # empty sections keep the defaults
         assert load_config(path).solver.max_iters == load_config(None).solver.max_iters
 
-    def test_nested_solver_keys_must_use_sections(self, tmp_path):
-        path = tmp_path / "cfg.yaml"
-        path.write_text("solver:\n  kernel:\n    c: 2.0\n")
-        with pytest.raises(ValueError, match="own top-level section"):
-            load_config(path)
-
     def test_readme_table_names_every_accepted_key(self):
-        # Nested solver fields (kernel, reg) are sections of their own.
         accepted = [f"{section}.{f.name}" for section, cls in SECTIONS.items()
-                    for f in fields(cls) if f.name not in SECTIONS]
+                    for f in fields(cls)]
+        assert len(accepted) == 13
         assert sorted(readme_config_keys()) == sorted(accepted)
 
     def test_default_runconfig(self):

@@ -5,9 +5,9 @@ from semba import geometry
 from semba.features import bilinear_sample
 from semba.geometry import Intrinsics, Pose, reproject, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
-from semba.residuals import (EdgeEvaluation, FlowObservation, RegConfig, edge_weights,
+from semba.residuals import (ALPHA_DISP, EdgeEvaluation, FlowObservation, edge_weights,
                              evaluate_edge, grid_pixels, prior_terms, total_energy)
-from semba.robust import KernelConfig, adaptive_alpha, barron_rho
+from semba.robust import ALPHA_STATIC, adaptive_alpha, barron_rho
 from semba.solver import ProblemLayout, SolverConfig, assemble, kernel_alphas, retract
 from semba.synthscene import SceneConfig, gen_scene
 from shared import K, central_differences, edge_eval, off_grid_lines, smooth_map
@@ -241,52 +241,37 @@ def prior_frame(disparity, prior):
 class TestDisparityReg:
     def test_zero_at_prior(self, rng):
         d = rng.uniform(0.2, 1.0, size=(6, 8))
-        energy, h, g = prior_terms(prior_frame(d, d), RegConfig())
+        energy, h, g = prior_terms(prior_frame(d, d))
         assert energy == 0.0
-        assert np.all(h == 2.0)
+        assert np.all(h == 2.0 * ALPHA_DISP)
         assert np.abs(g).max() == 0.0
 
     def test_quarter_offset(self):
-        energy, h, g = prior_terms(prior_frame(np.array([[0.75]]), np.array([[0.5]])),
-                                   RegConfig(alpha_disp=1.0))
-        assert energy == pytest.approx(0.0625)
-        assert h[0] == 2.0
-        assert g[0] == pytest.approx(0.5)
-
-    def test_zero_weight_vanishes(self, rng):
-        d = rng.uniform(0.2, 1.0, size=(4, 4))
-        energy, h, g = prior_terms(prior_frame(d, d + 0.3), RegConfig(alpha_disp=0.0))
-        assert energy == 0.0
-        assert not h.any() and not g.any()
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
-    def test_config_rejects_non_finite_or_negative(self, value):
-        with pytest.raises(ValueError, match="alpha_disp must be finite and >= 0"):
-            RegConfig(alpha_disp=value)
+        energy, h, g = prior_terms(prior_frame(np.array([[0.75]]), np.array([[0.5]])))
+        assert energy == pytest.approx(0.0625 * ALPHA_DISP)
+        assert h[0] == 2.0 * ALPHA_DISP
+        assert g[0] == pytest.approx(0.5 * ALPHA_DISP)
 
     def test_invalid_prior_excluded(self):
-        energy, h, g = prior_terms(prior_frame(np.array([[0.5, 0.5]]), np.array([[0.0, 0.25]])),
-                                   RegConfig())
-        assert energy == pytest.approx(0.0625)
+        energy, h, g = prior_terms(prior_frame(np.array([[0.5, 0.5]]), np.array([[0.0, 0.25]])))
+        assert energy == pytest.approx(0.0625 * ALPHA_DISP)
         assert h[0] == 0.0 and g[0] == 0.0
-        assert h[1] == 2.0 and g[1] == pytest.approx(0.5)
+        assert h[1] == 2.0 * ALPHA_DISP and g[1] == pytest.approx(0.5 * ALPHA_DISP)
 
     def test_shape_mismatch(self):
         # prior_terms reads a keyframe, which cannot hold maps of two shapes.
         with pytest.raises(ValueError, match="shapes differ"):
             prior_frame(np.zeros((2, 2)), np.zeros((3, 2)))
 
-    @pytest.mark.parametrize("alpha_disp", [1.0, 0.37])
-    def test_h_and_g_match_central_differences(self, rng, alpha_disp):
+    def test_h_and_g_match_central_differences(self, rng):
         d = rng.uniform(0.2, 1.0, size=(3, 4))
         prior = rng.uniform(0.2, 1.0, size=(3, 4))
         prior[0, 1] = 0.0  # no prior here: the pixel adds no energy
-        reg = RegConfig(alpha_disp=alpha_disp)
-        _, h, g = prior_terms(prior_frame(d, prior), reg)
+        _, h, g = prior_terms(prior_frame(d, prior))
         eps = 1e-4
         for p in range(d.size):
             step = eps * np.eye(d.size)[p].reshape(d.shape)
-            e_minus, e_zero, e_plus = (prior_terms(prior_frame(d + s * step, prior), reg)[0]
+            e_minus, e_zero, e_plus = (prior_terms(prior_frame(d + s * step, prior))[0]
                                        for s in (-1.0, 0.0, 1.0))
             assert g[p] == pytest.approx((e_plus - e_minus) / (2 * eps), rel=1e-6, abs=1e-9)
             assert h[p] == pytest.approx((e_plus - 2 * e_zero + e_minus) / eps**2,
@@ -327,8 +312,7 @@ class TestTotalEnergy:
 
         graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs],
                               intrinsics=bundle.intrinsics)
-        kernel = KernelConfig()
-        config = SolverConfig(kernel=kernel, lambda_embed=1.3)
+        config = SolverConfig(lambda_embed=1.3)
         got = total_energy(graph, config, kernel_alphas(graph, config))
 
         e_photo = 0.0
@@ -346,9 +330,9 @@ class TestTotalEnergy:
                 ok_e = ok and np.linalg.norm(z_src) > 1e-8 and np.linalg.norm(z_smp) > 1e-8
                 cs = min(float(z_src @ z_smp) / norms, 1.0) if ok_e else 0.0
                 re = 2.0 * np.sqrt(2.0 * (1.0 - cs))
-                alpha = adaptive_alpha(cs, kernel) if ok_e else kernel.alpha_static
+                alpha = adaptive_alpha(cs) if ok_e else ALPHA_STATIC
                 if ok:
-                    e_photo += conf[y, x] * barron_rho(np.linalg.norm(r), alpha, kernel.c)
+                    e_photo += conf[y, x] * barron_rho(np.linalg.norm(r), alpha)
                 if ok_e:
                     e_embed += conf[y, x] * re**2
         e_reg = 0.0
@@ -356,7 +340,7 @@ class TestTotalEnergy:
             for y in range(h):
                 for x in range(w):
                     if kf.disparity_prior[y, x] > 0:
-                        e_reg += (kf.disparity[y, x] - kf.disparity_prior[y, x]) ** 2
+                        e_reg += ALPHA_DISP * (kf.disparity[y, x] - kf.disparity_prior[y, x]) ** 2
         expected = e_photo + 1.3 * e_embed + e_reg
         assert got.embed > 0.0
         assert got.total == pytest.approx(expected, abs=1e-9)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semba.robust import KernelConfig, adaptive_alpha, barron_psi, barron_rho, irls_weight
+from semba.robust import (ALPHA_DYNAMIC, ALPHA_STATIC, adaptive_alpha, barron_psi, barron_rho,
+                          irls_weight)
 
 
 class TestBarronRho:
@@ -114,45 +115,24 @@ class TestIrlsWeight:
 
 
 class TestAdaptiveAlpha:
-    CFG = KernelConfig(alpha_static=2.0, alpha_dynamic=-2.0, kappa=0.5, tau=0.1)
-
     def test_midpoint(self):
-        assert adaptive_alpha(0.5, self.CFG) == pytest.approx(0.0, abs=1e-12)
+        assert adaptive_alpha(0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_high_similarity(self):
         expected = 2.0 - 4.0 / (1.0 + np.exp(5.0))
-        assert adaptive_alpha(1.0, self.CFG) == pytest.approx(expected, abs=1e-12)
-        assert adaptive_alpha(1.0, self.CFG) == pytest.approx(1.9732285963028606, abs=1e-9)
+        assert adaptive_alpha(1.0) == pytest.approx(expected, abs=1e-12)
+        assert adaptive_alpha(1.0) == pytest.approx(1.9732285963028606, abs=1e-9)
 
     def test_low_similarity(self):
         expected = -4.0 / (1.0 + np.exp(-5.0)) + 2.0
-        assert adaptive_alpha(0.0, self.CFG) == pytest.approx(expected, abs=1e-12)
-        assert adaptive_alpha(0.0, self.CFG) == pytest.approx(-1.973228596302861, abs=1e-9)
+        assert adaptive_alpha(0.0) == pytest.approx(expected, abs=1e-12)
+        assert adaptive_alpha(0.0) == pytest.approx(-1.973228596302861, abs=1e-9)
 
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     def test_monotone(self, a, b):
         lo, hi = sorted((a, b))
-        assert adaptive_alpha(lo, self.CFG) <= adaptive_alpha(hi, self.CFG) + 1e-12
+        assert adaptive_alpha(lo) <= adaptive_alpha(hi) + 1e-12
 
     @given(st.floats(-1.0, 1.0))
     def test_range(self, cs):
-        val = adaptive_alpha(cs, self.CFG)
-        assert self.CFG.alpha_dynamic <= val <= self.CFG.alpha_static
-
-
-class TestKernelConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KernelConfig(c=0.0)
-        with pytest.raises(ValueError):
-            KernelConfig(tau=-1.0)
-        with pytest.raises(ValueError):
-            KernelConfig(alpha_static=0.0, alpha_dynamic=1.0)
-        with pytest.raises(ValueError):
-            KernelConfig(kappa=1.5)
-
-    @pytest.mark.parametrize("field", ["c", "alpha_static", "alpha_dynamic", "kappa", "tau"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            KernelConfig(**{field: value})
+        assert ALPHA_DYNAMIC <= adaptive_alpha(cs) <= ALPHA_STATIC

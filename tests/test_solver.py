@@ -7,7 +7,7 @@ from semba.evaluation import trajectory_ate
 from semba.geometry import Intrinsics, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import FlowObservation, evaluate_edge, total_energy
-from semba.robust import adaptive_alpha
+from semba.robust import ALPHA_STATIC, adaptive_alpha
 from semba.solver import (MIN_DISPARITY, ProblemLayout, SolverConfig, assemble, kernel_alphas,
                           retract, solve, solve_normal_equations)
 from semba.synthscene import TEMPORAL_RADIUS, SceneConfig, gen_scene
@@ -168,8 +168,7 @@ class TestKernelAlphas:
         for alpha, obs in zip(alphas, graph.edges):
             ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
                                graph.intrinsics, with_jacobians=True)
-            expected = np.where(ev.valid_embed, adaptive_alpha(ev.cs, config.kernel),
-                                config.kernel.alpha_static)
+            expected = np.where(ev.valid_embed, adaptive_alpha(ev.cs), ALPHA_STATIC)
             assert np.array_equal(alpha, expected)
         assert np.unique(np.concatenate(alphas)).size > 2  # shapes really vary
 
@@ -379,6 +378,32 @@ class TestIntrinsicsOptimization:
         got = opt.intrinsics.as_array()
         assert np.abs(got - true_k.as_array()).max() < 0.05
         assert trace[-1].e_total < 1e-6
+
+    def test_step_to_non_positive_focal_is_rejected_unscored(self, monkeypatch):
+        # From this start an early damped step would put fy below zero. The
+        # solve rejects such a trial like a singular one: it is never
+        # retracted, scored or traced, and the damping grows.
+        bundle = gen_scene(SceneConfig(num_keyframes=5, height=24, width=32,
+                                       dynamic_fraction=0.2, pose_sigma=0.01, seed=7))
+        graph = bundle.to_graph(initial=True)
+        k = graph.intrinsics
+        graph = KeyframeGraph(keyframes=graph.keyframes, edges=graph.edges,
+                              intrinsics=dataclasses.replace(k, fx=k.fx * 1.02))
+        steps, retracts = [], []
+        def counting(fn, calls):  # counts the calls that return
+            def wrapped(*args):
+                result = fn(*args)
+                calls.append(None)
+                return result
+            return wrapped
+        monkeypatch.setattr("semba.solver.solve_normal_equations",
+                            counting(solve_normal_equations, steps))
+        monkeypatch.setattr("semba.solver.retract", counting(retract, retracts))
+        opt, trace = solve(graph, small_config(optimize_intrinsics=True, max_iters=6))
+        assert len(retracts) == len(trace) - 1
+        assert len(steps) > len(retracts)  # some trial left the camera model
+        assert opt.intrinsics.fx > 0 and opt.intrinsics.fy > 0
+        assert trace[-1].iteration == 6 and trace[-1].e_total < trace[0].e_total
 
     def test_layout_includes_intrinsics(self, toy_bundle):
         graph = toy_bundle.to_graph()

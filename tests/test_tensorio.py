@@ -136,6 +136,13 @@ class TestTrajectoryFormat:
         with pytest.raises(FileFormatError, match="bad.txt:2: non-numeric"):
             read_trajectory(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1 2 3 0 0 0 1\n1 1 {value} 3 0 0 0 1\n")
+        with pytest.raises(FileFormatError, match=f"bad.txt:2: non-finite field '{value}'"):
+            read_trajectory(path)
+
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# header\n0 1 2 3 0 0 0 1\n")
@@ -194,6 +201,13 @@ class TestLabelSetFormat:
         path = tmp_path / "bad.csv"
         path.write_text("chair,1.0,0.0\ncup,0.0,x\n")
         with pytest.raises(FileFormatError, match="bad.csv:2: non-numeric"):
+            read_labelset(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"chair,1.0,0.0\ncup,{value},1.0\n")
+        with pytest.raises(FileFormatError, match=f"bad.csv:2: non-finite field '{value}'"):
             read_labelset(path)
 
     def test_ragged_row_names_line(self, tmp_path):
