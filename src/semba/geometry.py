@@ -191,10 +191,18 @@ def project(points: np.ndarray, intrinsics: Intrinsics) -> np.ndarray:
     )
 
 
-def _transform(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics):
-    """Unproject pixels of frame i through its intrinsics and carry them into camera j.
+def _segments(bounds):
+    """Row slices of a batch's edges from their (E+1,) row offsets; None is one edge."""
+    if bounds is None:
+        return [slice(None)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    Returns (points_j (..., 3), valid (...,), R_ji (3, 3), t_ji (3,), safe
+
+def _transform(u, disparity, relative, intrinsics: Intrinsics, bounds):
+    """Unproject pixels of frame i through its intrinsics and carry each edge's rows
+    into its camera j with that edge's T_ji.
+
+    Returns (points_j (..., 3), valid (...,), row slices, rotations R_ji, safe
     disparity (...,)). Invalid entries (non-positive disparity or depth in j
     <= Z_EPS) hold z = 1 in points_j and disparity 1, so that everything derived
     from them stays finite.
@@ -203,35 +211,44 @@ def _transform(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics)
     d = np.asarray(disparity, dtype=float)
     valid = d > 0
     d_safe = np.where(valid, d, 1.0)
-    rel = relative_pose(pose_i, pose_j)
-    rot_ji = rel.rotation_matrix()
-    points_j = unproject(u, d_safe, intrinsics) @ rot_ji.T + rel.translation
+    points_i = unproject(u, d_safe, intrinsics)
+    segments = _segments(bounds)
+    # One 3x3 product per edge: a per-row rotation stack is slower.
+    points_j = np.empty_like(points_i)
+    rotations = [rel.rotation_matrix() for rel in relative]
+    for seg, rot, rel in zip(segments, rotations, relative, strict=True):
+        points_j[seg] = points_i[seg] @ rot.T + rel.translation
     valid = valid & (points_j[..., 2] > Z_EPS)
     points_j[..., 2] = np.where(valid, points_j[..., 2], 1.0)
-    return points_j, valid, rot_ji, rel.translation, d_safe
+    return points_j, valid, segments, rotations, d_safe
 
 
-def reproject(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics):
-    """Map pixels of frame i into frame j through the current geometry.
+def reproject(u, disparity, relative, intrinsics: Intrinsics, bounds=None):
+    """Map pixels of frame i into the frames j of a batch of edges i -> j.
 
-    u: (..., 2) pixels, disparity: (...,) inverse depths of frame i.
+    u: (..., 2) pixels, disparity: (...,) inverse depths of frame i. relative
+    holds each edge's T_ji (relative_pose(pose_i, pose_j)); rows bounds[e] to
+    bounds[e + 1] belong to edge e (bounds None: one edge, every row).
     Returns (mu (..., 2), valid (...,)); invalid entries (non-positive disparity
     or reprojected depth <= Z_EPS) hold finite placeholder coordinates and must
     be masked by the caller.
     """
-    points_j, valid, _, _, _ = _transform(u, disparity, pose_i, pose_j, intrinsics)
+    points_j, valid, _, _, _ = _transform(u, disparity, relative, intrinsics, bounds)
     return project(points_j, intrinsics), valid
 
 
-def reprojection_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: Intrinsics):
+def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds=None):
     """Analytic derivatives of reproject under left-multiplicative twists.
 
-    Returns (adjoint (6, 6), d_pose_j (..., 2, 6), d_disparity (..., 2),
-    mu (..., 2), valid (...,)). Twist columns are ordered [v; w]. Pose i enters
-    only through T_ji, and T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji, so the
-    derivative under a twist on T_i is -d_pose_j @ adjoint with adjoint = Ad(T_ji).
+    Returns (adjoint (E, 6, 6), d_pose_j (..., 2, 6), d_disparity (..., 2),
+    mu (..., 2), valid (...,)) for the E edges of relative and bounds, as in
+    reproject. Twist columns are ordered [v; w]. Pose i enters only through
+    T_ji, and T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji, so the derivative of
+    edge e's rows under a twist on T_i is -d_pose_j @ adjoint[e] with
+    adjoint[e] = Ad(T_ji).
     """
-    points_j, valid, rot_ji, t_ji, d_safe = _transform(u, disparity, pose_i, pose_j, intrinsics)
+    points_j, valid, segments, rotations, d_safe = _transform(u, disparity, relative,
+                                                              intrinsics, bounds)
     mu = project(points_j, intrinsics)
 
     # A left twist [v; w] on T_j moves X_j by v + w x X_j. With (a, b) = (x, y) / z
@@ -244,24 +261,28 @@ def reprojection_jacobian(u, disparity, pose_i: Pose, pose_j: Pose, intrinsics: 
                         axis=-1).reshape(a.shape + (2, 6))
     d_pose_j *= np.array([[intrinsics.fx], [intrinsics.fy]])
 
-    adjoint = np.zeros((6, 6))
-    adjoint[:3, :3] = adjoint[3:, 3:] = rot_ji
-    adjoint[:3, 3:] = skew(t_ji) @ rot_ji
-
+    adjoint = np.zeros((len(relative), 6, 6))
     # X_i = dir / d  =>  dX_j/dd = R_ji dX_i/dd = -(X_j - t_ji) / d
-    d_point_disp = (t_ji - points_j) / d_safe[..., None]
+    d_point_disp = np.empty_like(points_j)
+    for e, (seg, rot, rel) in enumerate(zip(segments, rotations, relative)):
+        adjoint[e, :3, :3] = adjoint[e, 3:, 3:] = rot
+        adjoint[e, :3, 3:] = skew(rel.translation) @ rot
+        d_point_disp[seg] = rel.translation - points_j[seg]
+    d_point_disp /= d_safe[..., None]
     d_disparity = np.einsum("...ij,...j->...i", d_pose_j[..., :3], d_point_disp)
 
     return adjoint, d_pose_j, d_disparity, mu, valid
 
 
-def reprojection_intrinsics_jacobian(u, disparity, mu, d_pose_j, adjoint, intrinsics: Intrinsics):
+def reprojection_intrinsics_jacobian(u, disparity, mu, d_pose_j, adjoint, intrinsics: Intrinsics,
+                                     bounds=None):
     """d(reproject)/d[fx, fy, cx, cy], (..., 2, 4).
 
     mu, d_pose_j and adjoint are reprojection_jacobian's outputs for the same
-    pixels. The intrinsics enter through the projection in frame j (the direct
-    term) and through the unprojection in frame i. A shift of X_i moves X_j by
-    R_ji = adjoint[:3, :3] times it, and d_pose_j[..., :3] is d(mu)/dX_j.
+    pixels and bounds. The intrinsics enter through the projection in frame j
+    (the direct term) and through the unprojection in frame i. A shift of X_i
+    moves edge e's X_j by R_ji = adjoint[e, :3, :3] times it, and
+    d_pose_j[..., :3] is d(mu)/dX_j.
     """
     u = np.asarray(u, dtype=float)
     d = np.asarray(disparity, dtype=float)
@@ -269,7 +290,7 @@ def reprojection_intrinsics_jacobian(u, disparity, mu, d_pose_j, adjoint, intrin
     k = intrinsics
     zero = np.zeros_like(d_safe)
     one = np.ones_like(d_safe)
-    direct = np.stack(
+    out = np.stack(
         [
             np.stack([(mu[..., 0] - k.cx) / k.fx, zero, one, zero], axis=-1),
             np.stack([zero, (mu[..., 1] - k.cy) / k.fy, zero, one], axis=-1),
@@ -282,4 +303,6 @@ def reprojection_intrinsics_jacobian(u, disparity, mu, d_pose_j, adjoint, intrin
     dxi[..., 0, 2] = -1.0 / (k.fx * d_safe)
     dxi[..., 1, 1] = -(u[..., 1] - k.cy) / (k.fy**2 * d_safe)
     dxi[..., 1, 3] = -1.0 / (k.fy * d_safe)
-    return direct + d_pose_j[..., :3] @ adjoint[:3, :3] @ dxi
+    for seg, adj in zip(_segments(bounds), adjoint, strict=True):
+        out[seg] += d_pose_j[seg][..., :3] @ adj[:3, :3] @ dxi[seg]
+    return out

@@ -38,10 +38,14 @@ class Keyframe:
             raise ValueError(
                 f"features {self.features.shape} do not share the disparity grid {self.disparity.shape}")
         for name, arr in (("disparity", self.disparity), ("disparity prior", self.disparity_prior)):
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise ValueError(f"keyframe {self.index}: {name} must be finite and >= 0")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError(f"keyframe {self.index}: features must be finite")
+            bad = ~(np.isfinite(arr) & (arr >= 0))
+            if bad.any():
+                raise ValueError(f"keyframe {self.index}: {name} is not finite and >= 0 at "
+                                 f"pixel index {np.flatnonzero(bad)[0]}")
+        bad = ~np.isfinite(self.features).all(axis=0)
+        if bad.any():
+            raise ValueError(f"keyframe {self.index}: features are not finite at pixel index "
+                             f"{np.flatnonzero(bad)[0]}")
         self.features = np.moveaxis(np.ascontiguousarray(np.moveaxis(self.features, 0, -1)), -1, 0)
         if self.timestamp is None:
             self.timestamp = float(self.index)
@@ -79,6 +83,14 @@ class KeyframeGraph:
     @property
     def grid_shape(self):
         return self.keyframes[0].grid_shape
+
+    def edge_groups(self) -> list:
+        """The edges grouped by source keyframe: one list per keyframe with out-edges,
+        in keyframe order, each keeping the order of self.edges."""
+        groups = {}
+        for obs in self.edges:
+            groups.setdefault(obs.i, []).append(obs)
+        return [groups[i] for i in sorted(groups)]
 
     def copy(self) -> "KeyframeGraph":
         """Shallow-graph copy with fresh Keyframe objects (maps shared, pose/disparity replaceable)."""

@@ -12,7 +12,10 @@ Validity conventions (enforced here and relied on by the solver):
 Every term of an edge is scaled by its flow confidence, so a pixel of zero
 confidence contributes exactly zero as well. Each edge is therefore evaluated
 on its support only: FlowObservation.pixels, the flat grid indices of its
-pixels with non-zero confidence, fixed when the observation is built.
+pixels with non-zero confidence, fixed when the observation is built. The
+out-edges of one keyframe are evaluated, scored and weighted together, on the
+stacked rows of their supports: one group of KeyframeGraph.edge_groups() at a
+time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 
 from . import geometry, robust
 from .features import bilinear_sample, in_bounds
-from .geometry import Intrinsics
 
 _NORM_EPS = 1e-8
 # The embedding residual is r = _EMBED_SCALE * sqrt(2 (1 - cs)); _EMBED_DERIV_EPS
@@ -59,8 +61,10 @@ class FlowObservation:
         if self.confidence.shape != self.flow.shape[1:]:
             raise ValueError(
                 f"confidence shape {self.confidence.shape} does not match flow {self.flow.shape}")
-        if not np.all(np.isfinite(self.confidence)) or np.any(self.confidence < 0):
-            raise ValueError("confidence must be finite and non-negative")
+        bad = ~(np.isfinite(self.confidence) & (self.confidence >= 0))
+        if bad.any():
+            raise ValueError(f"edge ({self.i}, {self.j}): confidence is not finite and "
+                             f"non-negative at pixel index {np.flatnonzero(bad)[0]}")
         if not np.isfinite(self.flow).all():
             bad = ~(np.isfinite(self.flow[0]) & np.isfinite(self.flow[1]))
             raise ValueError(f"edge ({self.i}, {self.j}): flow is not finite at pixel index "
@@ -100,13 +104,16 @@ def _embed_dresidual_dcs(r):
 
 @dataclass(eq=False)
 class EdgeEvaluation:
-    """Per-pixel quantities for one directed edge, one row per pixel of its support.
+    """Per-pixel quantities for a batch of out-edges of one keyframe, one row per
+    pixel of their supports.
 
-    Row n belongs to the grid pixel pixels[n] (a flat row-major index); N is the
-    number of pixels with non-zero confidence, not H*W.
+    Rows bounds[e] to bounds[e + 1] belong to edge e of the batch, and row n to
+    the grid pixel pixels[n] (a flat row-major index) of the source keyframe; N
+    is the summed number of pixels with non-zero confidence, not H*W.
     """
 
-    pixels: np.ndarray            # (N,) flat grid indices, ascending
+    pixels: np.ndarray            # (N,) flat grid indices, ascending within each edge
+    bounds: np.ndarray            # (E+1,) row offsets of the E edges
     confidence: np.ndarray        # (N,)
     r_flow: np.ndarray            # (N, 2)
     valid_flow: np.ndarray        # (N,)
@@ -115,44 +122,60 @@ class EdgeEvaluation:
     valid_embed: np.ndarray       # (N,)
     jf: np.ndarray = None         # (N, 2, 7 or 11) over [disparity | pose j | intrinsics]
     je: np.ndarray = None         # (N, 7 or 11), same columns
-    adjoint: np.ndarray = None    # (6, 6) Ad(T_ji): pose-i columns = -(pose-j columns) @ adjoint
+    adjoint: np.ndarray = None    # (E, 6, 6) Ad(T_ji) per edge: pose-i columns of edge e's
+                                  # rows = -(pose-j columns) @ adjoint[e]
 
 
-def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
-                  need_similarity: bool = True, need_embedding: bool = True,
+def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding: bool = True,
                   with_jacobians: bool = False, with_intrinsics: bool = False) -> EdgeEvaluation:
-    """Evaluate flow and embedding residuals (and optionally Jacobians) for one edge.
+    """Evaluate flow and embedding residuals (and optionally Jacobians) for out-edges of
+    one keyframe of graph.
 
-    Only the pixels of the edge's support (obs.pixels) are evaluated. The
-    reprojection is computed once and shared between the two terms.
-    need_similarity requests the cosine field even when the embedding term
-    itself is disabled (the adaptive kernel consumes it either way).
+    edges is a list of edges that share the source keyframe i; a list of one edge
+    is the single-edge case. Only the pixels of the edges' supports (obs.pixels)
+    are evaluated, stacked in the order of edges: the source disparity, its
+    unprojection and the source features are read once for all of them, each
+    edge's rows are carried into its target frame with its own T_ji, and the
+    target features are sampled once per edge. The reprojection is shared
+    between the two terms. need_similarity requests the cosine field even when
+    the embedding term itself is disabled (the adaptive kernel consumes it
+    either way).
     """
+    kf_i = graph.keyframes[edges[0].i]
+    for obs in edges:
+        if obs.i != kf_i.index:
+            raise ValueError(f"edge ({obs.i}, {obs.j}) does not start at keyframe {kf_i.index}, "
+                             "the source of the batch")
+    targets = [graph.keyframes[obs.j] for obs in edges]
     h, w = kf_i.disparity.shape
-    pixels = obs.pixels
+    bounds = np.zeros(len(edges) + 1, dtype=int)
+    np.cumsum([obs.pixels.size for obs in edges], out=bounds[1:])
+    pixels = np.concatenate([obs.pixels for obs in edges])
     u = grid_pixels(h, w)[pixels]
     d = kf_i.disparity.reshape(-1)[pixels]
+    relative = [geometry.relative_pose(kf_i.pose, kf_j.pose) for kf_j in targets]
+    intrinsics = graph.intrinsics
 
     jf = adjoint = None
     if with_jacobians:
         adjoint, jf_j, jf_d, mu, valid_geo = geometry.reprojection_jacobian(
-            u, d, kf_i.pose, kf_j.pose, intrinsics)
+            u, d, relative, intrinsics, bounds)
         parts = [jf_d[:, :, None], jf_j]
         if with_intrinsics:
             parts.append(geometry.reprojection_intrinsics_jacobian(u, d, mu, jf_j, adjoint,
-                                                                   intrinsics))
+                                                                   intrinsics, bounds))
         jf = np.concatenate(parts, axis=2)
     else:
-        mu, valid_geo = geometry.reproject(u, d, kf_i.pose, kf_j.pose, intrinsics)
+        mu, valid_geo = geometry.reproject(u, d, relative, intrinsics, bounds)
 
     valid_flow = valid_geo & in_bounds(mu, h, w)
-    target = obs.flow.reshape(2, -1)[:, pixels].T
+    target = np.concatenate([obs.flow.reshape(2, -1)[:, obs.pixels] for obs in edges], axis=1).T
     r_flow = np.where(valid_flow[:, None], (mu - u) - target, 0.0)
-    conf = obs.confidence.reshape(-1)[pixels]
+    conf = np.concatenate([obs.confidence.reshape(-1)[obs.pixels] for obs in edges])
 
     n = pixels.size
     out = EdgeEvaluation(
-        pixels=pixels, confidence=conf, r_flow=r_flow, valid_flow=valid_flow,
+        pixels=pixels, bounds=bounds, confidence=conf, r_flow=r_flow, valid_flow=valid_flow,
         r_embed=np.zeros(n), cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool), jf=jf,
         adjoint=adjoint)
 
@@ -161,8 +184,14 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
         z_src = np.moveaxis(kf_i.features, 0, -1).reshape(h * w, -1)[pixels]
         # Only the embedding Jacobian reads the sampling gradient.
         # valid_flow already requires mu in the sampling domain.
-        z_smp, dz_du, _ = bilinear_sample(kf_j.features, mu,
-                                          with_grad=with_jacobians and need_embedding)
+        with_grad = with_jacobians and need_embedding
+        z_smp = np.empty_like(z_src)
+        dz_du = np.empty(z_src.shape + (2,)) if with_grad else None
+        for lo, hi, kf_j in zip(bounds[:-1], bounds[1:], targets):
+            z_smp[lo:hi], grad, _ = bilinear_sample(kf_j.features, mu[lo:hi],
+                                                    with_grad=with_grad)
+            if with_grad:
+                dz_du[lo:hi] = grad
         cs, n_src, n_smp, norm_ok = _cosine(z_src, z_smp)
         valid_embed = valid_flow & norm_ok
         out.cs = np.where(valid_embed, cs, 0.0)
@@ -181,33 +210,36 @@ def evaluate_edge(kf_i, kf_j, obs: FlowObservation, intrinsics: Intrinsics, *,
 
 
 def kernel_alphas(graph, config) -> list:
-    """The robust-kernel shape of every support pixel at the current state, one array per edge.
+    """The robust-kernel shape of every support pixel at the current state, one array per
+    group of graph.edge_groups(), its rows stacked as evaluate_edge stacks them.
 
     config is a solver.SolverConfig. A fixed kernel evaluates no edge; the
     adaptive kernel maps each pixel's similarity through robust.adaptive_alpha,
     and a pixel without a usable similarity keeps robust.ALPHA_STATIC.
     """
+    groups = graph.edge_groups()
     if config.fixed_alpha is not None:
-        return [np.full(obs.pixels.size, float(config.fixed_alpha)) for obs in graph.edges]
+        return [np.full(sum(obs.pixels.size for obs in edges), float(config.fixed_alpha))
+                for edges in groups]
     alphas = []
-    for obs in graph.edges:
-        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, need_similarity=True, need_embedding=False)
+    for edges in groups:
+        ev = evaluate_edge(graph, edges, need_similarity=True, need_embedding=False)
         alphas.append(np.where(ev.valid_embed, robust.adaptive_alpha(ev.cs),
                                robust.ALPHA_STATIC))
     return alphas
 
 
 def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray):
-    """(photo_ark, embed) energies of one evaluated edge under shapes alpha (rho(0) = 0)."""
+    """(photo_ark, embed) energies of one edge evaluation under shapes alpha (rho(0) = 0)."""
     rho = robust.barron_rho(np.linalg.norm(ev.r_flow, axis=-1), alpha)
     return float(np.sum(ev.confidence * rho)), float(np.sum(ev.confidence * ev.r_embed**2))
 
 
 def edge_weights(ev: EdgeEvaluation, alpha: np.ndarray, config):
-    """Gauss-Newton weights (w_flow, w_emb) of one edge: the IRLS weight psi(r)/r under
-    shapes alpha and 2 * lambda_embed (the factor 2 of d(r^2)), each folded with the
-    confidence and its term's validity; w_emb is None when lambda_embed is 0.
+    """Gauss-Newton weights (w_flow, w_emb) of one edge evaluation: the IRLS weight
+    psi(r)/r under shapes alpha and 2 * lambda_embed (the factor 2 of d(r^2)), each
+    folded with the confidence and its term's validity; w_emb is None when
+    lambda_embed is 0.
     """
     w_ark = robust.irls_weight(np.linalg.norm(ev.r_flow, axis=-1), alpha)
     w_flow = ev.confidence * w_ark * ev.valid_flow
@@ -246,13 +278,13 @@ def total_energy(graph, config, alphas) -> EnergyBreakdown:
     """Objective value over a keyframe graph at its current state.
 
     config is a solver.SolverConfig (read for lambda_embed); alphas holds one
-    per-pixel shape array per edge of graph.edges, as decided by kernel_alphas.
+    per-pixel shape array per group of graph.edge_groups(), as decided by
+    kernel_alphas.
     """
     e_photo = 0.0
     e_embed = 0.0
-    for obs, alpha in zip(graph.edges, alphas, strict=True):
-        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, need_similarity=False,
+    for edges, alpha in zip(graph.edge_groups(), alphas, strict=True):
+        ev = evaluate_edge(graph, edges, need_similarity=False,
                            need_embedding=config.lambda_embed != 0.0)
         ep, ee = edge_energies(ev, alpha)
         e_photo += ep

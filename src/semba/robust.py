@@ -6,6 +6,8 @@ be arrays of matching shape.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # The general expression is evaluated through expm1/log1p and stays accurate
@@ -24,14 +26,18 @@ KAPPA = 0.5
 TAU = 0.1
 
 
+def _check_scale(c):
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"scale c must be finite and positive, got {c!r}")
+
+
 def barron_rho(r, alpha, c: float = 1.0):
     """Loss value of the general robust family.
 
     rho_alpha(r) = (|a-2|/a) * (((r/c)^2/|a-2| + 1)^(a/2) - 1), with the smooth
     limits (r/c)^2/2 at a=2 and log((r/c)^2/2 + 1) at a=0.
     """
-    if c <= 0:
-        raise ValueError("scale c must be positive")
+    _check_scale(c)
     r = np.asarray(r, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     s = (r / c) ** 2
@@ -53,8 +59,7 @@ def barron_rho(r, alpha, c: float = 1.0):
 
 def barron_psi(r, alpha, c: float = 1.0):
     """Influence function d(rho)/dr: (r/c^2) * ((r/c)^2/|a-2| + 1)^(a/2 - 1)."""
-    if c <= 0:
-        raise ValueError("scale c must be positive")
+    _check_scale(c)
     r = np.asarray(r, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     s = (r / c) ** 2
@@ -77,8 +82,7 @@ def irls_weight(r, alpha, c: float = 1.0):
     w = (1/c^2) * ((r/c)^2/|a-2| + 1)^(a/2 - 1), exactly 1/c^2 at a=2. No division
     by r is made, so the weight at r = 0 is its limit 1/c^2 for every shape a.
     """
-    if c <= 0:
-        raise ValueError("scale c must be positive")
+    _check_scale(c)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("irls_weight expects non-negative residual magnitudes")

@@ -125,7 +125,9 @@ class NormalEquations:
     disp_h: np.ndarray     # (D,)
     pose_g: np.ndarray     # (P,)
     disp_g: np.ndarray     # (D,)
-    energies: EnergyBreakdown
+    energies: EnergyBreakdown = None
+    reduction: np.ndarray = None   # (P, P) sum_k C_k D_k^-1 C_k^T, undamped
+    reduced_g: np.ndarray = None   # (P,) sum_k C_k D_k^-1 disp_g_k, undamped
 
     def to_dense(self):
         """Materialize (H, b); intended for small oracle problems only."""
@@ -142,39 +144,36 @@ class NormalEquations:
         return h, np.concatenate([self.pose_g, self.disp_g])
 
 
-def _check_finite(arrays, edge, pixels, context):
-    """Raise FloatingPointError naming the grid pixel pixels[n] of the first non-finite row n."""
+def _check_finite(arrays, edges, ev, context):
+    """Raise FloatingPointError naming the edge and grid pixel of the first non-finite row."""
     for arr in arrays:
         if arr is None:
             continue
         bad = ~np.isfinite(arr)
         if bad.any():
-            pixel = int(pixels[np.argwhere(bad)[0][0]])
-            raise FloatingPointError(
-                f"non-finite {context} at edge ({edge.i}, {edge.j}), pixel index {pixel}")
+            n = int(np.argwhere(bad)[0][0])
+            obs = edges[int(np.searchsorted(ev.bounds, n, side="right")) - 1]
+            raise FloatingPointError(f"non-finite {context} at edge ({obs.i}, {obs.j}), "
+                                     f"pixel index {int(ev.pixels[n])}")
 
 
-def _accumulate_edge(ne: NormalEquations, obs, ev, w_flow, w_emb):
-    """Add the weighted Gauss-Newton terms of edge obs (i -> j) to ne in place.
+def _accumulate_edges(ne: NormalEquations, edges, ev, w_flow, w_emb):
+    """Add the weighted Gauss-Newton terms of the out-edges of keyframe i to ne in place.
 
-    w_emb is None without the embedding term. Per pixel the rows (flow x, flow
-    y[, embedding]) of ev's Jacobian [disparity | pose j | intrinsics] give the
-    [disparity diagonal, coupling row] in one batched product, and the edge's
-    pose block and gradient over [pose j | intrinsics] are one weighted product
-    each. L = [[-Ad, I, 0], [0, 0, I]] lifts them once per edge to [pose i |
+    ev is evaluate_edge's batch over edges; w_emb is None without the embedding
+    term. Per pixel the rows (flow x, flow y[, embedding]) of ev's Jacobian
+    [disparity | pose j | intrinsics] give the [disparity diagonal, coupling
+    row] in one batched product over all edges, and keyframe i's disparity
+    entries sum them by grid pixel. Per edge, its pose block and gradient over
+    [pose j | intrinsics] are one weighted product each, and
+    L = [[-Ad, I, 0], [0, 0, I]] lifts them and the coupling rows to [pose i |
     pose j | intrinsics] (H <- L^T H L, g <- L^T g, C <- L^T C), keeping only
-    the columns of non-frozen unknowns. Row n of ev lands in the disparity entry
-    and coupling column of grid pixel ev.pixels[n]. A function of its own so
-    that these per-edge temporaries are freed before the next edge is
-    evaluated, which keeps peak memory flat.
+    the columns of non-frozen unknowns. A function of its own so that these
+    temporaries are freed before the next keyframe is evaluated, which keeps
+    peak memory flat.
     """
     layout = ne.layout
-    cols, lift_cols = [], []
-    for s, offset in ((layout.pose_slices[obs.i], 0), (layout.pose_slices[obs.j], 6),
-                      (layout.intrinsics_slice, 12)):
-        if s is not None:
-            cols += range(s.start, s.stop)
-            lift_cols += range(offset, offset + s.stop - s.start)
+    i = edges[0].i
     jac, res = ev.jf, ev.r_flow
     weight = np.repeat(w_flow[:, None], 2, axis=1)
     if w_emb is not None:
@@ -182,30 +181,77 @@ def _accumulate_edge(ne: NormalEquations, obs, ev, w_flow, w_emb):
         res = np.concatenate([res, ev.r_embed[:, None]], axis=1)
         weight = np.concatenate([weight, w_emb[:, None]], axis=1)
     m = jac.shape[2] - 1
-    lift = np.eye(m, m + 6, 6)  # L without its -Ad block
-    lift[:6, :6] = -ev.adjoint
-    lift = lift[:, lift_cols]
 
-    d_index = layout.disparity_slice(obs.i).start + ev.pixels
-    coupling_rows = (layout.coupling_rows[obs.i].start
-                     + np.searchsorted(layout.coupling_cols[obs.i], cols))
     w_disp = weight * jac[:, :, 0]
-    cross = np.matmul(w_disp[:, None, :], jac)[:, 0, :]
-    ne.disp_h[d_index] += cross[:, 0]
-    ne.disp_g[d_index] += np.sum(w_disp * res, axis=1)
-    ne.coupling[np.ix_(coupling_rows, ev.pixels)] += lift.T @ cross[:, 1:].T
-    rows = jac[:, :, 1:].reshape(weight.size, m)
-    weighted = weight.reshape(-1, 1) * rows
-    ne.pose_h[np.ix_(cols, cols)] += lift.T @ (rows.T @ weighted) @ lift
-    ne.pose_g[cols] += lift.T @ (weighted.T @ res.reshape(-1))
+    cross = np.einsum("nr,nrc->nc", w_disp, jac)
+    d = layout.disparity_slice(i)
+    # A pixel in several supports sums its rows in edge order.
+    ne.disp_h[d] += np.bincount(ev.pixels, cross[:, 0], layout.pixels_per_frame)
+    ne.disp_g[d] += np.bincount(ev.pixels, np.einsum("nr,nr->n", w_disp, res),
+                                layout.pixels_per_frame)
+
+    coupling = ne.coupling[layout.coupling_rows[i]]
+    rows = jac[:, :, 1:]
+    weighted = weight[:, :, None] * rows
+    for e, obs in enumerate(edges):
+        cols, lift_cols, blocks = [], [], []
+        for s, offset in ((layout.pose_slices[i], 0), (layout.pose_slices[obs.j], 6),
+                          (layout.intrinsics_slice, 12)):
+            if s is not None:
+                # (first coupling row, first lifted column, size) of this unknown
+                blocks.append((np.searchsorted(layout.coupling_cols[i], s.start), len(cols),
+                               s.stop - s.start))
+                cols += range(s.start, s.stop)
+                lift_cols += range(offset, offset + s.stop - s.start)
+        lift = np.eye(m, m + 6, 6)  # L without its -Ad block
+        lift[:6, :6] = -ev.adjoint[e]
+        lift = lift[:, lift_cols]
+
+        seg = slice(ev.bounds[e], ev.bounds[e + 1])
+        pixels = ev.pixels[seg]
+        lifted = lift.T @ cross[seg, 1:].T
+        # Each unknown's coupling rows are contiguous; a gather, add and scatter
+        # along their pixel axis is cheaper than one two-dimensional fancy update.
+        for row, k, size in blocks:
+            part = coupling[row:row + size]
+            values = part.take(pixels, axis=1)
+            values += lifted[k:k + size]
+            part[:, pixels] = values
+        seg_rows = rows[seg].reshape(-1, m)
+        seg_weighted = weighted[seg].reshape(-1, m)
+        ne.pose_h[np.ix_(cols, cols)] += lift.T @ (seg_rows.T @ seg_weighted) @ lift
+        ne.pose_g[cols] += lift.T @ (seg_weighted.T @ res[seg].reshape(-1))
+
+
+def _reduce(ne: NormalEquations):
+    """The undamped Schur terms (sum_k C_k D_k^-1 C_k^T, sum_k C_k D_k^-1 g_k) of ne.
+
+    Keyframe k's coupling block C_k enters only the rows and columns of its
+    unknowns (layout.coupling_cols[k]): one small product per keyframe.
+    Disparity entries with an identically zero diagonal are left out.
+    """
+    layout = ne.layout
+    inv_disp = np.zeros_like(ne.disp_h)
+    np.divide(1.0, ne.disp_h, out=inv_disp, where=ne.disp_h > 0)
+    reduction = np.zeros_like(ne.pose_h)
+    reduced_g = np.zeros_like(ne.pose_g)
+    for k, (cols, rows) in enumerate(zip(layout.coupling_cols, layout.coupling_rows)):
+        c = ne.coupling[rows]
+        d = layout.disparity_slice(k)
+        ec = c * inv_disp[d]
+        reduction[np.ix_(cols, cols)] += ec @ c.T
+        reduced_g[cols] += ec @ ne.disp_g[d]
+    return reduction, reduced_g
 
 
 def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquations:
     """Accumulate the weighted Gauss-Newton normal equations over all edges and priors.
 
-    Each edge adds its flow and embedding rows with the weights of
-    residuals.edge_weights under shapes alphas[edge] (from kernel_alphas);
-    each keyframe adds the diagonal and gradient of residuals.prior_terms.
+    The out-edges of each keyframe (one group of graph.edge_groups()) are
+    evaluated together and add their flow and embedding rows with the weights
+    of residuals.edge_weights under that group's shapes in alphas (from
+    kernel_alphas); each keyframe adds the diagonal and gradient of
+    residuals.prior_terms. The undamped Schur terms are formed once here.
     """
     layout = ProblemLayout.build(graph, config)
     p = layout.n_reduced
@@ -213,20 +259,19 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
                          coupling=np.zeros((layout.coupling_rows[-1].stop,
                                             layout.pixels_per_frame)),
                          disp_h=np.zeros(layout.n_disparity), pose_g=np.zeros(p),
-                         disp_g=np.zeros(layout.n_disparity), energies=None)
+                         disp_g=np.zeros(layout.n_disparity))
     e_photo = 0.0
     e_embed = 0.0
-    for obs, alpha in zip(graph.edges, alphas, strict=True):
-        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, need_similarity=False,
+    for edges, alpha in zip(graph.edge_groups(), alphas, strict=True):
+        ev = evaluate_edge(graph, edges, need_similarity=False,
                            need_embedding=config.lambda_embed != 0.0,
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
-        _check_finite((ev.r_flow, ev.jf, ev.r_embed, ev.je), obs, ev.pixels,
-                      "residual/Jacobian")
+        _check_finite((ev.r_flow, ev.jf, ev.r_embed, ev.je), edges, ev, "residual/Jacobian")
         ep, ee = edge_energies(ev, alpha)
         e_photo += ep
         e_embed += ee
-        _accumulate_edge(ne, obs, ev, *edge_weights(ev, alpha, config))
+        _accumulate_edges(ne, edges, ev, *edge_weights(ev, alpha, config))
+        del ev  # free this keyframe's rows before the next one is evaluated
 
     e_reg = 0.0
     for kf in graph.keyframes:
@@ -236,43 +281,36 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
         ne.disp_h[d_slice] += h
         ne.disp_g[d_slice] += g
     ne.energies = EnergyBreakdown.of(e_photo, e_embed, e_reg, config.lambda_embed)
+    ne.reduction, ne.reduced_g = _reduce(ne)
     return ne
 
 
 def solve_normal_equations(ne: NormalEquations, lm: float) -> np.ndarray:
     """Solve (H + lm diag(H)) delta = -b via Schur elimination of the disparity block.
 
-    The reduced system is S = H_pp - sum_k C_k D_k^-1 C_k^T, where keyframe k's
-    coupling block C_k enters only the rows and columns of its unknowns
-    (layout.coupling_cols[k]): one small product per keyframe, and the
-    back-substitution for the disparities also runs one keyframe at a time.
+    The damped disparity block is D (1 + lm), so the reduced system is
+    S = H_pp (1 + lm diag) - ne.reduction / (1 + lm), with right-hand side
+    ne.reduced_g / (1 + lm) - g_p: only the damping, the factorization and the
+    back-substitution, one keyframe at a time, are done per call.
     Raises numpy.linalg.LinAlgError when the damped reduced system cannot be
     factorized. Disparity entries with an identically zero diagonal receive a
     zero update (unobserved pixels).
     """
     layout = ne.layout
-    disp_damped = ne.disp_h * (1.0 + lm)
-    inv_disp = np.zeros_like(disp_damped)
-    np.divide(1.0, disp_damped, out=inv_disp, where=disp_damped > 0)
-    blocks = [(cols, ne.coupling[rows], layout.disparity_slice(k))
-              for k, (cols, rows) in enumerate(zip(layout.coupling_cols, layout.coupling_rows))]
-
     if layout.n_reduced > 0:
-        reduction = np.zeros_like(ne.pose_h)
-        reduced_g = np.zeros_like(ne.pose_g)
-        for cols, c, d in blocks:
-            ec = c * inv_disp[d]
-            reduction[np.ix_(cols, cols)] += ec @ c.T
-            reduced_g[cols] += ec @ ne.disp_g[d]
-        schur = ne.pose_h + lm * np.diag(np.diag(ne.pose_h)) - reduction
-        rhs = reduced_g - ne.pose_g
+        schur = ne.pose_h + lm * np.diag(np.diag(ne.pose_h)) - ne.reduction / (1.0 + lm)
+        rhs = ne.reduced_g / (1.0 + lm) - ne.pose_g
         cho = scipy.linalg.cho_factor(schur, check_finite=False)
         delta_pose = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
     else:
         delta_pose = np.zeros(0)
+    disp_damped = ne.disp_h * (1.0 + lm)
+    inv_disp = np.zeros_like(disp_damped)
+    np.divide(1.0, disp_damped, out=inv_disp, where=disp_damped > 0)
     delta_disp = np.empty_like(inv_disp)
-    for cols, c, d in blocks:
-        delta_disp[d] = inv_disp[d] * (-ne.disp_g[d] - c.T @ delta_pose[cols])
+    for k, (cols, rows) in enumerate(zip(layout.coupling_cols, layout.coupling_rows)):
+        d = layout.disparity_slice(k)
+        delta_disp[d] = inv_disp[d] * (-ne.disp_g[d] - ne.coupling[rows].T @ delta_pose[cols])
     return np.concatenate([delta_pose, delta_disp])
 
 
@@ -373,4 +411,5 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
                 # Gradient-direction steps stopped helping under the current
                 # kernel state: treat as converged.
                 return state, trace
+        del ne  # free this system's coupling before the next assemble builds its own
     return state, trace

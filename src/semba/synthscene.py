@@ -327,8 +327,8 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
     u = grid_pixels(h, w)
     flows, confidences = [], []
     for i, j in pairs:
-        mu, valid = geometry.reproject(u, gt_disparity[i].reshape(-1), gt_poses[i],
-                                       gt_poses[j], intr)
+        mu, valid = geometry.reproject(u, gt_disparity[i].reshape(-1),
+                                       [geometry.relative_pose(gt_poses[i], gt_poses[j])], intr)
         usable = valid & in_bounds(mu, h, w)
         flows.append(np.where(usable, (mu - u).T, 0.0).reshape(2, h, w))
         conf = _edge_confidence(mu, labels[i].reshape(-1), purity[i].reshape(-1),

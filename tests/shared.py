@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 
 from semba.features import PcaModel
-from semba.geometry import Intrinsics, reproject, se3_exp
+from semba.geometry import Intrinsics, relative_pose, reproject, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import ALPHA_DISP, FlowObservation, evaluate_edge, grid_pixels
 from semba.robust import ALPHA_STATIC, adaptive_alpha, irls_weight
@@ -38,7 +38,8 @@ def edge_eval(z_i, z_j, disparity, pose_i, pose_j, intr=K, flow=None, **kwargs):
                     features=z_j)
     obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)) if flow is None else flow,
                           confidence=np.ones((h, w)))
-    return evaluate_edge(kf_i, kf_j, obs, intr, **kwargs)
+    graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=intr)
+    return evaluate_edge(graph, [obs], **kwargs)
 
 
 def central_differences(evaluate, n_steps, eps=1e-6):
@@ -66,7 +67,8 @@ def off_grid_lines(disparity, pose_i, pose_j, intr=K, margin=1e-3):
     whose stencil straddles one measures no derivative there.
     """
     h, w = disparity.shape
-    mu, _ = reproject(grid_pixels(h, w), disparity.reshape(-1), pose_i, pose_j, intr)
+    mu, _ = reproject(grid_pixels(h, w), disparity.reshape(-1), [relative_pose(pose_i, pose_j)],
+                      intr)
     return (np.abs(mu - np.round(mu)) >= margin).all(axis=1)
 
 
@@ -107,8 +109,7 @@ def brute_force_normal_equations(graph, config):
     n = layout.n_total
     rows_j, rows_w, rows_r = [], [], []
     for obs in graph.edges:
-        ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                           graph.intrinsics, with_jacobians=True,
+        ev = evaluate_edge(graph, [obs], with_jacobians=True,
                            with_intrinsics=config.optimize_intrinsics)
         alpha = np.where(ev.valid_embed, adaptive_alpha(ev.cs), ALPHA_STATIC)
         if config.fixed_alpha is not None:
@@ -121,8 +122,8 @@ def brute_force_normal_equations(graph, config):
         slot_j = layout.pose_slices[obs.j]
         d_base = layout.n_reduced + obs.i * layout.pixels_per_frame
         # Columns [disparity | pose j | intrinsics]; pose i's are pose j's times -Ad(T_ji).
-        jf_pose_i = -ev.jf[..., 1:7] @ ev.adjoint
-        je_pose_i = -ev.je[:, 1:7] @ ev.adjoint
+        jf_pose_i = -ev.jf[..., 1:7] @ ev.adjoint[0]
+        je_pose_i = -ev.je[:, 1:7] @ ev.adjoint[0]
         for p in range(ev.confidence.size):
             for axis in range(2):
                 row = np.zeros(n)

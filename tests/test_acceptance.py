@@ -12,7 +12,7 @@ import pytest
 
 from semba.evaluation import (LabelSet, SemanticPointCloud, assign_labels, knn_transfer,
                               seg_metrics, trajectory_ate)
-from semba.geometry import reproject, reprojection_jacobian, se3_exp
+from semba.geometry import relative_pose, reproject, reprojection_jacobian, se3_exp
 from semba.residuals import total_energy
 from semba.robust import barron_psi, barron_rho
 from semba.solver import SolverConfig, assemble, kernel_alphas, solve, solve_normal_equations
@@ -36,12 +36,13 @@ class TestCriterion1Jacobians:
             t_j = se3_exp(rng.normal(0, 0.2, 6))
             u = rng.uniform(5, 55, size=2)
             d = rng.uniform(0.3, 1.5)
-            adjoint, j_j, j_d, _, valid = reprojection_jacobian(u, d, t_i, t_j, K)
+            adjoint, j_j, j_d, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)],
+                                                                K)
             if not valid:
                 continue
             checked += 1
             eps = 1e-6
-            for which, analytic in (("i", -j_j @ adjoint), ("j", j_j)):
+            for which, analytic in (("i", -j_j @ adjoint[0]), ("j", j_j)):
                 fd = np.zeros((2, 6))
                 for k in range(6):
                     tw = np.zeros(6)
@@ -52,13 +53,13 @@ class TestCriterion1Jacobians:
                     else:
                         args_p = (t_i, se3_exp(tw).compose(t_j))
                         args_m = (t_i, se3_exp(-tw).compose(t_j))
-                    mu_p, _ = reproject(u, d, *args_p, K)
-                    mu_m, _ = reproject(u, d, *args_m, K)
+                    mu_p, _ = reproject(u, d, [relative_pose(*args_p)], K)
+                    mu_m, _ = reproject(u, d, [relative_pose(*args_m)], K)
                     fd[:, k] = (mu_p - mu_m) / (2 * eps)
                 worst_reproj = max(worst_reproj,
                                    np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1.0))
-            mu_p, _ = reproject(u, d + eps, t_i, t_j, K)
-            mu_m, _ = reproject(u, d - eps, t_i, t_j, K)
+            mu_p, _ = reproject(u, d + eps, [relative_pose(t_i, t_j)], K)
+            mu_m, _ = reproject(u, d - eps, [relative_pose(t_i, t_j)], K)
             fd_d = (mu_p - mu_m) / (2 * eps)
             worst_reproj = max(worst_reproj,
                                np.abs(j_d - fd_d).max() / max(np.abs(fd_d).max(), 1.0))
@@ -90,13 +91,13 @@ class TestCriterion1Jacobians:
             checked += int(used.sum())
             fd = np.concatenate([fd_ei, fd_ej, fd_edisp], axis=1)[used]
             # Columns [disparity | pose j]; pose i's are pose j's times -Ad(T_ji).
-            analytic = np.concatenate([-ev.je[:, 1:] @ ev.adjoint, ev.je[:, 1:], ev.je[:, :1]],
+            analytic = np.concatenate([-ev.je[:, 1:] @ ev.adjoint[0], ev.je[:, 1:], ev.je[:, :1]],
                                       axis=1)[used]
             scale = np.maximum(np.abs(fd).max(axis=1), 1e-3)
             worst_embed = max(worst_embed, (np.abs(analytic - fd).max(axis=1) / scale).max())
 
             used = smooth & okf_i & okf_j & okf_d & ev.valid_flow
-            for analytic, fd in ((-ev.jf[..., 1:] @ ev.adjoint, fd_fi), (ev.jf[..., 1:], fd_fj),
+            for analytic, fd in ((-ev.jf[..., 1:] @ ev.adjoint[0], fd_fi), (ev.jf[..., 1:], fd_fj),
                                  (ev.jf[..., :1], fd_fdisp)):
                 err = np.abs(analytic[used] - fd[used]).max(axis=(1, 2))
                 scale = np.maximum(np.abs(fd[used]).max(axis=(1, 2)), 1.0)

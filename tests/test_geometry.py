@@ -133,7 +133,7 @@ class TestReproject:
         pose = random_pose(rng)
         u = rng.uniform(0, 60, size=(40, 2))
         d = rng.uniform(0.2, 2.0, size=40)
-        mu, valid = reproject(u, d, pose, pose, K)
+        mu, valid = reproject(u, d, [relative_pose(pose, pose)], K)
         assert valid.all()
         assert np.abs(mu - u).max() < 1e-9
 
@@ -142,11 +142,11 @@ class TestReproject:
         # reaches Z=0 and must be flagged.
         t_i = Pose.identity()
         t_j = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
-        _, valid = reproject(np.array([K.cx, K.cy]), 1.0, t_i, t_j, K)
+        _, valid = reproject(np.array([K.cx, K.cy]), 1.0, [relative_pose(t_i, t_j)], K)
         assert not valid
 
     def test_zero_disparity_invalid(self):
-        _, valid = reproject(np.array([5.0, 5.0]), 0.0, Pose.identity(), Pose.identity(), K)
+        _, valid = reproject(np.array([5.0, 5.0]), 0.0, [Pose.identity()], K)
         assert not valid
 
     def test_matches_chained_transform_oracle(self, rng):
@@ -162,7 +162,7 @@ class TestReproject:
                 continue
             expected = np.array([K.fx * point_j[0] / point_j[2] + K.cx,
                                  K.fy * point_j[1] / point_j[2] + K.cy])
-            mu, valid = reproject(u, d, t_i, t_j, K)
+            mu, valid = reproject(u, d, [relative_pose(t_i, t_j)], K)
             assert valid
             assert np.abs(mu - expected).max() < 1e-9
 
@@ -174,8 +174,9 @@ class TestReproject:
             gauge = random_pose(rng, scale=0.5)
             u = rng.uniform(5, 55, size=(10, 2))
             d = rng.uniform(0.3, 1.5, size=10)
-            mu, valid = reproject(u, d, t_i, t_j, K)
-            mu_g, valid_g = reproject(u, d, t_i.compose(gauge), t_j.compose(gauge), K)
+            mu, valid = reproject(u, d, [relative_pose(t_i, t_j)], K)
+            mu_g, valid_g = reproject(
+                u, d, [relative_pose(t_i.compose(gauge), t_j.compose(gauge))], K)
             assert (valid == valid_g).all()
             assert np.abs(mu[valid] - mu_g[valid]).max() < 1e-9
 
@@ -188,8 +189,8 @@ def _fd_pose_jacobian(u, d, t_i, t_j, which, eps=1e-6):
         tw[k] = eps
         args_p = (se3_exp(tw).compose(t_i), t_j) if which == "i" else (t_i, se3_exp(tw).compose(t_j))
         args_m = (se3_exp(-tw).compose(t_i), t_j) if which == "i" else (t_i, se3_exp(-tw).compose(t_j))
-        mu_p, _ = reproject(u, d, *args_p, K)
-        mu_m, _ = reproject(u, d, *args_m, K)
+        mu_p, _ = reproject(u, d, [relative_pose(*args_p)], K)
+        mu_m, _ = reproject(u, d, [relative_pose(*args_m)], K)
         out[:, k] = (mu_p - mu_m) / (2 * eps)
     return out
 
@@ -202,16 +203,17 @@ class TestReprojectionJacobian:
             t_i, t_j = random_pose(rng), random_pose(rng)
             u = rng.uniform(5, 55, size=2)
             d = rng.uniform(0.3, 1.5)
-            adjoint, j_j, j_d, _, valid = reprojection_jacobian(u, d, t_i, t_j, K)
+            adjoint, j_j, j_d, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)],
+                                                                K)
             if not valid:
                 continue
             checked += 1
             fd_i = _fd_pose_jacobian(u, d, t_i, t_j, "i")
             fd_j = _fd_pose_jacobian(u, d, t_i, t_j, "j")
-            mu_p, _ = reproject(u, d + 1e-6, t_i, t_j, K)
-            mu_m, _ = reproject(u, d - 1e-6, t_i, t_j, K)
+            mu_p, _ = reproject(u, d + 1e-6, [relative_pose(t_i, t_j)], K)
+            mu_m, _ = reproject(u, d - 1e-6, [relative_pose(t_i, t_j)], K)
             fd_d = (mu_p - mu_m) / 2e-6
-            for analytic, fd in ((-j_j @ adjoint, fd_i), (j_j, fd_j), (j_d, fd_d)):
+            for analytic, fd in ((-j_j @ adjoint[0], fd_i), (j_j, fd_j), (j_d, fd_d)):
                 scale = max(np.abs(fd).max(), 1.0)
                 worst = max(worst, np.abs(analytic - fd).max() / scale)
         assert worst < 1e-4, f"worst {worst:.2e}"
@@ -220,11 +222,11 @@ class TestReprojectionJacobian:
         pose = random_pose(rng)
         u = rng.uniform(5, 55, size=(20, 2))
         d = rng.uniform(0.3, 1.5, size=20)
-        adjoint, j_j, _, _, valid = reprojection_jacobian(u, d, pose, pose, K)
+        adjoint, j_j, _, _, valid = reprojection_jacobian(u, d, [relative_pose(pose, pose)], K)
         assert valid.all()
         # The pose-i and pose-j derivatives cancel: Ad(T_ji) = I for T_ji = I.
-        assert np.abs(-j_j @ adjoint + j_j).max() < 1e-9
-        assert np.abs(adjoint - np.eye(6)).max() < 1e-9
+        assert np.abs(-j_j @ adjoint[0] + j_j).max() < 1e-9
+        assert np.abs(adjoint[0] - np.eye(6)).max() < 1e-9
 
     def test_pure_rotation_flow_is_depth_independent(self, rng):
         t_i = random_pose(rng)
@@ -232,7 +234,7 @@ class TestReprojectionJacobian:
         t_j = rot_only.compose(t_i)
         u = rng.uniform(5, 55, size=(20, 2))
         d = rng.uniform(0.3, 1.5, size=20)
-        _, _, j_d, _, valid = reprojection_jacobian(u, d, t_i, t_j, K)
+        _, _, j_d, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K)
         assert np.abs(j_d[valid]).max() < 1e-9
 
     def test_intrinsics_jacobian_matches_fd(self, rng):
@@ -241,7 +243,8 @@ class TestReprojectionJacobian:
             t_i, t_j = random_pose(rng), random_pose(rng)
             u = rng.uniform(5, 55, size=2)
             d = rng.uniform(0.3, 1.5)
-            adjoint, j_j, _, mu, valid = reprojection_jacobian(u, d, t_i, t_j, K)
+            adjoint, j_j, _, mu, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)],
+                                                               K)
             if not valid:
                 continue
             jk = reprojection_intrinsics_jacobian(u, d, mu, j_j, adjoint, K)
@@ -250,8 +253,9 @@ class TestReprojectionJacobian:
             for p in range(4):
                 step = np.zeros(4)
                 step[p] = 1e-5
-                mu_p, _ = reproject(u, d, t_i, t_j, Intrinsics.from_array(base + step))
-                mu_m, _ = reproject(u, d, t_i, t_j, Intrinsics.from_array(base - step))
+                rel = [relative_pose(t_i, t_j)]
+                mu_p, _ = reproject(u, d, rel, Intrinsics.from_array(base + step))
+                mu_m, _ = reproject(u, d, rel, Intrinsics.from_array(base - step))
                 fd[:, p] = (mu_p - mu_m) / 2e-5
             worst = max(worst, np.abs(jk - fd).max() / max(np.abs(fd).max(), 1.0))
         assert worst < 1e-4

@@ -47,10 +47,35 @@ class TestKeyframeGraphValidation:
         with pytest.raises(ValueError, match="grid shape"):
             KeyframeGraph(keyframes=[make_frame(0), bad], edges=[], intrinsics=K)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("disparity", -0.5, "disparity is not finite and >= 0"),
+        ("disparity", np.nan, "disparity is not finite and >= 0"),
+        ("disparity_prior", np.inf, "disparity prior is not finite and >= 0"),
+        ("features", np.nan, "features are not finite"),
+    ], ids=["negative-disparity", "nan-disparity", "inf-prior", "nan-feature"])
+    def test_bad_map_names_keyframe_and_first_pixel(self, field, value, message):
+        maps = {"disparity": np.full((H, W), 0.5), "disparity_prior": np.full((H, W), 0.5),
+                "features": np.ones((4, H, W))}
+        bad = maps[field][..., 2, 5:7] if field != "features" else maps[field][3, 2, 5:7]
+        bad[...] = value
+        with pytest.raises(ValueError, match=rf"^keyframe 3: {message} at pixel index "
+                                             rf"{2 * W + 5}$"):
+            Keyframe(index=3, pose=Pose.identity(), **maps)
+
     def test_keyframe_feature_grid_must_match(self):
         with pytest.raises(ValueError, match="disparity grid"):
             Keyframe(index=0, pose=Pose.identity(), disparity=np.ones((4, 4)),
                      disparity_prior=np.ones((4, 4)), features=np.ones((2, 5, 4)))
+
+
+class TestEdgeGroups:
+    def test_grouped_by_source_in_keyframe_order(self):
+        edges = [zero_obs(2, 0), zero_obs(0, 1), zero_obs(2, 1), zero_obs(0, 2), zero_obs(2, 0)]
+        graph = KeyframeGraph(keyframes=[make_frame(k) for k in range(3)], edges=edges,
+                              intrinsics=K)
+        groups = graph.edge_groups()
+        assert [[edges.index(obs) for obs in group] for group in groups] == [[1, 3], [0, 2, 4]]
+        assert groups[1][2] is edges[4]
 
 
 class TestKeyframeFeatures:

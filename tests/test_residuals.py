@@ -3,7 +3,7 @@ import pytest
 
 from semba import geometry
 from semba.features import bilinear_sample
-from semba.geometry import Intrinsics, Pose, reproject, se3_exp
+from semba.geometry import Intrinsics, Pose, relative_pose, reproject, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import (ALPHA_DISP, EdgeEvaluation, FlowObservation, edge_weights,
                              evaluate_edge, grid_pixels, prior_terms, total_energy)
@@ -25,9 +25,7 @@ class TestFlowResidual:
     def test_zero_on_self_consistent_scene(self, clean_bundle):
         g = clean_bundle.to_graph(initial=False)
         for obs in g.edges:
-            kf_i, kf_j = g.keyframes[obs.i], g.keyframes[obs.j]
-            ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics,
-                               need_similarity=False, need_embedding=False)
+            ev = evaluate_edge(g, [obs], need_similarity=False, need_embedding=False)
             used = ev.valid_flow & (ev.confidence > 0)
             assert np.abs(ev.r_flow[used]).max() < 1e-9
 
@@ -44,7 +42,7 @@ class TestFlowResidual:
         t_j = se3_exp([-0.03, 0.01, 0.02, 0.0, 0.006, 0.0])
         u = np.array([8.0, 7.0])
         d = 0.5
-        mu, _ = reproject(u, d, t_i, t_j, K)
+        mu, _ = reproject(u, d, [relative_pose(t_i, t_j)], K)
         h, w = 16, 20
         flow = np.zeros((2, h, w))
         flow[0, 7, 8] = mu[0] - u[0]
@@ -63,6 +61,14 @@ class TestFlowResidual:
             FlowObservation(i=1, j=1, flow=np.zeros((2, 4, 4)), confidence=np.ones((4, 4)))
         with pytest.raises(ValueError, match="confidence"):
             FlowObservation(i=0, j=1, flow=np.zeros((2, 4, 4)), confidence=-np.ones((4, 4)))
+
+    @pytest.mark.parametrize("value", [-0.5, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_bad_confidence_names_edge_and_pixel(self, value):
+        confidence = np.ones((4, 5))
+        confidence[2, 3:] = value
+        with pytest.raises(ValueError, match=r"^edge \(3, 1\): confidence is not finite and "
+                                             r"non-negative at pixel index 13$"):
+            FlowObservation(i=3, j=1, flow=np.zeros((2, 4, 5)), confidence=confidence)
 
     def test_strided_flow_is_stored_contiguous(self):
         flow = np.arange(24.0).reshape(12, 2).T.reshape(2, 3, 4)  # (N, 2) rows seen as (2, H, W)
@@ -99,9 +105,8 @@ class TestSupport:
             assert 0 < obs.pixels.size < h * w / 2
             for mode in ({"with_jacobians": True},
                          {"need_similarity": True, "need_embedding": False}):
-                kf_i, kf_j = graph.keyframes[obs.i], graph.keyframes[obs.j]
-                ev = evaluate_edge(kf_i, kf_j, obs, graph.intrinsics, **mode)
-                full = evaluate_edge(kf_i, kf_j, full_obs, graph.intrinsics, **mode)
+                ev = evaluate_edge(graph, [obs], **mode)
+                full = evaluate_edge(graph, [full_obs], **mode)
                 assert np.array_equal(ev.pixels, obs.pixels)
                 assert np.array_equal(ev.confidence, obs.confidence.reshape(-1)[ev.pixels])
                 for name in ("r_flow", "valid_flow", "r_embed", "cs", "valid_embed", "jf",
@@ -113,12 +118,49 @@ class TestSupport:
                         assert np.array_equal(got, ref[ev.pixels]), name
 
 
+# Modes of the solver's passes: trial energy, similarity only, Jacobians, and
+# Jacobians with the intrinsics columns.
+BATCH_MODES = [{"need_similarity": False}, {"need_similarity": True, "need_embedding": False},
+               {"with_jacobians": True}, {"with_jacobians": True, "with_intrinsics": True}]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("mode", BATCH_MODES, ids=["value", "sim", "jac", "jac-intrinsics"])
+    def test_stacked_rows_equal_single_edge_rows(self, dynamic_bundle, mode):
+        graph = dynamic_bundle.to_graph(initial=True)
+        edges = graph.edge_groups()[2]
+        assert [(obs.i, obs.j) for obs in edges] == [(2, 0), (2, 1), (2, 3), (2, 4)]
+        ev = evaluate_edge(graph, edges, **mode)
+        sizes = [obs.pixels.size for obs in edges]
+        assert np.array_equal(ev.bounds, np.concatenate([[0], np.cumsum(sizes)]))
+        assert len(set(sizes)) > 1  # the supports differ in size
+        for e, obs in enumerate(edges):
+            alone = evaluate_edge(graph, [obs], **mode)
+            rows = slice(ev.bounds[e], ev.bounds[e + 1])
+            assert np.array_equal(alone.bounds, [0, obs.pixels.size])
+            assert np.array_equal(ev.pixels[rows], obs.pixels)
+            for name in ("confidence", "r_flow", "valid_flow", "r_embed", "cs", "valid_embed",
+                         "jf", "je"):
+                got, ref = getattr(ev, name), getattr(alone, name)
+                if ref is None:
+                    assert got is None, name
+                else:
+                    assert np.array_equal(got[rows], ref), name
+            if ev.adjoint is not None:
+                assert np.array_equal(ev.adjoint[e], alone.adjoint[0])
+
+    def test_mixed_sources_rejected(self, dynamic_bundle):
+        graph = dynamic_bundle.to_graph(initial=True)
+        edges = [graph.edge_groups()[1][0], graph.edge_groups()[2][1]]
+        with pytest.raises(ValueError, match=r"^edge \(2, 1\) does not start at keyframe 1"):
+            evaluate_edge(graph, edges)
+
+
 class TestEmbeddingResidual:
     def test_warped_copy_gives_unit_similarity(self, clean_bundle):
         g = clean_bundle.to_graph(initial=False)
         for obs in g.edges[:4]:
-            kf_i, kf_j = g.keyframes[obs.i], g.keyframes[obs.j]
-            ev = evaluate_edge(kf_i, kf_j, obs, clean_bundle.intrinsics)
+            ev = evaluate_edge(g, [obs])
             used = ev.valid_embed & (ev.confidence > 0)
             assert used.any()
             assert np.abs(ev.cs[used] - 1.0).max() < 1e-6
@@ -177,7 +219,7 @@ class TestEmbeddingJacobian:
                     & off_grid_lines(d, t_i, t_j))
             checked += int(used.sum())
             # Columns [disparity | pose j]; pose i's are pose j's times -Ad(T_ji).
-            for analytic, fd in ((-ev.je[:, 1:] @ ev.adjoint, fd_i), (ev.je[:, 1:], fd_j),
+            for analytic, fd in ((-ev.je[:, 1:] @ ev.adjoint[0], fd_i), (ev.je[:, 1:], fd_j),
                                  (ev.je[:, 0], fd_d)):
                 worst = max(worst, block_error(analytic[used], fd[used], 1e-3).max())
         assert worst < 1e-4
@@ -220,7 +262,7 @@ class TestEmbeddingJacobian:
             z_i, z_j = smooth_map(rng), smooth_map(rng)
             t_j = se3_exp(rng.normal(0, 0.05, 6))
             ev = edge_eval(z_i, z_j, d, Pose.identity(), t_j, with_jacobians=True)
-            je_pose_i = -ev.je[:, 1:] @ ev.adjoint
+            je_pose_i = -ev.je[:, 1:] @ ev.adjoint[0]
             norms = np.linalg.norm(je_pose_i, axis=1)
             candidates = np.flatnonzero(ev.valid_embed & (norms >= 1e-6))
             for p in rng.permutation(candidates)[:10 - checked]:
@@ -320,7 +362,7 @@ class TestTotalEnergy:
         for y in range(h):
             for x in range(w):
                 u = np.array([float(x), float(y)])
-                mu, ok = reproject(u, kf_i.disparity[y, x], kf_i.pose, kf_j.pose,
+                mu, ok = reproject(u, kf_i.disparity[y, x], [relative_pose(kf_i.pose, kf_j.pose)],
                                    bundle.intrinsics)
                 ok = ok and -1e-9 <= mu[0] <= w - 1 + 1e-9 and -1e-9 <= mu[1] <= h - 1 + 1e-9
                 r = (mu - u) - flow[:, y, x]
@@ -365,11 +407,12 @@ class TestInvalidPixels:
                         disparity_prior=disparity, features=smooth_map(rng, (6, h, w)))
         obs = FlowObservation(i=0, j=1, flow=rng.normal(0, 0.5, size=(2, h, w)),
                               confidence=rng.uniform(0.2, 1.0, size=(h, w)))
-        ev = evaluate_edge(kf_i, kf_j, obs, K, with_jacobians=True)
+        graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=K)
+        ev = evaluate_edge(graph, [obs], with_jacobians=True)
         assert ev.pixels.size == h * w  # every pixel is confident, so rows are grid pixels
         dead = ~ev.valid_flow
-        _, geometric_ok = reproject(grid_pixels(h, w), disparity.reshape(-1), kf_i.pose,
-                                    pose_j, K)
+        _, geometric_ok = reproject(grid_pixels(h, w), disparity.reshape(-1),
+                                    [relative_pose(kf_i.pose, pose_j)], K)
         assert ev.valid_flow.any()
         assert dead[0] and (~geometric_ok).sum() == 5 and (dead & geometric_ok).any()
         assert not ev.valid_embed[dead].any()
@@ -377,7 +420,6 @@ class TestInvalidPixels:
         assert np.abs(ev.r_embed[dead]).max() == 0.0
 
         config = SolverConfig()
-        graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=K)
         ne = assemble(graph, config, kernel_alphas(graph, config))
         fields = ("pose_h", "pose_g", "coupling", "disp_h", "disp_g")
 
@@ -414,7 +456,8 @@ class TestInvalidPixels:
         kf_j = Keyframe(index=1, pose=se3_exp([0.01, 0, 0, 0, 0, 0]), disparity=disparity,
                         disparity_prior=disparity, features=features_j)
         obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)), confidence=np.ones((h, w)))
-        ev = evaluate_edge(kf_i, kf_j, obs, K)
+        graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=K)
+        ev = evaluate_edge(graph, [obs])
         p = 2 * w + 3
         assert ev.valid_flow[p]
         assert not ev.valid_embed[p]
@@ -430,7 +473,7 @@ class TestWeights:
         valid_flow = rng.uniform(size=n) < 0.8
         valid_embed = valid_flow & (rng.uniform(size=n) < 0.8)
         theta = rng.uniform(0, 2 * np.pi, size=n)
-        ev = EdgeEvaluation(pixels=np.arange(n), confidence=conf,
+        ev = EdgeEvaluation(pixels=np.arange(n), bounds=np.array([0, n]), confidence=conf,
                             r_flow=r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1),
                             valid_flow=valid_flow, r_embed=np.zeros(n), cs=np.zeros(n),
                             valid_embed=valid_embed)
@@ -449,17 +492,16 @@ class TestHotPath:
         # and the pixel grid is built once per shape.
         graph = dynamic_bundle.to_graph(initial=True)
         config = SolverConfig()
-        obs = graph.edges[0]
-        kf_i, kf_j = graph.keyframes[obs.i], graph.keyframes[obs.j]
+        edges = graph.edge_groups()[1]
 
         def no_rotation(*args, **kwargs):
             raise AssertionError("scipy Rotation used on the edge evaluation path")
 
         # Calling it raises, and so does looking up any of Rotation's constructors on it.
         monkeypatch.setattr(geometry, "Rotation", no_rotation)
-        ev = evaluate_edge(kf_i, kf_j, obs, graph.intrinsics, with_jacobians=True)
+        ev = evaluate_edge(graph, edges, with_jacobians=True)
         assert ev.je is not None and np.isfinite(ev.jf).all()
-        evaluate_edge(kf_i, kf_j, obs, graph.intrinsics, need_similarity=False)
+        evaluate_edge(graph, edges, need_similarity=False)
         layout = ProblemLayout.build(graph, config)
         delta = np.random.default_rng(3).normal(0.0, 1e-3, layout.n_total)
         moved = retract(graph, delta, config)

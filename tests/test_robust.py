@@ -114,6 +114,14 @@ class TestIrlsWeight:
             irls_weight(-1.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("func", [barron_rho, barron_psi, irls_weight],
+                         ids=["barron_rho", "barron_psi", "irls_weight"])
+def test_non_finite_scale_rejected(func, c):
+    with pytest.raises(ValueError, match=r"scale c must be finite and positive, got"):
+        func(1.0, 1.0, c)
+
+
 class TestAdaptiveAlpha:
     def test_midpoint(self):
         assert adaptive_alpha(0.5) == pytest.approx(0.0, abs=1e-12)

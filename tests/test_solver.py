@@ -123,6 +123,38 @@ class TestAssemble:
         with pytest.raises(FloatingPointError, match=rf"pixel index {pixel}$"):
             assemble(graph, config, kernel_alphas(graph, config))
 
+    def test_nonfinite_row_in_third_edge_names_its_edge_and_pixel(self):
+        graph = gapped_graph({0})
+        config = small_config()
+        edges = graph.edge_groups()[2]
+        assert [(obs.i, obs.j) for obs in edges] == [(2, 0), (2, 1), (2, 3), (2, 4)]
+        obs = edges[2]
+        h, w = graph.grid_shape
+        confidence = obs.confidence.copy()
+        confidence[0] = 0.0  # the first image row leaves the support
+        third = FlowObservation(i=2, j=3, flow=obs.flow.copy(), confidence=confidence)
+        valid = evaluate_edge(graph, [third]).valid_flow
+        pixel = int(third.pixels[np.flatnonzero(valid)[3]])
+        third.flow[1, pixel // w, pixel % w] = np.nan  # construction would reject it
+        graph.edges[graph.edges.index(obs)] = third
+        with pytest.raises(FloatingPointError, match=rf"edge \(2, 3\), pixel index {pixel}$"):
+            assemble(graph, config, kernel_alphas(graph, config))
+
+    # The six modes of the toy-bundle comparisons, on keyframes with two, three
+    # and four out-edges.
+    @pytest.mark.parametrize("frozen, options", [({0}, {}),
+                                                 ({0}, {"optimize_intrinsics": True}),
+                                                 ({0}, {"fixed_alpha": 1.0}),
+                                                 ({0, 1}, {}),
+                                                 (set(range(5)), {"optimize_intrinsics": True}),
+                                                 ({0}, {"lambda_embed": 0.0})],
+                             ids=["default", "intrinsics", "fixed-kernel",
+                                  "second-frozen-keyframe", "intrinsics-only", "flow-only"])
+    def test_uneven_out_degrees_match_dense_brute_force(self, frozen, options):
+        graph = gapped_graph(frozen)
+        assert [len(edges) for edges in graph.edge_groups()] == [2, 2, 4, 3, 2]
+        assert_matches_brute_force(graph, small_config(**options))
+
     @pytest.mark.parametrize("options", [{}, {"fixed_alpha": 1.0, "optimize_intrinsics": True}],
                              ids=["adaptive", "fixed-intrinsics"])
     def test_zero_confidence_edge_changes_nothing(self, toy_bundle, options):
@@ -137,7 +169,7 @@ class TestAssemble:
         config = small_config(**options)
         ne = assemble(graph, config, kernel_alphas(graph, config))
         alphas = kernel_alphas(with_dead, config)
-        assert alphas[2].shape == (0,)
+        assert [a.shape for a in alphas] == [a.shape for a in kernel_alphas(graph, config)]
         ne_dead = assemble(with_dead, config, alphas)
         for name in ("pose_h", "pose_g", "coupling", "disp_h", "disp_g"):
             assert np.array_equal(getattr(ne_dead, name), getattr(ne, name)), name
@@ -153,9 +185,10 @@ class TestKernelAlphas:
         monkeypatch.setattr("semba.residuals.evaluate_edge", no_evaluation)
         graph = toy_bundle.to_graph()
         alphas = kernel_alphas(graph, small_config(fixed_alpha=1.0))
-        assert len(alphas) == len(graph.edges)
-        for alpha, obs in zip(alphas, graph.edges):
-            assert alpha.shape == (obs.confidence.size,)
+        groups = graph.edge_groups()
+        assert len(alphas) == len(groups) == 3
+        for alpha, edges in zip(alphas, groups):
+            assert alpha.shape == (sum(obs.confidence.size for obs in edges),)
             assert np.all(alpha == 1.0)
 
     def test_adaptive_matches_jacobian_pass(self, dynamic_bundle):
@@ -164,10 +197,10 @@ class TestKernelAlphas:
         graph = dynamic_bundle.to_graph(initial=True)
         config = small_config()
         alphas = kernel_alphas(graph, config)
-        assert len(alphas) == len(graph.edges)
-        for alpha, obs in zip(alphas, graph.edges):
-            ev = evaluate_edge(graph.keyframes[obs.i], graph.keyframes[obs.j], obs,
-                               graph.intrinsics, with_jacobians=True)
+        groups = graph.edge_groups()
+        assert len(alphas) == len(groups) == len(graph.keyframes)
+        for alpha, edges in zip(alphas, groups):
+            ev = evaluate_edge(graph, edges, with_jacobians=True)
             expected = np.where(ev.valid_embed, adaptive_alpha(ev.cs), ALPHA_STATIC)
             assert np.array_equal(alpha, expected)
         assert np.unique(np.concatenate(alphas)).size > 2  # shapes really vary

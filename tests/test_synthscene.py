@@ -102,8 +102,7 @@ class TestInjectDynamics:
         g = dynamic_bundle.to_graph(initial=False)
         cs_vals = []
         for obs in dynamic_bundle.edges:
-            ev = evaluate_edge(g.keyframes[obs.i], g.keyframes[obs.j], unit_confidence(obs),
-                               dynamic_bundle.intrinsics)
+            ev = evaluate_edge(g, [unit_confidence(obs)])
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_embed
             cs_vals.append(ev.cs[sel])
         assert np.mean(np.concatenate(cs_vals)) <= 0.1
@@ -112,8 +111,7 @@ class TestInjectDynamics:
         g = dynamic_bundle.to_graph(initial=False)
         mags = []
         for obs in dynamic_bundle.edges:
-            ev = evaluate_edge(g.keyframes[obs.i], g.keyframes[obs.j], unit_confidence(obs),
-                               dynamic_bundle.intrinsics)
+            ev = evaluate_edge(g, [unit_confidence(obs)])
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_flow
             mags.append(np.linalg.norm(ev.r_flow[sel], axis=1))
         mean = np.mean(np.concatenate(mags))
