@@ -54,12 +54,18 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class ProblemLayout:
-    """Index bookkeeping for the stacked unknown vector and the coupling rows.
+    """Index bookkeeping for the stacked unknown vector and the coupling block.
 
     Keyframe k's disparities couple to coupling_cols[k], the sorted reduced
     unknowns of its edges (k, j): the poses of k and j and the intrinsics.
     Their coupling rows are coupling_rows[k], a contiguous slice of the one
-    (sum of r_k, H*W) coupling array, in the order of coupling_cols[k].
+    (sum of r_k, max_k |U_k|) coupling array, in the order of coupling_cols[k].
+    Only the pixels of supports[k] = U_k, the sorted flat grid pixels in the
+    support of any out-edge of k, couple at all; they are the first |U_k|
+    columns of those rows, and support_columns[k] maps a grid pixel to its
+    column (-1 outside U_k). Everything here depends only on the edges, the
+    frozen flags, the grid and whether intrinsics are optimized, so one
+    layout serves every state of a solve.
     """
 
     pose_slices: list          # per keyframe: slice into the reduced block, or None if frozen
@@ -69,6 +75,8 @@ class ProblemLayout:
     n_disparity: int
     coupling_cols: list        # per keyframe: sorted int array of reduced unknowns
     coupling_rows: list        # per keyframe: slice of coupling rows
+    supports: list             # per keyframe: sorted flat grid pixels U_k
+    support_columns: np.ndarray  # (K, H*W): column in U_k of each grid pixel of k, or -1
 
     @staticmethod
     def build(graph: KeyframeGraph, config: SolverConfig) -> "ProblemLayout":
@@ -96,8 +104,14 @@ class ProblemLayout:
             row += len(cols)
         h, w = graph.grid_shape
         n_px = h * w
+        in_support = np.zeros((len(graph.keyframes), n_px), dtype=bool)
+        for obs in graph.edges:
+            in_support[obs.i, obs.pixels] = True
+        supports = [np.flatnonzero(mask) for mask in in_support]
+        support_columns = np.where(in_support, np.cumsum(in_support, axis=1) - 1, -1)
         return ProblemLayout(pose_slices, intrinsics_slice, offset, n_px,
-                             n_px * len(graph.keyframes), coupling_cols, coupling_rows)
+                             n_px * len(graph.keyframes), coupling_cols, coupling_rows,
+                             supports, support_columns)
 
     def disparity_slice(self, kf_index: int) -> slice:
         start = kf_index * self.pixels_per_frame
@@ -113,15 +127,17 @@ class NormalEquations:
     """Gauss-Newton system in block form; b is the objective gradient.
 
     The full matrix is [[pose_h, C], [C.T, diag(disp_h)]], where the (P, D)
-    pose-disparity coupling C is stored by keyframe: coupling rows
-    layout.coupling_rows[k] hold the rows layout.coupling_cols[k] of C over
-    keyframe k's pixels, and every other entry of C is zero. So coupling has
-    shape (sum of r_k, H*W), which grows linearly in the number of keyframes.
+    pose-disparity coupling C is stored by keyframe over its support pixels:
+    columns [0, |U_k|) of coupling rows layout.coupling_rows[k] hold the rows
+    layout.coupling_cols[k] of C over the pixels layout.supports[k] of
+    keyframe k, and every other entry of C is zero. So coupling has shape
+    (sum of r_k, max_k |U_k|), which grows linearly in the number of
+    keyframes; a block narrower than the widest keeps zeros past |U_k|.
     """
 
     layout: ProblemLayout
     pose_h: np.ndarray     # (P, P)
-    coupling: np.ndarray   # (sum of r_k, H*W)
+    coupling: np.ndarray   # (sum of r_k, max_k |U_k|)
     disp_h: np.ndarray     # (D,)
     pose_g: np.ndarray     # (P,)
     disp_g: np.ndarray     # (D,)
@@ -136,9 +152,10 @@ class NormalEquations:
         p = layout.n_reduced
         h = np.zeros((n, n))
         h[:p, :p] = self.pose_h
-        for k, (cols, rows) in enumerate(zip(layout.coupling_cols, layout.coupling_rows)):
-            d = layout.disparity_slice(k)
-            h[cols, p + d.start:p + d.stop] = self.coupling[rows]
+        for k, (cols, rows, support) in enumerate(zip(layout.coupling_cols,
+                                                      layout.coupling_rows, layout.supports)):
+            start = p + layout.disparity_slice(k).start
+            h[np.ix_(cols, start + support)] = self.coupling[rows, :support.size]
         h[p:, :p] = h[:p, p:].T
         h[p:, p:] = np.diag(self.disp_h)
         return h, np.concatenate([self.pose_g, self.disp_g])
@@ -191,6 +208,7 @@ def _accumulate_edges(ne: NormalEquations, edges, ev, w_flow, w_emb):
                                 layout.pixels_per_frame)
 
     coupling = ne.coupling[layout.coupling_rows[i]]
+    support_columns = layout.support_columns[i]
     rows = jac[:, :, 1:]
     weighted = weight[:, :, None] * rows
     for e, obs in enumerate(edges):
@@ -208,15 +226,15 @@ def _accumulate_edges(ne: NormalEquations, edges, ev, w_flow, w_emb):
         lift = lift[:, lift_cols]
 
         seg = slice(ev.bounds[e], ev.bounds[e + 1])
-        pixels = ev.pixels[seg]
+        columns = support_columns[ev.pixels[seg]]
         lifted = lift.T @ cross[seg, 1:].T
         # Each unknown's coupling rows are contiguous; a gather, add and scatter
-        # along their pixel axis is cheaper than one two-dimensional fancy update.
+        # along their column axis is cheaper than one two-dimensional fancy update.
         for row, k, size in blocks:
             part = coupling[row:row + size]
-            values = part.take(pixels, axis=1)
+            values = part.take(columns, axis=1)
             values += lifted[k:k + size]
-            part[:, pixels] = values
+            part[:, columns] = values
         seg_rows = rows[seg].reshape(-1, m)
         seg_weighted = weighted[seg].reshape(-1, m)
         ne.pose_h[np.ix_(cols, cols)] += lift.T @ (seg_rows.T @ seg_weighted) @ lift
@@ -227,24 +245,27 @@ def _reduce(ne: NormalEquations):
     """The undamped Schur terms (sum_k C_k D_k^-1 C_k^T, sum_k C_k D_k^-1 g_k) of ne.
 
     Keyframe k's coupling block C_k enters only the rows and columns of its
-    unknowns (layout.coupling_cols[k]): one small product per keyframe.
-    Disparity entries with an identically zero diagonal are left out.
+    unknowns (layout.coupling_cols[k]) and is non-zero only over its support
+    pixels: one small product per keyframe over |U_k| columns. Disparity
+    entries with an identically zero diagonal are left out.
     """
     layout = ne.layout
     inv_disp = np.zeros_like(ne.disp_h)
     np.divide(1.0, ne.disp_h, out=inv_disp, where=ne.disp_h > 0)
     reduction = np.zeros_like(ne.pose_h)
     reduced_g = np.zeros_like(ne.pose_g)
-    for k, (cols, rows) in enumerate(zip(layout.coupling_cols, layout.coupling_rows)):
-        c = ne.coupling[rows]
-        d = layout.disparity_slice(k)
-        ec = c * inv_disp[d]
+    for k, (cols, rows, support) in enumerate(zip(layout.coupling_cols, layout.coupling_rows,
+                                                  layout.supports)):
+        c = ne.coupling[rows, :support.size]
+        pixels = layout.disparity_slice(k).start + support
+        ec = c * inv_disp[pixels]
         reduction[np.ix_(cols, cols)] += ec @ c.T
-        reduced_g[cols] += ec @ ne.disp_g[d]
+        reduced_g[cols] += ec @ ne.disp_g[pixels]
     return reduction, reduced_g
 
 
-def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquations:
+def assemble(graph: KeyframeGraph, config: SolverConfig, alphas,
+             layout: ProblemLayout = None) -> NormalEquations:
     """Accumulate the weighted Gauss-Newton normal equations over all edges and priors.
 
     The out-edges of each keyframe (one group of graph.edge_groups()) are
@@ -252,12 +273,14 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas) -> NormalEquati
     of residuals.edge_weights under that group's shapes in alphas (from
     kernel_alphas); each keyframe adds the diagonal and gradient of
     residuals.prior_terms. The undamped Schur terms are formed once here.
+    layout is ProblemLayout.build(graph, config), built here when not given.
     """
-    layout = ProblemLayout.build(graph, config)
+    if layout is None:
+        layout = ProblemLayout.build(graph, config)
     p = layout.n_reduced
+    width = max(support.size for support in layout.supports)
     ne = NormalEquations(layout=layout, pose_h=np.zeros((p, p)),
-                         coupling=np.zeros((layout.coupling_rows[-1].stop,
-                                            layout.pixels_per_frame)),
+                         coupling=np.zeros((layout.coupling_rows[-1].stop, width)),
                          disp_h=np.zeros(layout.n_disparity), pose_g=np.zeros(p),
                          disp_g=np.zeros(layout.n_disparity))
     e_photo = 0.0
@@ -291,10 +314,11 @@ def solve_normal_equations(ne: NormalEquations, lm: float) -> np.ndarray:
     The damped disparity block is D (1 + lm), so the reduced system is
     S = H_pp (1 + lm diag) - ne.reduction / (1 + lm), with right-hand side
     ne.reduced_g / (1 + lm) - g_p: only the damping, the factorization and the
-    back-substitution, one keyframe at a time, are done per call.
-    Raises numpy.linalg.LinAlgError when the damped reduced system cannot be
-    factorized. Disparity entries with an identically zero diagonal receive a
-    zero update (unobserved pixels).
+    back-substitution, one keyframe at a time over its support pixels, are done
+    per call. A pixel outside every support has only its prior, so its update
+    is -g / (h (1 + lm)). Raises numpy.linalg.LinAlgError when the damped
+    reduced system cannot be factorized. Disparity entries with an identically
+    zero diagonal receive a zero update (unobserved pixels).
     """
     layout = ne.layout
     if layout.n_reduced > 0:
@@ -307,20 +331,25 @@ def solve_normal_equations(ne: NormalEquations, lm: float) -> np.ndarray:
     disp_damped = ne.disp_h * (1.0 + lm)
     inv_disp = np.zeros_like(disp_damped)
     np.divide(1.0, disp_damped, out=inv_disp, where=disp_damped > 0)
-    delta_disp = np.empty_like(inv_disp)
-    for k, (cols, rows) in enumerate(zip(layout.coupling_cols, layout.coupling_rows)):
-        d = layout.disparity_slice(k)
-        delta_disp[d] = inv_disp[d] * (-ne.disp_g[d] - ne.coupling[rows].T @ delta_pose[cols])
+    delta_disp = inv_disp * -ne.disp_g
+    for k, (cols, rows, support) in enumerate(zip(layout.coupling_cols, layout.coupling_rows,
+                                                  layout.supports)):
+        pixels = layout.disparity_slice(k).start + support
+        delta_disp[pixels] = inv_disp[pixels] * (
+            -ne.disp_g[pixels] - ne.coupling[rows, :support.size].T @ delta_pose[cols])
     return np.concatenate([delta_pose, delta_disp])
 
 
-def retract(graph: KeyframeGraph, delta: np.ndarray, config: SolverConfig) -> KeyframeGraph:
+def retract(graph: KeyframeGraph, delta: np.ndarray, config: SolverConfig,
+            layout: ProblemLayout = None) -> KeyframeGraph:
     """Apply a stacked update: exp-compose poses, add intrinsics, add and clamp disparities.
 
     A finite delta keeps every keyframe valid, so delta is checked once and the
-    moved keyframes share the already validated prior and feature maps.
+    moved keyframes share the already validated prior and feature maps. layout
+    is ProblemLayout.build(graph, config), built here when not given.
     """
-    layout = ProblemLayout.build(graph, config)
+    if layout is None:
+        layout = ProblemLayout.build(graph, config)
     if delta.shape != (layout.n_total,):
         raise ValueError(f"delta has {delta.shape[0]} entries, expected {layout.n_total}")
     bad = ~np.isfinite(delta)
@@ -372,11 +401,12 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
         raise ValueError("graph has no edges; the problem is unconstrained")
 
     state = graph.copy()
+    layout = ProblemLayout.build(state, config)  # the edges stay fixed through the solve
     trace = []
     lm = LM_INIT
     for it in range(1, config.max_iters + 1):
         alphas = kernel_alphas(state, config)
-        ne = assemble(state, config, alphas)
+        ne = assemble(state, config, alphas, layout)
         e_cur = ne.energies
         if it == 1:
             trace.append(IterationRecord(0, e_cur.total, e_cur.photo_ark, e_cur.embed,
@@ -395,9 +425,9 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
                 return state, trace
             # A step that makes a focal length <= 0 leaves the camera model: like
             # a singular one, it is neither scored nor traced.
-            k = ne.layout.intrinsics_slice
+            k = layout.intrinsics_slice
             if k is None or np.all(state.intrinsics.as_array()[:2] + delta[k][:2] > 0):
-                candidate = retract(state, delta, config)
+                candidate = retract(state, delta, config, layout)
                 e_new = total_energy(candidate, config, alphas)
                 accepted = e_new.total < e_cur.total
                 trace.append(IterationRecord(it, e_new.total, e_new.photo_ark, e_new.embed,

@@ -219,13 +219,21 @@ class _WorldSurface:
         py = origin[1] + s * ray_w[:, 1]
         ix, iy = self.cell_indices(px, py)
         z_cell = self.z0 + self.cell_offset(ix, iy)
+        # Every step is elementwise, so a ray whose s repeats bit for bit is a
+        # fixed point and leaves the loop; rays that never settle take every step.
+        active = np.arange(s.size)
         for _ in range(_NEWTON_ITERS):
-            px = origin[0] + s * ray_w[:, 0]
-            py = origin[1] + s * ray_w[:, 1]
+            ray, s_active = ray_w[active], s[active]
+            px = origin[0] + s_active * ray[:, 0]
+            py = origin[1] + s_active * ray[:, 1]
             z, gx, gy = self.smooth(px, py)
-            f = origin[2] + s * ray_w[:, 2] - z_cell - z
-            fp = ray_w[:, 2] - gx * ray_w[:, 0] - gy * ray_w[:, 1]
-            s = s - f / fp
+            f = origin[2] + s_active * ray[:, 2] - z_cell[active] - z
+            fp = ray[:, 2] - gx * ray[:, 0] - gy * ray[:, 1]
+            step = s_active - f / fp
+            s[active] = step
+            active = active[step != s_active]
+            if active.size == 0:
+                break
         px = origin[0] + s * ray_w[:, 0]
         py = origin[1] + s * ray_w[:, 1]
         labels = self.cell_class(*self.cell_indices(px, py))

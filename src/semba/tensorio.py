@@ -47,7 +47,10 @@ def write_tensor(path, array, dtype=None) -> None:
     with open(path, "wb") as f:
         f.write(TENSOR_MAGIC)
         f.write(struct.pack("<5I", TENSOR_VERSION, tag, c, h, w))
-        f.write(np.ascontiguousarray(array, dtype=_DTYPES[tag]).tobytes())
+        # One channel at a time from its own buffer, so that a transposed view
+        # such as an exported cloud's (K, 1, N) embeddings is never copied whole.
+        for channel in array:
+            f.write(np.ascontiguousarray(channel, dtype=_DTYPES[tag]).data)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -242,13 +242,42 @@ class TestSchurSolve:
         ne, h_ref, b_ref = assert_matches_brute_force(graph, config)
         layout = ne.layout
         sizes = [cols.size for cols in layout.coupling_cols]
-        assert ne.coupling.shape == (sum(sizes), layout.pixels_per_frame)
+        widths = [support.size for support in layout.supports]
+        assert ne.coupling.shape == (sum(sizes), max(widths))
+        assert len(set(widths)) > 1 and max(widths) < layout.pixels_per_frame
         if layout.n_reduced == 0:
             assert ne.coupling.shape[0] == 0
         else:
             assert len(set(sizes)) > 1
             assert np.any(np.diff(layout.coupling_cols[1]) > 1)
         assert_schur_matches_dense(ne, h_ref, b_ref)
+
+    def test_pixel_outside_every_support_gets_its_prior_step(self):
+        # Priors that differ from the disparities give every pixel a gradient;
+        # two pixels outside every support lose their prior, so h = 0 there.
+        graph = gapped_graph({0})
+        layout = ProblemLayout.build(graph, small_config())
+        h, w = graph.grid_shape
+        outside = [np.setdiff1d(np.arange(h * w), support) for support in layout.supports]
+        keyframes = []
+        for kf, pixels in zip(graph.keyframes, outside):
+            prior = kf.disparity_prior * np.linspace(0.9, 1.1, h * w).reshape(h, w)
+            prior.reshape(-1)[pixels[:2]] = 0.0
+            keyframes.append(dataclasses.replace(kf, disparity_prior=prior))
+        graph = KeyframeGraph(keyframes=keyframes, edges=graph.edges,
+                              intrinsics=graph.intrinsics)
+        config = small_config()
+        ne = assemble(graph, config, kernel_alphas(graph, config), layout)
+        lm = 1e-3
+        disp_delta = solve_normal_equations(ne, lm)[layout.n_reduced:]
+        pixels = np.concatenate([k * h * w + p for k, p in enumerate(outside)])
+        hess, grad, got = ne.disp_h[pixels], ne.disp_g[pixels], disp_delta[pixels]
+        unobserved = hess == 0
+        assert unobserved.sum() == 2 * len(keyframes) and np.all(grad[~unobserved] != 0)
+        assert np.all(got[unobserved] == 0.0)
+        np.testing.assert_allclose(got[~unobserved],
+                                   -grad[~unobserved] / (hess[~unobserved] * (1 + lm)),
+                                   rtol=1e-15, atol=0)
 
 
 class TestCouplingMemory:
@@ -263,10 +292,28 @@ class TestCouplingMemory:
             r = [6 * sum(not graph.keyframes[m].frozen
                          for m in range(max(0, f - radius), min(k, f + radius + 1)))
                  for f in range(k)]
-            assert ne.coupling.shape == (sum(r), h * w)
+            width = max(support.size for support in ne.layout.supports)
+            assert ne.coupling.shape == (sum(r), width)
             nbytes.append(ne.coupling.nbytes)
         # A dense (P, K*H*W) coupling would grow 4.3-fold here.
         assert nbytes[1] / nbytes[0] < 2.5
+
+    def test_coupling_is_stored_over_support_pixels(self):
+        h, w = 16, 20
+        graph = gen_scene(SceneConfig(num_keyframes=16, height=h, width=w, seed=3)).to_graph()
+        config = small_config(fixed_alpha=2.0)
+        ne = assemble(graph, config, kernel_alphas(graph, config))
+        layout = ne.layout
+        rows = layout.coupling_rows[-1].stop
+        width = max(support.size for support in layout.supports)
+        assert ne.coupling.nbytes == rows * width * 8
+        assert ne.coupling.nbytes < rows * h * w * 8
+        for edges, support, block in zip(graph.edge_groups(), layout.supports,
+                                         layout.coupling_rows):
+            union = np.unique(np.concatenate([obs.pixels for obs in edges]))
+            assert np.array_equal(support, union)
+            assert not ne.coupling[block, support.size:].any()
+            assert np.all(ne.coupling[block, :support.size].any(axis=0))
 
 
 class TestRetract:
@@ -389,6 +436,19 @@ class TestSolve:
                 acc.append(trajectory_ate([kf.pose for kf in opt.keyframes],
                                           bundle.gt_poses, "rigid"))
         assert np.median(ark_ates) < np.median(l2_ates)
+
+    def test_layout_is_built_once_per_solve(self, perturbed_bundle, monkeypatch):
+        builds = []
+        build = ProblemLayout.build
+
+        def counting(graph, config):
+            builds.append(None)
+            return build(graph, config)
+
+        monkeypatch.setattr(ProblemLayout, "build", staticmethod(counting))
+        _, trace = solve(perturbed_bundle.to_graph(initial=True), small_config(max_iters=3))
+        assert len(trace) == 4  # three assemblies, each with a retracted trial step
+        assert len(builds) == 1
 
     def test_no_edges_rejected(self, clean_bundle):
         graph = clean_bundle.to_graph(initial=False)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,24 @@ class TestTensorFormat:
         back = read_tensor(path)
         assert back.dtype == np.float32
         assert np.array_equal(back, arr)
+
+    def test_transposed_view_written_without_a_whole_copy(self, tmp_path, rng):
+        # An exported cloud's embeddings are written as the (K, 1, N) view of
+        # an (N, K) array; its bytes are those of the contiguous copy, and no
+        # copy of the whole payload is made on the way.
+        view = rng.normal(size=(20000, 16)).T[:, None, :]
+        path = tmp_path / "e.kmvt"
+        tracemalloc.start()
+        try:
+            write_tensor(path, view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < view.nbytes / 4
+        expected = tmp_path / "c.kmvt"
+        write_tensor(expected, np.ascontiguousarray(view))
+        assert path.read_bytes() == expected.read_bytes()
+        assert np.array_equal(read_tensor(path), view)
 
     def test_2d_maps_get_single_channel(self, tmp_path, rng):
         arr = rng.normal(size=(6, 8))
