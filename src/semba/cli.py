@@ -100,6 +100,9 @@ def cmd_eval(args) -> int:
             if value:
                 print(f"error: {flag} requires --pred-cloud", file=sys.stderr)
                 return 1
+    elif not (args.gt_cloud and args.labels):
+        print("error: --pred-cloud requires --gt-cloud and --labels", file=sys.stderr)
+        return 1
     _, est_pos, _ = tensorio.read_trajectory(args.est)
     _, gt_pos, _ = tensorio.read_trajectory(args.gt)
     if est_pos.shape != gt_pos.shape:
@@ -115,9 +118,6 @@ def cmd_eval(args) -> int:
     print(f"ATE: {100.0 * ate_m:.2f} cm")
 
     if args.pred_cloud:
-        if not (args.gt_cloud and args.labels):
-            print("error: --pred-cloud requires --gt-cloud and --labels", file=sys.stderr)
-            return 1
         labels = tensorio.read_labelset(args.labels)
         pred_pts, _ = tensorio.read_point_cloud(args.pred_cloud)
         emb_path = Path(args.pred_cloud).with_suffix(".embeddings.kmvt")
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, FileNotFoundError) as exc:
+    except (ValueError, RuntimeError, FileNotFoundError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -90,17 +90,20 @@ def fuse_point_cloud(graph, pca: PcaModel = None, stride: int = 1) -> SemanticPo
     """
     if not graph.keyframes:
         raise ValueError("empty graph")
-    pts, embs = [], []
-    for kf in graph.keyframes:
-        points, rows, cols = unproject_keyframe(kf.disparity, kf.pose, graph.intrinsics, stride)
-        if not rows.size:
-            continue
-        pts.append(points)
-        feats = kf.features[:, rows, cols].T
-        embs.append(pca_decode(feats, pca) if pca is not None else feats)
-    if not pts:
+    # Count first, then fill one array each: no per-keyframe parts are kept.
+    bounds = np.zeros(len(graph.keyframes) + 1, dtype=int)
+    np.cumsum([np.count_nonzero(kf.disparity[::stride, ::stride] > 0)
+               for kf in graph.keyframes], out=bounds[1:])
+    if not bounds[-1]:
         raise ValueError("no valid pixels to fuse")
-    return SemanticPointCloud(points=np.concatenate(pts), embeddings=np.concatenate(embs))
+    width = pca.input_dim if pca is not None else graph.keyframes[0].features.shape[0]
+    points, embeddings = np.empty((bounds[-1], 3)), np.empty((bounds[-1], width))
+    for kf, lo, hi in zip(graph.keyframes, bounds[:-1], bounds[1:]):
+        points[lo:hi], rows, cols = unproject_keyframe(kf.disparity, kf.pose, graph.intrinsics,
+                                                       stride)
+        feats = kf.features[:, rows, cols].T
+        embeddings[lo:hi] = pca_decode(feats, pca) if pca is not None else feats
+    return SemanticPointCloud(points=points, embeddings=embeddings)
 
 
 def assign_labels(cloud: SemanticPointCloud, labels: LabelSet) -> SemanticPointCloud:

@@ -237,14 +237,16 @@ def reproject(u, disparity, relative, intrinsics: Intrinsics, bounds=None):
     return project(points_j, intrinsics), valid
 
 
-def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds=None):
+def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds=None,
+                          with_intrinsics: bool = False):
     """Analytic derivatives of reproject under left-multiplicative twists.
 
-    Returns (adjoint (E, 6, 6), d_pose_j (..., 2, 6), d_disparity (..., 2),
-    mu (..., 2), valid (...,)) for the E edges of relative and bounds, as in
-    reproject. Twist columns are ordered [v; w]. Pose i enters only through
-    T_ji, and T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji, so the derivative of
-    edge e's rows under a twist on T_i is -d_pose_j @ adjoint[e] with
+    Returns (adjoint (E, 6, 6), jac (..., 2, 7 or 11), mu (..., 2), valid (...,))
+    for the E edges of relative and bounds, as in reproject. jac's columns are
+    [disparity | pose j | intrinsics]: the twist on T_j ordered [v; w], then
+    [fx, fy, cx, cy] when with_intrinsics. Pose i enters only through T_ji, and
+    T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji, so the derivative of edge e's
+    rows under a twist on T_i is -jac[..., 1:7] @ adjoint[e] with
     adjoint[e] = Ad(T_ji).
     """
     points_j, valid, segments, rotations, d_safe = _transform(u, disparity, relative,
@@ -269,40 +271,25 @@ def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds
         adjoint[e, :3, 3:] = skew(rel.translation) @ rot
         d_point_disp[seg] = rel.translation - points_j[seg]
     d_point_disp /= d_safe[..., None]
-    d_disparity = np.einsum("...ij,...j->...i", d_pose_j[..., :3], d_point_disp)
 
-    return adjoint, d_pose_j, d_disparity, mu, valid
-
-
-def reprojection_intrinsics_jacobian(u, disparity, mu, d_pose_j, adjoint, intrinsics: Intrinsics,
-                                     bounds=None):
-    """d(reproject)/d[fx, fy, cx, cy], (..., 2, 4).
-
-    mu, d_pose_j and adjoint are reprojection_jacobian's outputs for the same
-    pixels and bounds. The intrinsics enter through the projection in frame j
-    (the direct term) and through the unprojection in frame i. A shift of X_i
-    moves edge e's X_j by R_ji = adjoint[e, :3, :3] times it, and
-    d_pose_j[..., :3] is d(mu)/dX_j.
-    """
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(disparity, dtype=float)
-    d_safe = np.where(d > 0, d, 1.0)
-    k = intrinsics
-    zero = np.zeros_like(d_safe)
-    one = np.ones_like(d_safe)
-    out = np.stack(
-        [
-            np.stack([(mu[..., 0] - k.cx) / k.fx, zero, one, zero], axis=-1),
-            np.stack([zero, (mu[..., 1] - k.cy) / k.fy, zero, one], axis=-1),
-        ],
-        axis=-2,
-    )
-    # X_i = ((u - cx) / (fx d), (v - cy) / (fy d), 1 / d)
-    dxi = np.zeros(d_safe.shape + (3, 4))
-    dxi[..., 0, 0] = -(u[..., 0] - k.cx) / (k.fx**2 * d_safe)
-    dxi[..., 0, 2] = -1.0 / (k.fx * d_safe)
-    dxi[..., 1, 1] = -(u[..., 1] - k.cy) / (k.fy**2 * d_safe)
-    dxi[..., 1, 3] = -1.0 / (k.fy * d_safe)
-    for seg, adj in zip(_segments(bounds), adjoint, strict=True):
-        out[seg] += d_pose_j[seg][..., :3] @ adj[:3, :3] @ dxi[seg]
-    return out
+    jac = np.zeros(a.shape + (2, 11 if with_intrinsics else 7))
+    jac[..., 0] = np.einsum("...ij,...j->...i", d_pose_j[..., :3], d_point_disp)
+    jac[..., 1:7] = d_pose_j
+    if with_intrinsics:
+        # The intrinsics enter through the projection in frame j (the direct
+        # term) and through the unprojection in frame i, whose shift moves edge
+        # e's X_j by R_ji times it; d_pose_j[..., :3] is d(mu)/dX_j.
+        k = intrinsics
+        jac[..., 0, 7] = (mu[..., 0] - k.cx) / k.fx
+        jac[..., 1, 8] = (mu[..., 1] - k.cy) / k.fy
+        jac[..., 0, 9] = jac[..., 1, 10] = 1.0
+        # X_i = ((u - cx) / (fx d), (v - cy) / (fy d), 1 / d)
+        u = np.asarray(u, dtype=float)
+        dxi = np.zeros(d_safe.shape + (3, 4))
+        dxi[..., 0, 0] = -(u[..., 0] - k.cx) / (k.fx**2 * d_safe)
+        dxi[..., 0, 2] = -1.0 / (k.fx * d_safe)
+        dxi[..., 1, 1] = -(u[..., 1] - k.cy) / (k.fy**2 * d_safe)
+        dxi[..., 1, 3] = -1.0 / (k.fy * d_safe)
+        for seg, rot in zip(segments, rotations):
+            jac[seg, ..., 7:] += d_pose_j[seg][..., :3] @ rot @ dxi[seg]
+    return adjoint, jac, mu, valid

@@ -158,13 +158,8 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
 
     jf = adjoint = None
     if with_jacobians:
-        adjoint, jf_j, jf_d, mu, valid_geo = geometry.reprojection_jacobian(
-            u, d, relative, intrinsics, bounds)
-        parts = [jf_d[:, :, None], jf_j]
-        if with_intrinsics:
-            parts.append(geometry.reprojection_intrinsics_jacobian(u, d, mu, jf_j, adjoint,
-                                                                   intrinsics, bounds))
-        jf = np.concatenate(parts, axis=2)
+        adjoint, jf, mu, valid_geo = geometry.reprojection_jacobian(
+            u, d, relative, intrinsics, bounds, with_intrinsics)
     else:
         mu, valid_geo = geometry.reproject(u, d, relative, intrinsics, bounds)
 

@@ -204,9 +204,7 @@ class _WorldSurface:
     def raycast(self, pose: Pose, intrinsics: Intrinsics, height: int, width: int):
         """Per-pixel ray depths and world points; returns (depth (H*W,), labels (H*W,))."""
         u = grid_pixels(height, width)
-        ray_cam = np.stack([(u[:, 0] - intrinsics.cx) / intrinsics.fx,
-                            (u[:, 1] - intrinsics.cy) / intrinsics.fy,
-                            np.ones(u.shape[0])], axis=-1)
+        ray_cam = geometry.unproject(u, np.ones(u.shape[0]), intrinsics)
         rot_c2w = pose.rotation_matrix().T
         origin = pose.camera_center()
         ray_w = ray_cam @ rot_c2w.T

@@ -359,6 +359,14 @@ def _ground_truth_cloud(bundle, stride: int = 2):
     return np.concatenate(pts), np.concatenate(labs)
 
 
+def _is_finite(number) -> bool:
+    """Whether a JSON number is finite as a binary64 (an int may be too large for one)."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def load_problem_bundle(bundle_dir) -> KeyframeGraph:
     """Reconstruct a KeyframeGraph from a problem-bundle directory holding one camera."""
     root = Path(bundle_dir)
@@ -375,6 +383,9 @@ def load_problem_bundle(bundle_dir) -> KeyframeGraph:
         if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
             raise FileFormatError(f"{graph_path}: {where} field {key!r} is missing or is "
                                   f"not of type {getattr(kind, '__name__', 'number')}")
+        if isinstance(value, (int, float)) and not _is_finite(value):
+            raise FileFormatError(f"{graph_path}: {where} field {key!r} must be finite, "
+                                  f"got {value!r}")
         return value
 
     def build(where, make, *args, **kwargs):
@@ -407,6 +418,9 @@ def load_problem_bundle(bundle_dir) -> KeyframeGraph:
                                      for x in pose):
             raise FileFormatError(f"{graph_path}: {where} field 'pose_w2c' must hold 7 numbers "
                                   f"(tx ty tz qx qy qz qw), got {pose!r}")
+        if not all(map(_is_finite, pose)):
+            raise FileFormatError(f"{graph_path}: {where} field 'pose_w2c' must hold finite "
+                                  f"numbers, got {pose!r}")
         keyframes.append(build(
             where, Keyframe, index=index, pose=build(where, _pose_from_list, pose),
             disparity=disparity, disparity_prior=prior, features=features,

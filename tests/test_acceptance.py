@@ -36,10 +36,10 @@ class TestCriterion1Jacobians:
             t_j = se3_exp(rng.normal(0, 0.2, 6))
             u = rng.uniform(5, 55, size=2)
             d = rng.uniform(0.3, 1.5)
-            adjoint, j_j, j_d, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)],
-                                                                K)
+            adjoint, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K)
             if not valid:
                 continue
+            j_d, j_j = jac[:, 0], jac[:, 1:]
             checked += 1
             eps = 1e-6
             for which, analytic in (("i", -j_j @ adjoint[0]), ("j", j_j)):

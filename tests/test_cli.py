@@ -196,9 +196,15 @@ scene:
         (("keyframes", 1, "index"), 2, "keyframe at position 1 carries index 2"),
         (("keyframes", 1, "pose_w2c"), [0.0, 0.0, 1.0],
          "keyframes[1] field 'pose_w2c' must hold 7 numbers"),
-        (("intrinsics", "0", "fx"), -1, "camera '0': focal lengths must be positive")],
+        (("intrinsics", "0", "fx"), -1, "camera '0': focal lengths must be positive"),
+        # Python's json reads NaN and Infinity.
+        (("keyframes", 1, "pose_w2c"), [float("nan"), 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+         "keyframes[1] field 'pose_w2c' must hold finite numbers"),
+        (("intrinsics", "0", "cx"), float("nan"), "camera '0' field 'cx' must be finite, got nan"),
+        (("keyframes", 2, "timestamp"), float("inf"),
+         "keyframes[2] field 'timestamp' must be finite, got inf")],
         ids=["edge_to_missing_keyframe", "self_edge", "index_out_of_order", "short_pose",
-             "negative_fx"])
+             "negative_fx", "pose_translation_nan", "camera_cx_nan", "timestamp_inf"])
     def test_invalid_entry_names_graph_json(self, synth_run, tmp_path, capsys, path, value,
                                             expected):
         root, cfg, bundle = synth_run
@@ -210,6 +216,20 @@ scene:
         assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "graph.json: " + expected in err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_pose_names_the_edge(self, synth_run, tmp_path, capsys):
+        # A finite translation of 1e300 overflows in the first Jacobian pass.
+        root, cfg, bundle = synth_run
+
+        def far_away(doc):
+            doc["keyframes"][1]["pose_w2c"][0] = 1e300
+
+        broken = edited_bundle(bundle, tmp_path, far_away)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["ba", str(broken), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: non-finite residual/Jacobian at edge (" in err and "pixel index" in err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_flow_names_the_edge(self, synth_run, tmp_path, capsys):
@@ -410,6 +430,21 @@ class TestEval:
         assert f"error: {flag} requires --pred-cloud" in captured.err
         assert "ATE" not in captured.out
         assert not target.exists()
+
+    @pytest.mark.parametrize("present", ["--gt-cloud", "--labels", None])
+    def test_pred_cloud_without_its_inputs_exits_1_before_reading(self, synth_run, tmp_path,
+                                                                  capsys, present):
+        root, cfg, bundle = synth_run
+        gt = bundle / "ground_truth" / "trajectory.txt"
+        argv = ["eval", str(gt), str(gt), "--pred-cloud", str(tmp_path / "missing.ply")]
+        if present == "--gt-cloud":
+            argv += [present, str(bundle / "ground_truth" / "cloud.ply")]
+        elif present == "--labels":
+            argv += [present, str(bundle / "ground_truth" / "labelset.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: --pred-cloud requires --gt-cloud and --labels" in captured.err
+        assert captured.out == ""
 
     def test_semantic_pipeline_end_to_end(self, synth_run, tmp_path, capsys):
         root, cfg, bundle = synth_run

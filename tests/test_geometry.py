@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
-from semba.geometry import (Intrinsics, Pose, relative_pose, reproject,
-                            reprojection_intrinsics_jacobian, reprojection_jacobian, se3_exp,
-                            unproject)
+from semba.geometry import (Intrinsics, Pose, relative_pose, reproject, reprojection_jacobian,
+                            se3_exp, unproject)
 
 K = Intrinsics(50.0, 52.0, 31.5, 23.5)
 
@@ -203,11 +202,11 @@ class TestReprojectionJacobian:
             t_i, t_j = random_pose(rng), random_pose(rng)
             u = rng.uniform(5, 55, size=2)
             d = rng.uniform(0.3, 1.5)
-            adjoint, j_j, j_d, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)],
-                                                                K)
+            adjoint, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K)
             if not valid:
                 continue
             checked += 1
+            j_d, j_j = jac[:, 0], jac[:, 1:]
             fd_i = _fd_pose_jacobian(u, d, t_i, t_j, "i")
             fd_j = _fd_pose_jacobian(u, d, t_i, t_j, "j")
             mu_p, _ = reproject(u, d + 1e-6, [relative_pose(t_i, t_j)], K)
@@ -222,8 +221,9 @@ class TestReprojectionJacobian:
         pose = random_pose(rng)
         u = rng.uniform(5, 55, size=(20, 2))
         d = rng.uniform(0.3, 1.5, size=20)
-        adjoint, j_j, _, _, valid = reprojection_jacobian(u, d, [relative_pose(pose, pose)], K)
+        adjoint, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(pose, pose)], K)
         assert valid.all()
+        j_j = jac[..., 1:]
         # The pose-i and pose-j derivatives cancel: Ad(T_ji) = I for T_ji = I.
         assert np.abs(-j_j @ adjoint[0] + j_j).max() < 1e-9
         assert np.abs(adjoint[0] - np.eye(6)).max() < 1e-9
@@ -234,8 +234,8 @@ class TestReprojectionJacobian:
         t_j = rot_only.compose(t_i)
         u = rng.uniform(5, 55, size=(20, 2))
         d = rng.uniform(0.3, 1.5, size=20)
-        _, _, j_d, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K)
-        assert np.abs(j_d[valid]).max() < 1e-9
+        _, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K)
+        assert np.abs(jac[valid][..., 0]).max() < 1e-9
 
     def test_intrinsics_jacobian_matches_fd(self, rng):
         worst = 0.0
@@ -243,11 +243,11 @@ class TestReprojectionJacobian:
             t_i, t_j = random_pose(rng), random_pose(rng)
             u = rng.uniform(5, 55, size=2)
             d = rng.uniform(0.3, 1.5)
-            adjoint, j_j, _, mu, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)],
-                                                               K)
+            _, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K,
+                                                     with_intrinsics=True)
             if not valid:
                 continue
-            jk = reprojection_intrinsics_jacobian(u, d, mu, j_j, adjoint, K)
+            jk = jac[:, 7:]
             fd = np.zeros((2, 4))
             base = K.as_array()
             for p in range(4):
@@ -258,6 +258,32 @@ class TestReprojectionJacobian:
                 mu_m, _ = reproject(u, d, rel, Intrinsics.from_array(base - step))
                 fd[:, p] = (mu_p - mu_m) / 2e-5
             worst = max(worst, np.abs(jk - fd).max() / max(np.abs(fd).max(), 1.0))
+        assert worst < 1e-4
+
+    def test_intrinsics_columns_extend_the_batch_jacobian(self, rng):
+        # Three edges of one source frame, the middle one without pixels.
+        relative = [relative_pose(random_pose(rng), random_pose(rng)) for _ in range(3)]
+        bounds = np.array([0, 17, 17, 40])
+        u = rng.uniform(5, 55, size=(40, 2))
+        d = rng.uniform(0.3, 1.5, size=40)
+        adjoint, jac, mu, valid = reprojection_jacobian(u, d, relative, K, bounds)
+        adjoint_k, jac_k, mu_k, valid_k = reprojection_jacobian(u, d, relative, K, bounds,
+                                                                with_intrinsics=True)
+        assert jac.shape == (40, 2, 7) and jac_k.shape == (40, 2, 11)
+        for same, ref in ((adjoint_k, adjoint), (jac_k[..., :7], jac), (mu_k, mu),
+                          (valid_k, valid)):
+            assert same.tobytes() == ref.tobytes()
+        assert valid.sum() > 20
+        fd = np.zeros((40, 2, 4))
+        base = K.as_array()
+        for p in range(4):
+            step = np.zeros(4)
+            step[p] = 1e-5
+            mu_p, _ = reproject(u, d, relative, Intrinsics.from_array(base + step), bounds)
+            mu_m, _ = reproject(u, d, relative, Intrinsics.from_array(base - step), bounds)
+            fd[..., p] = (mu_p - mu_m) / 2e-5
+        worst = max(np.abs(jac_k[n, :, 7:] - fd[n]).max() / max(np.abs(fd[n]).max(), 1.0)
+                    for n in np.flatnonzero(valid))
         assert worst < 1e-4
 
 
