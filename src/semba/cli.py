@@ -58,11 +58,12 @@ def cmd_ba(args) -> int:
 
     pca = tensorio.read_pca(args.pca) if args.pca else None
     graph = tensorio.load_problem_bundle(args.bundle)
-    if pca is not None:
-        channels = {kf.features.shape[0] for kf in graph.keyframes}
-        if channels - {pca.output_dim}:
+    if pca is not None and graph.keyframes:
+        # KeyframeGraph has checked that every keyframe has keyframe 0's channel count.
+        channels = graph.keyframes[0].features.shape[0]
+        if channels != pca.output_dim:
             raise ValueError(f"PCA model {args.pca} decodes {pca.output_dim}-channel codes, "
-                             f"but the bundle's features have {sorted(channels)} channels")
+                             f"but the bundle's features have {channels} channels")
     optimized, trace = solver_mod.solve(graph, solver_cfg)
 
     final = trace[-1]
@@ -132,6 +133,11 @@ def cmd_eval(args) -> int:
         if gt_labels is None:
             print("error: ground-truth cloud carries no labels", file=sys.stderr)
             return 1
+        foreign = (gt_labels < 0) | (gt_labels >= len(labels.names))
+        if foreign.any():
+            n = int(np.flatnonzero(foreign)[0])
+            raise FileFormatError(f"{args.gt_cloud}: vertex {n} has label {gt_labels[n]}, "
+                                  f"not a class of the {len(labels.names)} in {args.labels}")
         transferred = evaluation.knn_transfer(cloud, gt_pts.astype(float))
         metrics = evaluation.seg_metrics(transferred, gt_labels, class_names=labels.names)
         print(f"mIoU: {metrics.miou:.4f}  fmIoU: {metrics.fmiou:.4f}  mAcc: {metrics.macc:.4f}")

@@ -74,6 +74,11 @@ class KeyframeGraph:
         shapes = {kf.grid_shape for kf in self.keyframes}
         if len(shapes) > 1:
             raise ValueError(f"keyframes disagree on grid shape: {shapes}")
+        for kf in self.keyframes[1:]:
+            channels = self.keyframes[0].features.shape[0]
+            if kf.features.shape[0] != channels:
+                raise ValueError(f"keyframe {kf.index} has {kf.features.shape[0]} feature "
+                                 f"channels, but keyframe 0 has {channels}")
         for obs in self.edges:
             if not (0 <= obs.i < n and 0 <= obs.j < n):
                 raise ValueError(f"edge ({obs.i}, {obs.j}) references a missing keyframe")

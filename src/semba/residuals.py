@@ -1,7 +1,9 @@
 """The objective: every residual term, its kernel shape, energy and Gauss-Newton weights.
 
 The solver accumulates what evaluate_edge, edge_weights and prior_terms return
-and adds no rule of its own.
+and adds no rule of its own: evaluate_edge stacks per pixel the residual rows
+[flow x, flow y, embedding] (the last only when the embedding term is
+evaluated), edge_weights weights each row and edge_energies scores them.
 
 Validity conventions (enforced here and relied on by the solver):
   * geometric failures (zero disparity, behind-camera, out-of-bounds target)
@@ -109,19 +111,18 @@ class EdgeEvaluation:
 
     Rows bounds[e] to bounds[e + 1] belong to edge e of the batch, and row n to
     the grid pixel pixels[n] (a flat row-major index) of the source keyframe; N
-    is the summed number of pixels with non-zero confidence, not H*W.
+    is the summed number of pixels with non-zero confidence, not H*W. R is 3, or
+    2 when the embedding term is not evaluated.
     """
 
     pixels: np.ndarray            # (N,) flat grid indices, ascending within each edge
     bounds: np.ndarray            # (E+1,) row offsets of the E edges
     confidence: np.ndarray        # (N,)
-    r_flow: np.ndarray            # (N, 2)
+    residual: np.ndarray          # (N, R) rows [flow x, flow y, embedding]
     valid_flow: np.ndarray        # (N,)
-    r_embed: np.ndarray           # (N,)
     cs: np.ndarray                # (N,)
     valid_embed: np.ndarray       # (N,)
-    jf: np.ndarray = None         # (N, 2, 7 or 11) over [disparity | pose j | intrinsics]
-    je: np.ndarray = None         # (N, 7 or 11), same columns
+    jac: np.ndarray = None        # (N, R, 7 or 11) over [disparity | pose j | intrinsics]
     adjoint: np.ndarray = None    # (E, 6, 6) Ad(T_ji) per edge: pose-i columns of edge e's
                                   # rows = -(pose-j columns) @ adjoint[e]
 
@@ -156,9 +157,9 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
     relative = [geometry.relative_pose(kf_i.pose, kf_j.pose) for kf_j in targets]
     intrinsics = graph.intrinsics
 
-    jf = adjoint = None
+    jac = adjoint = None
     if with_jacobians:
-        adjoint, jf, mu, valid_geo = geometry.reprojection_jacobian(
+        adjoint, jac, mu, valid_geo = geometry.reprojection_jacobian(
             u, d, relative, intrinsics, bounds, with_intrinsics)
     else:
         mu, valid_geo = geometry.reproject(u, d, relative, intrinsics, bounds)
@@ -170,9 +171,8 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
 
     n = pixels.size
     out = EdgeEvaluation(
-        pixels=pixels, bounds=bounds, confidence=conf, r_flow=r_flow, valid_flow=valid_flow,
-        r_embed=np.zeros(n), cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool), jf=jf,
-        adjoint=adjoint)
+        pixels=pixels, bounds=bounds, confidence=conf, residual=r_flow, valid_flow=valid_flow,
+        cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool), jac=jac, adjoint=adjoint)
 
     if need_similarity or need_embedding:
         # For pixel-major features the reshape is a view; the support rows are gathered.
@@ -193,14 +193,15 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
         out.valid_embed = valid_embed
         if need_embedding:
             r_embed = np.where(valid_embed, _embed_residual_from_cs(cs), 0.0)
-            out.r_embed = r_embed
+            out.residual = np.concatenate([r_flow, r_embed[:, None]], axis=1)
             if with_jacobians:
                 safe_src = np.where(norm_ok, n_src, 1.0)[:, None]
                 safe_smp = np.where(norm_ok, n_smp, 1.0)[:, None]
                 dcs_dz = (z_src / safe_src - cs[:, None] * (z_smp / safe_smp)) / safe_smp
                 dcs_du = np.einsum("nk,nki->ni", dcs_dz, dz_du)
                 scale = np.where(valid_embed, _embed_dresidual_dcs(r_embed), 0.0)
-                out.je = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jf)
+                je = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jac)
+                out.jac = np.concatenate([jac, je[:, None]], axis=1)
     return out
 
 
@@ -225,22 +226,24 @@ def kernel_alphas(graph, config) -> list:
 
 
 def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray):
-    """(photo_ark, embed) energies of one edge evaluation under shapes alpha (rho(0) = 0)."""
-    rho = robust.barron_rho(np.linalg.norm(ev.r_flow, axis=-1), alpha)
-    return float(np.sum(ev.confidence * rho)), float(np.sum(ev.confidence * ev.r_embed**2))
+    """(photo_ark, embed) energies of one edge evaluation under shapes alpha: rho of the
+    norm of rows 0-1 (rho(0) = 0) and the squares of rows 2:, confidence-weighted."""
+    rho = robust.barron_rho(np.linalg.norm(ev.residual[:, :2], axis=-1), alpha)
+    embed = np.einsum("nr,nr->n", ev.residual[:, 2:], ev.residual[:, 2:])
+    return float(np.sum(ev.confidence * rho)), float(np.sum(ev.confidence * embed))
 
 
-def edge_weights(ev: EdgeEvaluation, alpha: np.ndarray, config):
-    """Gauss-Newton weights (w_flow, w_emb) of one edge evaluation: the IRLS weight
-    psi(r)/r under shapes alpha and 2 * lambda_embed (the factor 2 of d(r^2)), each
-    folded with the confidence and its term's validity; w_emb is None when
-    lambda_embed is 0.
+def edge_weights(ev: EdgeEvaluation, alpha: np.ndarray, config) -> np.ndarray:
+    """Gauss-Newton weight of every residual row of one edge evaluation, (N, R): rows
+    0-1 carry the IRLS weight psi(r)/r of the flow norm under shapes alpha, rows 2:
+    carry 2 * lambda_embed (the factor 2 of d(r^2)), each folded with the
+    confidence and its term's validity.
     """
-    w_ark = robust.irls_weight(np.linalg.norm(ev.r_flow, axis=-1), alpha)
-    w_flow = ev.confidence * w_ark * ev.valid_flow
-    if config.lambda_embed == 0.0:
-        return w_flow, None
-    return w_flow, 2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
+    w_ark = robust.irls_weight(np.linalg.norm(ev.residual[:, :2], axis=-1), alpha)
+    weight = np.empty(ev.residual.shape)
+    weight[:, :2] = (ev.confidence * w_ark * ev.valid_flow)[:, None]
+    weight[:, 2:] = (2.0 * config.lambda_embed * ev.confidence * ev.valid_embed)[:, None]
+    return weight
 
 
 def prior_terms(kf):

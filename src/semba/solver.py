@@ -66,6 +66,10 @@ class ProblemLayout:
     column (-1 outside U_k). Everything here depends only on the edges, the
     frozen flags, the grid and whether intrinsics are optimized, so one
     layout serves every state of a solve.
+
+    build raises ValueError for an unknown whose rows would all be zero, which no
+    damping makes solvable: a non-frozen pose that no edge with a confident
+    pixel touches, or optimized intrinsics without any confident pixel.
     """
 
     pose_slices: list          # per keyframe: slice into the reduced block, or None if frozen
@@ -80,6 +84,13 @@ class ProblemLayout:
 
     @staticmethod
     def build(graph: KeyframeGraph, config: SolverConfig) -> "ProblemLayout":
+        observed = {k for obs in graph.edges if obs.pixels.size for k in (obs.i, obs.j)}
+        for kf in graph.keyframes:
+            if not kf.frozen and kf.index not in observed:
+                raise ValueError(f"keyframe {kf.index}: no edge with a confident pixel "
+                                 "constrains its pose")
+        if config.optimize_intrinsics and not observed:
+            raise ValueError("no edge with a confident pixel constrains the camera intrinsics")
         offset = 0
         pose_slices = []
         for kf in graph.keyframes:
@@ -164,8 +175,6 @@ class NormalEquations:
 def _check_finite(arrays, edges, ev, context):
     """Raise FloatingPointError naming the edge and grid pixel of the first non-finite row."""
     for arr in arrays:
-        if arr is None:
-            continue
         bad = ~np.isfinite(arr)
         if bad.any():
             n = int(np.argwhere(bad)[0][0])
@@ -174,14 +183,14 @@ def _check_finite(arrays, edges, ev, context):
                                      f"pixel index {int(ev.pixels[n])}")
 
 
-def _accumulate_edges(ne: NormalEquations, edges, ev, w_flow, w_emb):
+def _accumulate_edges(ne: NormalEquations, edges, ev, weight):
     """Add the weighted Gauss-Newton terms of the out-edges of keyframe i to ne in place.
 
-    ev is evaluate_edge's batch over edges; w_emb is None without the embedding
-    term. Per pixel the rows (flow x, flow y[, embedding]) of ev's Jacobian
-    [disparity | pose j | intrinsics] give the [disparity diagonal, coupling
-    row] in one batched product over all edges, and keyframe i's disparity
-    entries sum them by grid pixel. Per edge, its pose block and gradient over
+    ev is evaluate_edge's batch over edges and weight its (N, R) row weights.
+    Per pixel the R stacked rows of ev's Jacobian [disparity | pose j |
+    intrinsics] give the [disparity diagonal, coupling row] in one batched
+    product over all edges, and keyframe i's disparity entries sum them by
+    grid pixel. Per edge, its pose block and gradient over
     [pose j | intrinsics] are one weighted product each, and
     L = [[-Ad, I, 0], [0, 0, I]] lifts them and the coupling rows to [pose i |
     pose j | intrinsics] (H <- L^T H L, g <- L^T g, C <- L^T C), keeping only
@@ -191,12 +200,7 @@ def _accumulate_edges(ne: NormalEquations, edges, ev, w_flow, w_emb):
     """
     layout = ne.layout
     i = edges[0].i
-    jac, res = ev.jf, ev.r_flow
-    weight = np.repeat(w_flow[:, None], 2, axis=1)
-    if w_emb is not None:
-        jac = np.concatenate([jac, ev.je[:, None, :]], axis=1)
-        res = np.concatenate([res, ev.r_embed[:, None]], axis=1)
-        weight = np.concatenate([weight, w_emb[:, None]], axis=1)
+    jac, res = ev.jac, ev.residual
     m = jac.shape[2] - 1
 
     w_disp = weight * jac[:, :, 0]
@@ -269,7 +273,7 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas,
     """Accumulate the weighted Gauss-Newton normal equations over all edges and priors.
 
     The out-edges of each keyframe (one group of graph.edge_groups()) are
-    evaluated together and add their flow and embedding rows with the weights
+    evaluated together and add their stacked residual rows with the weights
     of residuals.edge_weights under that group's shapes in alphas (from
     kernel_alphas); each keyframe adds the diagonal and gradient of
     residuals.prior_terms. The undamped Schur terms are formed once here.
@@ -289,11 +293,11 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas,
         ev = evaluate_edge(graph, edges, need_similarity=False,
                            need_embedding=config.lambda_embed != 0.0,
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
-        _check_finite((ev.r_flow, ev.jf, ev.r_embed, ev.je), edges, ev, "residual/Jacobian")
+        _check_finite((ev.residual, ev.jac), edges, ev, "residual/Jacobian")
         ep, ee = edge_energies(ev, alpha)
         e_photo += ep
         e_embed += ee
-        _accumulate_edges(ne, edges, ev, *edge_weights(ev, alpha, config))
+        _accumulate_edges(ne, edges, ev, edge_weights(ev, alpha, config))
         del ev  # free this keyframe's rows before the next one is evaluated
 
     e_reg = 0.0

@@ -43,18 +43,18 @@ def edge_eval(z_i, z_j, disparity, pose_i, pose_j, intr=K, flow=None, **kwargs):
 
 
 def central_differences(evaluate, n_steps, eps=1e-6):
-    """Central differences of r_flow and r_embed along n_steps perturbations.
+    """Central differences of the flow rows and the embedding row along n_steps perturbations.
 
     evaluate(k, h) is the EdgeEvaluation with perturbation k scaled by h. Returns
-    (d r_flow (N, 2, n_steps), d r_embed (N, n_steps), pixels whose flow term is
-    valid at every evaluation, the same for the embedding term).
+    (d flow rows (N, 2, n_steps), d embedding row (N, n_steps), pixels whose flow
+    term is valid at every evaluation, the same for the embedding term).
     """
     d_flow, d_embed = [], []
     ok_flow = ok_embed = True
     for k in range(n_steps):
         plus, minus = evaluate(k, eps), evaluate(k, -eps)
-        d_flow.append((plus.r_flow - minus.r_flow) / (2 * eps))
-        d_embed.append((plus.r_embed - minus.r_embed) / (2 * eps))
+        d_flow.append((plus.residual[:, :2] - minus.residual[:, :2]) / (2 * eps))
+        d_embed.append((plus.residual[:, 2] - minus.residual[:, 2]) / (2 * eps))
         ok_flow = ok_flow & plus.valid_flow & minus.valid_flow
         ok_embed = ok_embed & plus.valid_embed & minus.valid_embed
     return np.stack(d_flow, axis=-1), np.stack(d_embed, axis=-1), ok_flow, ok_embed
@@ -100,11 +100,41 @@ class ToyBundle:
         return KeyframeGraph(keyframes=kfs, edges=list(self.edges), intrinsics=self.intrinsics)
 
 
+def stacked_rows(layout, edges, ev, weight):
+    """Every stacked residual row of a batch evaluation as one dense Jacobian row over
+    all unknowns, with its weight and residual: (J rows, weights, residuals).
+
+    Row n of ev is the grid pixel ev.pixels[n] of keyframe i; the columns of
+    ev.jac are [disparity | pose j | intrinsics], and pose i's are pose j's
+    times -Ad(T_ji)."""
+    rows_j, rows_w, rows_r = [], [], []
+    for e, obs in enumerate(edges):
+        slot_i = layout.pose_slices[obs.i]
+        slot_j = layout.pose_slices[obs.j]
+        d_base = layout.n_reduced + obs.i * layout.pixels_per_frame
+        for p in range(ev.bounds[e], ev.bounds[e + 1]):
+            jac_pose_i = -ev.jac[p, :, 1:7] @ ev.adjoint[e]
+            for k in range(ev.residual.shape[1]):
+                row = np.zeros(layout.n_total)
+                if slot_i is not None:
+                    row[slot_i] = jac_pose_i[k]
+                if slot_j is not None:
+                    row[slot_j] = ev.jac[p, k, 1:7]
+                if layout.intrinsics_slice is not None:
+                    row[layout.intrinsics_slice] = ev.jac[p, k, 7:]
+                row[d_base + ev.pixels[p]] = ev.jac[p, k, 0]
+                rows_j.append(row)
+                rows_w.append(weight[p, k])
+                rows_r.append(ev.residual[p, k])
+    return rows_j, rows_w, rows_r
+
+
 def brute_force_normal_equations(graph, config):
     """Independent dense assembly: stack per-pixel Jacobian rows into a dense J,
     build H = J^T W J and b = J^T W r with plain matrix products.
 
-    Row p of an edge evaluation is the grid pixel ev.pixels[p] of keyframe i."""
+    The weights of the rows [flow x, flow y, embedding] are computed here, not
+    by residuals.edge_weights."""
     layout = ProblemLayout.build(graph, config)
     n = layout.n_total
     rows_j, rows_w, rows_r = [], [], []
@@ -114,41 +144,14 @@ def brute_force_normal_equations(graph, config):
         alpha = np.where(ev.valid_embed, adaptive_alpha(ev.cs), ALPHA_STATIC)
         if config.fixed_alpha is not None:
             alpha = np.full_like(alpha, config.fixed_alpha)
-        r_norm = np.linalg.norm(ev.r_flow, axis=1)
+        r_norm = np.linalg.norm(ev.residual[:, :2], axis=1)
         w_ark = irls_weight(r_norm, alpha)
         w_flow = ev.confidence * w_ark * ev.valid_flow
         w_emb = 2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
-        slot_i = layout.pose_slices[obs.i]
-        slot_j = layout.pose_slices[obs.j]
-        d_base = layout.n_reduced + obs.i * layout.pixels_per_frame
-        # Columns [disparity | pose j | intrinsics]; pose i's are pose j's times -Ad(T_ji).
-        jf_pose_i = -ev.jf[..., 1:7] @ ev.adjoint[0]
-        je_pose_i = -ev.je[:, 1:7] @ ev.adjoint[0]
-        for p in range(ev.confidence.size):
-            for axis in range(2):
-                row = np.zeros(n)
-                if slot_i is not None:
-                    row[slot_i] = jf_pose_i[p, axis]
-                if slot_j is not None:
-                    row[slot_j] = ev.jf[p, axis, 1:7]
-                if config.optimize_intrinsics:
-                    row[layout.intrinsics_slice] = ev.jf[p, axis, 7:]
-                row[d_base + ev.pixels[p]] = ev.jf[p, axis, 0]
-                rows_j.append(row)
-                rows_w.append(w_flow[p])
-                rows_r.append(ev.r_flow[p, axis])
-            if config.lambda_embed != 0.0:
-                row = np.zeros(n)
-                if slot_i is not None:
-                    row[slot_i] = je_pose_i[p]
-                if slot_j is not None:
-                    row[slot_j] = ev.je[p, 1:7]
-                if config.optimize_intrinsics:
-                    row[layout.intrinsics_slice] = ev.je[p, 7:]
-                row[d_base + ev.pixels[p]] = ev.je[p, 0]
-                rows_j.append(row)
-                rows_w.append(w_emb[p])
-                rows_r.append(ev.r_embed[p])
+        j, w, r = stacked_rows(layout, [obs], ev, np.stack([w_flow, w_flow, w_emb], axis=1))
+        rows_j += j
+        rows_w += w
+        rows_r += r
     for kf in graph.keyframes:
         d_base = layout.n_reduced + kf.index * layout.pixels_per_frame
         prior = kf.disparity_prior.reshape(-1)

@@ -87,18 +87,20 @@ class TestCriterion1Jacobians:
                 lambda k, h: edge_eval(z_i, z_j, d + h, t_i, t_j), 1)
             smooth = off_grid_lines(d, t_i, t_j)
 
-            used = smooth & oke_i & oke_j & oke_d & ev.valid_embed & (ev.r_embed >= 1e-3)
+            used = smooth & oke_i & oke_j & oke_d & ev.valid_embed & (ev.residual[:, 2] >= 1e-3)
             checked += int(used.sum())
             fd = np.concatenate([fd_ei, fd_ej, fd_edisp], axis=1)[used]
             # Columns [disparity | pose j]; pose i's are pose j's times -Ad(T_ji).
-            analytic = np.concatenate([-ev.je[:, 1:] @ ev.adjoint[0], ev.je[:, 1:], ev.je[:, :1]],
+            je = ev.jac[:, 2]
+            analytic = np.concatenate([-je[:, 1:] @ ev.adjoint[0], je[:, 1:], je[:, :1]],
                                       axis=1)[used]
             scale = np.maximum(np.abs(fd).max(axis=1), 1e-3)
             worst_embed = max(worst_embed, (np.abs(analytic - fd).max(axis=1) / scale).max())
 
             used = smooth & okf_i & okf_j & okf_d & ev.valid_flow
-            for analytic, fd in ((-ev.jf[..., 1:] @ ev.adjoint[0], fd_fi), (ev.jf[..., 1:], fd_fj),
-                                 (ev.jf[..., :1], fd_fdisp)):
+            jf = ev.jac[:, :2]
+            for analytic, fd in ((-jf[..., 1:] @ ev.adjoint[0], fd_fi), (jf[..., 1:], fd_fj),
+                                 (jf[..., :1], fd_fdisp)):
                 err = np.abs(analytic[used] - fd[used]).max(axis=(1, 2))
                 scale = np.maximum(np.abs(fd[used]).max(axis=(1, 2)), 1.0)
                 worst_flow = max(worst_flow, (err / scale).max())

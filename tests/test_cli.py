@@ -5,7 +5,7 @@ from semba.cli import main
 from semba.evaluation import align_trajectories, ate_rmse
 from semba.features import PcaModel, pca_decode
 from semba.tensorio import (read_point_cloud, read_tensor, read_trajectory, write_pca,
-                            write_tensor, write_trajectory)
+                            write_point_cloud, write_tensor, write_trajectory)
 from shared import qr_model
 
 
@@ -251,6 +251,41 @@ scene:
         assert "graph.json: edges[2]: " in err and "flow is not finite" in err
         assert not (tmp_path / "out").exists()
 
+    def test_feature_channel_mismatch_names_the_keyframe(self, synth_run, tmp_path, capsys):
+        import shutil
+        root, cfg, bundle = synth_run
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle, broken)
+        features = broken / "keyframes" / "kf_002_features.kmvt"
+        channels = read_tensor(features).shape[0]
+        write_tensor(features, read_tensor(features)[:channels // 2])
+        assert main(["ba", str(broken), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert (f"graph.json: keyframe 2 has {channels // 2} feature channels, but keyframe 0 "
+                f"has {channels}") in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["isolated-keyframe", "zero-confidence"])
+    def test_unconstrained_pose_named_before_solving(self, synth_run, tmp_path, capsys, case):
+        root, cfg, bundle = synth_run
+        if case == "isolated-keyframe":
+            def edit(doc):
+                doc["edges"] = [e for e in doc["edges"] if 4 not in (e["i"], e["j"])]
+            expected = "keyframe 4"
+        else:
+            h, w = read_tensor(bundle / "keyframes" / "kf_000_disparity.kmvt").shape[1:]
+            write_tensor(tmp_path / "zero.kmvt", np.zeros((h, w)))
+
+            def edit(doc):
+                for e in doc["edges"]:
+                    e["confidence"] = str(tmp_path / "zero.kmvt")
+            expected = "keyframe 1"
+        broken = edited_bundle(bundle, tmp_path, edit)
+        assert main(["ba", str(broken), str(tmp_path / "out"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {expected}: no edge with a confident pixel constrains its pose" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, key, value", WRONG_TYPES, ids=WRONG_TYPE_IDS)
     def test_wrong_value_type_rejected(self, synth_run, tmp_path, capsys, section, key, value):
         root, cfg, bundle = synth_run
@@ -445,6 +480,32 @@ class TestEval:
         captured = capsys.readouterr()
         assert "error: --pred-cloud requires --gt-cloud and --labels" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("label", [9, -1])
+    def test_ground_truth_label_outside_the_label_set_exits_2(self, synth_run, tmp_path, capsys,
+                                                              label):
+        root, cfg, bundle = synth_run
+        gt = bundle / "ground_truth"
+        labels = gt / "labelset.csv"
+        classes = len(labels.read_text().splitlines())
+        assert not 0 <= label < classes
+        points, gt_labels = read_point_cloud(gt / "cloud.ply")
+        gt_labels[3] = label
+        write_point_cloud(tmp_path / "gt.ply", points, gt_labels)
+        # A predicted cloud of a few points, their embeddings in the label set's space.
+        channels = len(labels.read_text().splitlines()[0].split(",")) - 1
+        write_point_cloud(tmp_path / "pred.ply", points[:20])
+        write_tensor(tmp_path / "pred.embeddings.kmvt", np.ones((channels, 1, 20)))
+        metrics = tmp_path / "metrics.csv"
+        assert main(["eval", str(gt / "trajectory.txt"), str(gt / "trajectory.txt"),
+                     "--pred-cloud", str(tmp_path / "pred.ply"),
+                     "--gt-cloud", str(tmp_path / "gt.ply"), "--labels", str(labels),
+                     "--metrics-out", str(metrics)]) == 2
+        captured = capsys.readouterr()
+        assert (f"error: {tmp_path / 'gt.ply'}: vertex 3 has label {label}, not a class of "
+                f"the {classes} in {labels}") in captured.err
+        assert "mIoU" not in captured.out
+        assert not metrics.exists()
 
     def test_semantic_pipeline_end_to_end(self, synth_run, tmp_path, capsys):
         root, cfg, bundle = synth_run

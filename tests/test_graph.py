@@ -47,6 +47,13 @@ class TestKeyframeGraphValidation:
         with pytest.raises(ValueError, match="grid shape"):
             KeyframeGraph(keyframes=[make_frame(0), bad], edges=[], intrinsics=K)
 
+    def test_keyframe_feature_channels_must_match(self):
+        bad = Keyframe(index=2, pose=Pose.identity(), disparity=np.full((H, W), 0.5),
+                       disparity_prior=np.full((H, W), 0.5), features=np.ones((2, H, W)))
+        with pytest.raises(ValueError, match=r"^keyframe 2 has 2 feature channels, but "
+                                             r"keyframe 0 has 4$"):
+            KeyframeGraph(keyframes=[make_frame(0), make_frame(1), bad], edges=[], intrinsics=K)
+
     @pytest.mark.parametrize("field, value, message", [
         ("disparity", -0.5, "disparity is not finite and >= 0"),
         ("disparity", np.nan, "disparity is not finite and >= 0"),

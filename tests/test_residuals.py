@@ -27,7 +27,7 @@ class TestFlowResidual:
         for obs in g.edges:
             ev = evaluate_edge(g, [obs], need_similarity=False, need_embedding=False)
             used = ev.valid_flow & (ev.confidence > 0)
-            assert np.abs(ev.r_flow[used]).max() < 1e-9
+            assert np.abs(ev.residual[used, :2]).max() < 1e-9
 
     def test_identity_poses_zero_flow(self, rng):
         h, w = 10, 12
@@ -35,7 +35,7 @@ class TestFlowResidual:
         z = np.ones((1, h, w))
         ev = edge_eval(z, z, d, Pose.identity(), Pose.identity())
         assert ev.valid_flow.all()
-        assert np.abs(ev.r_flow).max() < 1e-12
+        assert np.abs(ev.residual[:, :2]).max() < 1e-12
 
     def test_disparity_perturbation_grows_linearly(self):
         t_i = se3_exp([0.01, -0.02, 0.0, 0.005, 0.0, -0.004])
@@ -50,11 +50,11 @@ class TestFlowResidual:
         z = np.ones((1, h, w))
         p = 7 * w + 8
         ev = edge_eval(z, z, np.full((h, w), d), t_i, t_j, flow=flow, with_jacobians=True)
-        slope = np.linalg.norm(ev.jf[p, :, 0])
+        slope = np.linalg.norm(ev.jac[p, :2, 0])
         for delta in (1e-5, 1e-4, 1e-3):
             ev = edge_eval(z, z, np.full((h, w), d + delta), t_i, t_j, flow=flow)
             assert ev.valid_flow[p]
-            assert np.linalg.norm(ev.r_flow[p]) == pytest.approx(slope * delta, rel=5e-2)
+            assert np.linalg.norm(ev.residual[p, :2]) == pytest.approx(slope * delta, rel=5e-2)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="self-edge"):
@@ -109,8 +109,7 @@ class TestSupport:
                 full = evaluate_edge(graph, [full_obs], **mode)
                 assert np.array_equal(ev.pixels, obs.pixels)
                 assert np.array_equal(ev.confidence, obs.confidence.reshape(-1)[ev.pixels])
-                for name in ("r_flow", "valid_flow", "r_embed", "cs", "valid_embed", "jf",
-                             "je"):
+                for name in ("residual", "valid_flow", "cs", "valid_embed", "jac"):
                     got, ref = getattr(ev, name), getattr(full, name)
                     if ref is None:
                         assert got is None, name
@@ -139,8 +138,7 @@ class TestBatch:
             rows = slice(ev.bounds[e], ev.bounds[e + 1])
             assert np.array_equal(alone.bounds, [0, obs.pixels.size])
             assert np.array_equal(ev.pixels[rows], obs.pixels)
-            for name in ("confidence", "r_flow", "valid_flow", "r_embed", "cs", "valid_embed",
-                         "jf", "je"):
+            for name in ("confidence", "residual", "valid_flow", "cs", "valid_embed", "jac"):
                 got, ref = getattr(ev, name), getattr(alone, name)
                 if ref is None:
                     assert got is None, name
@@ -164,7 +162,7 @@ class TestEmbeddingResidual:
             used = ev.valid_embed & (ev.confidence > 0)
             assert used.any()
             assert np.abs(ev.cs[used] - 1.0).max() < 1e-6
-            assert np.abs(ev.r_embed[used]).max() < 1e-6
+            assert np.abs(ev.residual[used, 2]).max() < 1e-6
 
     # Constant maps under identity poses: every pixel reprojects onto itself.
     def test_orthogonal_embeddings_photometric(self):
@@ -174,7 +172,7 @@ class TestEmbeddingResidual:
         ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), Pose.identity(), Pose.identity())
         assert ev.valid_embed.all()
         assert ev.cs == pytest.approx(0.0, abs=1e-12)
-        assert ev.r_embed == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
+        assert ev.residual[:, 2] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 
     def test_invariant_to_positive_rescaling(self, rng):
         z_i = smooth_map(rng)
@@ -185,7 +183,7 @@ class TestEmbeddingResidual:
         assert ev0.valid_embed.any()
         assert np.array_equal(ev1.valid_embed, ev0.valid_embed)
         assert ev1.cs == pytest.approx(ev0.cs, abs=1e-12)
-        assert ev1.r_embed == pytest.approx(ev0.r_embed, abs=1e-12)
+        assert ev1.residual[:, 2] == pytest.approx(ev0.residual[:, 2], abs=1e-12)
 
     def test_zero_norm_embedding_invalid(self):
         h, w = 8, 8
@@ -215,12 +213,13 @@ class TestEmbeddingJacobian:
                                        se3_exp(h * np.eye(6)[k]).compose(t_j)), 6)
             _, fd_d, _, ok_d = central_differences(
                 lambda k, h: edge_eval(z_i, z_j, d + h, t_i, t_j), 1)
-            used = (ev.valid_embed & (ev.r_embed >= 1e-3) & ok_i & ok_j & ok_d
+            used = (ev.valid_embed & (ev.residual[:, 2] >= 1e-3) & ok_i & ok_j & ok_d
                     & off_grid_lines(d, t_i, t_j))
             checked += int(used.sum())
             # Columns [disparity | pose j]; pose i's are pose j's times -Ad(T_ji).
-            for analytic, fd in ((-ev.je[:, 1:] @ ev.adjoint[0], fd_i), (ev.je[:, 1:], fd_j),
-                                 (ev.je[:, 0], fd_d)):
+            je = ev.jac[:, 2]
+            for analytic, fd in ((-je[:, 1:] @ ev.adjoint[0], fd_i), (je[:, 1:], fd_j),
+                                 (je[:, 0], fd_d)):
                 worst = max(worst, block_error(analytic[used], fd[used], 1e-3).max())
         assert worst < 1e-4
 
@@ -238,11 +237,11 @@ class TestEmbeddingJacobian:
                 lambda k, h: edge_eval(z_i, z_j, d, t_i, t_j,
                                        intr=Intrinsics.from_array(base + h * np.eye(4)[k])), 4)
             used_f = ev.valid_flow & ok_f
-            used_e = ev.valid_embed & (ev.r_embed >= 1e-3) & ok_e & off_grid_lines(d, t_i, t_j)
+            used_e = ev.valid_embed & (ev.residual[:, 2] >= 1e-3) & ok_e & off_grid_lines(d, t_i, t_j)
             assert used_f.sum() >= 100 and used_e.sum() >= 100
-            worst_flow = max(worst_flow, block_error(ev.jf[used_f, :, 7:], fd_f[used_f], 1.0).max())
+            worst_flow = max(worst_flow, block_error(ev.jac[used_f, :2, 7:], fd_f[used_f], 1.0).max())
             worst_embed = max(worst_embed,
-                              block_error(ev.je[used_e, 7:], fd_e[used_e], 1e-3).max())
+                              block_error(ev.jac[used_e, 2, 7:], fd_e[used_e], 1e-3).max())
         assert worst_flow < 1e-4
         assert worst_embed < 1e-4
 
@@ -253,7 +252,7 @@ class TestEmbeddingJacobian:
                        se3_exp([0.02, 0, 0, 0, 0, 0]), with_jacobians=True)
         valid = ev.valid_embed
         assert valid.any()
-        assert np.abs(ev.je[valid]).max() < 1e-12
+        assert np.abs(ev.jac[valid, 2]).max() < 1e-12
 
     def test_directional_derivative_sign(self, rng):
         d = np.full((24, 32), 0.5)
@@ -262,15 +261,15 @@ class TestEmbeddingJacobian:
             z_i, z_j = smooth_map(rng), smooth_map(rng)
             t_j = se3_exp(rng.normal(0, 0.05, 6))
             ev = edge_eval(z_i, z_j, d, Pose.identity(), t_j, with_jacobians=True)
-            je_pose_i = -ev.je[:, 1:] @ ev.adjoint[0]
+            je_pose_i = -ev.jac[:, 2, 1:] @ ev.adjoint[0]
             norms = np.linalg.norm(je_pose_i, axis=1)
             candidates = np.flatnonzero(ev.valid_embed & (norms >= 1e-6))
             for p in rng.permutation(candidates)[:10 - checked]:
                 checked += 1
                 direction = je_pose_i[p] / norms[p]
                 eps = 1e-6
-                rp = edge_eval(z_i, z_j, d, se3_exp(eps * direction), t_j).r_embed[p]
-                rm = edge_eval(z_i, z_j, d, se3_exp(-eps * direction), t_j).r_embed[p]
+                rp = edge_eval(z_i, z_j, d, se3_exp(eps * direction), t_j).residual[p, 2]
+                rm = edge_eval(z_i, z_j, d, se3_exp(-eps * direction), t_j).residual[p, 2]
                 assert (rp - rm) > 0  # moving along the gradient increases the residual
 
 
@@ -416,8 +415,8 @@ class TestInvalidPixels:
         assert ev.valid_flow.any()
         assert dead[0] and (~geometric_ok).sum() == 5 and (dead & geometric_ok).any()
         assert not ev.valid_embed[dead].any()
-        assert np.abs(ev.r_flow[dead]).max() == 0.0
-        assert np.abs(ev.r_embed[dead]).max() == 0.0
+        assert np.abs(ev.residual[dead, :2]).max() == 0.0
+        assert np.abs(ev.residual[dead, 2]).max() == 0.0
 
         config = SolverConfig()
         ne = assemble(graph, config, kernel_alphas(graph, config))
@@ -464,7 +463,7 @@ class TestInvalidPixels:
         p = 2 * w + 3
         assert ev.valid_flow[p]
         assert not ev.valid_embed[p]
-        assert ev.r_embed[p] == 0.0
+        assert ev.residual[p, 2] == 0.0
 
 
 class TestWeights:
@@ -476,16 +475,19 @@ class TestWeights:
         valid_flow = rng.uniform(size=n) < 0.8
         valid_embed = valid_flow & (rng.uniform(size=n) < 0.8)
         theta = rng.uniform(0, 2 * np.pi, size=n)
+        flow = r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         ev = EdgeEvaluation(pixels=np.arange(n), bounds=np.array([0, n]), confidence=conf,
-                            r_flow=r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                            valid_flow=valid_flow, r_embed=np.zeros(n), cs=np.zeros(n),
-                            valid_embed=valid_embed)
-        w_flow, w_emb = edge_weights(ev, alpha, SolverConfig(lambda_embed=1.5))
+                            residual=np.concatenate([flow, np.zeros((n, 1))], axis=1),
+                            valid_flow=valid_flow, cs=np.zeros(n), valid_embed=valid_embed)
+        weight = edge_weights(ev, alpha, SolverConfig(lambda_embed=1.5))
+        assert weight.shape == (n, 3)
+        w_flow, w_emb = weight[:, 0], weight[:, 2]
         manual = conf * (r**2 / np.abs(alpha - 2.0) + 1.0) ** (alpha / 2.0 - 1.0) * valid_flow
         assert np.all(w_flow >= 0.0)
         assert w_flow == pytest.approx(manual, rel=1e-12, abs=0.0)
+        assert np.array_equal(weight[:, 1], w_flow)
         assert np.array_equal(w_emb, 3.0 * conf * valid_embed)
-        assert edge_weights(ev, alpha, SolverConfig(lambda_embed=0.0))[1] is None
+        assert not edge_weights(ev, alpha, SolverConfig(lambda_embed=0.0))[:, 2].any()
 
 
 class TestHotPath:
@@ -503,7 +505,7 @@ class TestHotPath:
         # Calling it raises, and so does looking up any of Rotation's constructors on it.
         monkeypatch.setattr(geometry, "Rotation", no_rotation)
         ev = evaluate_edge(graph, edges, with_jacobians=True)
-        assert ev.je is not None and np.isfinite(ev.jf).all()
+        assert ev.jac.shape[1] == 3 and np.isfinite(ev.jac).all()
         evaluate_edge(graph, edges, need_similarity=False)
         layout = ProblemLayout.build(graph, config)
         delta = np.random.default_rng(3).normal(0.0, 1e-3, layout.n_total)

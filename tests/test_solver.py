@@ -2,16 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semba.evaluation import trajectory_ate
 from semba.geometry import Intrinsics, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import FlowObservation, evaluate_edge, total_energy
 from semba.robust import ALPHA_STATIC, adaptive_alpha
-from semba.solver import (MIN_DISPARITY, ProblemLayout, SolverConfig, assemble, kernel_alphas,
-                          retract, solve, solve_normal_equations)
+from semba.solver import (MIN_DISPARITY, NormalEquations, ProblemLayout, SolverConfig,
+                          _accumulate_edges, assemble, kernel_alphas, retract, solve,
+                          solve_normal_equations)
 from semba.synthscene import TEMPORAL_RADIUS, SceneConfig, gen_scene
-from shared import ToyBundle, brute_force_normal_equations
+from shared import ToyBundle, brute_force_normal_equations, stacked_rows
 
 
 def small_config(**kw):
@@ -175,6 +177,36 @@ class TestAssemble:
             assert np.array_equal(getattr(ne_dead, name), getattr(ne, name)), name
         assert ne_dead.energies == ne.energies
         assert total_energy(with_dead, config, alphas) == ne.energies
+
+
+class TestAccumulate:
+    def test_any_number_of_stacked_rows_matches_dense_rows(self, toy_bundle):
+        # Four rows per pixel, as a second embedding row would give: the solver
+        # accumulates whatever rows an evaluation stacks, under their weights.
+        graph = toy_bundle.to_graph()
+        config = small_config(optimize_intrinsics=True)
+        layout = ProblemLayout.build(graph, config)
+        edges = graph.edge_groups()[1]
+        assert [(obs.i, obs.j) for obs in edges] == [(1, 0), (1, 2)]  # pose 0 is frozen
+        ev = evaluate_edge(graph, edges, need_similarity=False, need_embedding=False,
+                           with_jacobians=True, with_intrinsics=True)
+        rng = np.random.default_rng(4)
+        n = ev.pixels.size
+        ev.residual = rng.normal(size=(n, 4))
+        ev.jac = rng.normal(size=(n, 4, 11))
+        weight = rng.uniform(0.0, 2.0, size=(n, 4))
+        p, d = layout.n_reduced, layout.n_disparity
+        width = max(support.size for support in layout.supports)
+        ne = NormalEquations(layout=layout, pose_h=np.zeros((p, p)),
+                             coupling=np.zeros((layout.coupling_rows[-1].stop, width)),
+                             disp_h=np.zeros(d), pose_g=np.zeros(p), disp_g=np.zeros(d))
+        _accumulate_edges(ne, edges, ev, weight)
+        h, b = ne.to_dense()
+        j, w, r = (np.array(part) for part in stacked_rows(layout, edges, ev, weight))
+        assert j.shape[0] == 4 * n
+        h_ref, b_ref = j.T @ (w[:, None] * j), j.T @ (w * r)
+        assert np.abs(h - h_ref).max() / max(np.abs(h_ref).max(), 1.0) < 1e-9
+        assert np.abs(b - b_ref).max() / max(np.abs(b_ref).max(), 1.0) < 1e-9
 
 
 class TestKernelAlphas:
@@ -456,6 +488,50 @@ class TestSolve:
                               intrinsics=graph.intrinsics)
         with pytest.raises(ValueError, match="unconstrained"):
             solve(empty, small_config())
+
+
+class TestUnconstrainedUnknowns:
+    @pytest.fixture
+    def no_factorization(self, monkeypatch):
+        def cho_factor(*args, **kwargs):
+            pytest.fail("a reduced system was factorized")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor)
+
+    @staticmethod
+    def graph(frozen=(0,)):
+        graph = gen_scene(SceneConfig(num_keyframes=5, height=24, width=32,
+                                      seed=3)).to_graph(initial=True)
+        return with_frozen(graph, set(frozen))
+
+    @staticmethod
+    def unconfident(edges):
+        return [FlowObservation(i=obs.i, j=obs.j, flow=obs.flow,
+                                confidence=np.zeros_like(obs.confidence)) for obs in edges]
+
+    def test_isolated_keyframe_is_named(self, no_factorization):
+        graph = self.graph()
+        graph.edges = [obs for obs in graph.edges if 4 not in (obs.i, obs.j)]
+        with pytest.raises(ValueError, match=r"^keyframe 4: no edge with a confident pixel "
+                                             r"constrains its pose$"):
+            solve(graph, small_config())
+
+    def test_edges_without_confidence_name_the_first_free_keyframe(self, no_factorization):
+        graph = self.graph()
+        graph.edges = self.unconfident(graph.edges)
+        with pytest.raises(ValueError, match=r"^keyframe 1: no edge with a confident pixel "
+                                             r"constrains its pose$"):
+            solve(graph, small_config())
+
+    def test_camera_without_confident_pixel_is_named(self, no_factorization):
+        graph = self.graph(frozen=range(5))
+        graph.edges = self.unconfident(graph.edges)
+        with pytest.raises(ValueError, match=r"^no edge with a confident pixel constrains the "
+                                             r"camera intrinsics$"):
+            solve(graph, small_config(optimize_intrinsics=True))
+        # Without the camera there is no unknown left but the disparities.
+        _, trace = solve(graph, small_config(max_iters=2))
+        assert trace[0].e_photo_ark == 0.0
 
 
 class TestIntrinsicsOptimization:

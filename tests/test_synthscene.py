@@ -113,7 +113,7 @@ class TestInjectDynamics:
         for obs in dynamic_bundle.edges:
             ev = evaluate_edge(g, [unit_confidence(obs)])
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_flow
-            mags.append(np.linalg.norm(ev.r_flow[sel], axis=1))
+            mags.append(np.linalg.norm(ev.residual[sel, :2], axis=1))
         mean = np.mean(np.concatenate(mags))
         assert 4.0 <= mean <= 6.0
 
