@@ -89,8 +89,8 @@ def cmd_ba(args) -> int:
         tensorio.write_tensor(cloud_path.with_suffix(".embeddings.kmvt"),
                               cloud.embeddings.T[:, None, :])
     accepted = sum(1 for r in trace[1:] if r.accepted)
-    print(f"solved in {len(trace) - 1} iterations ({accepted} accepted); "
-          f"E_total {trace[0].e_total:.6e} -> {final.e_total:.6e}")
+    print(f"solved in {final.iteration} iterations, {len(trace) - 1} scored attempts "
+          f"({accepted} accepted); E_total {trace[0].e_total:.6e} -> {final.e_total:.6e}")
     return 0
 
 

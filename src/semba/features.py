@@ -66,44 +66,57 @@ def bilinear_sample(fmap: np.ndarray, u, with_grad: bool = True):
     integer coordinates, and grad is the analytic derivative of the blend with
     respect to (x, y). Out-of-domain locations ([0, W-1] x [0, H-1]) are flagged
     invalid and return zeros. With with_grad=False the gradient is not computed
-    and grad is None; values and valid are unchanged.
+    and grad is None; values and valid are unchanged. grad is a swapaxes view of
+    a gradient-major (..., 2, C) array, so grad.swapaxes(-1, -2) reads it
+    without a copy.
     """
     fmap = np.asarray(fmap, dtype=float)
     c, h, w = fmap.shape
     u = np.asarray(u, dtype=float)
+    lead = u.shape[:-1]
     # Locations within in_bounds' round-off slack outside the domain are clamped in.
-    valid = in_bounds(u, h, w)
-    x = np.clip(u[..., 0], 0.0, w - 1.0)
-    y = np.clip(u[..., 1], 0.0, h - 1.0)
+    valid = in_bounds(u, h, w).reshape(-1)
+    invalid = ~valid
+    u = u.reshape(-1, 2)
+    x = np.clip(u[:, 0], 0.0, w - 1.0)
+    y = np.clip(u[:, 1], 0.0, h - 1.0)
 
-    # Clamp the anchor so x == W-1 samples the last cell with weight 1 on its far edge.
-    x0 = np.clip(np.floor(x), 0, w - 2).astype(int) if w > 1 else np.zeros_like(x, dtype=int)
-    y0 = np.clip(np.floor(y), 0, h - 2).astype(int) if h > 1 else np.zeros_like(y, dtype=int)
-    x0 = np.where(valid, x0, 0)
-    y0 = np.where(valid, y0, 0)
-    a = np.where(valid, x - x0, 0.0)
-    b = np.where(valid, y - y0, 0.0)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    # Clamp the anchor so x == W-1 samples the last cell with weight 1 on its far
+    # edge; x and y are non-negative here, so truncation is the floor.
+    x0 = np.minimum(x, max(w - 2, 0)).astype(int)
+    y0 = np.minimum(y, max(h - 2, 0)).astype(int)
+    x0[invalid] = 0
+    y0[invalid] = 0
+    a = x - x0
+    b = y - y0
+    a[invalid] = 0.0
+    b[invalid] = 0.0
 
     # One gather of the four neighbours (x0, y0), (x1, y0), (x0, y1), (x1, y1) from
     # the pixel-major map; for a view of a pixel-major buffer this makes no copy.
+    # x1 = x0 + 1 and y1 = y0 + 1, except on a grid one pixel wide or high.
     flat = np.ascontiguousarray(np.moveaxis(fmap, 0, -1)).reshape(h * w, c)
-    corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], axis=-1)
-    nbr = flat.take(corners, axis=0)   # (..., 4, C)
+    dx, dy = min(w - 1, 1), min(h - 1, 1) * w
+    corners = (y0 * w + x0)[:, None] + np.array([0, dx, dy, dy + dx])
+    nbr = flat.take(corners, axis=0)   # (M, 4, C)
 
     wa, wb = 1.0 - a, 1.0 - b
-    # The (..., 1, 4) blend is the same product with or without the gradient, so
+    # The (M, 1, 4) blend is the same product with or without the gradient, so
     # both modes return bitwise-equal values.
-    blend = np.stack([wa * wb, a * wb, wa * b, a * b], axis=-1)[..., None, :]
-    values = np.matmul(blend, nbr)[..., 0, :]
-    invalid = ~valid
+    blend = np.empty((x.size, 1, 4))
+    for k, (p, q) in enumerate(((wa, wb), (a, wb), (wa, b), (a, b))):
+        np.multiply(p, q, out=blend[:, 0, k])
+    values = np.matmul(blend, nbr)[:, 0, :]
     values[invalid] = 0.0
+    valid = valid.reshape(lead)
+    values = values.reshape(lead + (c,))
     if not with_grad:
         return values, None, valid
-    # d(blend)/dx and d(blend)/dy, (..., 2, 4).
-    dblend = np.stack([np.stack([-wb, wb, -b, b], axis=-1),
-                       np.stack([-wa, -a, wa, a], axis=-1)], axis=-2)
-    grad = np.swapaxes(np.matmul(dblend, nbr), -1, -2)   # (..., C, 2)
+    # d(blend)/dx and d(blend)/dy, (M, 2, 4).
+    dblend = np.empty((x.size, 2, 4))
+    for row, columns in enumerate(((-wb, wb, -b, b), (-wa, -a, wa, a))):
+        for k, column in enumerate(columns):
+            dblend[:, row, k] = column
+    grad = np.matmul(dblend, nbr)   # (M, 2, C)
     grad[invalid] = 0.0
-    return values, grad, valid
+    return values, np.swapaxes(grad.reshape(lead + (2, c)), -1, -2), valid

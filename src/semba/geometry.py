@@ -104,13 +104,8 @@ class Pose:
 
     def compose(self, other: "Pose") -> "Pose":
         """Return self o other (other applied first)."""
-        ax, ay, az, aw = self.rotation.tolist()
-        bx, by, bz, bw = other.rotation.tolist()
-        q = np.array([aw * bx + ax * bw + ay * bz - az * by,
-                      aw * by - ax * bz + ay * bw + az * bx,
-                      aw * bz + ax * by - ay * bx + az * bw,
-                      aw * bw - ax * bx - ay * by - az * bz])
-        return Pose(q, self.rotation_matrix() @ other.translation + self.translation)
+        return Pose(_hamilton(self.rotation.tolist(), other.rotation.tolist()),
+                    self.rotation_matrix() @ other.translation + self.translation)
 
     def inverse(self) -> "Pose":
         x, y, z, w = self.rotation.tolist()
@@ -124,6 +119,16 @@ class Pose:
     def camera_center(self) -> np.ndarray:
         """Camera position in world coordinates."""
         return -(self.rotation_matrix().T @ self.translation)
+
+
+def _hamilton(a, b) -> np.ndarray:
+    """Hamilton product a b of two (x, y, z, w) quaternions given as sequences of floats."""
+    ax, ay, az, aw = a
+    bx, by, bz, bw = b
+    return np.array([aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx,
+                     aw * bz + ax * by - ay * bx + az * bw,
+                     aw * bw - ax * bx - ay * by - az * bz])
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -161,8 +166,14 @@ def se3_exp(twist) -> Pose:
 
 
 def relative_pose(pose_i: Pose, pose_j: Pose) -> Pose:
-    """Transform taking frame-i camera coordinates to frame j: T_j o T_i^-1."""
-    return pose_j.compose(pose_i.inverse())
+    """Transform taking frame-i camera coordinates to frame j: T_j o T_i^-1.
+
+    In closed form, as pose_j.compose(pose_i.inverse()) computes it: q_j times the
+    conjugate of q_i, and R_j times the camera center of i plus t_j.
+    """
+    x, y, z, w = pose_i.rotation.tolist()
+    return Pose(_hamilton(pose_j.rotation.tolist(), (-x, -y, -z, w)),
+                pose_j.rotation_matrix() @ pose_i.camera_center() + pose_j.translation)
 
 
 def unproject(u: np.ndarray, disparity: np.ndarray, intrinsics: Intrinsics) -> np.ndarray:
@@ -238,7 +249,7 @@ def reproject(u, disparity, relative, intrinsics: Intrinsics, bounds=None):
 
 
 def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds=None,
-                          with_intrinsics: bool = False):
+                          with_intrinsics: bool = False, out=None):
     """Analytic derivatives of reproject under left-multiplicative twists.
 
     Returns (adjoint (E, 6, 6), jac (..., 2, 7 or 11), mu (..., 2), valid (...,))
@@ -247,21 +258,35 @@ def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds
     [fx, fy, cx, cy] when with_intrinsics. Pose i enters only through T_ji, and
     T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji, so the derivative of edge e's
     rows under a twist on T_i is -jac[..., 1:7] @ adjoint[e] with
-    adjoint[e] = Ad(T_ji).
+    adjoint[e] = Ad(T_ji). When out is given (an array of jac's shape, such as a
+    view of rows of a larger stack), every entry of it is written and it is
+    returned as jac.
     """
     points_j, valid, segments, rotations, d_safe = _transform(u, disparity, relative,
                                                               intrinsics, bounds)
     mu = project(points_j, intrinsics)
+    jac = np.empty(valid.shape + (2, 11 if with_intrinsics else 7)) if out is None else out
 
     # A left twist [v; w] on T_j moves X_j by v + w x X_j. With (a, b) = (x, y) / z
-    # the two rows of d(project)/d[v; w] are, in closed form:
+    # the two rows of d(project)/d[v; w] are, in closed form, written column by
+    # column into jac[..., 1:7]:
     inv_z = 1.0 / points_j[..., 2]
     a, b = points_j[..., 0] * inv_z, points_j[..., 1] * inv_z
-    zero = np.zeros_like(a)
-    d_pose_j = np.stack([inv_z, zero, -a * inv_z, -a * b, 1.0 + a * a, -b,
-                         zero, inv_z, -b * inv_z, -1.0 - b * b, a * b, a],
-                        axis=-1).reshape(a.shape + (2, 6))
-    d_pose_j *= np.array([[intrinsics.fx], [intrinsics.fy]])
+    fx, fy = intrinsics.fx, intrinsics.fy
+    row_x, row_y = jac[..., 0, :], jac[..., 1, :]
+    np.multiply(inv_z, fx, out=row_x[..., 1])
+    row_x[..., 2] = 0.0
+    np.multiply(-a * inv_z, fx, out=row_x[..., 3])
+    np.multiply(-a * b, fx, out=row_x[..., 4])
+    np.multiply(1.0 + a * a, fx, out=row_x[..., 5])
+    np.multiply(-b, fx, out=row_x[..., 6])
+    row_y[..., 1] = 0.0
+    np.multiply(inv_z, fy, out=row_y[..., 2])
+    np.multiply(-b * inv_z, fy, out=row_y[..., 3])
+    np.multiply(-1.0 - b * b, fy, out=row_y[..., 4])
+    np.multiply(a * b, fy, out=row_y[..., 5])
+    np.multiply(a, fy, out=row_y[..., 6])
+    d_mu_d_point = jac[..., 1:4]  # d(mu)/dX_j
 
     adjoint = np.zeros((len(relative), 6, 6))
     # X_i = dir / d  =>  dX_j/dd = R_ji dX_i/dd = -(X_j - t_ji) / d
@@ -271,15 +296,14 @@ def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds
         adjoint[e, :3, 3:] = skew(rel.translation) @ rot
         d_point_disp[seg] = rel.translation - points_j[seg]
     d_point_disp /= d_safe[..., None]
+    jac[..., 0] = np.einsum("...ij,...j->...i", d_mu_d_point, d_point_disp)
 
-    jac = np.zeros(a.shape + (2, 11 if with_intrinsics else 7))
-    jac[..., 0] = np.einsum("...ij,...j->...i", d_pose_j[..., :3], d_point_disp)
-    jac[..., 1:7] = d_pose_j
     if with_intrinsics:
         # The intrinsics enter through the projection in frame j (the direct
         # term) and through the unprojection in frame i, whose shift moves edge
-        # e's X_j by R_ji times it; d_pose_j[..., :3] is d(mu)/dX_j.
+        # e's X_j by R_ji times it.
         k = intrinsics
+        jac[..., 7:] = 0.0
         jac[..., 0, 7] = (mu[..., 0] - k.cx) / k.fx
         jac[..., 1, 8] = (mu[..., 1] - k.cy) / k.fy
         jac[..., 0, 9] = jac[..., 1, 10] = 1.0
@@ -291,5 +315,5 @@ def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds
         dxi[..., 1, 1] = -(u[..., 1] - k.cy) / (k.fy**2 * d_safe)
         dxi[..., 1, 3] = -1.0 / (k.fy * d_safe)
         for seg, rot in zip(segments, rotations):
-            jac[seg, ..., 7:] += d_pose_j[seg][..., :3] @ rot @ dxi[seg]
+            jac[seg, ..., 7:] += d_mu_d_point[seg] @ rot @ dxi[seg]
     return adjoint, jac, mu, valid

@@ -141,6 +141,11 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
     between the two terms. need_similarity requests the cosine field even when
     the embedding term itself is disabled (the adaptive kernel consumes it
     either way).
+
+    The stacked residual and Jacobian are allocated once, and each row is
+    written into them in place. Arithmetic that overflows in the Jacobian pass
+    leaves non-finite rows without a warning: the solver reports them, naming
+    the edge and pixel.
     """
     kf_i = graph.keyframes[edges[0].i]
     for obs in edges:
@@ -157,21 +162,27 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
     relative = [geometry.relative_pose(kf_i.pose, kf_j.pose) for kf_j in targets]
     intrinsics = graph.intrinsics
 
+    n = pixels.size
+    n_rows = 3 if need_embedding else 2
     jac = adjoint = None
     if with_jacobians:
-        adjoint, jac, mu, valid_geo = geometry.reprojection_jacobian(
-            u, d, relative, intrinsics, bounds, with_intrinsics)
+        jac = np.empty((n, n_rows, 11 if with_intrinsics else 7))
+        with np.errstate(over="ignore", invalid="ignore"):
+            adjoint, _, mu, valid_geo = geometry.reprojection_jacobian(
+                u, d, relative, intrinsics, bounds, with_intrinsics, out=jac[:, :2])
     else:
         mu, valid_geo = geometry.reproject(u, d, relative, intrinsics, bounds)
 
     valid_flow = valid_geo & in_bounds(mu, h, w)
     target = np.concatenate([obs.flow.reshape(2, -1)[:, obs.pixels] for obs in edges], axis=1).T
-    r_flow = np.where(valid_flow[:, None], (mu - u) - target, 0.0)
+    residual = np.empty((n, n_rows))
+    r_flow = residual[:, :2]
+    np.subtract(mu - u, target, out=r_flow)
+    r_flow[~valid_flow] = 0.0
     conf = np.concatenate([obs.confidence.reshape(-1)[obs.pixels] for obs in edges])
 
-    n = pixels.size
     out = EdgeEvaluation(
-        pixels=pixels, bounds=bounds, confidence=conf, residual=r_flow, valid_flow=valid_flow,
+        pixels=pixels, bounds=bounds, confidence=conf, residual=residual, valid_flow=valid_flow,
         cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool), jac=jac, adjoint=adjoint)
 
     if need_similarity or need_embedding:
@@ -181,28 +192,38 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
         # valid_flow already requires mu in the sampling domain.
         with_grad = with_jacobians and need_embedding
         z_smp = np.empty_like(z_src)
-        dz_du = np.empty(z_src.shape + (2,)) if with_grad else None
+        dz_du = np.empty((n, 2, z_src.shape[1])) if with_grad else None  # gradient-major
         for lo, hi, kf_j in zip(bounds[:-1], bounds[1:], targets):
             z_smp[lo:hi], grad, _ = bilinear_sample(kf_j.features, mu[lo:hi],
                                                     with_grad=with_grad)
             if with_grad:
-                dz_du[lo:hi] = grad
+                dz_du[lo:hi] = grad.swapaxes(-1, -2)
         cs, n_src, n_smp, norm_ok = _cosine(z_src, z_smp)
         valid_embed = valid_flow & norm_ok
         out.cs = np.where(valid_embed, cs, 0.0)
         out.valid_embed = valid_embed
         if need_embedding:
-            r_embed = np.where(valid_embed, _embed_residual_from_cs(cs), 0.0)
-            out.residual = np.concatenate([r_flow, r_embed[:, None]], axis=1)
+            r_embed = residual[:, 2]
+            r_embed[:] = _embed_residual_from_cs(cs)
+            r_embed[~valid_embed] = 0.0
             if with_jacobians:
-                safe_src = np.where(norm_ok, n_src, 1.0)[:, None]
-                safe_smp = np.where(norm_ok, n_smp, 1.0)[:, None]
-                dcs_dz = (z_src / safe_src - cs[:, None] * (z_smp / safe_smp)) / safe_smp
-                dcs_du = np.einsum("nk,nki->ni", dcs_dz, dz_du)
+                # dcs/dz = z_src / (|z_src| |z_smp|) - cs z_smp / |z_smp|^2
+                inv_smp = 1.0 / np.where(norm_ok, n_smp, 1.0)
+                dcs_dz = z_src * (inv_smp / np.where(norm_ok, n_src, 1.0))[:, None]
+                dcs_dz -= z_smp * (cs * inv_smp * inv_smp)[:, None]
+                dcs_du = np.einsum("nk,nik->ni", dcs_dz, dz_du)
                 scale = np.where(valid_embed, _embed_dresidual_dcs(r_embed), 0.0)
-                je = scale[:, None] * np.einsum("ni,nij->nj", dcs_du, jac)
-                out.jac = np.concatenate([jac, je[:, None]], axis=1)
+                # The embedding row, written in place from the flow rows.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.einsum("ni,nij->nj", dcs_du, jac[:, :2], out=jac[:, 2])
+                    jac[:, 2] *= scale[:, None]
     return out
+
+
+def _shapes(ev: EdgeEvaluation) -> np.ndarray:
+    """Adaptive-kernel shape of each row of ev: robust.adaptive_alpha of its similarity,
+    robust.ALPHA_STATIC where the similarity is not usable."""
+    return np.where(ev.valid_embed, robust.adaptive_alpha(ev.cs), robust.ALPHA_STATIC)
 
 
 def kernel_alphas(graph, config) -> list:
@@ -211,24 +232,28 @@ def kernel_alphas(graph, config) -> list:
 
     config is a solver.SolverConfig. A fixed kernel evaluates no edge; the
     adaptive kernel maps each pixel's similarity through robust.adaptive_alpha,
-    and a pixel without a usable similarity keeps robust.ALPHA_STATIC.
+    and a pixel without a usable similarity keeps robust.ALPHA_STATIC. This is a
+    similarity-only pass; total_energy(..., with_shapes=True) returns the same
+    shapes from its own pass.
     """
     groups = graph.edge_groups()
     if config.fixed_alpha is not None:
         return [np.full(sum(obs.pixels.size for obs in edges), float(config.fixed_alpha))
                 for edges in groups]
-    alphas = []
-    for edges in groups:
-        ev = evaluate_edge(graph, edges, need_similarity=True, need_embedding=False)
-        alphas.append(np.where(ev.valid_embed, robust.adaptive_alpha(ev.cs),
-                               robust.ALPHA_STATIC))
-    return alphas
+    return [_shapes(evaluate_edge(graph, edges, need_similarity=True, need_embedding=False))
+            for edges in groups]
+
+
+def _flow_norm(ev: EdgeEvaluation) -> np.ndarray:
+    """Norm of rows 0-1 of each pixel, bitwise equal to np.linalg.norm over them."""
+    x, y = ev.residual[:, 0], ev.residual[:, 1]
+    return np.sqrt(x * x + y * y)
 
 
 def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray):
     """(photo_ark, embed) energies of one edge evaluation under shapes alpha: rho of the
     norm of rows 0-1 (rho(0) = 0) and the squares of rows 2:, confidence-weighted."""
-    rho = robust.barron_rho(np.linalg.norm(ev.residual[:, :2], axis=-1), alpha)
+    rho = robust.barron_rho(_flow_norm(ev), alpha)
     embed = np.einsum("nr,nr->n", ev.residual[:, 2:], ev.residual[:, 2:])
     return float(np.sum(ev.confidence * rho)), float(np.sum(ev.confidence * embed))
 
@@ -239,7 +264,7 @@ def edge_weights(ev: EdgeEvaluation, alpha: np.ndarray, config) -> np.ndarray:
     carry 2 * lambda_embed (the factor 2 of d(r^2)), each folded with the
     confidence and its term's validity.
     """
-    w_ark = robust.irls_weight(np.linalg.norm(ev.residual[:, :2], axis=-1), alpha)
+    w_ark = robust.irls_weight(_flow_norm(ev), alpha)
     weight = np.empty(ev.residual.shape)
     weight[:, :2] = (ev.confidence * w_ark * ev.valid_flow)[:, None]
     weight[:, 2:] = (2.0 * config.lambda_embed * ev.confidence * ev.valid_embed)[:, None]
@@ -272,22 +297,31 @@ class EnergyBreakdown:
         return cls(photo_ark + lambda_embed * embed + reg, photo_ark, embed, reg)
 
 
-def total_energy(graph, config, alphas) -> EnergyBreakdown:
+def total_energy(graph, config, alphas, with_shapes: bool = False):
     """Objective value over a keyframe graph at its current state.
 
     config is a solver.SolverConfig (read for lambda_embed); alphas holds one
     per-pixel shape array per group of graph.edge_groups(), as decided by
-    kernel_alphas.
+    kernel_alphas. Returns an EnergyBreakdown, or with with_shapes the pair
+    (EnergyBreakdown, shapes). Under the adaptive kernel shapes is
+    kernel_alphas(graph, config), bit for bit, taken from the similarity of this
+    same pass; under a fixed kernel it is None, as kernel_alphas sets a fixed
+    kernel's shapes without evaluating any edge.
     """
+    adaptive = with_shapes and config.fixed_alpha is None
+    shapes = [] if adaptive else None
     e_photo = 0.0
     e_embed = 0.0
     for edges, alpha in zip(graph.edge_groups(), alphas, strict=True):
-        ev = evaluate_edge(graph, edges, need_similarity=False,
+        ev = evaluate_edge(graph, edges, need_similarity=adaptive,
                            need_embedding=config.lambda_embed != 0.0)
         ep, ee = edge_energies(ev, alpha)
         e_photo += ep
         e_embed += ee
+        if adaptive:
+            shapes.append(_shapes(ev))
     e_reg = 0.0
     for kf in graph.keyframes:
         e_reg += prior_terms(kf)[0]
-    return EnergyBreakdown.of(e_photo, e_embed, e_reg, config.lambda_embed)
+    energies = EnergyBreakdown.of(e_photo, e_embed, e_reg, config.lambda_embed)
+    return (energies, shapes) if with_shapes else energies

@@ -213,8 +213,7 @@ def _accumulate_edges(ne: NormalEquations, edges, ev, weight):
 
     coupling = ne.coupling[layout.coupling_rows[i]]
     support_columns = layout.support_columns[i]
-    rows = jac[:, :, 1:]
-    weighted = weight[:, :, None] * rows
+    weighted = weight[:, :, None] * jac[:, :, 1:]
     for e, obs in enumerate(edges):
         cols, lift_cols, blocks = [], [], []
         for s, offset in ((layout.pose_slices[i], 0), (layout.pose_slices[obs.j], 6),
@@ -239,9 +238,12 @@ def _accumulate_edges(ne: NormalEquations, edges, ev, weight):
             values = part.take(columns, axis=1)
             values += lifted[k:k + size]
             part[:, columns] = values
-        seg_rows = rows[seg].reshape(-1, m)
+        # The Jacobian rows are read in place: one product with the edge's
+        # contiguous [disparity | pose j | intrinsics] rows, whose columns 1: are
+        # its pose block.
         seg_weighted = weighted[seg].reshape(-1, m)
-        ne.pose_h[np.ix_(cols, cols)] += lift.T @ (seg_rows.T @ seg_weighted) @ lift
+        gram = seg_weighted.T @ jac[seg].reshape(-1, m + 1)
+        ne.pose_h[np.ix_(cols, cols)] += lift.T @ gram[:, 1:] @ lift
         ne.pose_g[cols] += lift.T @ (seg_weighted.T @ res[seg].reshape(-1))
 
 
@@ -388,11 +390,16 @@ class IterationRecord:
 def solve(graph: KeyframeGraph, config: SolverConfig):
     """Damped Gauss-Newton loop per the joint bundle-adjustment recipe.
 
-    Each outer iteration follows the IRLS treatment of the adaptive kernel:
-    kernel_alphas decides the shape parameters once from the current state,
-    and they are held fixed while the normal equations are built, solved, and
-    the step is scored (b is then the exact objective gradient for that kernel
-    state).
+    Each outer iteration follows the IRLS treatment of the adaptive kernel: the
+    shape parameters are decided once from the current state, and they are
+    held fixed while the normal equations are built, solved, and the step is
+    scored (b is then the exact objective gradient for that kernel state).
+    kernel_alphas decides them at the start state; after that, the trial
+    total_energy that accepts a state also returns the shapes kernel_alphas
+    would decide there, from the similarity it computed anyway, so no further
+    similarity-only pass is made. The last iteration's trials return none, and
+    a fixed kernel's shapes are set by kernel_alphas, without evaluating any
+    edge, in every iteration.
 
     Returns (optimized graph, trace). Row 0 of the trace holds the initial
     energies; each further row is one scored solve attempt with its accept
@@ -408,8 +415,10 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     layout = ProblemLayout.build(state, config)  # the edges stay fixed through the solve
     trace = []
     lm = LM_INIT
+    shapes = None  # adaptive shapes that the trial accepting the state returned
     for it in range(1, config.max_iters + 1):
-        alphas = kernel_alphas(state, config)
+        # Only an accepted trial leaves the loop below, so shapes belongs to state.
+        alphas = kernel_alphas(state, config) if shapes is None else shapes
         ne = assemble(state, config, alphas, layout)
         e_cur = ne.energies
         if it == 1:
@@ -432,7 +441,10 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
             k = layout.intrinsics_slice
             if k is None or np.all(state.intrinsics.as_array()[:2] + delta[k][:2] > 0):
                 candidate = retract(state, delta, config, layout)
-                e_new = total_energy(candidate, config, alphas)
+                if it < config.max_iters:  # the last iteration prepares no next one
+                    e_new, shapes = total_energy(candidate, config, alphas, with_shapes=True)
+                else:
+                    e_new, shapes = total_energy(candidate, config, alphas), None
                 accepted = e_new.total < e_cur.total
                 trace.append(IterationRecord(it, e_new.total, e_new.photo_ark, e_new.embed,
                                              e_new.reg, accepted))

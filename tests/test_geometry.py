@@ -286,6 +286,26 @@ class TestReprojectionJacobian:
                     for n in np.flatnonzero(valid))
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("with_intrinsics", [False, True], ids=["pose", "intrinsics"])
+    def test_out_matches_own_allocation(self, rng, with_intrinsics):
+        # Written into rows of a larger stack, the Jacobian is the one it allocates
+        # itself, bit for bit, and every entry of out is written.
+        relative = [relative_pose(random_pose(rng), random_pose(rng)) for _ in range(3)]
+        bounds = np.array([0, 17, 17, 40])
+        u = rng.uniform(5, 55, size=(40, 2))
+        d = rng.uniform(-0.2, 1.5, size=40)
+        adjoint, jac, mu, valid = reprojection_jacobian(u, d, relative, K, bounds,
+                                                        with_intrinsics=with_intrinsics)
+        assert not valid.all()
+        stack = np.full((40, 3, jac.shape[-1]), np.nan)
+        adjoint_o, jac_o, mu_o, valid_o = reprojection_jacobian(
+            u, d, relative, K, bounds, with_intrinsics=with_intrinsics, out=stack[:, :2])
+        assert np.shares_memory(jac_o, stack)
+        for same, ref in ((stack[:, :2], jac), (adjoint_o, adjoint), (mu_o, mu),
+                          (valid_o, valid)):
+            assert same.tobytes() == ref.tobytes()
+        assert np.isnan(stack[:, 2]).all()
+
 
 class TestIntrinsics:
     def test_positive_focal_required(self):

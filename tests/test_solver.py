@@ -237,6 +237,39 @@ class TestKernelAlphas:
             assert np.array_equal(alpha, expected)
         assert np.unique(np.concatenate(alphas)).size > 2  # shapes really vary
 
+    @pytest.mark.parametrize("lambda_embed", [2.0, 0.0], ids=["embed", "no-embed"])
+    def test_trial_pass_returns_kernel_alphas_of_its_state(self, dynamic_bundle, lambda_embed):
+        # Scored at the ground truth under the start state's shapes, the trial
+        # pass returns the shapes of the ground truth, bit for bit.
+        config = small_config(lambda_embed=lambda_embed)
+        start = kernel_alphas(dynamic_bundle.to_graph(initial=True), config)
+        graph = dynamic_bundle.to_graph(initial=False)
+        energies, shapes = total_energy(graph, config, start, with_shapes=True)
+        assert energies == total_energy(graph, config, start)
+        expected = kernel_alphas(graph, config)
+        assert len(shapes) == len(expected)
+        for got, want in zip(shapes, expected):
+            assert np.array_equal(got, want)
+        assert not all(np.array_equal(a, b) for a, b in zip(start, expected))
+
+    @pytest.mark.parametrize("fixed_alpha, passes", [(None, 1), (2.0, 0)], ids=["ark", "fixed"])
+    def test_solve_makes_one_similarity_pass(self, dynamic_bundle, monkeypatch, fixed_alpha,
+                                             passes):
+        # Only the start state gets a similarity-only pass; every later state's
+        # shapes come from the trial energy that accepted it.
+        graph = dynamic_bundle.to_graph(initial=True)
+        calls = []
+
+        def counting(graph, edges, **kwargs):
+            if not (kwargs.get("need_embedding", True) or kwargs.get("with_jacobians")):
+                calls.append(edges[0].i)
+            return evaluate_edge(graph, edges, **kwargs)
+
+        monkeypatch.setattr("semba.residuals.evaluate_edge", counting)
+        _, trace = solve(graph, small_config(max_iters=4, fixed_alpha=fixed_alpha))
+        assert sum(r.accepted for r in trace[1:]) >= 2
+        assert sorted(calls) == passes * [kf.index for kf in graph.keyframes]
+
 
 class TestSolverConfig:
     @pytest.mark.parametrize("options", [{"fixed_alpha": float("inf")},
