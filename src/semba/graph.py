@@ -82,7 +82,7 @@ class KeyframeGraph:
         for obs in self.edges:
             if not (0 <= obs.i < n and 0 <= obs.j < n):
                 raise ValueError(f"edge ({obs.i}, {obs.j}) references a missing keyframe")
-            if obs.confidence.shape != self.keyframes[obs.i].grid_shape:
+            if obs.grid_shape != self.keyframes[obs.i].grid_shape:
                 raise ValueError(f"edge ({obs.i}, {obs.j}) maps do not match the keyframe grid")
 
     @property

@@ -12,18 +12,19 @@ Validity conventions (enforced here and relied on by the solver):
   * invalid pixels hold zero residuals and get zero Gauss-Newton weight.
 
 Every term of an edge is scaled by its flow confidence, so a pixel of zero
-confidence contributes exactly zero as well. Each edge is therefore evaluated
-on its support only: FlowObservation.pixels, the flat grid indices of its
-pixels with non-zero confidence, fixed when the observation is built. The
-out-edges of one keyframe are evaluated, scored and weighted together, on the
-stacked rows of their supports: one group of KeyframeGraph.edge_groups() at a
-time.
+confidence contributes exactly zero as well. Each edge is therefore held and
+evaluated on its support only: a FlowObservation reads the dense flow and
+confidence grids once, checks them whole and keeps pixels, the flat grid
+indices of its pixels with non-zero confidence, with their target flow and
+confidence rows. The out-edges of one keyframe are evaluated, scored and
+weighted together, on the stacked rows of their supports: one group of
+KeyframeGraph.edge_groups() at a time.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -41,37 +42,47 @@ ALPHA_DISP = 1.0
 
 @dataclass(eq=False)
 class FlowObservation:
-    """Dense target flow and confidence for a directed keyframe pair i -> j.
+    """Target flow and confidence of a directed keyframe pair i -> j, kept as the rows of
+    its support.
 
-    pixels, the support, is derived from confidence once at construction;
-    confidence is not to be modified in place afterwards.
+    The constructor takes the dense grids, flow (2, H, W) with channels (dx, dy)
+    and confidence (H, W), and checks them whole: flow must be finite even where
+    confidence is 0, and confidence finite and non-negative. It then keeps
+    grid_shape (H, W) and, for the support only, pixels, the ascending flat
+    grid indices where confidence > 0, their target flow rows and their
+    confidence; the grids are not held.
     """
 
     i: int
     j: int
-    flow: np.ndarray        # (2, H, W), channels (dx, dy), finite, C-contiguous
-    confidence: np.ndarray  # (H, W), finite and non-negative
-    pixels: np.ndarray = field(init=False, repr=False)  # flat indices where confidence > 0
+    flow: InitVar[np.ndarray]  # (2, H, W) grid, read by the constructor only
+    confidence: np.ndarray     # given as the (H, W) grid, kept as the (N,) support rows
+    grid_shape: tuple = field(init=False)
+    pixels: np.ndarray = field(init=False, repr=False)  # (N,) flat indices where confidence > 0
+    target: np.ndarray = field(init=False, repr=False)  # (N, 2) rows (dx, dy), C-contiguous
 
-    def __post_init__(self):
-        self.flow = np.ascontiguousarray(self.flow, dtype=float)
-        self.confidence = np.asarray(self.confidence, dtype=float)
+    def __post_init__(self, flow):
+        flow = np.asarray(flow, dtype=float)
+        confidence = np.asarray(self.confidence, dtype=float)
         if self.i == self.j:
             raise ValueError(f"self-edge ({self.i}, {self.j}) is not allowed")
-        if self.flow.ndim != 3 or self.flow.shape[0] != 2:
-            raise ValueError(f"flow must be (2, H, W), got {self.flow.shape}")
-        if self.confidence.shape != self.flow.shape[1:]:
+        if flow.ndim != 3 or flow.shape[0] != 2:
+            raise ValueError(f"flow must be (2, H, W), got {flow.shape}")
+        if confidence.shape != flow.shape[1:]:
             raise ValueError(
-                f"confidence shape {self.confidence.shape} does not match flow {self.flow.shape}")
-        bad = ~(np.isfinite(self.confidence) & (self.confidence >= 0))
+                f"confidence shape {confidence.shape} does not match flow {flow.shape}")
+        bad = ~(np.isfinite(confidence) & (confidence >= 0))
         if bad.any():
             raise ValueError(f"edge ({self.i}, {self.j}): confidence is not finite and "
                              f"non-negative at pixel index {np.flatnonzero(bad)[0]}")
-        if not np.isfinite(self.flow).all():
-            bad = ~(np.isfinite(self.flow[0]) & np.isfinite(self.flow[1]))
+        if not np.isfinite(flow).all():
+            bad = ~(np.isfinite(flow[0]) & np.isfinite(flow[1]))
             raise ValueError(f"edge ({self.i}, {self.j}): flow is not finite at pixel index "
                              f"{np.flatnonzero(bad)[0]}")
-        self.pixels = np.flatnonzero(self.confidence > 0)
+        self.grid_shape = confidence.shape
+        self.pixels = np.flatnonzero(confidence > 0)
+        self.target = flow.reshape(2, -1).T[self.pixels]
+        self.confidence = confidence.reshape(-1)[self.pixels]
 
 
 @functools.cache
@@ -134,13 +145,14 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
 
     edges is a list of edges that share the source keyframe i; a list of one edge
     is the single-edge case. Only the pixels of the edges' supports (obs.pixels)
-    are evaluated, stacked in the order of edges: the source disparity, its
-    unprojection and the source features are read once for all of them, each
-    edge's rows are carried into its target frame with its own T_ji, and the
-    target features are sampled once per edge. The reprojection is shared
-    between the two terms. need_similarity requests the cosine field even when
-    the embedding term itself is disabled (the adaptive kernel consumes it
-    either way).
+    are evaluated, stacked in the order of edges: their target flow and
+    confidence rows are concatenated as the observations hold them, the source
+    disparity, its unprojection and the source features are read once for all
+    of them, each edge's rows are carried into its target frame with its own
+    T_ji, and the target features are sampled once per edge. The reprojection
+    is shared between the two terms. need_similarity requests the cosine field
+    even when the embedding term itself is disabled (the adaptive kernel
+    consumes it either way).
 
     The stacked residual and Jacobian are allocated once, and each row is
     written into them in place. Arithmetic that overflows in the Jacobian pass
@@ -174,12 +186,11 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
         mu, valid_geo = geometry.reproject(u, d, relative, intrinsics, bounds)
 
     valid_flow = valid_geo & in_bounds(mu, h, w)
-    target = np.concatenate([obs.flow.reshape(2, -1)[:, obs.pixels] for obs in edges], axis=1).T
     residual = np.empty((n, n_rows))
     r_flow = residual[:, :2]
-    np.subtract(mu - u, target, out=r_flow)
+    np.subtract(mu - u, np.concatenate([obs.target for obs in edges]), out=r_flow)
     r_flow[~valid_flow] = 0.0
-    conf = np.concatenate([obs.confidence.reshape(-1)[obs.pixels] for obs in edges])
+    conf = np.concatenate([obs.confidence for obs in edges])
 
     out = EdgeEvaluation(
         pixels=pixels, bounds=bounds, confidence=conf, residual=residual, valid_flow=valid_flow,
@@ -227,19 +238,20 @@ def _shapes(ev: EdgeEvaluation) -> np.ndarray:
 
 
 def kernel_alphas(graph, config) -> list:
-    """The robust-kernel shape of every support pixel at the current state, one array per
-    group of graph.edge_groups(), its rows stacked as evaluate_edge stacks them.
+    """The robust-kernel shape of every support pixel at the current state, one entry per
+    group of graph.edge_groups().
 
-    config is a solver.SolverConfig. A fixed kernel evaluates no edge; the
-    adaptive kernel maps each pixel's similarity through robust.adaptive_alpha,
-    and a pixel without a usable similarity keeps robust.ALPHA_STATIC. This is a
-    similarity-only pass; total_energy(..., with_shapes=True) returns the same
-    shapes from its own pass.
+    config is a solver.SolverConfig. A fixed kernel evaluates no edge: each
+    entry is the one float config.fixed_alpha, which the robust functions
+    broadcast over the rows. The adaptive kernel gives an array, its rows
+    stacked as evaluate_edge stacks them, mapping each pixel's similarity
+    through robust.adaptive_alpha; a pixel without a usable similarity keeps
+    robust.ALPHA_STATIC. This is a similarity-only pass;
+    total_energy(..., with_shapes=True) returns the same shapes from its own pass.
     """
     groups = graph.edge_groups()
     if config.fixed_alpha is not None:
-        return [np.full(sum(obs.pixels.size for obs in edges), float(config.fixed_alpha))
-                for edges in groups]
+        return [float(config.fixed_alpha)] * len(groups)
     return [_shapes(evaluate_edge(graph, edges, need_similarity=True, need_embedding=False))
             for edges in groups]
 
@@ -300,16 +312,15 @@ class EnergyBreakdown:
 def total_energy(graph, config, alphas, with_shapes: bool = False):
     """Objective value over a keyframe graph at its current state.
 
-    config is a solver.SolverConfig (read for lambda_embed); alphas holds one
-    per-pixel shape array per group of graph.edge_groups(), as decided by
-    kernel_alphas. Returns an EnergyBreakdown, or with with_shapes the pair
-    (EnergyBreakdown, shapes). Under the adaptive kernel shapes is
-    kernel_alphas(graph, config), bit for bit, taken from the similarity of this
-    same pass; under a fixed kernel it is None, as kernel_alphas sets a fixed
-    kernel's shapes without evaluating any edge.
+    config is a solver.SolverConfig (read for lambda_embed); alphas holds the
+    shapes of each group of graph.edge_groups(), as decided by kernel_alphas.
+    Returns an EnergyBreakdown, or with with_shapes the pair (EnergyBreakdown,
+    shapes), where shapes is kernel_alphas(graph, config), bit for bit: under
+    the adaptive kernel taken from the similarity of this same pass, under a
+    fixed kernel the alphas given, which no state changes.
     """
     adaptive = with_shapes and config.fixed_alpha is None
-    shapes = [] if adaptive else None
+    shapes = [] if adaptive else alphas
     e_photo = 0.0
     e_embed = 0.0
     for edges, alpha in zip(graph.edge_groups(), alphas, strict=True):

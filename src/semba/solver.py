@@ -397,9 +397,7 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     kernel_alphas decides them at the start state; after that, the trial
     total_energy that accepts a state also returns the shapes kernel_alphas
     would decide there, from the similarity it computed anyway, so no further
-    similarity-only pass is made. The last iteration's trials return none, and
-    a fixed kernel's shapes are set by kernel_alphas, without evaluating any
-    edge, in every iteration.
+    similarity-only pass is made.
 
     Returns (optimized graph, trace). Row 0 of the trace holds the initial
     energies; each further row is one scored solve attempt with its accept
@@ -415,10 +413,8 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     layout = ProblemLayout.build(state, config)  # the edges stay fixed through the solve
     trace = []
     lm = LM_INIT
-    shapes = None  # adaptive shapes that the trial accepting the state returned
+    alphas = kernel_alphas(state, config)
     for it in range(1, config.max_iters + 1):
-        # Only an accepted trial leaves the loop below, so shapes belongs to state.
-        alphas = kernel_alphas(state, config) if shapes is None else shapes
         ne = assemble(state, config, alphas, layout)
         e_cur = ne.energies
         if it == 1:
@@ -449,7 +445,7 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
                 trace.append(IterationRecord(it, e_new.total, e_new.photo_ark, e_new.embed,
                                              e_new.reg, accepted))
                 if accepted:
-                    state = candidate
+                    state, alphas = candidate, shapes
                     lm = max(lm * LM_SHRINK, LM_MIN)
                     break
             lm *= LM_GROW

@@ -86,6 +86,8 @@ class SceneBundle:
     labels: list                  # (H, W) int
     dynamic_masks: list           # (H, W) bool
     edges: list                   # FlowObservation, flow rendered from the gt chain
+    flows: list                   # (2, H, W) each: the grids edges[n] was built from
+    confidences: list             # (H, W) each
 
     def to_graph(self, initial: bool = True) -> KeyframeGraph:
         """Problem graph at the perturbed initial state (default) or at ground truth."""
@@ -359,7 +361,7 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
         config=cfg, intrinsics=intr, class_vectors=class_vectors,
         gt_poses=gt_poses, init_poses=init_poses, gt_disparity=gt_disparity,
         features=features, labels=labels, dynamic_masks=[mask.copy() for _ in range(n)],
-        edges=edges)
+        edges=edges, flows=flows, confidences=confidences)
 
 
 def _grow_blobs(rng: np.random.Generator, height: int, width: int, target: int):

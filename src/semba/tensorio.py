@@ -325,10 +325,11 @@ def write_problem_bundle(out_dir, bundle) -> None:
         write_tensor(gt_dir / f"kf_{k:03d}_dynamic.kmvt", bundle.dynamic_masks[k].astype(float))
 
     edges = []
-    for obs in bundle.edges:
+    for obs, flow, confidence in zip(bundle.edges, bundle.flows, bundle.confidences,
+                                     strict=True):
         stem = f"edges/e_{obs.i:03d}_{obs.j:03d}"
-        write_tensor(out / f"{stem}_flow.kmvt", obs.flow)
-        write_tensor(out / f"{stem}_confidence.kmvt", obs.confidence)
+        write_tensor(out / f"{stem}_flow.kmvt", flow)
+        write_tensor(out / f"{stem}_confidence.kmvt", confidence)
         edges.append({"i": obs.i, "j": obs.j, "flow": f"{stem}_flow.kmvt",
                       "confidence": f"{stem}_confidence.kmvt"})
 

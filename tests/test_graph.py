@@ -47,6 +47,14 @@ class TestKeyframeGraphValidation:
         with pytest.raises(ValueError, match="grid shape"):
             KeyframeGraph(keyframes=[make_frame(0), bad], edges=[], intrinsics=K)
 
+    @pytest.mark.parametrize("shape", [(H, W + 1), (W, H)], ids=["wider", "transposed"])
+    def test_edge_grid_must_match_the_keyframes(self, shape):
+        # The transposed grid has as many pixels as the keyframes' but is still rejected.
+        obs = FlowObservation(i=0, j=1, flow=np.zeros((2, *shape)), confidence=np.ones(shape))
+        with pytest.raises(ValueError, match=r"^edge \(0, 1\) maps do not match the keyframe "
+                                             r"grid$"):
+            KeyframeGraph(keyframes=[make_frame(0), make_frame(1)], edges=[obs], intrinsics=K)
+
     def test_keyframe_feature_channels_must_match(self):
         bad = Keyframe(index=2, pose=Pose.identity(), disparity=np.full((H, W), 0.5),
                        disparity_prior=np.full((H, W), 0.5), features=np.ones((2, H, W)))

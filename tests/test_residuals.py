@@ -73,9 +73,14 @@ class TestFlowResidual:
     def test_strided_flow_is_stored_contiguous(self):
         flow = np.arange(24.0).reshape(12, 2).T.reshape(2, 3, 4)  # (N, 2) rows seen as (2, H, W)
         assert not flow.flags.c_contiguous
-        obs = FlowObservation(i=0, j=1, flow=flow, confidence=np.ones((3, 4)))
-        assert obs.flow.flags.c_contiguous
-        assert np.array_equal(obs.flow, flow)
+        confidence = np.ones((3, 4))
+        confidence[1, 1:3] = 0.0
+        obs = FlowObservation(i=0, j=1, flow=flow, confidence=confidence)
+        assert obs.grid_shape == (3, 4)
+        assert np.array_equal(obs.pixels, [0, 1, 2, 3, 4, 7, 8, 9, 10, 11])
+        assert obs.target.flags.c_contiguous
+        assert np.array_equal(obs.target, flow.reshape(2, -1)[:, obs.pixels].T)
+        assert np.array_equal(obs.confidence, confidence.reshape(-1)[obs.pixels])
 
     def test_non_finite_flow_rejected_even_without_confidence(self):
         # An unconfident pixel is never evaluated, so a bad flow there would
@@ -98,17 +103,16 @@ class TestSupport:
                                        dynamic_fraction=0.2, pose_sigma=0.01, seed=1009))
         graph = bundle.to_graph(initial=True)
         h, w = graph.grid_shape
-        for obs in graph.edges[:4]:
-            full_obs = FlowObservation(i=obs.i, j=obs.j, flow=obs.flow,
-                                       confidence=np.ones((h, w)))
-            assert np.array_equal(obs.pixels, np.flatnonzero(obs.confidence > 0))
+        for obs, flow, confidence in zip(graph.edges[:4], bundle.flows, bundle.confidences):
+            full_obs = FlowObservation(i=obs.i, j=obs.j, flow=flow, confidence=np.ones((h, w)))
+            assert np.array_equal(obs.pixels, np.flatnonzero(confidence > 0))
             assert 0 < obs.pixels.size < h * w / 2
             for mode in ({"with_jacobians": True},
                          {"need_similarity": True, "need_embedding": False}):
                 ev = evaluate_edge(graph, [obs], **mode)
                 full = evaluate_edge(graph, [full_obs], **mode)
                 assert np.array_equal(ev.pixels, obs.pixels)
-                assert np.array_equal(ev.confidence, obs.confidence.reshape(-1)[ev.pixels])
+                assert np.array_equal(ev.confidence, confidence.reshape(-1)[ev.pixels])
                 for name in ("residual", "valid_flow", "cs", "valid_embed", "jac"):
                     got, ref = getattr(ev, name), getattr(full, name)
                     if ref is None:
@@ -404,8 +408,9 @@ class TestInvalidPixels:
                         disparity_prior=disparity, features=smooth_map(rng, (6, h, w)))
         kf_j = Keyframe(index=1, pose=pose_j, disparity=disparity,
                         disparity_prior=disparity, features=smooth_map(rng, (6, h, w)))
-        obs = FlowObservation(i=0, j=1, flow=rng.normal(0, 0.5, size=(2, h, w)),
-                              confidence=rng.uniform(0.2, 1.0, size=(h, w)))
+        flow = rng.normal(0, 0.5, size=(2, h, w))
+        confidence = rng.uniform(0.2, 1.0, size=(h, w))
+        obs = FlowObservation(i=0, j=1, flow=flow, confidence=confidence)
         graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=K)
         ev = evaluate_edge(graph, [obs], with_jacobians=True)
         assert ev.pixels.size == h * w  # every pixel is confident, so rows are grid pixels
@@ -423,10 +428,10 @@ class TestInvalidPixels:
         fields = ("pose_h", "pose_g", "coupling", "disp_h", "disp_g")
 
         def assemble_with_dead_confidence(value):
-            muted = obs.confidence.copy()
+            muted = confidence.copy()
             muted[dead.reshape(h, w)] = value
             other = KeyframeGraph(keyframes=[kf_i, kf_j], intrinsics=K, edges=[
-                FlowObservation(i=0, j=1, flow=obs.flow, confidence=muted)])
+                FlowObservation(i=0, j=1, flow=flow, confidence=muted)])
             return assemble(other, config, kernel_alphas(other, config))
 
         # Another positive confidence keeps the edge's support: bitwise the same.

@@ -114,6 +114,15 @@ class TestIrlsWeight:
             irls_weight(-1.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("func", [barron_rho, irls_weight], ids=["barron_rho", "irls_weight"])
+@pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, -2.0])
+def test_scalar_shape_broadcasts_bit_for_bit(func, alpha):
+    # A fixed kernel hands the robust functions one float for all rows.
+    r = np.linspace(0.0, 12.0, 97)
+    assert np.array_equal(func(r, alpha), func(r, np.full(r.shape, alpha)))
+    assert func(np.zeros(0), alpha).shape == (0,)
+
+
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("func", [barron_rho, barron_psi, irls_weight],
                          ids=["barron_rho", "barron_psi", "irls_weight"])

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -68,6 +69,15 @@ def gapped_graph(frozen):
     return with_frozen(graph, frozen)
 
 
+def with_nan_target(obs, row, channel):
+    """A copy of edge obs whose target flow is NaN in one channel of support row `row`,
+    which construction from grids would reject."""
+    edge = copy.copy(obs)
+    edge.target = obs.target.copy()
+    edge.target[row, channel] = np.nan
+    return edge
+
+
 class TestAssemble:
     def test_matches_dense_brute_force(self, toy_bundle):
         assert_matches_brute_force(toy_bundle.to_graph(), small_config())
@@ -106,22 +116,26 @@ class TestAssemble:
     def test_nonfinite_input_aborts_with_location(self, toy_bundle):
         graph = toy_bundle.to_graph()
         config = small_config()
-        graph.edges[1].flow[0, 3, 4] = np.nan
+        w = graph.grid_shape[1]
+        # Every pixel of the toy bundle is confident, so row n is grid pixel n.
+        graph.edges[1] = with_nan_target(graph.edges[1], 3 * w + 4, 0)
         with pytest.raises(FloatingPointError, match=r"edge \(.*\), pixel"):
             assemble(graph, config, kernel_alphas(graph, config))
-        graph.edges[1].flow[0, 3, 4] = 0.0
 
     def test_nonfinite_row_names_its_grid_pixel(self, toy_bundle):
         graph = toy_bundle.to_graph()
         config = small_config()
         obs = graph.edges[1]
-        confidence = obs.confidence.copy()
+        h, w = obs.grid_shape
+        assert obs.pixels.size == h * w  # every pixel is confident: the rows are the grids
+        confidence = obs.confidence.reshape(h, w).copy()
         confidence[:2] = 0.0  # the first two image rows leave the support
-        edge = FlowObservation(i=obs.i, j=obs.j, flow=obs.flow.copy(), confidence=confidence)
-        graph.edges[1] = edge
-        pixel = 3 * confidence.shape[1] + 4
-        assert np.searchsorted(edge.pixels, pixel) != pixel
-        edge.flow[0, 3, 4] = np.nan  # construction would reject it
+        edge = FlowObservation(i=obs.i, j=obs.j, flow=obs.target.T.reshape(2, h, w),
+                               confidence=confidence)
+        pixel = 3 * w + 4
+        row = int(np.searchsorted(edge.pixels, pixel))
+        assert edge.pixels[row] == pixel and row != pixel
+        graph.edges[1] = with_nan_target(edge, row, 0)
         with pytest.raises(FloatingPointError, match=rf"pixel index {pixel}$"):
             assemble(graph, config, kernel_alphas(graph, config))
 
@@ -131,14 +145,10 @@ class TestAssemble:
         edges = graph.edge_groups()[2]
         assert [(obs.i, obs.j) for obs in edges] == [(2, 0), (2, 1), (2, 3), (2, 4)]
         obs = edges[2]
-        h, w = graph.grid_shape
-        confidence = obs.confidence.copy()
-        confidence[0] = 0.0  # the first image row leaves the support
-        third = FlowObservation(i=2, j=3, flow=obs.flow.copy(), confidence=confidence)
-        valid = evaluate_edge(graph, [third]).valid_flow
-        pixel = int(third.pixels[np.flatnonzero(valid)[3]])
-        third.flow[1, pixel // w, pixel % w] = np.nan  # construction would reject it
-        graph.edges[graph.edges.index(obs)] = third
+        row = int(np.flatnonzero(evaluate_edge(graph, [obs]).valid_flow)[3])
+        pixel = int(obs.pixels[row])
+        assert pixel != row  # the support leaves out grid pixels before this one
+        graph.edges[graph.edges.index(obs)] = with_nan_target(obs, row, 1)
         with pytest.raises(FloatingPointError, match=rf"edge \(2, 3\), pixel index {pixel}$"):
             assemble(graph, config, kernel_alphas(graph, config))
 
@@ -171,7 +181,7 @@ class TestAssemble:
         config = small_config(**options)
         ne = assemble(graph, config, kernel_alphas(graph, config))
         alphas = kernel_alphas(with_dead, config)
-        assert [a.shape for a in alphas] == [a.shape for a in kernel_alphas(graph, config)]
+        assert [np.shape(a) for a in alphas] == [np.shape(a) for a in kernel_alphas(graph, config)]
         ne_dead = assemble(with_dead, config, alphas)
         for name in ("pose_h", "pose_g", "coupling", "disp_h", "disp_g"):
             assert np.array_equal(getattr(ne_dead, name), getattr(ne, name)), name
@@ -216,12 +226,14 @@ class TestKernelAlphas:
 
         monkeypatch.setattr("semba.residuals.evaluate_edge", no_evaluation)
         graph = toy_bundle.to_graph()
-        alphas = kernel_alphas(graph, small_config(fixed_alpha=1.0))
-        groups = graph.edge_groups()
-        assert len(alphas) == len(groups) == 3
-        for alpha, edges in zip(alphas, groups):
-            assert alpha.shape == (sum(obs.confidence.size for obs in edges),)
-            assert np.all(alpha == 1.0)
+        config = small_config(fixed_alpha=1.0)
+        alphas = kernel_alphas(graph, config)
+        assert len(graph.edge_groups()) == 3
+        assert alphas == [1.0] * 3 and all(type(alpha) is float for alpha in alphas)
+        monkeypatch.undo()
+        # A trial pass hands back the alphas it was given: no state changes them.
+        _, shapes = total_energy(graph, config, alphas, with_shapes=True)
+        assert shapes is alphas
 
     def test_adaptive_matches_jacobian_pass(self, dynamic_bundle):
         # The similarity-only pass must decide exactly the shapes that the
@@ -539,8 +551,8 @@ class TestUnconstrainedUnknowns:
 
     @staticmethod
     def unconfident(edges):
-        return [FlowObservation(i=obs.i, j=obs.j, flow=obs.flow,
-                                confidence=np.zeros_like(obs.confidence)) for obs in edges]
+        return [FlowObservation(i=obs.i, j=obs.j, flow=np.zeros((2, *obs.grid_shape)),
+                                confidence=np.zeros(obs.grid_shape)) for obs in edges]
 
     def test_isolated_keyframe_is_named(self, no_factorization):
         graph = self.graph()

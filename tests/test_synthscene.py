@@ -12,10 +12,7 @@ CONFIG = SolverConfig()  # default objective, adaptive kernel
 def bundles_equal(a, b):
     if len(a.edges) != len(b.edges):
         return False
-    for x, y in zip(a.edges, b.edges):
-        if not (np.array_equal(x.flow, y.flow) and np.array_equal(x.confidence, y.confidence)):
-            return False
-    for attr in ("gt_disparity", "features", "labels"):
+    for attr in ("flows", "confidences", "gt_disparity", "features", "labels"):
         for x, y in zip(getattr(a, attr), getattr(b, attr)):
             if not np.array_equal(x, y):
                 return False
@@ -84,10 +81,11 @@ class TestGenScene:
             assert np.array_equal(d, ref)
 
 
-def unit_confidence(obs):
-    """obs with confidence 1 everywhere, so that evaluate_edge returns every grid pixel."""
-    return FlowObservation(i=obs.i, j=obs.j, flow=obs.flow,
-                           confidence=np.ones_like(obs.confidence))
+def unit_confidence(bundle):
+    """bundle's edges with confidence 1 everywhere, so that evaluate_edge returns every
+    grid pixel."""
+    return [FlowObservation(i=obs.i, j=obs.j, flow=flow, confidence=np.ones(obs.grid_shape))
+            for obs, flow in zip(bundle.edges, bundle.flows, strict=True)]
 
 
 class TestInjectDynamics:
@@ -101,8 +99,8 @@ class TestInjectDynamics:
     def test_full_decorrelation_kills_similarity(self, dynamic_bundle):
         g = dynamic_bundle.to_graph(initial=False)
         cs_vals = []
-        for obs in dynamic_bundle.edges:
-            ev = evaluate_edge(g, [unit_confidence(obs)])
+        for obs in unit_confidence(dynamic_bundle):
+            ev = evaluate_edge(g, [obs])
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_embed
             cs_vals.append(ev.cs[sel])
         assert np.mean(np.concatenate(cs_vals)) <= 0.1
@@ -110,8 +108,8 @@ class TestInjectDynamics:
     def test_motion_five_px_residual_in_range(self, dynamic_bundle):
         g = dynamic_bundle.to_graph(initial=False)
         mags = []
-        for obs in dynamic_bundle.edges:
-            ev = evaluate_edge(g, [unit_confidence(obs)])
+        for obs in unit_confidence(dynamic_bundle):
+            ev = evaluate_edge(g, [obs])
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_flow
             mags.append(np.linalg.norm(ev.residual[sel, :2], axis=1))
         mean = np.mean(np.concatenate(mags))
@@ -121,9 +119,10 @@ class TestInjectDynamics:
         out = gen_scene(SceneConfig(num_keyframes=5, height=24, width=32, seed=11,
                                     dynamic_fraction=0.2, dynamic_motion_px=0.0,
                                     embedding_decorrelation=0.0))
-        for a, b in zip(out.edges, clean_bundle.edges):
-            assert np.array_equal(a.flow, b.flow)
-            assert np.array_equal(a.confidence, b.confidence)
+        for a, b in zip(out.flows, clean_bundle.flows, strict=True):
+            assert np.array_equal(a, b)
+        for a, b in zip(out.confidences, clean_bundle.confidences, strict=True):
+            assert np.array_equal(a, b)
         for a, b in zip(out.features, clean_bundle.features):
             assert np.array_equal(a, b)
         assert out.dynamic_masks[0].mean() == pytest.approx(0.2, abs=0.01)
@@ -132,8 +131,8 @@ class TestInjectDynamics:
         # Same seed, same base scene: corruption must not leak into confidence.
         clean_cfg_bundle = gen_scene(SceneConfig(num_keyframes=5, height=24, width=32,
                                                  pose_sigma=0.01, seed=11))
-        for a, b in zip(dynamic_bundle.edges, clean_cfg_bundle.edges):
-            assert np.array_equal(a.confidence, b.confidence)
+        for a, b in zip(dynamic_bundle.confidences, clean_cfg_bundle.confidences, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestPerturbInit:
@@ -167,7 +166,7 @@ class TestCrampedScenes:
         except ValueError as exc:
             assert "cramped" in str(exc) or "classes" in str(exc)
         else:
-            assert np.mean([e.confidence.mean() for e in bundle.edges]) > 0.01
+            assert np.mean([c.mean() for c in bundle.confidences]) > 0.01
 
 
 @pytest.mark.parametrize("field", ["pose_sigma", "dynamic_motion_px"])

@@ -285,8 +285,37 @@ class TestProblemBundle:
             assert np.abs(kf.pose.matrix() - init_pose.matrix()).max() < 1e-12
         for obs, ref in zip(graph.edges, bundle.edges):
             assert (obs.i, obs.j) == (ref.i, ref.j)
-            assert np.array_equal(obs.flow, ref.flow)
-            assert np.array_equal(obs.confidence, ref.confidence)
+            for name in ("grid_shape", "pixels", "target", "confidence"):
+                assert np.array_equal(getattr(obs, name), getattr(ref, name)), name
+
+    def test_edges_hold_support_rows_only(self, tmp_path):
+        bundle = gen_scene(SceneConfig(num_keyframes=3, height=24, width=32, seed=4))
+        write_problem_bundle(tmp_path / "bundle", bundle)
+        for graph in (bundle.to_graph(), load_problem_bundle(tmp_path / "bundle")):
+            h, w = graph.grid_shape
+            for obs in graph.edges:
+                n = obs.pixels.size
+                assert 0 < n < h * w  # boundary pixels lack confidence: rows are not the grid
+                assert obs.grid_shape == (h, w)
+                assert obs.target.shape == (n, 2) and obs.confidence.shape == (n,)
+                assert not hasattr(obs, "flow")
+                for name, value in vars(obs).items():
+                    if isinstance(value, np.ndarray):
+                        assert value.shape[0] == n, name  # one row per support pixel
+
+    def test_edge_files_are_the_scene_grids(self, tmp_path):
+        # Edges keep rows only, so the grids written are the ones the scene rendered.
+        bundle = gen_scene(SceneConfig(num_keyframes=3, height=24, width=32, pose_sigma=0.01,
+                                       dynamic_fraction=0.2, seed=4))
+        out = tmp_path / "bundle"
+        write_problem_bundle(out, bundle)
+        ref = tmp_path / "ref.kmvt"
+        for obs, flow, confidence in zip(bundle.edges, bundle.flows, bundle.confidences,
+                                         strict=True):
+            for name, grid in (("flow", flow), ("confidence", confidence)):
+                write_tensor(ref, grid)
+                written = out / "edges" / f"e_{obs.i:03d}_{obs.j:03d}_{name}.kmvt"
+                assert written.read_bytes() == ref.read_bytes(), written.name
 
     def test_ground_truth_artifacts_present(self, tmp_path):
         bundle = gen_scene(SceneConfig(num_keyframes=3, height=24, width=32, seed=4))
