@@ -148,11 +148,6 @@ def knn_transfer(pred: SemanticPointCloud, gt_points) -> np.ndarray:
     return np.where(unique_top, leader, votes[:, 0])
 
 
-def _group_sizes(n: int):
-    base, rem = divmod(n, 3)
-    return [base + (1 if g < rem else 0) for g in range(3)]
-
-
 def seg_metrics(pred_labels, gt_labels, class_names=None) -> SegMetrics:
     """IoU / accuracy statistics over the classes present in the ground truth.
 
@@ -180,19 +175,15 @@ def seg_metrics(pred_labels, gt_labels, class_names=None) -> SegMetrics:
     fmiou = float((counts * iou).sum() / counts.sum())
     macc = float(acc.mean())
 
-    # Sort by descending count (stable on ties), split into three equal groups,
-    # remainders assigned to the earlier groups.
+    # Sort by descending count (stable on ties) and split into three near-equal
+    # groups; np.array_split assigns remainders to the earlier groups.
     order = np.lexsort((class_ids, -counts))
     groups = [""] * len(class_ids)
-    names = ("head", "common", "tail")
     group_metrics = {}
-    start = 0
-    for gname, size in zip(names, _group_sizes(len(class_ids))):
-        members = order[start:start + size]
-        start += size
+    for gname, members in zip(("head", "common", "tail"), np.array_split(order, 3)):
         for m in members:
             groups[m] = gname
-        if size == 0:
+        if members.size == 0:
             group_metrics[gname] = {"miou": 0.0, "fmiou": 0.0, "macc": 0.0}
             continue
         g_counts = counts[members]

@@ -246,8 +246,8 @@ def kernel_alphas(graph, config) -> list:
     broadcast over the rows. The adaptive kernel gives an array, its rows
     stacked as evaluate_edge stacks them, mapping each pixel's similarity
     through robust.adaptive_alpha; a pixel without a usable similarity keeps
-    robust.ALPHA_STATIC. This is a similarity-only pass;
-    total_energy(..., with_shapes=True) returns the same shapes from its own pass.
+    robust.ALPHA_STATIC. This is a similarity-only pass; total_energy returns
+    the same shapes from its own pass.
     """
     groups = graph.edge_groups()
     if config.fixed_alpha is not None:
@@ -309,17 +309,17 @@ class EnergyBreakdown:
         return cls(photo_ark + lambda_embed * embed + reg, photo_ark, embed, reg)
 
 
-def total_energy(graph, config, alphas, with_shapes: bool = False):
-    """Objective value over a keyframe graph at its current state.
+def total_energy(graph, config, alphas):
+    """Objective value over a keyframe graph at its current state, and that state's shapes.
 
-    config is a solver.SolverConfig (read for lambda_embed); alphas holds the
-    shapes of each group of graph.edge_groups(), as decided by kernel_alphas.
-    Returns an EnergyBreakdown, or with with_shapes the pair (EnergyBreakdown,
-    shapes), where shapes is kernel_alphas(graph, config), bit for bit: under
-    the adaptive kernel taken from the similarity of this same pass, under a
-    fixed kernel the alphas given, which no state changes.
+    config is a solver.SolverConfig; alphas holds the shapes of each group of
+    graph.edge_groups() under which the energy is scored, as decided by
+    kernel_alphas. Returns the pair (EnergyBreakdown, shapes), where shapes is
+    kernel_alphas(graph, config), bit for bit: under the adaptive kernel taken
+    from the similarity of this same pass, under a fixed kernel the alphas
+    given, which no state changes.
     """
-    adaptive = with_shapes and config.fixed_alpha is None
+    adaptive = config.fixed_alpha is None
     shapes = [] if adaptive else alphas
     e_photo = 0.0
     e_embed = 0.0
@@ -334,5 +334,4 @@ def total_energy(graph, config, alphas, with_shapes: bool = False):
     e_reg = 0.0
     for kf in graph.keyframes:
         e_reg += prior_terms(kf)[0]
-    energies = EnergyBreakdown.of(e_photo, e_embed, e_reg, config.lambda_embed)
-    return (energies, shapes) if with_shapes else energies
+    return EnergyBreakdown.of(e_photo, e_embed, e_reg, config.lambda_embed), shapes

@@ -33,7 +33,7 @@ LM_SHRINK = 0.5
 LM_MIN = 1e-12
 LM_MAX = 1e10
 UPDATE_TOL = 1e-8      # converged once the step norm falls below this
-MIN_DISPARITY = 1e-6   # disparities are clamped here after every update
+MIN_DISPARITY = 1e-6   # updated disparities are clamped here; 0 (invalid) stays 0
 
 
 @dataclass
@@ -144,6 +144,7 @@ class NormalEquations:
     keyframe k, and every other entry of C is zero. So coupling has shape
     (sum of r_k, max_k |U_k|), which grows linearly in the number of
     keyframes; a block narrower than the widest keeps zeros past |U_k|.
+    assemble adds each keyframe's Schur terms to reduction and reduced_g.
     """
 
     layout: ProblemLayout
@@ -152,9 +153,9 @@ class NormalEquations:
     disp_h: np.ndarray     # (D,)
     pose_g: np.ndarray     # (P,)
     disp_g: np.ndarray     # (D,)
+    reduction: np.ndarray  # (P, P) sum_k C_k D_k^-1 C_k^T, undamped
+    reduced_g: np.ndarray  # (P,) sum_k C_k D_k^-1 disp_g_k, undamped
     energies: EnergyBreakdown = None
-    reduction: np.ndarray = None   # (P, P) sum_k C_k D_k^-1 C_k^T, undamped
-    reduced_g: np.ndarray = None   # (P,) sum_k C_k D_k^-1 disp_g_k, undamped
 
     def to_dense(self):
         """Materialize (H, b); intended for small oracle problems only."""
@@ -210,6 +211,7 @@ def _accumulate_edges(ne: NormalEquations, edges, ev, weight):
     ne.disp_h[d] += np.bincount(ev.pixels, cross[:, 0], layout.pixels_per_frame)
     ne.disp_g[d] += np.bincount(ev.pixels, np.einsum("nr,nr->n", w_disp, res),
                                 layout.pixels_per_frame)
+    del w_disp  # freed before the pose-block temporaries are allocated
 
     coupling = ne.coupling[layout.coupling_rows[i]]
     support_columns = layout.support_columns[i]
@@ -247,39 +249,35 @@ def _accumulate_edges(ne: NormalEquations, edges, ev, weight):
         ne.pose_g[cols] += lift.T @ (seg_weighted.T @ res[seg].reshape(-1))
 
 
-def _reduce(ne: NormalEquations):
-    """The undamped Schur terms (sum_k C_k D_k^-1 C_k^T, sum_k C_k D_k^-1 g_k) of ne.
+def _eliminate(ne: NormalEquations, k: int):
+    """Add keyframe k's undamped Schur terms C_k D_k^-1 C_k^T and C_k D_k^-1 g_k to ne.
 
-    Keyframe k's coupling block C_k enters only the rows and columns of its
-    unknowns (layout.coupling_cols[k]) and is non-zero only over its support
-    pixels: one small product per keyframe over |U_k| columns. Disparity
-    entries with an identically zero diagonal are left out.
+    C_k is non-zero only over k's support pixels and its unknowns
+    (layout.coupling_cols[k]): one small product over |U_k| columns. Disparity
+    entries with an identically zero diagonal are left out. A function of its
+    own so that these temporaries are freed at once.
     """
     layout = ne.layout
-    inv_disp = np.zeros_like(ne.disp_h)
-    np.divide(1.0, ne.disp_h, out=inv_disp, where=ne.disp_h > 0)
-    reduction = np.zeros_like(ne.pose_h)
-    reduced_g = np.zeros_like(ne.pose_g)
-    for k, (cols, rows, support) in enumerate(zip(layout.coupling_cols, layout.coupling_rows,
-                                                  layout.supports)):
-        c = ne.coupling[rows, :support.size]
-        pixels = layout.disparity_slice(k).start + support
-        ec = c * inv_disp[pixels]
-        reduction[np.ix_(cols, cols)] += ec @ c.T
-        reduced_g[cols] += ec @ ne.disp_g[pixels]
-    return reduction, reduced_g
+    cols, support = layout.coupling_cols[k], layout.supports[k]
+    c = ne.coupling[layout.coupling_rows[k], :support.size]
+    pixels = layout.disparity_slice(k).start + support
+    disp_h = ne.disp_h[pixels]
+    ec = c * np.divide(1.0, disp_h, out=np.zeros_like(disp_h), where=disp_h > 0)
+    ne.reduction[np.ix_(cols, cols)] += ec @ c.T
+    ne.reduced_g[cols] += ec @ ne.disp_g[pixels]
 
 
 def assemble(graph: KeyframeGraph, config: SolverConfig, alphas,
              layout: ProblemLayout = None) -> NormalEquations:
     """Accumulate the weighted Gauss-Newton normal equations over all edges and priors.
 
-    The out-edges of each keyframe (one group of graph.edge_groups()) are
-    evaluated together and add their stacked residual rows with the weights
-    of residuals.edge_weights under that group's shapes in alphas (from
-    kernel_alphas); each keyframe adds the diagonal and gradient of
-    residuals.prior_terms. The undamped Schur terms are formed once here.
-    layout is ProblemLayout.build(graph, config), built here when not given.
+    Every keyframe first adds the diagonal and gradient of residuals.prior_terms.
+    Then the out-edges of each keyframe (one group of graph.edge_groups()) are
+    evaluated together and add their stacked residual rows with the weights of
+    residuals.edge_weights under that group's shapes in alphas. A keyframe's
+    disparities enter only its own out-edges' rows, so its disparity block is
+    then complete and its undamped Schur terms are added at once. layout is
+    ProblemLayout.build(graph, config), built here when not given.
     """
     if layout is None:
         layout = ProblemLayout.build(graph, config)
@@ -288,7 +286,17 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas,
     ne = NormalEquations(layout=layout, pose_h=np.zeros((p, p)),
                          coupling=np.zeros((layout.coupling_rows[-1].stop, width)),
                          disp_h=np.zeros(layout.n_disparity), pose_g=np.zeros(p),
-                         disp_g=np.zeros(layout.n_disparity))
+                         disp_g=np.zeros(layout.n_disparity), reduction=np.zeros((p, p)),
+                         reduced_g=np.zeros(p))
+    e_reg = 0.0
+    for kf in graph.keyframes:
+        energy, h, g = prior_terms(kf)
+        e_reg += energy
+        d_slice = layout.disparity_slice(kf.index)
+        ne.disp_h[d_slice] += h
+        ne.disp_g[d_slice] += g
+    del h, g  # the last keyframe's prior rows are not needed while edges are evaluated
+
     e_photo = 0.0
     e_embed = 0.0
     for edges, alpha in zip(graph.edge_groups(), alphas, strict=True):
@@ -300,17 +308,9 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas,
         e_photo += ep
         e_embed += ee
         _accumulate_edges(ne, edges, ev, edge_weights(ev, alpha, config))
-        del ev  # free this keyframe's rows before the next one is evaluated
-
-    e_reg = 0.0
-    for kf in graph.keyframes:
-        energy, h, g = prior_terms(kf)
-        e_reg += energy
-        d_slice = layout.disparity_slice(kf.index)
-        ne.disp_h[d_slice] += h
-        ne.disp_g[d_slice] += g
+        del ev  # free this keyframe's rows before its elimination and the next keyframe
+        _eliminate(ne, edges[0].i)
     ne.energies = EnergyBreakdown.of(e_photo, e_embed, e_reg, config.lambda_embed)
-    ne.reduction, ne.reduced_g = _reduce(ne)
     return ne
 
 
@@ -350,9 +350,10 @@ def retract(graph: KeyframeGraph, delta: np.ndarray, config: SolverConfig,
             layout: ProblemLayout = None) -> KeyframeGraph:
     """Apply a stacked update: exp-compose poses, add intrinsics, add and clamp disparities.
 
-    A finite delta keeps every keyframe valid, so delta is checked once and the
-    moved keyframes share the already validated prior and feature maps. layout
-    is ProblemLayout.build(graph, config), built here when not given.
+    A disparity 0 (invalid) with a zero update stays 0. A finite delta keeps
+    every keyframe valid, so delta is checked once and the moved keyframes
+    share the already validated prior and feature maps. layout is
+    ProblemLayout.build(graph, config), built here when not given.
     """
     if layout is None:
         layout = ProblemLayout.build(graph, config)
@@ -367,9 +368,11 @@ def retract(graph: KeyframeGraph, delta: np.ndarray, config: SolverConfig,
     for kf in graph.keyframes:
         slot = layout.pose_slices[kf.index]
         pose = kf.pose if slot is None else se3_exp(delta[slot]).compose(kf.pose)
-        disp = kf.disparity + disp_delta[layout.disparity_slice(kf.index)].reshape(kf.disparity.shape)
+        step = disp_delta[layout.disparity_slice(kf.index)].reshape(kf.disparity.shape)
+        disp = kf.disparity + step
+        np.maximum(disp, MIN_DISPARITY, out=disp, where=(kf.disparity > 0) | (step != 0))
         moved = copy.copy(kf)  # no Keyframe.__post_init__: the other maps are unchanged
-        moved.pose, moved.disparity = pose, np.maximum(disp, MIN_DISPARITY)
+        moved.pose, moved.disparity = pose, disp
         keyframes.append(moved)
     intrinsics = graph.intrinsics
     if layout.intrinsics_slice is not None:
@@ -394,10 +397,10 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     shape parameters are decided once from the current state, and they are
     held fixed while the normal equations are built, solved, and the step is
     scored (b is then the exact objective gradient for that kernel state).
-    kernel_alphas decides them at the start state; after that, the trial
-    total_energy that accepts a state also returns the shapes kernel_alphas
-    would decide there, from the similarity it computed anyway, so no further
-    similarity-only pass is made.
+    kernel_alphas decides them at the start state; after that, every trial
+    total_energy also returns the shapes kernel_alphas would decide at its
+    state, from the similarity it computes anyway, and the accepting trial's
+    shapes serve the next iteration, so no further similarity-only pass is made.
 
     Returns (optimized graph, trace). Row 0 of the trace holds the initial
     energies; each further row is one scored solve attempt with its accept
@@ -437,10 +440,7 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
             k = layout.intrinsics_slice
             if k is None or np.all(state.intrinsics.as_array()[:2] + delta[k][:2] > 0):
                 candidate = retract(state, delta, config, layout)
-                if it < config.max_iters:  # the last iteration prepares no next one
-                    e_new, shapes = total_energy(candidate, config, alphas, with_shapes=True)
-                else:
-                    e_new, shapes = total_energy(candidate, config, alphas), None
+                e_new, shapes = total_energy(candidate, config, alphas)
                 accepted = e_new.total < e_cur.total
                 trace.append(IterationRecord(it, e_new.total, e_new.photo_ark, e_new.embed,
                                              e_new.reg, accepted))

@@ -151,7 +151,7 @@ class TestCriterion3OracleConsistency:
     def test_ground_truth_energy_vanishes(self):
         bundle = gen_scene(SceneConfig(num_keyframes=8, height=48, width=64, seed=7))
         graph, config = bundle.to_graph(initial=False), SolverConfig()
-        e = total_energy(graph, config, kernel_alphas(graph, config))
+        e, _ = total_energy(graph, config, kernel_alphas(graph, config))
         assert e.total <= 1e-9
         report(3, f"noise-free bundle E_total at ground truth = {e.total:.2e}")
 

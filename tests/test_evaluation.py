@@ -245,6 +245,11 @@ class TestSegMetrics:
         gt = np.concatenate([np.full(n, c) for c, n in enumerate([50, 40, 30, 20, 10])])
         m = seg_metrics(gt, gt)
         assert m.groups == ["head", "head", "common", "common", "tail"]
+        # Two classes: one each for head and common, and the empty tail reads zeros.
+        m = seg_metrics(gt[gt < 2], gt[gt < 2])
+        assert m.groups == ["head", "common"]
+        assert m.group_metrics["head"]["miou"] == m.group_metrics["common"]["miou"] == 1.0
+        assert m.group_metrics["tail"] == {"miou": 0.0, "fmiou": 0.0, "macc": 0.0}
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -328,7 +328,7 @@ class TestTotalEnergy:
     def test_zero_at_ground_truth(self, clean_bundle):
         graph = clean_bundle.to_graph(initial=False)
         config = SolverConfig()
-        e = total_energy(graph, config, kernel_alphas(graph, config))
+        e, _ = total_energy(graph, config, kernel_alphas(graph, config))
         assert e.total <= 1e-9
         assert e.photo_ark <= 1e-9 and e.embed <= 1e-9 and e.reg == 0.0
 
@@ -358,7 +358,7 @@ class TestTotalEnergy:
         graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs],
                               intrinsics=bundle.intrinsics)
         config = SolverConfig(lambda_embed=1.3)
-        got = total_energy(graph, config, kernel_alphas(graph, config))
+        got, _ = total_energy(graph, config, kernel_alphas(graph, config))
 
         e_photo = 0.0
         e_embed = 0.0

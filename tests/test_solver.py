@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from semba.evaluation import trajectory_ate
+from semba.evaluation import fuse_point_cloud, trajectory_ate
 from semba.geometry import Intrinsics, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import FlowObservation, evaluate_edge, total_energy
@@ -186,7 +186,7 @@ class TestAssemble:
         for name in ("pose_h", "pose_g", "coupling", "disp_h", "disp_g"):
             assert np.array_equal(getattr(ne_dead, name), getattr(ne, name)), name
         assert ne_dead.energies == ne.energies
-        assert total_energy(with_dead, config, alphas) == ne.energies
+        assert total_energy(with_dead, config, alphas)[0] == ne.energies
 
 
 class TestAccumulate:
@@ -209,7 +209,8 @@ class TestAccumulate:
         width = max(support.size for support in layout.supports)
         ne = NormalEquations(layout=layout, pose_h=np.zeros((p, p)),
                              coupling=np.zeros((layout.coupling_rows[-1].stop, width)),
-                             disp_h=np.zeros(d), pose_g=np.zeros(p), disp_g=np.zeros(d))
+                             disp_h=np.zeros(d), pose_g=np.zeros(p), disp_g=np.zeros(d),
+                             reduction=np.zeros((p, p)), reduced_g=np.zeros(p))
         _accumulate_edges(ne, edges, ev, weight)
         h, b = ne.to_dense()
         j, w, r = (np.array(part) for part in stacked_rows(layout, edges, ev, weight))
@@ -232,7 +233,7 @@ class TestKernelAlphas:
         assert alphas == [1.0] * 3 and all(type(alpha) is float for alpha in alphas)
         monkeypatch.undo()
         # A trial pass hands back the alphas it was given: no state changes them.
-        _, shapes = total_energy(graph, config, alphas, with_shapes=True)
+        _, shapes = total_energy(graph, config, alphas)
         assert shapes is alphas
 
     def test_adaptive_matches_jacobian_pass(self, dynamic_bundle):
@@ -256,8 +257,8 @@ class TestKernelAlphas:
         config = small_config(lambda_embed=lambda_embed)
         start = kernel_alphas(dynamic_bundle.to_graph(initial=True), config)
         graph = dynamic_bundle.to_graph(initial=False)
-        energies, shapes = total_energy(graph, config, start, with_shapes=True)
-        assert energies == total_energy(graph, config, start)
+        energies, shapes = total_energy(graph, config, start)
+        assert energies == assemble(graph, config, start).energies  # scored under start
         expected = kernel_alphas(graph, config)
         assert len(shapes) == len(expected)
         for got, want in zip(shapes, expected):
@@ -356,6 +357,19 @@ class TestSchurSolve:
                                    -grad[~unobserved] / (hess[~unobserved] * (1 + lm)),
                                    rtol=1e-15, atol=0)
 
+    def test_keyframe_without_out_edges_matches_dense_oracle(self):
+        # Keyframe 4 keeps its in-edges (2, 4) and (3, 4), which constrain its
+        # pose, but loses its out-edges: its disparities carry only their prior
+        # and have no elimination.
+        graph = gapped_graph({0})
+        graph.edges = [obs for obs in graph.edges if obs.i != 4]
+        assert [edges[0].i for edges in graph.edge_groups()] == [0, 1, 2, 3]
+        ne, h_ref, b_ref = assert_matches_brute_force(graph, small_config())
+        layout = ne.layout
+        assert layout.supports[4].size == 0 and layout.coupling_cols[4].size == 0
+        assert np.all(ne.disp_h[layout.disparity_slice(4)] > 0)
+        assert_schur_matches_dense(ne, h_ref, b_ref)
+
 
 class TestCouplingMemory:
     def test_coupling_rows_grow_linearly_in_keyframes(self):
@@ -432,6 +446,33 @@ class TestRetract:
         delta[layout.n_reduced:] = -100.0
         out = retract(graph, delta, config)
         assert out.keyframes[0].disparity.min() == MIN_DISPARITY
+
+    def test_zero_disparity_stays_invalid(self):
+        # Disparity 0 marks an invalid pixel, which gets a zero update; the
+        # clamp must not lift it to MIN_DISPARITY, a depth of 1e6 m.
+        graph = gen_scene(SceneConfig(num_keyframes=4, height=24, width=32, pose_sigma=0.01,
+                                      seed=1)).to_graph(initial=True)
+        keyframes = []
+        for kf in graph.keyframes:
+            disparity, prior = kf.disparity.copy(), kf.disparity_prior.copy()
+            disparity[:4, :6] = prior[:4, :6] = 0.0
+            keyframes.append(dataclasses.replace(kf, disparity=disparity,
+                                                 disparity_prior=prior))
+        graph = KeyframeGraph(keyframes=keyframes, edges=graph.edges,
+                              intrinsics=graph.intrinsics)
+        out, trace = solve(graph, small_config(max_iters=3))
+        assert sum(r.accepted for r in trace[1:]) >= 1
+        for kf in out.keyframes:
+            assert np.count_nonzero(kf.disparity == 0) == 24
+            assert np.all(kf.disparity[:4, :6] == 0)
+        assert len(fuse_point_cloud(out).points) == len(fuse_point_cloud(graph).points)
+        # A non-zero update of an invalid pixel is clamped like any other.
+        config = small_config()
+        layout = ProblemLayout.build(graph, config)
+        delta = np.zeros(layout.n_total)
+        delta[layout.n_reduced + np.array([0, 1])] = [-1.0, 0.5]
+        moved = retract(graph, delta, config, layout).keyframes[0].disparity
+        assert moved[0, 0] == MIN_DISPARITY and moved[0, 1] == 0.5 and moved[0, 2] == 0.0
 
     def test_dimension_check(self, toy_bundle):
         graph = toy_bundle.to_graph()

@@ -36,7 +36,7 @@ class TestGenScene:
 
     def test_ground_truth_is_zero_energy(self, clean_bundle):
         graph = clean_bundle.to_graph(initial=False)
-        e = total_energy(graph, CONFIG, kernel_alphas(graph, CONFIG))
+        e, _ = total_energy(graph, CONFIG, kernel_alphas(graph, CONFIG))
         assert e.total <= 1e-9
 
     def test_edges_join_keyframes_within_the_temporal_radius(self, clean_bundle):
