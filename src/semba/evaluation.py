@@ -78,8 +78,8 @@ def unproject_keyframe(disparity: np.ndarray, pose: Pose, intrinsics: Intrinsics
     d = disparity[ys, xs].reshape(-1)
     ok = d > 0
     rows, cols = ys.reshape(-1)[ok], xs.reshape(-1)[ok]
-    u = np.stack([cols, rows], axis=-1).astype(float)
-    return pose.inverse().apply(unproject(u, d[ok], intrinsics)), rows, cols
+    u = np.stack([cols, rows]).astype(float)
+    return pose.inverse().apply(unproject(u, d[ok], intrinsics).T), rows, cols
 
 
 def fuse_point_cloud(graph, pca: PcaModel = None, stride: int = 1) -> SemanticPointCloud:

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   * Twists are 6-vectors [v; w] (translational part first).
   * Pose perturbations are left-multiplicative: T <- se3_exp(delta) @ T.
   * Pixel coordinates are (x, y); dense maps are indexed [y, x].
+  * Batches of pixels and points are component-major: (2, N) pixels and
+    (3, N) points, with the point axis last.
   * Disparity is inverse depth in 1/meters, 0 meaning invalid.
 
 Pose arithmetic (rotation matrix, composition, inverse, exponential) is done in
@@ -177,72 +179,73 @@ def relative_pose(pose_i: Pose, pose_j: Pose) -> Pose:
 
 
 def unproject(u: np.ndarray, disparity: np.ndarray, intrinsics: Intrinsics) -> np.ndarray:
-    """Back-project pixels (..., 2) with disparity (...,) to camera-frame points (..., 3).
+    """Back-project pixels (2, ...) with disparity (...,) to camera-frame points (3, ...).
 
     Caller guarantees disparity > 0; depth is 1/disparity.
     """
     u = np.asarray(u, dtype=float)
     d = np.asarray(disparity, dtype=float)
     z = 1.0 / d
-    x = (u[..., 0] - intrinsics.cx) / intrinsics.fx * z
-    y = (u[..., 1] - intrinsics.cy) / intrinsics.fy * z
-    return np.stack([x, y, z], axis=-1)
+    x = (u[0] - intrinsics.cx) / intrinsics.fx * z
+    y = (u[1] - intrinsics.cy) / intrinsics.fy * z
+    return np.stack([x, y, z])
 
 
 def project(points: np.ndarray, intrinsics: Intrinsics) -> np.ndarray:
-    """Pinhole projection of camera-frame points (..., 3) to pixels (..., 2)."""
+    """Pinhole projection of camera-frame points (3, ...) to pixels (2, ...)."""
     points = np.asarray(points, dtype=float)
-    z = points[..., 2]
-    return np.stack(
-        [
-            intrinsics.fx * points[..., 0] / z + intrinsics.cx,
-            intrinsics.fy * points[..., 1] / z + intrinsics.cy,
-        ],
-        axis=-1,
-    )
+    z = points[2]
+    return np.stack([intrinsics.fx * points[0] / z + intrinsics.cx,
+                     intrinsics.fy * points[1] / z + intrinsics.cy])
 
 
 def _segments(bounds):
-    """Row slices of a batch's edges from their (E+1,) row offsets; None is one edge."""
+    """Index of each edge's points along the last axis of a batch, from the edges' (E+1,)
+    offsets; None is one edge."""
     if bounds is None:
-        return [slice(None)]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return [(Ellipsis,)]
+    return [(Ellipsis, slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _transform(u, disparity, relative, intrinsics: Intrinsics, bounds):
-    """Unproject pixels of frame i through its intrinsics and carry each edge's rows
+    """Unproject pixels of frame i through its intrinsics and carry each edge's points
     into its camera j with that edge's T_ji.
 
-    Returns (points_j (..., 3), valid (...,), row slices, rotations R_ji, safe
-    disparity (...,)). Invalid entries (non-positive disparity or depth in j
-    <= Z_EPS) hold z = 1 in points_j and disparity 1, so that everything derived
-    from them stays finite.
+    Returns (points_j (3, N), valid (N,), edge indices, rotations R_ji, safe
+    disparity (N,)); a single pixel (2,) with a scalar disparity gives (3,) and
+    scalars. Invalid entries (non-positive disparity or depth in j <= Z_EPS)
+    hold z = 1 in points_j and disparity 1, so that everything derived from
+    them stays finite.
     """
-    u = np.asarray(u, dtype=float)
     d = np.asarray(disparity, dtype=float)
     valid = d > 0
     d_safe = np.where(valid, d, 1.0)
     points_i = unproject(u, d_safe, intrinsics)
     segments = _segments(bounds)
-    # One 3x3 product per edge: a per-row rotation stack is slower.
+    # One 3x3 product per edge; a per-point rotation stack is slower. R_ji @ X on
+    # the (3, N) batch is bit for bit the row form X^T @ R_ji^T, unlike a per-point
+    # sum or einsum, so generated scenes do not depend on the layout.
     points_j = np.empty_like(points_i)
     rotations = [rel.rotation_matrix() for rel in relative]
+    shift = (3,) + (1,) * d.ndim
     for seg, rot, rel in zip(segments, rotations, relative, strict=True):
-        points_j[seg] = points_i[seg] @ rot.T + rel.translation
-    valid = valid & (points_j[..., 2] > Z_EPS)
-    points_j[..., 2] = np.where(valid, points_j[..., 2], 1.0)
+        np.matmul(rot, points_i[seg], out=points_j[seg])
+        points_j[seg] += rel.translation.reshape(shift)
+    valid = valid & (points_j[2] > Z_EPS)
+    points_j[2] = np.where(valid, points_j[2], 1.0)
     return points_j, valid, segments, rotations, d_safe
 
 
 def reproject(u, disparity, relative, intrinsics: Intrinsics, bounds=None):
     """Map pixels of frame i into the frames j of a batch of edges i -> j.
 
-    u: (..., 2) pixels, disparity: (...,) inverse depths of frame i. relative
-    holds each edge's T_ji (relative_pose(pose_i, pose_j)); rows bounds[e] to
-    bounds[e + 1] belong to edge e (bounds None: one edge, every row).
-    Returns (mu (..., 2), valid (...,)); invalid entries (non-positive disparity
-    or reprojected depth <= Z_EPS) hold finite placeholder coordinates and must
-    be masked by the caller.
+    u: (2, N) pixels (x, y), disparity: (N,) inverse depths of frame i; a single
+    pixel is (2,) with a scalar disparity. relative holds each edge's T_ji
+    (relative_pose(pose_i, pose_j)); points bounds[e] to bounds[e + 1] belong to
+    edge e (bounds None: one edge, every point).
+    Returns (mu (2, N), valid (N,)); invalid entries (non-positive disparity or
+    reprojected depth <= Z_EPS) hold finite placeholder coordinates and must be
+    masked by the caller.
     """
     points_j, valid, _, _, _ = _transform(u, disparity, relative, intrinsics, bounds)
     return project(points_j, intrinsics), valid
@@ -252,68 +255,80 @@ def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds
                           with_intrinsics: bool = False, out=None):
     """Analytic derivatives of reproject under left-multiplicative twists.
 
-    Returns (adjoint (E, 6, 6), jac (..., 2, 7 or 11), mu (..., 2), valid (...,))
-    for the E edges of relative and bounds, as in reproject. jac's columns are
-    [disparity | pose j | intrinsics]: the twist on T_j ordered [v; w], then
-    [fx, fy, cx, cy] when with_intrinsics. Pose i enters only through T_ji, and
-    T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji, so the derivative of edge e's
-    rows under a twist on T_i is -jac[..., 1:7] @ adjoint[e] with
-    adjoint[e] = Ad(T_ji). When out is given (an array of jac's shape, such as a
-    view of rows of a larger stack), every entry of it is written and it is
+    Returns (adjoint (E, 6, 6), jac (2, 7 or 11, N), mu (2, N), valid (N,)) for
+    the E edges of relative and bounds, as in reproject: jac[r, c] is the
+    derivative of coordinate r of mu along column c, over all N points. jac's
+    columns are [disparity | pose j | intrinsics]: the twist on T_j ordered
+    [v; w], then [fx, fy, cx, cy] when with_intrinsics. Pose i enters only
+    through T_ji, and T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji, so row r of
+    edge e's points has the pose-i columns -adjoint[e].T @ jac[r, 1:7] with
+    adjoint[e] = Ad(T_ji). When out is given (an array of jac's shape, such as
+    the first rows of a larger stack), every entry of it is written and it is
     returned as jac.
     """
     points_j, valid, segments, rotations, d_safe = _transform(u, disparity, relative,
                                                               intrinsics, bounds)
     mu = project(points_j, intrinsics)
-    jac = np.empty(valid.shape + (2, 11 if with_intrinsics else 7)) if out is None else out
+    jac = np.empty((2, 11 if with_intrinsics else 7) + valid.shape) if out is None else out
 
     # A left twist [v; w] on T_j moves X_j by v + w x X_j. With (a, b) = (x, y) / z
     # the two rows of d(project)/d[v; w] are, in closed form, written column by
-    # column into jac[..., 1:7]:
-    inv_z = 1.0 / points_j[..., 2]
-    a, b = points_j[..., 0] * inv_z, points_j[..., 1] * inv_z
+    # column into jac[:, 1:7]:
+    inv_z = 1.0 / points_j[2]
+    a, b = points_j[0] * inv_z, points_j[1] * inv_z
     fx, fy = intrinsics.fx, intrinsics.fy
-    row_x, row_y = jac[..., 0, :], jac[..., 1, :]
-    np.multiply(inv_z, fx, out=row_x[..., 1])
-    row_x[..., 2] = 0.0
-    np.multiply(-a * inv_z, fx, out=row_x[..., 3])
-    np.multiply(-a * b, fx, out=row_x[..., 4])
-    np.multiply(1.0 + a * a, fx, out=row_x[..., 5])
-    np.multiply(-b, fx, out=row_x[..., 6])
-    row_y[..., 1] = 0.0
-    np.multiply(inv_z, fy, out=row_y[..., 2])
-    np.multiply(-b * inv_z, fy, out=row_y[..., 3])
-    np.multiply(-1.0 - b * b, fy, out=row_y[..., 4])
-    np.multiply(a * b, fy, out=row_y[..., 5])
-    np.multiply(a, fy, out=row_y[..., 6])
-    d_mu_d_point = jac[..., 1:4]  # d(mu)/dX_j
+    # (An index ending in ... is a view even for a single pixel's scalar entries.)
+    row_x, row_y = jac[0], jac[1]
+    np.multiply(inv_z, fx, out=row_x[1, ...])
+    row_x[2] = 0.0
+    np.multiply(-a * inv_z, fx, out=row_x[3, ...])
+    np.multiply(-a * b, fx, out=row_x[4, ...])
+    np.multiply(1.0 + a * a, fx, out=row_x[5, ...])
+    np.multiply(-b, fx, out=row_x[6, ...])
+    row_y[1] = 0.0
+    np.multiply(inv_z, fy, out=row_y[2, ...])
+    np.multiply(-b * inv_z, fy, out=row_y[3, ...])
+    np.multiply(-1.0 - b * b, fy, out=row_y[4, ...])
+    np.multiply(a * b, fy, out=row_y[5, ...])
+    np.multiply(a, fy, out=row_y[6, ...])
+    d_mu_d_point = jac[:, 1:4]  # d(mu)/dX_j
 
     adjoint = np.zeros((len(relative), 6, 6))
     # X_i = dir / d  =>  dX_j/dd = R_ji dX_i/dd = -(X_j - t_ji) / d
     d_point_disp = np.empty_like(points_j)
+    shift = (3,) + (1,) * valid.ndim
     for e, (seg, rot, rel) in enumerate(zip(segments, rotations, relative)):
         adjoint[e, :3, :3] = adjoint[e, 3:, 3:] = rot
         adjoint[e, :3, 3:] = skew(rel.translation) @ rot
-        d_point_disp[seg] = rel.translation - points_j[seg]
-    d_point_disp /= d_safe[..., None]
-    jac[..., 0] = np.einsum("...ij,...j->...i", d_mu_d_point, d_point_disp)
+        np.subtract(rel.translation.reshape(shift), points_j[seg], out=d_point_disp[seg])
+    d_point_disp /= d_safe
+    # d(mu)/dd = d(mu)/dX_j dX_j/dd, without the zero entries of d(mu)/dX_j.
+    np.multiply(row_x[1], d_point_disp[0], out=row_x[0, ...])
+    row_x[0] += row_x[3] * d_point_disp[2]
+    np.multiply(row_y[2], d_point_disp[1], out=row_y[0, ...])
+    row_y[0] += row_y[3] * d_point_disp[2]
 
     if with_intrinsics:
         # The intrinsics enter through the projection in frame j (the direct
         # term) and through the unprojection in frame i, whose shift moves edge
         # e's X_j by R_ji times it.
         k = intrinsics
-        jac[..., 7:] = 0.0
-        jac[..., 0, 7] = (mu[..., 0] - k.cx) / k.fx
-        jac[..., 1, 8] = (mu[..., 1] - k.cy) / k.fy
-        jac[..., 0, 9] = jac[..., 1, 10] = 1.0
-        # X_i = ((u - cx) / (fx d), (v - cy) / (fy d), 1 / d)
+        jac[:, 7:] = 0.0
+        jac[0, 7] = (mu[0] - k.cx) / k.fx
+        jac[1, 8] = (mu[1] - k.cy) / k.fy
+        jac[0, 9] = jac[1, 10] = 1.0
+        # X_i = ((u - cx) / (fx d), (v - cy) / (fy d), 1 / d): its derivative is
+        # non-zero only in x along (fx, cx) and in y along (fy, cy).
         u = np.asarray(u, dtype=float)
-        dxi = np.zeros(d_safe.shape + (3, 4))
-        dxi[..., 0, 0] = -(u[..., 0] - k.cx) / (k.fx**2 * d_safe)
-        dxi[..., 0, 2] = -1.0 / (k.fx * d_safe)
-        dxi[..., 1, 1] = -(u[..., 1] - k.cy) / (k.fy**2 * d_safe)
-        dxi[..., 1, 3] = -1.0 / (k.fy * d_safe)
+        dx_dfx = -(u[0] - k.cx) / (k.fx**2 * d_safe)
+        dx_dcx = -1.0 / (k.fx * d_safe)
+        dy_dfy = -(u[1] - k.cy) / (k.fy**2 * d_safe)
+        dy_dcy = -1.0 / (k.fy * d_safe)
         for seg, rot in zip(segments, rotations):
-            jac[seg, ..., 7:] += d_mu_d_point[seg] @ rot @ dxi[seg]
+            # d(mu)/dX_i along x and y: d(mu)/dX_j @ R_ji, its first two columns.
+            dmu_dx, dmu_dy = np.einsum("rk...,kc->cr...", d_mu_d_point[seg], rot[:, :2])
+            jac[:, 7][seg] += dmu_dx * dx_dfx[seg]
+            jac[:, 9][seg] += dmu_dx * dx_dcx[seg]
+            jac[:, 8][seg] += dmu_dy * dy_dfy[seg]
+            jac[:, 10][seg] += dmu_dy * dy_dcy[seg]
     return adjoint, jac, mu, valid

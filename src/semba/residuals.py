@@ -87,12 +87,13 @@ class FlowObservation:
 
 @functools.cache
 def grid_pixels(height: int, width: int) -> np.ndarray:
-    """All integer pixel coordinates of an H x W grid, row-major, as (H*W, 2) floats.
+    """All integer pixel coordinates (x, y) of an H x W grid as (2, H*W) floats, the
+    pixels in row-major order.
 
     One read-only array per grid shape, shared by every caller.
     """
     xs, ys = np.meshgrid(np.arange(width), np.arange(height))
-    u = np.stack([xs, ys], axis=-1).reshape(-1, 2).astype(float)
+    u = np.stack([xs, ys]).reshape(2, -1).astype(float)
     u.flags.writeable = False
     return u
 
@@ -117,25 +118,27 @@ def _embed_dresidual_dcs(r):
 
 @dataclass(eq=False)
 class EdgeEvaluation:
-    """Per-pixel quantities for a batch of out-edges of one keyframe, one row per
-    pixel of their supports.
+    """Per-pixel quantities for a batch of out-edges of one keyframe, over the pixels
+    of their supports, component-major: the pixel axis is last.
 
-    Rows bounds[e] to bounds[e + 1] belong to edge e of the batch, and row n to
-    the grid pixel pixels[n] (a flat row-major index) of the source keyframe; N
-    is the summed number of pixels with non-zero confidence, not H*W. R is 3, or
-    2 when the embedding term is not evaluated.
+    Pixels bounds[e] to bounds[e + 1] belong to edge e of the batch, and pixel n
+    to the grid pixel pixels[n] (a flat row-major index) of the source keyframe;
+    N is the summed number of pixels with non-zero confidence, not H*W. Each
+    pixel has R residual rows [flow x, flow y, embedding]: R is 3, or 2 when the
+    embedding term is not evaluated. residual[r] and jac[r, c] are contiguous
+    (N,) rows.
     """
 
     pixels: np.ndarray            # (N,) flat grid indices, ascending within each edge
-    bounds: np.ndarray            # (E+1,) row offsets of the E edges
+    bounds: np.ndarray            # (E+1,) pixel offsets of the E edges
     confidence: np.ndarray        # (N,)
-    residual: np.ndarray          # (N, R) rows [flow x, flow y, embedding]
+    residual: np.ndarray          # (R, N) rows [flow x, flow y, embedding]
     valid_flow: np.ndarray        # (N,)
     cs: np.ndarray                # (N,)
     valid_embed: np.ndarray       # (N,)
-    jac: np.ndarray = None        # (N, R, 7 or 11) over [disparity | pose j | intrinsics]
-    adjoint: np.ndarray = None    # (E, 6, 6) Ad(T_ji) per edge: pose-i columns of edge e's
-                                  # rows = -(pose-j columns) @ adjoint[e]
+    jac: np.ndarray = None        # (R, 7 or 11, N) over [disparity | pose j | intrinsics]
+    adjoint: np.ndarray = None    # (E, 6, 6) Ad(T_ji) per edge: pose-i columns of row r of
+                                  # edge e = -adjoint[e].T @ (pose-j columns jac[r, 1:7])
 
 
 def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding: bool = True,
@@ -154,10 +157,10 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
     even when the embedding term itself is disabled (the adaptive kernel
     consumes it either way).
 
-    The stacked residual and Jacobian are allocated once, and each row is
-    written into them in place. Arithmetic that overflows in the Jacobian pass
-    leaves non-finite rows without a warning: the solver reports them, naming
-    the edge and pixel.
+    The stacked residual (R, N) and Jacobian (R, 7 or 11, N) are allocated
+    once, and each row is written into them in place. Arithmetic that
+    overflows in the Jacobian pass leaves non-finite rows without a warning:
+    the solver reports them, naming the edge and pixel.
     """
     kf_i = graph.keyframes[edges[0].i]
     for obs in edges:
@@ -169,7 +172,7 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
     bounds = np.zeros(len(edges) + 1, dtype=int)
     np.cumsum([obs.pixels.size for obs in edges], out=bounds[1:])
     pixels = np.concatenate([obs.pixels for obs in edges])
-    u = grid_pixels(h, w)[pixels]
+    u = grid_pixels(h, w).take(pixels, axis=1)
     d = kf_i.disparity.reshape(-1)[pixels]
     relative = [geometry.relative_pose(kf_i.pose, kf_j.pose) for kf_j in targets]
     intrinsics = graph.intrinsics
@@ -178,18 +181,18 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
     n_rows = 3 if need_embedding else 2
     jac = adjoint = None
     if with_jacobians:
-        jac = np.empty((n, n_rows, 11 if with_intrinsics else 7))
+        jac = np.empty((n_rows, 11 if with_intrinsics else 7, n))
         with np.errstate(over="ignore", invalid="ignore"):
             adjoint, _, mu, valid_geo = geometry.reprojection_jacobian(
-                u, d, relative, intrinsics, bounds, with_intrinsics, out=jac[:, :2])
+                u, d, relative, intrinsics, bounds, with_intrinsics, out=jac[:2])
     else:
         mu, valid_geo = geometry.reproject(u, d, relative, intrinsics, bounds)
 
-    valid_flow = valid_geo & in_bounds(mu, h, w)
-    residual = np.empty((n, n_rows))
-    r_flow = residual[:, :2]
-    np.subtract(mu - u, np.concatenate([obs.target for obs in edges]), out=r_flow)
-    r_flow[~valid_flow] = 0.0
+    valid_flow = valid_geo & in_bounds(mu.T, h, w)
+    residual = np.empty((n_rows, n))
+    r_flow = residual[:2]
+    np.subtract(mu - u, np.concatenate([obs.target for obs in edges]).T, out=r_flow)
+    r_flow[:, ~valid_flow] = 0.0
     conf = np.concatenate([obs.confidence for obs in edges])
 
     out = EdgeEvaluation(
@@ -205,7 +208,7 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
         z_smp = np.empty_like(z_src)
         dz_du = np.empty((n, 2, z_src.shape[1])) if with_grad else None  # gradient-major
         for lo, hi, kf_j in zip(bounds[:-1], bounds[1:], targets):
-            z_smp[lo:hi], grad, _ = bilinear_sample(kf_j.features, mu[lo:hi],
+            z_smp[lo:hi], grad, _ = bilinear_sample(kf_j.features, mu[:, lo:hi].T,
                                                     with_grad=with_grad)
             if with_grad:
                 dz_du[lo:hi] = grad.swapaxes(-1, -2)
@@ -214,7 +217,7 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
         out.cs = np.where(valid_embed, cs, 0.0)
         out.valid_embed = valid_embed
         if need_embedding:
-            r_embed = residual[:, 2]
+            r_embed = residual[2]
             r_embed[:] = _embed_residual_from_cs(cs)
             r_embed[~valid_embed] = 0.0
             if with_jacobians:
@@ -222,12 +225,13 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
                 inv_smp = 1.0 / np.where(norm_ok, n_smp, 1.0)
                 dcs_dz = z_src * (inv_smp / np.where(norm_ok, n_src, 1.0))[:, None]
                 dcs_dz -= z_smp * (cs * inv_smp * inv_smp)[:, None]
-                dcs_du = np.einsum("nk,nik->ni", dcs_dz, dz_du)
+                dcs_du = np.einsum("nk,nik->in", dcs_dz, dz_du)
                 scale = np.where(valid_embed, _embed_dresidual_dcs(r_embed), 0.0)
                 # The embedding row, written in place from the flow rows.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    np.einsum("ni,nij->nj", dcs_du, jac[:, :2], out=jac[:, 2])
-                    jac[:, 2] *= scale[:, None]
+                    np.multiply(dcs_du[0], jac[0], out=jac[2])
+                    jac[2] += dcs_du[1] * jac[1]
+                    jac[2] *= scale
     return out
 
 
@@ -258,7 +262,7 @@ def kernel_alphas(graph, config) -> list:
 
 def _flow_norm(ev: EdgeEvaluation) -> np.ndarray:
     """Norm of rows 0-1 of each pixel, bitwise equal to np.linalg.norm over them."""
-    x, y = ev.residual[:, 0], ev.residual[:, 1]
+    x, y = ev.residual[0], ev.residual[1]
     return np.sqrt(x * x + y * y)
 
 
@@ -266,20 +270,20 @@ def edge_energies(ev: EdgeEvaluation, alpha: np.ndarray):
     """(photo_ark, embed) energies of one edge evaluation under shapes alpha: rho of the
     norm of rows 0-1 (rho(0) = 0) and the squares of rows 2:, confidence-weighted."""
     rho = robust.barron_rho(_flow_norm(ev), alpha)
-    embed = np.einsum("nr,nr->n", ev.residual[:, 2:], ev.residual[:, 2:])
+    embed = np.einsum("rn,rn->n", ev.residual[2:], ev.residual[2:])
     return float(np.sum(ev.confidence * rho)), float(np.sum(ev.confidence * embed))
 
 
 def edge_weights(ev: EdgeEvaluation, alpha: np.ndarray, config) -> np.ndarray:
-    """Gauss-Newton weight of every residual row of one edge evaluation, (N, R): rows
+    """Gauss-Newton weight of every residual row of one edge evaluation, (R, N): rows
     0-1 carry the IRLS weight psi(r)/r of the flow norm under shapes alpha, rows 2:
     carry 2 * lambda_embed (the factor 2 of d(r^2)), each folded with the
     confidence and its term's validity.
     """
     w_ark = robust.irls_weight(_flow_norm(ev), alpha)
     weight = np.empty(ev.residual.shape)
-    weight[:, :2] = (ev.confidence * w_ark * ev.valid_flow)[:, None]
-    weight[:, 2:] = (2.0 * config.lambda_embed * ev.confidence * ev.valid_embed)[:, None]
+    weight[:2] = ev.confidence * w_ark * ev.valid_flow
+    weight[2:] = 2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
     return weight
 
 

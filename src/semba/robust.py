@@ -41,6 +41,17 @@ def barron_rho(r, alpha, c: float = 1.0):
     r = np.asarray(r, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     s = (r / c) ** 2
+    if alpha.ndim == 0:
+        # One shape (a fixed kernel): only the branch it selects is evaluated.
+        a = float(alpha)
+        if abs(a - 2.0) < _ALPHA_TWO_BAND:
+            out = s / 2.0
+        elif abs(a) < _ALPHA_ZERO_BAND:
+            out = np.log1p(s / 2.0)
+        else:
+            b = abs(a - 2.0)
+            out = (b / a) * np.expm1(0.5 * a * np.log1p(s / b))
+        return out if out.ndim else float(out)
     s, alpha = np.broadcast_arrays(s, alpha)
 
     near_two = np.abs(alpha - 2.0) < _ALPHA_TWO_BAND

@@ -174,11 +174,15 @@ class NormalEquations:
 
 
 def _check_finite(arrays, edges, ev, context):
-    """Raise FloatingPointError naming the edge and grid pixel of the first non-finite row."""
+    """Raise FloatingPointError naming the edge and grid pixel of the first non-finite pixel.
+
+    Each array holds one pixel per entry of its last axis, as ev's rows do; the
+    first pixel with a non-finite entry in any of its rows is named.
+    """
     for arr in arrays:
         bad = ~np.isfinite(arr)
         if bad.any():
-            n = int(np.argwhere(bad)[0][0])
+            n = int(np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0])
             obs = edges[int(np.searchsorted(ev.bounds, n, side="right")) - 1]
             raise FloatingPointError(f"non-finite {context} at edge ({obs.i}, {obs.j}), "
                                      f"pixel index {int(ev.pixels[n])}")
@@ -187,66 +191,73 @@ def _check_finite(arrays, edges, ev, context):
 def _accumulate_edges(ne: NormalEquations, edges, ev, weight):
     """Add the weighted Gauss-Newton terms of the out-edges of keyframe i to ne in place.
 
-    ev is evaluate_edge's batch over edges and weight its (N, R) row weights.
-    Per pixel the R stacked rows of ev's Jacobian [disparity | pose j |
-    intrinsics] give the [disparity diagonal, coupling row] in one batched
-    product over all edges, and keyframe i's disparity entries sum them by
-    grid pixel. Per edge, its pose block and gradient over
-    [pose j | intrinsics] are one weighted product each, and
-    L = [[-Ad, I, 0], [0, 0, I]] lifts them and the coupling rows to [pose i |
-    pose j | intrinsics] (H <- L^T H L, g <- L^T g, C <- L^T C), keeping only
-    the columns of non-frozen unknowns. A function of its own so that these
-    temporaries are freed before the next keyframe is evaluated, which keeps
-    peak memory flat.
+    ev is evaluate_edge's batch over edges and weight its (R, N) row weights.
+    The R rows of ev's component-major Jacobian (R, m + 1, N) over
+    [disparity | pose j | intrinsics] give cross (m + 1, N), each pixel's
+    [disparity diagonal, coupling row], in one weighted sum over the rows, and
+    keyframe i's disparity entries sum them by grid pixel. Per edge, its pose
+    block and gradient over [pose j | intrinsics] are one weighted product per
+    residual row, of that row's contiguous (m, n) column slices, and
+    L = [[-Ad, I, 0], [0, 0, I]] lifts them to [pose i | pose j | intrinsics]
+    (H <- L^T H L, g <- L^T g), keeping only the columns of non-frozen unknowns.
+    The coupling rows lift the same way (C <- L^T C): pose i's are -Ad^T times
+    pose j's, and the others are rows of cross as they stand. A function of its
+    own so that these temporaries are freed before the next keyframe is
+    evaluated, which keeps peak memory flat.
     """
     layout = ne.layout
     i = edges[0].i
     jac, res = ev.jac, ev.residual
-    m = jac.shape[2] - 1
+    m = jac.shape[1] - 1
 
-    w_disp = weight * jac[:, :, 0]
-    cross = np.einsum("nr,nrc->nc", w_disp, jac)
+    w_disp = weight * jac[:, 0]
+    cross = np.einsum("rn,rcn->cn", w_disp, jac)
     d = layout.disparity_slice(i)
     # A pixel in several supports sums its rows in edge order.
-    ne.disp_h[d] += np.bincount(ev.pixels, cross[:, 0], layout.pixels_per_frame)
-    ne.disp_g[d] += np.bincount(ev.pixels, np.einsum("nr,nr->n", w_disp, res),
+    ne.disp_h[d] += np.bincount(ev.pixels, cross[0], layout.pixels_per_frame)
+    ne.disp_g[d] += np.bincount(ev.pixels, np.einsum("rn,rn->n", w_disp, res),
                                 layout.pixels_per_frame)
     del w_disp  # freed before the pose-block temporaries are allocated
 
     coupling = ne.coupling[layout.coupling_rows[i]]
     support_columns = layout.support_columns[i]
-    weighted = weight[:, :, None] * jac[:, :, 1:]
     for e, obs in enumerate(edges):
-        cols, lift_cols, blocks = [], [], []
+        seg = slice(ev.bounds[e], ev.bounds[e + 1])
+        columns = support_columns[ev.pixels[seg]]
+        cols, lift_cols = [], []
         for s, offset in ((layout.pose_slices[i], 0), (layout.pose_slices[obs.j], 6),
                           (layout.intrinsics_slice, 12)):
-            if s is not None:
-                # (first coupling row, first lifted column, size) of this unknown
-                blocks.append((np.searchsorted(layout.coupling_cols[i], s.start), len(cols),
-                               s.stop - s.start))
-                cols += range(s.start, s.stop)
-                lift_cols += range(offset, offset + s.stop - s.start)
+            if s is None:
+                continue
+            size = s.stop - s.start
+            cols += range(s.start, s.stop)
+            lift_cols += range(offset, offset + size)
+            # Its coupling rows are those of L^T C: -Ad^T times pose j's for pose i,
+            # and for the others, on which L is the identity, rows of cross.
+            if offset == 0:
+                lifted = -ev.adjoint[e].T @ cross[1:7, seg]
+            else:
+                lifted = cross[offset - 5:offset - 5 + size, seg]
+            # These rows are contiguous; a gather, add and scatter along their
+            # column axis is cheaper than one two-dimensional fancy update.
+            row = np.searchsorted(layout.coupling_cols[i], s.start)
+            part = coupling[row:row + size]
+            values = part.take(columns, axis=1)
+            values += lifted
+            part[:, columns] = values
         lift = np.eye(m, m + 6, 6)  # L without its -Ad block
         lift[:6, :6] = -ev.adjoint[e]
         lift = lift[:, lift_cols]
 
-        seg = slice(ev.bounds[e], ev.bounds[e + 1])
-        columns = support_columns[ev.pixels[seg]]
-        lifted = lift.T @ cross[seg, 1:].T
-        # Each unknown's coupling rows are contiguous; a gather, add and scatter
-        # along their column axis is cheaper than one two-dimensional fancy update.
-        for row, k, size in blocks:
-            part = coupling[row:row + size]
-            values = part.take(columns, axis=1)
-            values += lifted[k:k + size]
-            part[:, columns] = values
-        # The Jacobian rows are read in place: one product with the edge's
-        # contiguous [disparity | pose j | intrinsics] rows, whose columns 1: are
-        # its pose block.
-        seg_weighted = weighted[seg].reshape(-1, m)
-        gram = seg_weighted.T @ jac[seg].reshape(-1, m + 1)
-        ne.pose_h[np.ix_(cols, cols)] += lift.T @ gram[:, 1:] @ lift
-        ne.pose_g[cols] += lift.T @ (seg_weighted.T @ res[seg].reshape(-1))
+        gram = np.zeros((m, m))
+        grad = np.zeros(m)
+        for r in range(len(jac)):
+            pose = jac[r, 1:, seg]
+            weighted = pose * weight[r, seg]
+            gram += weighted @ pose.T
+            grad += weighted @ res[r, seg]
+        ne.pose_h[np.ix_(cols, cols)] += lift.T @ gram @ lift
+        ne.pose_g[cols] += lift.T @ grad
 
 
 def _eliminate(ne: NormalEquations, k: int):

@@ -206,36 +206,36 @@ class _WorldSurface:
     def raycast(self, pose: Pose, intrinsics: Intrinsics, height: int, width: int):
         """Per-pixel ray depths and world points; returns (depth (H*W,), labels (H*W,))."""
         u = grid_pixels(height, width)
-        ray_cam = geometry.unproject(u, np.ones(u.shape[0]), intrinsics)
+        ray_cam = geometry.unproject(u, np.ones(u.shape[1]), intrinsics)
         rot_c2w = pose.rotation_matrix().T
         origin = pose.camera_center()
-        ray_w = ray_cam @ rot_c2w.T
-        if np.any(ray_w[:, 2] <= 0.05):
+        ray_w = rot_c2w @ ray_cam
+        if np.any(ray_w[2] <= 0.05):
             raise ValueError("camera looks away from the surface; trajectory too aggressive")
 
         # Candidate cell from the base-plane hit, then Newton on that cell's plane.
-        s = (self.z0 - origin[2]) / ray_w[:, 2]
-        px = origin[0] + s * ray_w[:, 0]
-        py = origin[1] + s * ray_w[:, 1]
+        s = (self.z0 - origin[2]) / ray_w[2]
+        px = origin[0] + s * ray_w[0]
+        py = origin[1] + s * ray_w[1]
         ix, iy = self.cell_indices(px, py)
         z_cell = self.z0 + self.cell_offset(ix, iy)
         # Every step is elementwise, so a ray whose s repeats bit for bit is a
         # fixed point and leaves the loop; rays that never settle take every step.
         active = np.arange(s.size)
         for _ in range(_NEWTON_ITERS):
-            ray, s_active = ray_w[active], s[active]
-            px = origin[0] + s_active * ray[:, 0]
-            py = origin[1] + s_active * ray[:, 1]
+            ray, s_active = ray_w[:, active], s[active]
+            px = origin[0] + s_active * ray[0]
+            py = origin[1] + s_active * ray[1]
             z, gx, gy = self.smooth(px, py)
-            f = origin[2] + s_active * ray[:, 2] - z_cell[active] - z
-            fp = ray[:, 2] - gx * ray[:, 0] - gy * ray[:, 1]
+            f = origin[2] + s_active * ray[2] - z_cell[active] - z
+            fp = ray[2] - gx * ray[0] - gy * ray[1]
             step = s_active - f / fp
             s[active] = step
             active = active[step != s_active]
             if active.size == 0:
                 break
-        px = origin[0] + s * ray_w[:, 0]
-        py = origin[1] + s * ray_w[:, 1]
+        px = origin[0] + s * ray_w[0]
+        py = origin[1] + s * ray_w[1]
         labels = self.cell_class(*self.cell_indices(px, py))
         # Camera-frame depth equals s because the camera ray has unit z-component.
         return s, labels
@@ -288,8 +288,8 @@ def _edge_confidence(mu: np.ndarray, src_labels: np.ndarray, src_pure: np.ndarra
     """True where the source feature is a pure class vector and all four bilinear
     neighbours of mu are pure with the same class."""
     h, w = labels_j.shape
-    x0 = np.clip(np.floor(mu[:, 0]), 0, w - 2).astype(int)
-    y0 = np.clip(np.floor(mu[:, 1]), 0, h - 2).astype(int)
+    x0 = np.clip(np.floor(mu[0]), 0, w - 2).astype(int)
+    y0 = np.clip(np.floor(mu[1]), 0, h - 2).astype(int)
     agree = src_pure.copy()
     for dy in (0, 1):
         for dx in (0, 1):
@@ -337,8 +337,8 @@ def gen_scene(cfg: SceneConfig) -> SceneBundle:
     for i, j in pairs:
         mu, valid = geometry.reproject(u, gt_disparity[i].reshape(-1),
                                        [geometry.relative_pose(gt_poses[i], gt_poses[j])], intr)
-        usable = valid & in_bounds(mu, h, w)
-        flows.append(np.where(usable, (mu - u).T, 0.0).reshape(2, h, w))
+        usable = valid & in_bounds(mu.T, h, w)
+        flows.append(np.where(usable, mu - u, 0.0).reshape(2, h, w))
         conf = _edge_confidence(mu, labels[i].reshape(-1), purity[i].reshape(-1),
                                 labels[j], purity[j], usable)
         confidences.append(conf.reshape(h, w).astype(float))

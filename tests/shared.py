@@ -53,8 +53,8 @@ def central_differences(evaluate, n_steps, eps=1e-6):
     ok_flow = ok_embed = True
     for k in range(n_steps):
         plus, minus = evaluate(k, eps), evaluate(k, -eps)
-        d_flow.append((plus.residual[:, :2] - minus.residual[:, :2]) / (2 * eps))
-        d_embed.append((plus.residual[:, 2] - minus.residual[:, 2]) / (2 * eps))
+        d_flow.append((plus.residual[:2] - minus.residual[:2]).T / (2 * eps))
+        d_embed.append((plus.residual[2] - minus.residual[2]) / (2 * eps))
         ok_flow = ok_flow & plus.valid_flow & minus.valid_flow
         ok_embed = ok_embed & plus.valid_embed & minus.valid_embed
     return np.stack(d_flow, axis=-1), np.stack(d_embed, axis=-1), ok_flow, ok_embed
@@ -69,7 +69,7 @@ def off_grid_lines(disparity, pose_i, pose_j, intr=K, margin=1e-3):
     h, w = disparity.shape
     mu, _ = reproject(grid_pixels(h, w), disparity.reshape(-1), [relative_pose(pose_i, pose_j)],
                       intr)
-    return (np.abs(mu - np.round(mu)) >= margin).all(axis=1)
+    return (np.abs(mu - np.round(mu)) >= margin).all(axis=0)
 
 
 class ToyBundle:
@@ -113,19 +113,19 @@ def stacked_rows(layout, edges, ev, weight):
         slot_j = layout.pose_slices[obs.j]
         d_base = layout.n_reduced + obs.i * layout.pixels_per_frame
         for p in range(ev.bounds[e], ev.bounds[e + 1]):
-            jac_pose_i = -ev.jac[p, :, 1:7] @ ev.adjoint[e]
-            for k in range(ev.residual.shape[1]):
+            jac_pose_i = -ev.jac[:, 1:7, p] @ ev.adjoint[e]
+            for k in range(ev.residual.shape[0]):
                 row = np.zeros(layout.n_total)
                 if slot_i is not None:
                     row[slot_i] = jac_pose_i[k]
                 if slot_j is not None:
-                    row[slot_j] = ev.jac[p, k, 1:7]
+                    row[slot_j] = ev.jac[k, 1:7, p]
                 if layout.intrinsics_slice is not None:
-                    row[layout.intrinsics_slice] = ev.jac[p, k, 7:]
-                row[d_base + ev.pixels[p]] = ev.jac[p, k, 0]
+                    row[layout.intrinsics_slice] = ev.jac[k, 7:, p]
+                row[d_base + ev.pixels[p]] = ev.jac[k, 0, p]
                 rows_j.append(row)
-                rows_w.append(weight[p, k])
-                rows_r.append(ev.residual[p, k])
+                rows_w.append(weight[k, p])
+                rows_r.append(ev.residual[k, p])
     return rows_j, rows_w, rows_r
 
 
@@ -144,11 +144,11 @@ def brute_force_normal_equations(graph, config):
         alpha = np.where(ev.valid_embed, adaptive_alpha(ev.cs), ALPHA_STATIC)
         if config.fixed_alpha is not None:
             alpha = np.full_like(alpha, config.fixed_alpha)
-        r_norm = np.linalg.norm(ev.residual[:, :2], axis=1)
+        r_norm = np.linalg.norm(ev.residual[:2], axis=0)
         w_ark = irls_weight(r_norm, alpha)
         w_flow = ev.confidence * w_ark * ev.valid_flow
         w_emb = 2.0 * config.lambda_embed * ev.confidence * ev.valid_embed
-        j, w, r = stacked_rows(layout, [obs], ev, np.stack([w_flow, w_flow, w_emb], axis=1))
+        j, w, r = stacked_rows(layout, [obs], ev, np.stack([w_flow, w_flow, w_emb]))
         rows_j += j
         rows_w += w
         rows_r += r

@@ -87,18 +87,18 @@ class TestCriterion1Jacobians:
                 lambda k, h: edge_eval(z_i, z_j, d + h, t_i, t_j), 1)
             smooth = off_grid_lines(d, t_i, t_j)
 
-            used = smooth & oke_i & oke_j & oke_d & ev.valid_embed & (ev.residual[:, 2] >= 1e-3)
+            used = smooth & oke_i & oke_j & oke_d & ev.valid_embed & (ev.residual[2] >= 1e-3)
             checked += int(used.sum())
             fd = np.concatenate([fd_ei, fd_ej, fd_edisp], axis=1)[used]
             # Columns [disparity | pose j]; pose i's are pose j's times -Ad(T_ji).
-            je = ev.jac[:, 2]
+            je = ev.jac[2].T
             analytic = np.concatenate([-je[:, 1:] @ ev.adjoint[0], je[:, 1:], je[:, :1]],
                                       axis=1)[used]
             scale = np.maximum(np.abs(fd).max(axis=1), 1e-3)
             worst_embed = max(worst_embed, (np.abs(analytic - fd).max(axis=1) / scale).max())
 
             used = smooth & okf_i & okf_j & okf_d & ev.valid_flow
-            jf = ev.jac[:, :2]
+            jf = np.moveaxis(ev.jac[:2], -1, 0)
             for analytic, fd in ((-jf[..., 1:] @ ev.adjoint[0], fd_fi), (jf[..., 1:], fd_fj),
                                  (jf[..., :1], fd_fdisp)):
                 err = np.abs(analytic[used] - fd[used]).max(axis=(1, 2))
@@ -230,8 +230,8 @@ class TestCriterion7SemanticPipeline:
             h, w = bundle.labels[k].shape
             ys, xs = np.mgrid[0:h:2, 0:w:2]
             d = bundle.gt_disparity[k][ys, xs].reshape(-1)
-            u = np.stack([xs, ys], -1).reshape(-1, 2).astype(float)
-            cam = unproject(u, d, bundle.intrinsics)
+            u = np.stack([xs, ys]).reshape(2, -1).astype(float)
+            cam = unproject(u, d, bundle.intrinsics).T
             pts.append(bundle.gt_poses[k].inverse().apply(cam))
             labs.append(bundle.labels[k][ys, xs].reshape(-1))
         names = [f"class_{c}" for c in range(bundle.class_vectors.shape[0])]

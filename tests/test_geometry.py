@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
-from semba.geometry import (Intrinsics, Pose, relative_pose, reproject, reprojection_jacobian,
-                            se3_exp, unproject)
+from semba.geometry import (Intrinsics, Pose, project, relative_pose, reproject,
+                            reprojection_jacobian, se3_exp, unproject)
 
 K = Intrinsics(50.0, 52.0, 31.5, 23.5)
 
@@ -130,7 +130,7 @@ class TestRelativePose:
 class TestReproject:
     def test_identity_relative_pose_fixes_pixels(self, rng):
         pose = random_pose(rng)
-        u = rng.uniform(0, 60, size=(40, 2))
+        u = rng.uniform(0, 60, size=(2, 40))
         d = rng.uniform(0.2, 2.0, size=40)
         mu, valid = reproject(u, d, [relative_pose(pose, pose)], K)
         assert valid.all()
@@ -171,13 +171,29 @@ class TestReproject:
         for _ in range(20):
             t_i, t_j = random_pose(rng), random_pose(rng)
             gauge = random_pose(rng, scale=0.5)
-            u = rng.uniform(5, 55, size=(10, 2))
+            u = rng.uniform(5, 55, size=(2, 10))
             d = rng.uniform(0.3, 1.5, size=10)
             mu, valid = reproject(u, d, [relative_pose(t_i, t_j)], K)
             mu_g, valid_g = reproject(
                 u, d, [relative_pose(t_i.compose(gauge), t_j.compose(gauge))], K)
             assert (valid == valid_g).all()
-            assert np.abs(mu[valid] - mu_g[valid]).max() < 1e-9
+            assert np.abs(mu[:, valid] - mu_g[:, valid]).max() < 1e-9
+
+    def test_component_major_batch_equals_row_major_chain_bitwise(self, rng):
+        # Points rotate as R @ X on the (3, N) batch; that is bit for bit the
+        # row-major X @ R^T, which keeps generated scenes byte-identical.
+        relative = [relative_pose(random_pose(rng), random_pose(rng)) for _ in range(3)]
+        bounds = np.array([0, 1200, 1200, 3072])
+        u = rng.uniform(5, 55, size=(2, 3072))
+        d = rng.uniform(0.3, 1.5, size=3072)
+        mu, valid = reproject(u, d, relative, K, bounds)
+        assert valid.sum() > 1000
+        for rel, lo, hi in zip(relative, bounds[:-1], bounds[1:]):
+            points_i = unproject(u[:, lo:hi], d[lo:hi], K).T
+            points_j = points_i @ rel.rotation_matrix().T + rel.translation
+            expected = project(points_j.T, K)
+            ok = valid[lo:hi]
+            assert mu[:, lo:hi][:, ok].tobytes() == expected[:, ok].tobytes()
 
 
 def _fd_pose_jacobian(u, d, t_i, t_j, which, eps=1e-6):
@@ -219,11 +235,11 @@ class TestReprojectionJacobian:
 
     def test_equal_poses_antisymmetry(self, rng):
         pose = random_pose(rng)
-        u = rng.uniform(5, 55, size=(20, 2))
+        u = rng.uniform(5, 55, size=(2, 20))
         d = rng.uniform(0.3, 1.5, size=20)
         adjoint, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(pose, pose)], K)
         assert valid.all()
-        j_j = jac[..., 1:]
+        j_j = np.moveaxis(jac, -1, 0)[..., 1:]
         # The pose-i and pose-j derivatives cancel: Ad(T_ji) = I for T_ji = I.
         assert np.abs(-j_j @ adjoint[0] + j_j).max() < 1e-9
         assert np.abs(adjoint[0] - np.eye(6)).max() < 1e-9
@@ -232,10 +248,10 @@ class TestReprojectionJacobian:
         t_i = random_pose(rng)
         rot_only = se3_exp([0.0, 0.0, 0.0, 0.05, -0.04, 0.08])
         t_j = rot_only.compose(t_i)
-        u = rng.uniform(5, 55, size=(20, 2))
+        u = rng.uniform(5, 55, size=(2, 20))
         d = rng.uniform(0.3, 1.5, size=20)
         _, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K)
-        assert np.abs(jac[valid][..., 0]).max() < 1e-9
+        assert np.abs(jac[:, 0, valid]).max() < 1e-9
 
     def test_intrinsics_jacobian_matches_fd(self, rng):
         worst = 0.0
@@ -264,26 +280,26 @@ class TestReprojectionJacobian:
         # Three edges of one source frame, the middle one without pixels.
         relative = [relative_pose(random_pose(rng), random_pose(rng)) for _ in range(3)]
         bounds = np.array([0, 17, 17, 40])
-        u = rng.uniform(5, 55, size=(40, 2))
+        u = rng.uniform(5, 55, size=(2, 40))
         d = rng.uniform(0.3, 1.5, size=40)
         adjoint, jac, mu, valid = reprojection_jacobian(u, d, relative, K, bounds)
         adjoint_k, jac_k, mu_k, valid_k = reprojection_jacobian(u, d, relative, K, bounds,
                                                                 with_intrinsics=True)
-        assert jac.shape == (40, 2, 7) and jac_k.shape == (40, 2, 11)
-        for same, ref in ((adjoint_k, adjoint), (jac_k[..., :7], jac), (mu_k, mu),
+        assert jac.shape == (2, 7, 40) and jac_k.shape == (2, 11, 40)
+        for same, ref in ((adjoint_k, adjoint), (jac_k[:, :7], jac), (mu_k, mu),
                           (valid_k, valid)):
             assert same.tobytes() == ref.tobytes()
         assert valid.sum() > 20
-        fd = np.zeros((40, 2, 4))
+        fd = np.zeros((2, 4, 40))
         base = K.as_array()
         for p in range(4):
             step = np.zeros(4)
             step[p] = 1e-5
             mu_p, _ = reproject(u, d, relative, Intrinsics.from_array(base + step), bounds)
             mu_m, _ = reproject(u, d, relative, Intrinsics.from_array(base - step), bounds)
-            fd[..., p] = (mu_p - mu_m) / 2e-5
-        worst = max(np.abs(jac_k[n, :, 7:] - fd[n]).max() / max(np.abs(fd[n]).max(), 1.0)
-                    for n in np.flatnonzero(valid))
+            fd[:, p] = (mu_p - mu_m) / 2e-5
+        worst = max(np.abs(jac_k[:, 7:, n] - fd[..., n]).max()
+                    / max(np.abs(fd[..., n]).max(), 1.0) for n in np.flatnonzero(valid))
         assert worst < 1e-4
 
     @pytest.mark.parametrize("with_intrinsics", [False, True], ids=["pose", "intrinsics"])
@@ -292,19 +308,19 @@ class TestReprojectionJacobian:
         # itself, bit for bit, and every entry of out is written.
         relative = [relative_pose(random_pose(rng), random_pose(rng)) for _ in range(3)]
         bounds = np.array([0, 17, 17, 40])
-        u = rng.uniform(5, 55, size=(40, 2))
+        u = rng.uniform(5, 55, size=(2, 40))
         d = rng.uniform(-0.2, 1.5, size=40)
         adjoint, jac, mu, valid = reprojection_jacobian(u, d, relative, K, bounds,
                                                         with_intrinsics=with_intrinsics)
         assert not valid.all()
-        stack = np.full((40, 3, jac.shape[-1]), np.nan)
+        stack = np.full((3, jac.shape[1], 40), np.nan)
         adjoint_o, jac_o, mu_o, valid_o = reprojection_jacobian(
-            u, d, relative, K, bounds, with_intrinsics=with_intrinsics, out=stack[:, :2])
+            u, d, relative, K, bounds, with_intrinsics=with_intrinsics, out=stack[:2])
         assert np.shares_memory(jac_o, stack)
-        for same, ref in ((stack[:, :2], jac), (adjoint_o, adjoint), (mu_o, mu),
+        for same, ref in ((stack[:2], jac), (adjoint_o, adjoint), (mu_o, mu),
                           (valid_o, valid)):
             assert same.tobytes() == ref.tobytes()
-        assert np.isnan(stack[:, 2]).all()
+        assert np.isnan(stack[2]).all()
 
 
 class TestIntrinsics:

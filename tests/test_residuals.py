@@ -27,7 +27,7 @@ class TestFlowResidual:
         for obs in g.edges:
             ev = evaluate_edge(g, [obs], need_similarity=False, need_embedding=False)
             used = ev.valid_flow & (ev.confidence > 0)
-            assert np.abs(ev.residual[used, :2]).max() < 1e-9
+            assert np.abs(ev.residual[:2, used]).max() < 1e-9
 
     def test_identity_poses_zero_flow(self, rng):
         h, w = 10, 12
@@ -35,7 +35,7 @@ class TestFlowResidual:
         z = np.ones((1, h, w))
         ev = edge_eval(z, z, d, Pose.identity(), Pose.identity())
         assert ev.valid_flow.all()
-        assert np.abs(ev.residual[:, :2]).max() < 1e-12
+        assert np.abs(ev.residual[:2]).max() < 1e-12
 
     def test_disparity_perturbation_grows_linearly(self):
         t_i = se3_exp([0.01, -0.02, 0.0, 0.005, 0.0, -0.004])
@@ -50,11 +50,11 @@ class TestFlowResidual:
         z = np.ones((1, h, w))
         p = 7 * w + 8
         ev = edge_eval(z, z, np.full((h, w), d), t_i, t_j, flow=flow, with_jacobians=True)
-        slope = np.linalg.norm(ev.jac[p, :2, 0])
+        slope = np.linalg.norm(ev.jac[:2, 0, p])
         for delta in (1e-5, 1e-4, 1e-3):
             ev = edge_eval(z, z, np.full((h, w), d + delta), t_i, t_j, flow=flow)
             assert ev.valid_flow[p]
-            assert np.linalg.norm(ev.residual[p, :2]) == pytest.approx(slope * delta, rel=5e-2)
+            assert np.linalg.norm(ev.residual[:2, p]) == pytest.approx(slope * delta, rel=5e-2)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="self-edge"):
@@ -118,7 +118,7 @@ class TestSupport:
                     if ref is None:
                         assert got is None, name
                     else:
-                        assert np.array_equal(got, ref[ev.pixels]), name
+                        assert np.array_equal(got, ref[..., ev.pixels]), name
 
 
 # Modes of the solver's passes: trial energy, similarity only, Jacobians, and
@@ -147,7 +147,7 @@ class TestBatch:
                 if ref is None:
                     assert got is None, name
                 else:
-                    assert np.array_equal(got[rows], ref), name
+                    assert np.array_equal(got[..., rows], ref), name
             if ev.adjoint is not None:
                 assert np.array_equal(ev.adjoint[e], alone.adjoint[0])
 
@@ -166,7 +166,7 @@ class TestEmbeddingResidual:
             used = ev.valid_embed & (ev.confidence > 0)
             assert used.any()
             assert np.abs(ev.cs[used] - 1.0).max() < 1e-6
-            assert np.abs(ev.residual[used, 2]).max() < 1e-6
+            assert np.abs(ev.residual[2, used]).max() < 1e-6
 
     # Constant maps under identity poses: every pixel reprojects onto itself.
     def test_orthogonal_embeddings_photometric(self):
@@ -176,7 +176,7 @@ class TestEmbeddingResidual:
         ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), Pose.identity(), Pose.identity())
         assert ev.valid_embed.all()
         assert ev.cs == pytest.approx(0.0, abs=1e-12)
-        assert ev.residual[:, 2] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
+        assert ev.residual[2] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 
     def test_invariant_to_positive_rescaling(self, rng):
         z_i = smooth_map(rng)
@@ -187,7 +187,7 @@ class TestEmbeddingResidual:
         assert ev0.valid_embed.any()
         assert np.array_equal(ev1.valid_embed, ev0.valid_embed)
         assert ev1.cs == pytest.approx(ev0.cs, abs=1e-12)
-        assert ev1.residual[:, 2] == pytest.approx(ev0.residual[:, 2], abs=1e-12)
+        assert ev1.residual[2] == pytest.approx(ev0.residual[2], abs=1e-12)
 
     def test_zero_norm_embedding_invalid(self):
         h, w = 8, 8
@@ -217,11 +217,11 @@ class TestEmbeddingJacobian:
                                        se3_exp(h * np.eye(6)[k]).compose(t_j)), 6)
             _, fd_d, _, ok_d = central_differences(
                 lambda k, h: edge_eval(z_i, z_j, d + h, t_i, t_j), 1)
-            used = (ev.valid_embed & (ev.residual[:, 2] >= 1e-3) & ok_i & ok_j & ok_d
+            used = (ev.valid_embed & (ev.residual[2] >= 1e-3) & ok_i & ok_j & ok_d
                     & off_grid_lines(d, t_i, t_j))
             checked += int(used.sum())
             # Columns [disparity | pose j]; pose i's are pose j's times -Ad(T_ji).
-            je = ev.jac[:, 2]
+            je = ev.jac[2].T
             for analytic, fd in ((-je[:, 1:] @ ev.adjoint[0], fd_i), (je[:, 1:], fd_j),
                                  (je[:, 0], fd_d)):
                 worst = max(worst, block_error(analytic[used], fd[used], 1e-3).max())
@@ -241,11 +241,11 @@ class TestEmbeddingJacobian:
                 lambda k, h: edge_eval(z_i, z_j, d, t_i, t_j,
                                        intr=Intrinsics.from_array(base + h * np.eye(4)[k])), 4)
             used_f = ev.valid_flow & ok_f
-            used_e = ev.valid_embed & (ev.residual[:, 2] >= 1e-3) & ok_e & off_grid_lines(d, t_i, t_j)
+            used_e = ev.valid_embed & (ev.residual[2] >= 1e-3) & ok_e & off_grid_lines(d, t_i, t_j)
             assert used_f.sum() >= 100 and used_e.sum() >= 100
-            worst_flow = max(worst_flow, block_error(ev.jac[used_f, :2, 7:], fd_f[used_f], 1.0).max())
-            worst_embed = max(worst_embed,
-                              block_error(ev.jac[used_e, 2, 7:], fd_e[used_e], 1e-3).max())
+            jac_f, jac_e = np.moveaxis(ev.jac[:2, 7:], -1, 0), ev.jac[2, 7:].T
+            worst_flow = max(worst_flow, block_error(jac_f[used_f], fd_f[used_f], 1.0).max())
+            worst_embed = max(worst_embed, block_error(jac_e[used_e], fd_e[used_e], 1e-3).max())
         assert worst_flow < 1e-4
         assert worst_embed < 1e-4
 
@@ -256,7 +256,7 @@ class TestEmbeddingJacobian:
                        se3_exp([0.02, 0, 0, 0, 0, 0]), with_jacobians=True)
         valid = ev.valid_embed
         assert valid.any()
-        assert np.abs(ev.jac[valid, 2]).max() < 1e-12
+        assert np.abs(ev.jac[2][:, valid]).max() < 1e-12
 
     def test_directional_derivative_sign(self, rng):
         d = np.full((24, 32), 0.5)
@@ -265,15 +265,15 @@ class TestEmbeddingJacobian:
             z_i, z_j = smooth_map(rng), smooth_map(rng)
             t_j = se3_exp(rng.normal(0, 0.05, 6))
             ev = edge_eval(z_i, z_j, d, Pose.identity(), t_j, with_jacobians=True)
-            je_pose_i = -ev.jac[:, 2, 1:] @ ev.adjoint[0]
+            je_pose_i = -ev.jac[2, 1:].T @ ev.adjoint[0]
             norms = np.linalg.norm(je_pose_i, axis=1)
             candidates = np.flatnonzero(ev.valid_embed & (norms >= 1e-6))
             for p in rng.permutation(candidates)[:10 - checked]:
                 checked += 1
                 direction = je_pose_i[p] / norms[p]
                 eps = 1e-6
-                rp = edge_eval(z_i, z_j, d, se3_exp(eps * direction), t_j).residual[p, 2]
-                rm = edge_eval(z_i, z_j, d, se3_exp(-eps * direction), t_j).residual[p, 2]
+                rp = edge_eval(z_i, z_j, d, se3_exp(eps * direction), t_j).residual[2, p]
+                rm = edge_eval(z_i, z_j, d, se3_exp(-eps * direction), t_j).residual[2, p]
                 assert (rp - rm) > 0  # moving along the gradient increases the residual
 
 
@@ -420,8 +420,8 @@ class TestInvalidPixels:
         assert ev.valid_flow.any()
         assert dead[0] and (~geometric_ok).sum() == 5 and (dead & geometric_ok).any()
         assert not ev.valid_embed[dead].any()
-        assert np.abs(ev.residual[dead, :2]).max() == 0.0
-        assert np.abs(ev.residual[dead, 2]).max() == 0.0
+        assert np.abs(ev.residual[:2, dead]).max() == 0.0
+        assert np.abs(ev.residual[2, dead]).max() == 0.0
 
         config = SolverConfig()
         ne = assemble(graph, config, kernel_alphas(graph, config))
@@ -468,7 +468,7 @@ class TestInvalidPixels:
         p = 2 * w + 3
         assert ev.valid_flow[p]
         assert not ev.valid_embed[p]
-        assert ev.residual[p, 2] == 0.0
+        assert ev.residual[2, p] == 0.0
 
 
 class TestWeights:
@@ -480,19 +480,19 @@ class TestWeights:
         valid_flow = rng.uniform(size=n) < 0.8
         valid_embed = valid_flow & (rng.uniform(size=n) < 0.8)
         theta = rng.uniform(0, 2 * np.pi, size=n)
-        flow = r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        flow = r * np.stack([np.cos(theta), np.sin(theta)])
         ev = EdgeEvaluation(pixels=np.arange(n), bounds=np.array([0, n]), confidence=conf,
-                            residual=np.concatenate([flow, np.zeros((n, 1))], axis=1),
+                            residual=np.concatenate([flow, np.zeros((1, n))]),
                             valid_flow=valid_flow, cs=np.zeros(n), valid_embed=valid_embed)
         weight = edge_weights(ev, alpha, SolverConfig(lambda_embed=1.5))
-        assert weight.shape == (n, 3)
-        w_flow, w_emb = weight[:, 0], weight[:, 2]
+        assert weight.shape == (3, n)
+        w_flow, w_emb = weight[0], weight[2]
         manual = conf * (r**2 / np.abs(alpha - 2.0) + 1.0) ** (alpha / 2.0 - 1.0) * valid_flow
         assert np.all(w_flow >= 0.0)
         assert w_flow == pytest.approx(manual, rel=1e-12, abs=0.0)
-        assert np.array_equal(weight[:, 1], w_flow)
+        assert np.array_equal(weight[1], w_flow)
         assert np.array_equal(w_emb, 3.0 * conf * valid_embed)
-        assert not edge_weights(ev, alpha, SolverConfig(lambda_embed=0.0))[:, 2].any()
+        assert not edge_weights(ev, alpha, SolverConfig(lambda_embed=0.0))[2].any()
 
 
 class TestHotPath:
@@ -510,7 +510,7 @@ class TestHotPath:
         # Calling it raises, and so does looking up any of Rotation's constructors on it.
         monkeypatch.setattr(geometry, "Rotation", no_rotation)
         ev = evaluate_edge(graph, edges, with_jacobians=True)
-        assert ev.jac.shape[1] == 3 and np.isfinite(ev.jac).all()
+        assert ev.jac.shape[0] == 3 and np.isfinite(ev.jac).all()
         evaluate_edge(graph, edges, need_similarity=False)
         layout = ProblemLayout.build(graph, config)
         delta = np.random.default_rng(3).normal(0.0, 1e-3, layout.n_total)

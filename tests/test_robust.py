@@ -115,12 +115,13 @@ class TestIrlsWeight:
 
 
 @pytest.mark.parametrize("func", [barron_rho, irls_weight], ids=["barron_rho", "irls_weight"])
-@pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, -2.0])
+@pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, -2.0, 7.5, 2.0 + 1e-10, 1e-10])
 def test_scalar_shape_broadcasts_bit_for_bit(func, alpha):
     # A fixed kernel hands the robust functions one float for all rows.
     r = np.linspace(0.0, 12.0, 97)
     assert np.array_equal(func(r, alpha), func(r, np.full(r.shape, alpha)))
     assert func(np.zeros(0), alpha).shape == (0,)
+    assert func(0.7, alpha) == func(np.array([0.7]), np.full(1, alpha))[0]
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

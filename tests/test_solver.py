@@ -145,10 +145,14 @@ class TestAssemble:
         edges = graph.edge_groups()[2]
         assert [(obs.i, obs.j) for obs in edges] == [(2, 0), (2, 1), (2, 3), (2, 4)]
         obs = edges[2]
-        row = int(np.flatnonzero(evaluate_edge(graph, [obs]).valid_flow)[3])
+        valid_rows = np.flatnonzero(evaluate_edge(graph, [obs]).valid_flow)
+        row = int(valid_rows[3])
         pixel = int(obs.pixels[row])
         assert pixel != row  # the support leaves out grid pixels before this one
-        graph.edges[graph.edges.index(obs)] = with_nan_target(obs, row, 1)
+        # A flow-y NaN at this pixel and a flow-x NaN at a later one: the earlier
+        # pixel is named, whichever residual row holds the first NaN.
+        bad = with_nan_target(with_nan_target(obs, row, 1), int(valid_rows[5]), 0)
+        graph.edges[graph.edges.index(obs)] = bad
         with pytest.raises(FloatingPointError, match=rf"edge \(2, 3\), pixel index {pixel}$"):
             assemble(graph, config, kernel_alphas(graph, config))
 
@@ -202,9 +206,9 @@ class TestAccumulate:
                            with_jacobians=True, with_intrinsics=True)
         rng = np.random.default_rng(4)
         n = ev.pixels.size
-        ev.residual = rng.normal(size=(n, 4))
-        ev.jac = rng.normal(size=(n, 4, 11))
-        weight = rng.uniform(0.0, 2.0, size=(n, 4))
+        ev.residual = rng.normal(size=(4, n))
+        ev.jac = rng.normal(size=(4, 11, n))
+        weight = rng.uniform(0.0, 2.0, size=(4, n))
         p, d = layout.n_reduced, layout.n_disparity
         width = max(support.size for support in layout.supports)
         ne = NormalEquations(layout=layout, pose_h=np.zeros((p, p)),

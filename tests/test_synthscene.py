@@ -111,7 +111,7 @@ class TestInjectDynamics:
         for obs in unit_confidence(dynamic_bundle):
             ev = evaluate_edge(g, [obs])
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_flow
-            mags.append(np.linalg.norm(ev.residual[sel, :2], axis=1))
+            mags.append(np.linalg.norm(ev.residual[:2, sel], axis=0))
         mean = np.mean(np.concatenate(mags))
         assert 4.0 <= mean <= 6.0
 
