@@ -66,10 +66,10 @@ def cmd_ba(args) -> int:
                              f"but the bundle's features have {channels} channels")
     optimized, trace = solver_mod.solve(graph, solver_cfg)
 
-    final = trace[-1]
-    finite = all(np.isfinite(v) for v in (final.e_total, final.e_photo_ark,
-                                          final.e_embed, final.e_reg))
-    if not finite:
+    # The optimized state's energies are those of the last accepted row; later
+    # rows are rejected trials.
+    final = next(rec.energies for rec in reversed(trace) if rec.accepted)
+    if not all(np.isfinite(v) for v in (final.total, final.photo_ark, final.embed, final.reg)):
         raise RuntimeError("solver produced non-finite energies")
 
     out = Path(args.out)
@@ -89,8 +89,8 @@ def cmd_ba(args) -> int:
         tensorio.write_tensor(cloud_path.with_suffix(".embeddings.kmvt"),
                               cloud.embeddings.T[:, None, :])
     accepted = sum(1 for r in trace[1:] if r.accepted)
-    print(f"solved in {final.iteration} iterations, {len(trace) - 1} scored attempts "
-          f"({accepted} accepted); E_total {trace[0].e_total:.6e} -> {final.e_total:.6e}")
+    print(f"solved in {trace[-1].iteration} iterations, {len(trace) - 1} scored attempts "
+          f"({accepted} accepted); E_total {trace[0].energies.total:.6e} -> {final.total:.6e}")
     return 0
 
 

@@ -61,14 +61,13 @@ def in_bounds(u: np.ndarray, height: int, width: int) -> np.ndarray:
 def bilinear_sample(fmap: np.ndarray, u, with_grad: bool = True):
     """Sample a (C, H, W) map at continuous pixel locations u (..., 2) = (x, y).
 
-    Returns (values (..., C), grad (..., C, 2), valid (...,)). The four-neighbor
+    Returns (values (..., C), grad (..., 2, C), valid (...,)). The four-neighbor
     weights are non-negative and sum to one, reproduce grid values exactly at
-    integer coordinates, and grad is the analytic derivative of the blend with
-    respect to (x, y). Out-of-domain locations ([0, W-1] x [0, H-1]) are flagged
-    invalid and return zeros. With with_grad=False the gradient is not computed
-    and grad is None; values and valid are unchanged. grad is a swapaxes view of
-    a gradient-major (..., 2, C) array, so grad.swapaxes(-1, -2) reads it
-    without a copy.
+    integer coordinates, and grad is the analytic derivative of the blend,
+    gradient-major: grad[..., 0, :] along x and grad[..., 1, :] along y.
+    Out-of-domain locations ([0, W-1] x [0, H-1]) are flagged invalid and
+    return zeros. With with_grad=False the gradient is not computed and grad is
+    None; values and valid are unchanged.
     """
     fmap = np.asarray(fmap, dtype=float)
     c, h, w = fmap.shape
@@ -119,4 +118,4 @@ def bilinear_sample(fmap: np.ndarray, u, with_grad: bool = True):
             dblend[:, row, k] = column
     grad = np.matmul(dblend, nbr)   # (M, 2, C)
     grad[invalid] = 0.0
-    return values, np.swapaxes(grad.reshape(lead + (2, c)), -1, -2), valid
+    return values, grad.reshape(lead + (2, c)), valid

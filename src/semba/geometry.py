@@ -199,124 +199,107 @@ def project(points: np.ndarray, intrinsics: Intrinsics) -> np.ndarray:
                      intrinsics.fy * points[1] / z + intrinsics.cy])
 
 
-def _segments(bounds):
-    """Index of each edge's points along the last axis of a batch, from the edges' (E+1,)
-    offsets; None is one edge."""
-    if bounds is None:
-        return [(Ellipsis,)]
-    return [(Ellipsis, slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
 def _transform(u, disparity, relative, intrinsics: Intrinsics, bounds):
-    """Unproject pixels of frame i through its intrinsics and carry each edge's points
-    into its camera j with that edge's T_ji.
+    """Unproject pixels (2, N) of frame i with disparities (N,) through its intrinsics
+    and carry each edge's points into its camera j with that edge's T_ji: points
+    bounds[e] to bounds[e + 1] belong to edge e of relative.
 
-    Returns (points_j (3, N), valid (N,), edge indices, rotations R_ji, safe
-    disparity (N,)); a single pixel (2,) with a scalar disparity gives (3,) and
-    scalars. Invalid entries (non-positive disparity or depth in j <= Z_EPS)
-    hold z = 1 in points_j and disparity 1, so that everything derived from
-    them stays finite.
+    Returns (points_j (3, N), valid (N,), rotations R_ji, safe disparity (N,)).
+    Invalid entries (non-positive disparity or depth in j <= Z_EPS) hold z = 1
+    in points_j and disparity 1, so that everything derived from them stays
+    finite.
     """
     d = np.asarray(disparity, dtype=float)
     valid = d > 0
     d_safe = np.where(valid, d, 1.0)
     points_i = unproject(u, d_safe, intrinsics)
-    segments = _segments(bounds)
     # One 3x3 product per edge; a per-point rotation stack is slower. R_ji @ X on
     # the (3, N) batch is bit for bit the row form X^T @ R_ji^T, unlike a per-point
     # sum or einsum, so generated scenes do not depend on the layout.
     points_j = np.empty_like(points_i)
     rotations = [rel.rotation_matrix() for rel in relative]
-    shift = (3,) + (1,) * d.ndim
-    for seg, rot, rel in zip(segments, rotations, relative, strict=True):
-        np.matmul(rot, points_i[seg], out=points_j[seg])
-        points_j[seg] += rel.translation.reshape(shift)
+    for lo, hi, rot, rel in zip(bounds[:-1], bounds[1:], rotations, relative, strict=True):
+        np.matmul(rot, points_i[:, lo:hi], out=points_j[:, lo:hi])
+        points_j[:, lo:hi] += rel.translation[:, None]
     valid = valid & (points_j[2] > Z_EPS)
     points_j[2] = np.where(valid, points_j[2], 1.0)
-    return points_j, valid, segments, rotations, d_safe
+    return points_j, valid, rotations, d_safe
 
 
-def reproject(u, disparity, relative, intrinsics: Intrinsics, bounds=None):
+def reproject(u, disparity, relative, intrinsics: Intrinsics, bounds):
     """Map pixels of frame i into the frames j of a batch of edges i -> j.
 
-    u: (2, N) pixels (x, y), disparity: (N,) inverse depths of frame i; a single
-    pixel is (2,) with a scalar disparity. relative holds each edge's T_ji
-    (relative_pose(pose_i, pose_j)); points bounds[e] to bounds[e + 1] belong to
-    edge e (bounds None: one edge, every point).
+    u: (2, N) pixels (x, y), disparity: (N,) inverse depths of frame i. relative
+    holds each edge's T_ji (relative_pose(pose_i, pose_j)), and points bounds[e]
+    to bounds[e + 1] of the (E+1,) offsets belong to edge e.
     Returns (mu (2, N), valid (N,)); invalid entries (non-positive disparity or
     reprojected depth <= Z_EPS) hold finite placeholder coordinates and must be
     masked by the caller.
     """
-    points_j, valid, _, _, _ = _transform(u, disparity, relative, intrinsics, bounds)
+    points_j, valid, _, _ = _transform(u, disparity, relative, intrinsics, bounds)
     return project(points_j, intrinsics), valid
 
 
-def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds=None,
-                          with_intrinsics: bool = False, out=None):
-    """Analytic derivatives of reproject under left-multiplicative twists.
+def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds, out):
+    """Analytic derivatives of reproject under left-multiplicative twists, written into out.
 
-    Returns (adjoint (E, 6, 6), jac (2, 7 or 11, N), mu (2, N), valid (N,)) for
-    the E edges of relative and bounds, as in reproject: jac[r, c] is the
-    derivative of coordinate r of mu along column c, over all N points. jac's
-    columns are [disparity | pose j | intrinsics]: the twist on T_j ordered
-    [v; w], then [fx, fy, cx, cy] when with_intrinsics. Pose i enters only
+    u, disparity, relative and bounds are as in reproject. out is a (2, 7 or 11,
+    N) array, such as the first rows of a larger stack, and every entry of it is
+    written: out[r, c] is the derivative of coordinate r of mu along column c.
+    Its columns are [disparity | pose j | intrinsics]: the twist on T_j ordered
+    [v; w], then [fx, fy, cx, cy] when out has 11 columns. Pose i enters only
     through T_ji, and T_ji exp(-delta) = exp(-Ad(T_ji) delta) T_ji, so row r of
-    edge e's points has the pose-i columns -adjoint[e].T @ jac[r, 1:7] with
-    adjoint[e] = Ad(T_ji). When out is given (an array of jac's shape, such as
-    the first rows of a larger stack), every entry of it is written and it is
-    returned as jac.
+    edge e's points has the pose-i columns -adjoint[e].T @ out[r, 1:7] with
+    adjoint[e] = Ad(T_ji). Returns (adjoint (E, 6, 6), mu (2, N), valid (N,)).
     """
-    points_j, valid, segments, rotations, d_safe = _transform(u, disparity, relative,
-                                                              intrinsics, bounds)
+    points_j, valid, rotations, d_safe = _transform(u, disparity, relative, intrinsics, bounds)
     mu = project(points_j, intrinsics)
-    jac = np.empty((2, 11 if with_intrinsics else 7) + valid.shape) if out is None else out
+    segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # A left twist [v; w] on T_j moves X_j by v + w x X_j. With (a, b) = (x, y) / z
     # the two rows of d(project)/d[v; w] are, in closed form, written column by
-    # column into jac[:, 1:7]:
+    # column into out[:, 1:7]:
     inv_z = 1.0 / points_j[2]
     a, b = points_j[0] * inv_z, points_j[1] * inv_z
     fx, fy = intrinsics.fx, intrinsics.fy
-    # (An index ending in ... is a view even for a single pixel's scalar entries.)
-    row_x, row_y = jac[0], jac[1]
-    np.multiply(inv_z, fx, out=row_x[1, ...])
+    row_x, row_y = out[0], out[1]
+    np.multiply(inv_z, fx, out=row_x[1])
     row_x[2] = 0.0
-    np.multiply(-a * inv_z, fx, out=row_x[3, ...])
-    np.multiply(-a * b, fx, out=row_x[4, ...])
-    np.multiply(1.0 + a * a, fx, out=row_x[5, ...])
-    np.multiply(-b, fx, out=row_x[6, ...])
+    np.multiply(-a * inv_z, fx, out=row_x[3])
+    np.multiply(-a * b, fx, out=row_x[4])
+    np.multiply(1.0 + a * a, fx, out=row_x[5])
+    np.multiply(-b, fx, out=row_x[6])
     row_y[1] = 0.0
-    np.multiply(inv_z, fy, out=row_y[2, ...])
-    np.multiply(-b * inv_z, fy, out=row_y[3, ...])
-    np.multiply(-1.0 - b * b, fy, out=row_y[4, ...])
-    np.multiply(a * b, fy, out=row_y[5, ...])
-    np.multiply(a, fy, out=row_y[6, ...])
-    d_mu_d_point = jac[:, 1:4]  # d(mu)/dX_j
+    np.multiply(inv_z, fy, out=row_y[2])
+    np.multiply(-b * inv_z, fy, out=row_y[3])
+    np.multiply(-1.0 - b * b, fy, out=row_y[4])
+    np.multiply(a * b, fy, out=row_y[5])
+    np.multiply(a, fy, out=row_y[6])
+    d_mu_d_point = out[:, 1:4]  # d(mu)/dX_j
 
     adjoint = np.zeros((len(relative), 6, 6))
     # X_i = dir / d  =>  dX_j/dd = R_ji dX_i/dd = -(X_j - t_ji) / d
     d_point_disp = np.empty_like(points_j)
-    shift = (3,) + (1,) * valid.ndim
     for e, (seg, rot, rel) in enumerate(zip(segments, rotations, relative)):
         adjoint[e, :3, :3] = adjoint[e, 3:, 3:] = rot
         adjoint[e, :3, 3:] = skew(rel.translation) @ rot
-        np.subtract(rel.translation.reshape(shift), points_j[seg], out=d_point_disp[seg])
+        np.subtract(rel.translation[:, None], points_j[:, seg], out=d_point_disp[:, seg])
     d_point_disp /= d_safe
     # d(mu)/dd = d(mu)/dX_j dX_j/dd, without the zero entries of d(mu)/dX_j.
-    np.multiply(row_x[1], d_point_disp[0], out=row_x[0, ...])
+    np.multiply(row_x[1], d_point_disp[0], out=row_x[0])
     row_x[0] += row_x[3] * d_point_disp[2]
-    np.multiply(row_y[2], d_point_disp[1], out=row_y[0, ...])
+    np.multiply(row_y[2], d_point_disp[1], out=row_y[0])
     row_y[0] += row_y[3] * d_point_disp[2]
 
-    if with_intrinsics:
+    if out.shape[1] == 11:
         # The intrinsics enter through the projection in frame j (the direct
         # term) and through the unprojection in frame i, whose shift moves edge
         # e's X_j by R_ji times it.
         k = intrinsics
-        jac[:, 7:] = 0.0
-        jac[0, 7] = (mu[0] - k.cx) / k.fx
-        jac[1, 8] = (mu[1] - k.cy) / k.fy
-        jac[0, 9] = jac[1, 10] = 1.0
+        out[:, 7:] = 0.0
+        out[0, 7] = (mu[0] - k.cx) / k.fx
+        out[1, 8] = (mu[1] - k.cy) / k.fy
+        out[0, 9] = out[1, 10] = 1.0
         # X_i = ((u - cx) / (fx d), (v - cy) / (fy d), 1 / d): its derivative is
         # non-zero only in x along (fx, cx) and in y along (fy, cy).
         u = np.asarray(u, dtype=float)
@@ -326,9 +309,9 @@ def reprojection_jacobian(u, disparity, relative, intrinsics: Intrinsics, bounds
         dy_dcy = -1.0 / (k.fy * d_safe)
         for seg, rot in zip(segments, rotations):
             # d(mu)/dX_i along x and y: d(mu)/dX_j @ R_ji, its first two columns.
-            dmu_dx, dmu_dy = np.einsum("rk...,kc->cr...", d_mu_d_point[seg], rot[:, :2])
-            jac[:, 7][seg] += dmu_dx * dx_dfx[seg]
-            jac[:, 9][seg] += dmu_dx * dx_dcx[seg]
-            jac[:, 8][seg] += dmu_dy * dy_dfy[seg]
-            jac[:, 10][seg] += dmu_dy * dy_dcy[seg]
-    return adjoint, jac, mu, valid
+            dmu_dx, dmu_dy = np.einsum("rkn,kc->crn", d_mu_d_point[:, :, seg], rot[:, :2])
+            out[:, 7, seg] += dmu_dx * dx_dfx[seg]
+            out[:, 9, seg] += dmu_dx * dx_dcx[seg]
+            out[:, 8, seg] += dmu_dy * dy_dfy[seg]
+            out[:, 10, seg] += dmu_dy * dy_dcy[seg]
+    return adjoint, mu, valid

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ class Keyframe:
     excludes the pose from optimization (disparities stay free). features is
     stored pixel-major: a (K, H, W) view of a C-contiguous (H, W, K) buffer, so
     that the K channels of a pixel are adjacent for sampling. A keyframe built
-    from such a view (dataclasses.replace, KeyframeGraph.copy) shares the buffer.
+    from such a view (dataclasses.replace) shares the buffer.
     """
 
     index: int
@@ -96,12 +96,3 @@ class KeyframeGraph:
         for obs in self.edges:
             groups.setdefault(obs.i, []).append(obs)
         return [groups[i] for i in sorted(groups)]
-
-    def copy(self) -> "KeyframeGraph":
-        """Shallow-graph copy with fresh Keyframe objects (maps shared, pose/disparity replaceable)."""
-        return KeyframeGraph(
-            keyframes=[replace(kf, disparity=kf.disparity.copy()) for kf in self.keyframes],
-            edges=list(self.edges),
-            intrinsics=self.intrinsics,
-        )
-

@@ -183,8 +183,8 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
     if with_jacobians:
         jac = np.empty((n_rows, 11 if with_intrinsics else 7, n))
         with np.errstate(over="ignore", invalid="ignore"):
-            adjoint, _, mu, valid_geo = geometry.reprojection_jacobian(
-                u, d, relative, intrinsics, bounds, with_intrinsics, out=jac[:2])
+            adjoint, mu, valid_geo = geometry.reprojection_jacobian(u, d, relative, intrinsics,
+                                                                    bounds, jac[:2])
     else:
         mu, valid_geo = geometry.reproject(u, d, relative, intrinsics, bounds)
 
@@ -211,7 +211,7 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
             z_smp[lo:hi], grad, _ = bilinear_sample(kf_j.features, mu[:, lo:hi].T,
                                                     with_grad=with_grad)
             if with_grad:
-                dz_du[lo:hi] = grad.swapaxes(-1, -2)
+                dz_du[lo:hi] = grad
         cs, n_src, n_smp, norm_ok = _cosine(z_src, z_smp)
         valid_embed = valid_flow & norm_ok
         out.cs = np.where(valid_embed, cs, 0.0)

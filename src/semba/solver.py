@@ -279,7 +279,7 @@ def _eliminate(ne: NormalEquations, k: int):
 
 
 def assemble(graph: KeyframeGraph, config: SolverConfig, alphas,
-             layout: ProblemLayout = None) -> NormalEquations:
+             layout: ProblemLayout) -> NormalEquations:
     """Accumulate the weighted Gauss-Newton normal equations over all edges and priors.
 
     Every keyframe first adds the diagonal and gradient of residuals.prior_terms.
@@ -288,10 +288,8 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas,
     residuals.edge_weights under that group's shapes in alphas. A keyframe's
     disparities enter only its own out-edges' rows, so its disparity block is
     then complete and its undamped Schur terms are added at once. layout is
-    ProblemLayout.build(graph, config), built here when not given.
+    ProblemLayout.build(graph, config), which solve builds once for all its states.
     """
-    if layout is None:
-        layout = ProblemLayout.build(graph, config)
     p = layout.n_reduced
     width = max(support.size for support in layout.supports)
     ne = NormalEquations(layout=layout, pose_h=np.zeros((p, p)),
@@ -357,17 +355,15 @@ def solve_normal_equations(ne: NormalEquations, lm: float) -> np.ndarray:
     return np.concatenate([delta_pose, delta_disp])
 
 
-def retract(graph: KeyframeGraph, delta: np.ndarray, config: SolverConfig,
-            layout: ProblemLayout = None) -> KeyframeGraph:
+def retract(graph: KeyframeGraph, delta: np.ndarray, layout: ProblemLayout) -> KeyframeGraph:
     """Apply a stacked update: exp-compose poses, add intrinsics, add and clamp disparities.
 
+    delta is ordered by layout, the layout of the normal equations it solves.
+    The result is a new graph with new keyframes, and graph is left unchanged.
     A disparity 0 (invalid) with a zero update stays 0. A finite delta keeps
     every keyframe valid, so delta is checked once and the moved keyframes
-    share the already validated prior and feature maps. layout is
-    ProblemLayout.build(graph, config), built here when not given.
+    share the already validated prior and feature maps.
     """
-    if layout is None:
-        layout = ProblemLayout.build(graph, config)
     if delta.shape != (layout.n_total,):
         raise ValueError(f"delta has {delta.shape[0]} entries, expected {layout.n_total}")
     bad = ~np.isfinite(delta)
@@ -394,10 +390,7 @@ def retract(graph: KeyframeGraph, delta: np.ndarray, config: SolverConfig,
 @dataclass(frozen=True)
 class IterationRecord:
     iteration: int
-    e_total: float
-    e_photo_ark: float
-    e_embed: float
-    e_reg: float
+    energies: EnergyBreakdown
     accepted: bool
 
 
@@ -413,9 +406,12 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     state, from the similarity it computes anyway, and the accepting trial's
     shapes serve the next iteration, so no further similarity-only pass is made.
 
-    Returns (optimized graph, trace). Row 0 of the trace holds the initial
-    energies; each further row is one scored solve attempt with its accept
-    flag, all evaluated under that iteration's kernel state. A step that would
+    The input graph is never modified: every candidate is a new graph built by
+    retract. Returns (optimized graph, trace); with no accepted step the
+    optimized graph is the input graph itself. Row 0 of the trace holds the
+    initial energies; each further row is one scored solve attempt with its
+    accept flag, all evaluated under that iteration's kernel state, and the
+    last accepted row holds the optimized graph's energies. A step that would
     make a focal length non-positive leaves the camera model: it is rejected
     unscored and untraced, and the damping grows as after a rejected step.
     Raises RuntimeError when the damped reduced system stays singular.
@@ -423,7 +419,7 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     if not graph.edges:
         raise ValueError("graph has no edges; the problem is unconstrained")
 
-    state = graph.copy()
+    state = graph
     layout = ProblemLayout.build(state, config)  # the edges stay fixed through the solve
     trace = []
     lm = LM_INIT
@@ -432,8 +428,7 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
         ne = assemble(state, config, alphas, layout)
         e_cur = ne.energies
         if it == 1:
-            trace.append(IterationRecord(0, e_cur.total, e_cur.photo_ark, e_cur.embed,
-                                         e_cur.reg, True))
+            trace.append(IterationRecord(0, e_cur, True))
         while True:
             try:
                 delta = solve_normal_equations(ne, lm)
@@ -450,11 +445,10 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
             # a singular one, it is neither scored nor traced.
             k = layout.intrinsics_slice
             if k is None or np.all(state.intrinsics.as_array()[:2] + delta[k][:2] > 0):
-                candidate = retract(state, delta, config, layout)
+                candidate = retract(state, delta, layout)
                 e_new, shapes = total_energy(candidate, config, alphas)
                 accepted = e_new.total < e_cur.total
-                trace.append(IterationRecord(it, e_new.total, e_new.photo_ark, e_new.embed,
-                                             e_new.reg, accepted))
+                trace.append(IterationRecord(it, e_new, accepted))
                 if accepted:
                     state, alphas = candidate, shapes
                     lm = max(lm * LM_SHRINK, LM_MIN)

@@ -280,8 +280,9 @@ def write_seg_metrics(path, metrics: SegMetrics) -> None:
 def write_energy_trace(path, trace) -> None:
     lines = ["iter,E_total,E_photo_ark,E_embed,E_reg,accepted"]
     for rec in trace:
-        lines.append(f"{rec.iteration},{repr(rec.e_total)},{repr(rec.e_photo_ark)},"
-                     f"{repr(rec.e_embed)},{repr(rec.e_reg)},{int(rec.accepted)}")
+        e = rec.energies
+        lines.append(f"{rec.iteration},{repr(e.total)},{repr(e.photo_ark)},"
+                     f"{repr(e.embed)},{repr(e.reg)},{int(rec.accepted)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

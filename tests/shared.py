@@ -1,5 +1,6 @@
 """Helpers shared by several test modules: random maps, finite differences,
-one-edge evaluations and the brute-force normal-equation reference."""
+one-edge evaluations, assembly under a graph's own layout and the brute-force
+normal-equation reference."""
 
 import dataclasses
 
@@ -10,7 +11,7 @@ from semba.geometry import Intrinsics, relative_pose, reproject, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import ALPHA_DISP, FlowObservation, evaluate_edge, grid_pixels
 from semba.robust import ALPHA_STATIC, adaptive_alpha, irls_weight
-from semba.solver import ProblemLayout
+from semba.solver import ProblemLayout, assemble, kernel_alphas
 
 K = Intrinsics(40.0, 42.0, 15.5, 11.5)
 
@@ -68,8 +69,16 @@ def off_grid_lines(disparity, pose_i, pose_j, intr=K, margin=1e-3):
     """
     h, w = disparity.shape
     mu, _ = reproject(grid_pixels(h, w), disparity.reshape(-1), [relative_pose(pose_i, pose_j)],
-                      intr)
+                      intr, (0, h * w))
     return (np.abs(mu - np.round(mu)) >= margin).all(axis=0)
+
+
+def assemble_own(graph, config, alphas=None):
+    """assemble under graph's own layout, ProblemLayout.build(graph, config), with the
+    shapes kernel_alphas decides at its state unless alphas are given."""
+    if alphas is None:
+        alphas = kernel_alphas(graph, config)
+    return assemble(graph, config, alphas, ProblemLayout.build(graph, config))
 
 
 class ToyBundle:

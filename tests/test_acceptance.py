@@ -15,10 +15,10 @@ from semba.evaluation import (LabelSet, SemanticPointCloud, assign_labels, knn_t
 from semba.geometry import relative_pose, reproject, reprojection_jacobian, se3_exp
 from semba.residuals import total_energy
 from semba.robust import barron_psi, barron_rho
-from semba.solver import SolverConfig, assemble, kernel_alphas, solve, solve_normal_equations
+from semba.solver import SolverConfig, kernel_alphas, solve, solve_normal_equations
 from semba.synthscene import SceneConfig, gen_scene
-from shared import (K, ToyBundle, brute_force_normal_equations, central_differences, edge_eval,
-                    off_grid_lines, smooth_map)
+from shared import (K, ToyBundle, assemble_own, brute_force_normal_equations, central_differences,
+                    edge_eval, off_grid_lines, smooth_map)
 
 
 def report(criterion, detail):
@@ -29,17 +29,21 @@ class TestCriterion1Jacobians:
     def test_derivatives_match_finite_differences(self, rng):
         start = time.time()
 
+        # One pixel at a time: a (2, 1) batch of one edge.
+        one = (0, 1)
         worst_reproj = 0.0
         checked = 0
         while checked < 100:
             t_i = se3_exp(rng.normal(0, 0.2, 6))
             t_j = se3_exp(rng.normal(0, 0.2, 6))
-            u = rng.uniform(5, 55, size=2)
-            d = rng.uniform(0.3, 1.5)
-            adjoint, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K)
-            if not valid:
+            u = rng.uniform(5, 55, size=(2, 1))
+            d = rng.uniform(0.3, 1.5, size=1)
+            jac = np.empty((2, 7, 1))
+            adjoint, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K, one,
+                                                      jac)
+            if not valid[0]:
                 continue
-            j_d, j_j = jac[:, 0], jac[:, 1:]
+            j_d, j_j = jac[:, 0, 0], jac[:, 1:, 0]
             checked += 1
             eps = 1e-6
             for which, analytic in (("i", -j_j @ adjoint[0]), ("j", j_j)):
@@ -53,14 +57,14 @@ class TestCriterion1Jacobians:
                     else:
                         args_p = (t_i, se3_exp(tw).compose(t_j))
                         args_m = (t_i, se3_exp(-tw).compose(t_j))
-                    mu_p, _ = reproject(u, d, [relative_pose(*args_p)], K)
-                    mu_m, _ = reproject(u, d, [relative_pose(*args_m)], K)
-                    fd[:, k] = (mu_p - mu_m) / (2 * eps)
+                    mu_p, _ = reproject(u, d, [relative_pose(*args_p)], K, one)
+                    mu_m, _ = reproject(u, d, [relative_pose(*args_m)], K, one)
+                    fd[:, k] = (mu_p - mu_m)[:, 0] / (2 * eps)
                 worst_reproj = max(worst_reproj,
                                    np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1.0))
-            mu_p, _ = reproject(u, d + eps, [relative_pose(t_i, t_j)], K)
-            mu_m, _ = reproject(u, d - eps, [relative_pose(t_i, t_j)], K)
-            fd_d = (mu_p - mu_m) / (2 * eps)
+            mu_p, _ = reproject(u, d + eps, [relative_pose(t_i, t_j)], K, one)
+            mu_m, _ = reproject(u, d - eps, [relative_pose(t_i, t_j)], K, one)
+            fd_d = (mu_p - mu_m)[:, 0] / (2 * eps)
             worst_reproj = max(worst_reproj,
                                np.abs(j_d - fd_d).max() / max(np.abs(fd_d).max(), 1.0))
         assert worst_reproj < 1e-4
@@ -200,7 +204,7 @@ class TestCriterion6NormalEquationOracle:
         toy = ToyBundle(seed=5)
         graph = toy.to_graph()
         config = SolverConfig(max_iters=5)
-        ne = assemble(graph, config, kernel_alphas(graph, config))
+        ne = assemble_own(graph, config)
         n = ne.layout.n_total
         assert n <= 500
         h_dense, b_dense = ne.to_dense()

@@ -399,6 +399,23 @@ scene:
         assert (f"solved in {iterations} iterations, {attempts} scored attempts "
                 f"({accepted} accepted); ") in capsys.readouterr().out
 
+    def test_summary_reports_the_final_state_energy(self, tmp_path, capsys):
+        # This solve's last scored attempt is rejected, and the damped step after
+        # it falls below the update tolerance: the summary names the last
+        # accepted row's energy, the optimized state's.
+        cfg = write_config(tmp_path / "cfg.yaml", "scene:\n  num_keyframes: 4\n  height: 24\n"
+                           "  width: 32\n  pose_sigma: 0.01\n  dynamic_fraction: 0.2\n"
+                           "  seed: 1\nsolver:\n  max_iters: 30\n")
+        bundle, out = tmp_path / "bundle", tmp_path / "out"
+        assert main(["synth", str(bundle), "--config", cfg]) == 0
+        assert main(["ba", str(bundle), str(out), "--config", cfg]) == 0
+        rows = [r.split(",") for r in (out / "energy_trace.csv").read_text().splitlines()[1:]]
+        final = [r for r in rows if r[-1] == "1"][-1]
+        assert rows[-1][-1] == "0"
+        assert f"{float(rows[-1][1]):.6e}" != f"{float(final[1]):.6e}"
+        assert (f"E_total {float(rows[0][1]):.6e} -> {float(final[1]):.6e}\n"
+                in capsys.readouterr().out)
+
     def test_no_embed_flag(self, synth_run, tmp_path):
         root, cfg, bundle = synth_run
         out = tmp_path / "out"

@@ -12,9 +12,20 @@ K = Intrinsics(50.0, 52.0, 31.5, 23.5)
 
 twists = st.lists(st.floats(-0.8, 0.8), min_size=6, max_size=6).map(np.array)
 
+# The offsets of one edge over a single pixel, a (2, 1) batch.
+ONE = (0, 1)
+
 
 def random_pose(rng, scale=0.3):
     return se3_exp(rng.normal(0.0, scale, 6))
+
+
+def jacobian(u, d, relative, bounds, columns=7):
+    """reprojection_jacobian written into a fresh (2, columns, N) array:
+    (adjoint, jac, mu, valid)."""
+    jac = np.empty((2, columns, d.size))
+    adjoint, mu, valid = reprojection_jacobian(u, d, relative, K, bounds, jac)
+    return adjoint, jac, mu, valid
 
 
 def twist_expm(twist):
@@ -132,7 +143,7 @@ class TestReproject:
         pose = random_pose(rng)
         u = rng.uniform(0, 60, size=(2, 40))
         d = rng.uniform(0.2, 2.0, size=40)
-        mu, valid = reproject(u, d, [relative_pose(pose, pose)], K)
+        mu, valid = reproject(u, d, [relative_pose(pose, pose)], K, (0, 40))
         assert valid.all()
         assert np.abs(mu - u).max() < 1e-9
 
@@ -141,29 +152,30 @@ class TestReproject:
         # reaches Z=0 and must be flagged.
         t_i = Pose.identity()
         t_j = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
-        _, valid = reproject(np.array([K.cx, K.cy]), 1.0, [relative_pose(t_i, t_j)], K)
-        assert not valid
+        _, valid = reproject(np.array([[K.cx], [K.cy]]), np.ones(1), [relative_pose(t_i, t_j)],
+                             K, ONE)
+        assert not valid[0]
 
     def test_zero_disparity_invalid(self):
-        _, valid = reproject(np.array([5.0, 5.0]), 0.0, [Pose.identity()], K)
-        assert not valid
+        _, valid = reproject(np.array([[5.0], [5.0]]), np.zeros(1), [Pose.identity()], K, ONE)
+        assert not valid[0]
 
     def test_matches_chained_transform_oracle(self, rng):
         # Independent two-step composition: unproject in i, map i->world->j, project.
         for _ in range(50):
             t_i, t_j = random_pose(rng), random_pose(rng)
-            u = rng.uniform(5, 55, size=2)
-            d = rng.uniform(0.3, 1.5)
-            point_i = unproject(u, d, K)
+            u = rng.uniform(5, 55, size=(2, 1))
+            d = rng.uniform(0.3, 1.5, size=1)
+            point_i = unproject(u, d, K)[:, 0]
             world = t_i.inverse().apply(point_i)
             point_j = t_j.apply(world)
             if point_j[2] < 1e-3:
                 continue
             expected = np.array([K.fx * point_j[0] / point_j[2] + K.cx,
                                  K.fy * point_j[1] / point_j[2] + K.cy])
-            mu, valid = reproject(u, d, [relative_pose(t_i, t_j)], K)
-            assert valid
-            assert np.abs(mu - expected).max() < 1e-9
+            mu, valid = reproject(u, d, [relative_pose(t_i, t_j)], K, ONE)
+            assert valid[0]
+            assert np.abs(mu[:, 0] - expected).max() < 1e-9
 
     def test_world_gauge_invariance(self, rng):
         # Re-anchoring the world frame (both poses composed with the same
@@ -173,9 +185,9 @@ class TestReproject:
             gauge = random_pose(rng, scale=0.5)
             u = rng.uniform(5, 55, size=(2, 10))
             d = rng.uniform(0.3, 1.5, size=10)
-            mu, valid = reproject(u, d, [relative_pose(t_i, t_j)], K)
+            mu, valid = reproject(u, d, [relative_pose(t_i, t_j)], K, (0, 10))
             mu_g, valid_g = reproject(
-                u, d, [relative_pose(t_i.compose(gauge), t_j.compose(gauge))], K)
+                u, d, [relative_pose(t_i.compose(gauge), t_j.compose(gauge))], K, (0, 10))
             assert (valid == valid_g).all()
             assert np.abs(mu[:, valid] - mu_g[:, valid]).max() < 1e-9
 
@@ -197,16 +209,16 @@ class TestReproject:
 
 
 def _fd_pose_jacobian(u, d, t_i, t_j, which, eps=1e-6):
-    """Central differences of reproject."""
+    """Central differences of reproject at one pixel u (2, 1) with disparity d (1,)."""
     out = np.zeros((2, 6))
     for k in range(6):
         tw = np.zeros(6)
         tw[k] = eps
         args_p = (se3_exp(tw).compose(t_i), t_j) if which == "i" else (t_i, se3_exp(tw).compose(t_j))
         args_m = (se3_exp(-tw).compose(t_i), t_j) if which == "i" else (t_i, se3_exp(-tw).compose(t_j))
-        mu_p, _ = reproject(u, d, [relative_pose(*args_p)], K)
-        mu_m, _ = reproject(u, d, [relative_pose(*args_m)], K)
-        out[:, k] = (mu_p - mu_m) / (2 * eps)
+        mu_p, _ = reproject(u, d, [relative_pose(*args_p)], K, ONE)
+        mu_m, _ = reproject(u, d, [relative_pose(*args_m)], K, ONE)
+        out[:, k] = (mu_p - mu_m)[:, 0] / (2 * eps)
     return out
 
 
@@ -216,18 +228,18 @@ class TestReprojectionJacobian:
         worst = 0.0
         while checked < 100:
             t_i, t_j = random_pose(rng), random_pose(rng)
-            u = rng.uniform(5, 55, size=2)
-            d = rng.uniform(0.3, 1.5)
-            adjoint, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K)
-            if not valid:
+            u = rng.uniform(5, 55, size=(2, 1))
+            d = rng.uniform(0.3, 1.5, size=1)
+            adjoint, jac, _, valid = jacobian(u, d, [relative_pose(t_i, t_j)], ONE)
+            if not valid[0]:
                 continue
             checked += 1
-            j_d, j_j = jac[:, 0], jac[:, 1:]
+            j_d, j_j = jac[:, 0, 0], jac[:, 1:, 0]
             fd_i = _fd_pose_jacobian(u, d, t_i, t_j, "i")
             fd_j = _fd_pose_jacobian(u, d, t_i, t_j, "j")
-            mu_p, _ = reproject(u, d + 1e-6, [relative_pose(t_i, t_j)], K)
-            mu_m, _ = reproject(u, d - 1e-6, [relative_pose(t_i, t_j)], K)
-            fd_d = (mu_p - mu_m) / 2e-6
+            mu_p, _ = reproject(u, d + 1e-6, [relative_pose(t_i, t_j)], K, ONE)
+            mu_m, _ = reproject(u, d - 1e-6, [relative_pose(t_i, t_j)], K, ONE)
+            fd_d = (mu_p - mu_m)[:, 0] / 2e-6
             for analytic, fd in ((-j_j @ adjoint[0], fd_i), (j_j, fd_j), (j_d, fd_d)):
                 scale = max(np.abs(fd).max(), 1.0)
                 worst = max(worst, np.abs(analytic - fd).max() / scale)
@@ -237,7 +249,7 @@ class TestReprojectionJacobian:
         pose = random_pose(rng)
         u = rng.uniform(5, 55, size=(2, 20))
         d = rng.uniform(0.3, 1.5, size=20)
-        adjoint, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(pose, pose)], K)
+        adjoint, jac, _, valid = jacobian(u, d, [relative_pose(pose, pose)], (0, 20))
         assert valid.all()
         j_j = np.moveaxis(jac, -1, 0)[..., 1:]
         # The pose-i and pose-j derivatives cancel: Ad(T_ji) = I for T_ji = I.
@@ -250,29 +262,28 @@ class TestReprojectionJacobian:
         t_j = rot_only.compose(t_i)
         u = rng.uniform(5, 55, size=(2, 20))
         d = rng.uniform(0.3, 1.5, size=20)
-        _, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K)
+        _, jac, _, valid = jacobian(u, d, [relative_pose(t_i, t_j)], (0, 20))
         assert np.abs(jac[:, 0, valid]).max() < 1e-9
 
     def test_intrinsics_jacobian_matches_fd(self, rng):
         worst = 0.0
         for _ in range(50):
             t_i, t_j = random_pose(rng), random_pose(rng)
-            u = rng.uniform(5, 55, size=2)
-            d = rng.uniform(0.3, 1.5)
-            _, jac, _, valid = reprojection_jacobian(u, d, [relative_pose(t_i, t_j)], K,
-                                                     with_intrinsics=True)
-            if not valid:
+            u = rng.uniform(5, 55, size=(2, 1))
+            d = rng.uniform(0.3, 1.5, size=1)
+            _, jac, _, valid = jacobian(u, d, [relative_pose(t_i, t_j)], ONE, columns=11)
+            if not valid[0]:
                 continue
-            jk = jac[:, 7:]
+            jk = jac[:, 7:, 0]
             fd = np.zeros((2, 4))
             base = K.as_array()
             for p in range(4):
                 step = np.zeros(4)
                 step[p] = 1e-5
                 rel = [relative_pose(t_i, t_j)]
-                mu_p, _ = reproject(u, d, rel, Intrinsics.from_array(base + step))
-                mu_m, _ = reproject(u, d, rel, Intrinsics.from_array(base - step))
-                fd[:, p] = (mu_p - mu_m) / 2e-5
+                mu_p, _ = reproject(u, d, rel, Intrinsics.from_array(base + step), ONE)
+                mu_m, _ = reproject(u, d, rel, Intrinsics.from_array(base - step), ONE)
+                fd[:, p] = (mu_p - mu_m)[:, 0] / 2e-5
             worst = max(worst, np.abs(jk - fd).max() / max(np.abs(fd).max(), 1.0))
         assert worst < 1e-4
 
@@ -282,9 +293,8 @@ class TestReprojectionJacobian:
         bounds = np.array([0, 17, 17, 40])
         u = rng.uniform(5, 55, size=(2, 40))
         d = rng.uniform(0.3, 1.5, size=40)
-        adjoint, jac, mu, valid = reprojection_jacobian(u, d, relative, K, bounds)
-        adjoint_k, jac_k, mu_k, valid_k = reprojection_jacobian(u, d, relative, K, bounds,
-                                                                with_intrinsics=True)
+        adjoint, jac, mu, valid = jacobian(u, d, relative, bounds)
+        adjoint_k, jac_k, mu_k, valid_k = jacobian(u, d, relative, bounds, columns=11)
         assert jac.shape == (2, 7, 40) and jac_k.shape == (2, 11, 40)
         for same, ref in ((adjoint_k, adjoint), (jac_k[:, :7], jac), (mu_k, mu),
                           (valid_k, valid)):
@@ -302,24 +312,22 @@ class TestReprojectionJacobian:
                     / max(np.abs(fd[..., n]).max(), 1.0) for n in np.flatnonzero(valid))
         assert worst < 1e-4
 
-    @pytest.mark.parametrize("with_intrinsics", [False, True], ids=["pose", "intrinsics"])
-    def test_out_matches_own_allocation(self, rng, with_intrinsics):
-        # Written into rows of a larger stack, the Jacobian is the one it allocates
-        # itself, bit for bit, and every entry of out is written.
+    @pytest.mark.parametrize("columns", [7, 11], ids=["pose", "intrinsics"])
+    def test_out_matches_own_allocation(self, rng, columns):
+        # Written into rows of a larger stack, the Jacobian is the one written into
+        # an array of its own, bit for bit, and every entry of out is written.
         relative = [relative_pose(random_pose(rng), random_pose(rng)) for _ in range(3)]
         bounds = np.array([0, 17, 17, 40])
         u = rng.uniform(5, 55, size=(2, 40))
         d = rng.uniform(-0.2, 1.5, size=40)
-        adjoint, jac, mu, valid = reprojection_jacobian(u, d, relative, K, bounds,
-                                                        with_intrinsics=with_intrinsics)
+        adjoint, jac, mu, valid = jacobian(u, d, relative, bounds, columns)
         assert not valid.all()
-        stack = np.full((3, jac.shape[1], 40), np.nan)
-        adjoint_o, jac_o, mu_o, valid_o = reprojection_jacobian(
-            u, d, relative, K, bounds, with_intrinsics=with_intrinsics, out=stack[:2])
-        assert np.shares_memory(jac_o, stack)
+        stack = np.full((3, columns, 40), np.nan)
+        adjoint_o, mu_o, valid_o = reprojection_jacobian(u, d, relative, K, bounds, stack[:2])
         for same, ref in ((stack[:2], jac), (adjoint_o, adjoint), (mu_o, mu),
                           (valid_o, valid)):
             assert same.tobytes() == ref.tobytes()
+        assert np.isfinite(stack[:2]).all()
         assert np.isnan(stack[2]).all()
 
 

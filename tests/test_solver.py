@@ -14,7 +14,7 @@ from semba.solver import (MIN_DISPARITY, NormalEquations, ProblemLayout, SolverC
                           _accumulate_edges, assemble, kernel_alphas, retract, solve,
                           solve_normal_equations)
 from semba.synthscene import TEMPORAL_RADIUS, SceneConfig, gen_scene
-from shared import ToyBundle, brute_force_normal_equations, stacked_rows
+from shared import ToyBundle, assemble_own, brute_force_normal_equations, stacked_rows
 
 
 def small_config(**kw):
@@ -29,7 +29,7 @@ def toy_bundle():
 
 def assert_matches_brute_force(graph, config):
     """Assemble and compare to_dense() with the brute-force system; returns both."""
-    ne = assemble(graph, config, kernel_alphas(graph, config))
+    ne = assemble_own(graph, config)
     h_dense, b_dense = ne.to_dense()
     h_ref, b_ref = brute_force_normal_equations(graph, config)
     assert np.abs(h_dense - h_ref).max() / max(np.abs(h_ref).max(), 1.0) < 1e-9
@@ -98,12 +98,12 @@ class TestAssemble:
 
     def test_symmetric(self, toy_bundle):
         graph, config = toy_bundle.to_graph(), small_config()
-        h, _ = assemble(graph, config, kernel_alphas(graph, config)).to_dense()
+        h, _ = assemble_own(graph, config).to_dense()
         assert np.abs(h - h.T).max() < 1e-9
 
     def test_zero_residual_state_zero_gradient(self, clean_bundle):
         graph, config = clean_bundle.to_graph(initial=False), small_config()
-        ne = assemble(graph, config, kernel_alphas(graph, config))
+        ne = assemble_own(graph, config)
         assert np.abs(ne.pose_g).max() < 1e-9
         assert np.abs(ne.disp_g).max() < 1e-9
         h, _ = ne.to_dense()
@@ -120,7 +120,7 @@ class TestAssemble:
         # Every pixel of the toy bundle is confident, so row n is grid pixel n.
         graph.edges[1] = with_nan_target(graph.edges[1], 3 * w + 4, 0)
         with pytest.raises(FloatingPointError, match=r"edge \(.*\), pixel"):
-            assemble(graph, config, kernel_alphas(graph, config))
+            assemble_own(graph, config)
 
     def test_nonfinite_row_names_its_grid_pixel(self, toy_bundle):
         graph = toy_bundle.to_graph()
@@ -137,7 +137,7 @@ class TestAssemble:
         assert edge.pixels[row] == pixel and row != pixel
         graph.edges[1] = with_nan_target(edge, row, 0)
         with pytest.raises(FloatingPointError, match=rf"pixel index {pixel}$"):
-            assemble(graph, config, kernel_alphas(graph, config))
+            assemble_own(graph, config)
 
     def test_nonfinite_row_in_third_edge_names_its_edge_and_pixel(self):
         graph = gapped_graph({0})
@@ -154,7 +154,7 @@ class TestAssemble:
         bad = with_nan_target(with_nan_target(obs, row, 1), int(valid_rows[5]), 0)
         graph.edges[graph.edges.index(obs)] = bad
         with pytest.raises(FloatingPointError, match=rf"edge \(2, 3\), pixel index {pixel}$"):
-            assemble(graph, config, kernel_alphas(graph, config))
+            assemble_own(graph, config)
 
     # The six modes of the toy-bundle comparisons, on keyframes with two, three
     # and four out-edges.
@@ -183,10 +183,10 @@ class TestAssemble:
         with_dead = KeyframeGraph(keyframes=graph.keyframes, intrinsics=graph.intrinsics,
                                   edges=graph.edges[:2] + [dead] + graph.edges[2:])
         config = small_config(**options)
-        ne = assemble(graph, config, kernel_alphas(graph, config))
+        ne = assemble_own(graph, config)
         alphas = kernel_alphas(with_dead, config)
         assert [np.shape(a) for a in alphas] == [np.shape(a) for a in kernel_alphas(graph, config)]
-        ne_dead = assemble(with_dead, config, alphas)
+        ne_dead = assemble_own(with_dead, config, alphas)
         for name in ("pose_h", "pose_g", "coupling", "disp_h", "disp_g"):
             assert np.array_equal(getattr(ne_dead, name), getattr(ne, name)), name
         assert ne_dead.energies == ne.energies
@@ -262,7 +262,7 @@ class TestKernelAlphas:
         start = kernel_alphas(dynamic_bundle.to_graph(initial=True), config)
         graph = dynamic_bundle.to_graph(initial=False)
         energies, shapes = total_energy(graph, config, start)
-        assert energies == assemble(graph, config, start).energies  # scored under start
+        assert energies == assemble_own(graph, config, start).energies  # scored under start
         expected = kernel_alphas(graph, config)
         assert len(shapes) == len(expected)
         for got, want in zip(shapes, expected):
@@ -305,7 +305,7 @@ class TestSchurSolve:
     def test_matches_dense_solve(self, toy_bundle):
         graph = toy_bundle.to_graph()
         config = small_config()
-        ne = assemble(graph, config, kernel_alphas(graph, config))
+        ne = assemble_own(graph, config)
         assert ne.layout.n_total <= 500
         assert_schur_matches_dense(ne, *ne.to_dense())
 
@@ -382,7 +382,7 @@ class TestCouplingMemory:
         nbytes = []
         for k in (8, 16):
             graph = gen_scene(SceneConfig(num_keyframes=k, height=h, width=w, seed=3)).to_graph()
-            ne = assemble(graph, config, kernel_alphas(graph, config))
+            ne = assemble_own(graph, config)
             # Frame f couples to the free poses within the temporal radius.
             r = [6 * sum(not graph.keyframes[m].frozen
                          for m in range(max(0, f - radius), min(k, f + radius + 1)))
@@ -397,7 +397,7 @@ class TestCouplingMemory:
         h, w = 16, 20
         graph = gen_scene(SceneConfig(num_keyframes=16, height=h, width=w, seed=3)).to_graph()
         config = small_config(fixed_alpha=2.0)
-        ne = assemble(graph, config, kernel_alphas(graph, config))
+        ne = assemble_own(graph, config)
         layout = ne.layout
         rows = layout.coupling_rows[-1].stop
         width = max(support.size for support in layout.supports)
@@ -416,7 +416,7 @@ class TestRetract:
         graph = toy_bundle.to_graph()
         config = small_config()
         layout = ProblemLayout.build(graph, config)
-        out = retract(graph, np.zeros(layout.n_total), config)
+        out = retract(graph, np.zeros(layout.n_total), layout)
         for a, b in zip(out.keyframes, graph.keyframes):
             assert np.array_equal(a.disparity, b.disparity)
             assert np.abs(a.pose.matrix() - b.pose.matrix()).max() == 0.0
@@ -428,7 +428,7 @@ class TestRetract:
         delta = np.zeros(layout.n_total)
         twist = np.array([0.01, -0.02, 0.005, 0.001, 0.0, -0.002])
         delta[layout.pose_slices[1]] = twist
-        out = retract(graph, delta, config)
+        out = retract(graph, delta, layout)
         expected = se3_exp(twist).compose(graph.keyframes[1].pose)
         assert np.abs(out.keyframes[1].pose.matrix() - expected.matrix()).max() < 1e-12
 
@@ -438,7 +438,7 @@ class TestRetract:
         layout = ProblemLayout.build(graph, config)
         assert layout.pose_slices[0] is None  # keyframe 0 is the gauge anchor
         delta = np.ones(layout.n_total)
-        out = retract(graph, delta, config)
+        out = retract(graph, delta, layout)
         assert np.abs(out.keyframes[0].pose.matrix()
                       - graph.keyframes[0].pose.matrix()).max() == 0.0
 
@@ -448,7 +448,7 @@ class TestRetract:
         layout = ProblemLayout.build(graph, config)
         delta = np.zeros(layout.n_total)
         delta[layout.n_reduced:] = -100.0
-        out = retract(graph, delta, config)
+        out = retract(graph, delta, layout)
         assert out.keyframes[0].disparity.min() == MIN_DISPARITY
 
     def test_zero_disparity_stays_invalid(self):
@@ -475,21 +475,22 @@ class TestRetract:
         layout = ProblemLayout.build(graph, config)
         delta = np.zeros(layout.n_total)
         delta[layout.n_reduced + np.array([0, 1])] = [-1.0, 0.5]
-        moved = retract(graph, delta, config, layout).keyframes[0].disparity
+        moved = retract(graph, delta, layout).keyframes[0].disparity
         assert moved[0, 0] == MIN_DISPARITY and moved[0, 1] == 0.5 and moved[0, 2] == 0.0
 
     def test_dimension_check(self, toy_bundle):
         graph = toy_bundle.to_graph()
         with pytest.raises(ValueError, match="entries"):
-            retract(graph, np.zeros(3), small_config())
+            retract(graph, np.zeros(3), ProblemLayout.build(graph, small_config()))
 
     def test_non_finite_delta_names_the_entry(self, toy_bundle):
         graph = toy_bundle.to_graph()
         config = small_config()
-        delta = np.zeros(ProblemLayout.build(graph, config).n_total)
+        layout = ProblemLayout.build(graph, config)
+        delta = np.zeros(layout.n_total)
         delta[[17, 40]] = [np.inf, np.nan]
         with pytest.raises(ValueError, match=r"delta entry 17 is not finite \(inf\)"):
-            retract(graph, delta, config)
+            retract(graph, delta, layout)
 
     def test_moved_keyframes_are_not_validated_again(self, toy_bundle, monkeypatch):
         # The delta check covers every map retract changes; the others were
@@ -501,8 +502,9 @@ class TestRetract:
             raise AssertionError("retract re-validated a keyframe")
 
         monkeypatch.setattr(Keyframe, "__post_init__", no_validation)
-        delta = np.full(ProblemLayout.build(graph, config).n_total, 1e-3)
-        out = retract(graph, delta, config)
+        layout = ProblemLayout.build(graph, config)
+        delta = np.full(layout.n_total, 1e-3)
+        out = retract(graph, delta, layout)
         for a, b in zip(out.keyframes, graph.keyframes):
             assert a.disparity_prior is b.disparity_prior and a.features is b.features
             assert np.array_equal(a.disparity, b.disparity + 1e-3)
@@ -515,19 +517,34 @@ class TestSolve:
         ate = trajectory_ate([kf.pose for kf in opt.keyframes],
                              perturbed_bundle.gt_poses, "rigid")
         assert ate <= 1e-6
-        assert trace[-1].e_total < 1e-9
+        assert trace[-1].energies.total < 1e-9
 
     def test_already_optimal_is_a_fixed_point(self, clean_bundle):
         graph = clean_bundle.to_graph(initial=False)
         opt, trace = solve(graph, small_config())
         assert sum(r.accepted for r in trace[1:]) == 0
+        assert opt is graph  # with no accepted step the input itself is returned
         for a, b in zip(opt.keyframes, graph.keyframes):
             assert np.abs(a.pose.matrix() - b.pose.matrix()).max() < 1e-9
             assert np.abs(a.disparity - b.disparity).max() < 1e-9
 
+    def test_input_graph_is_left_unchanged(self, dynamic_bundle):
+        # Every candidate is a new graph, so the solve never writes its input.
+        graph = dynamic_bundle.to_graph(initial=True)
+        poses = [kf.pose.matrix() for kf in graph.keyframes]
+        disparities = [kf.disparity.tobytes() for kf in graph.keyframes]
+        intrinsics = graph.intrinsics.as_array()
+        opt, trace = solve(graph, small_config(optimize_intrinsics=True, max_iters=4))
+        for kf, pose, disparity in zip(graph.keyframes, poses, disparities):
+            assert np.array_equal(kf.pose.matrix(), pose)
+            assert kf.disparity.tobytes() == disparity
+        assert np.array_equal(graph.intrinsics.as_array(), intrinsics)
+        assert sum(r.accepted for r in trace[1:]) >= 2
+        assert not np.array_equal(opt.intrinsics.as_array(), intrinsics)
+
     def test_energy_trace_nonincreasing_on_accepted(self, perturbed_bundle):
         _, trace = solve(perturbed_bundle.to_graph(initial=True), small_config())
-        accepted = [r.e_total for r in trace if r.accepted]
+        accepted = [r.energies.total for r in trace if r.accepted]
         assert all(b < a for a, b in zip(accepted, accepted[1:]))
 
     def test_gauge_invariance_of_relative_poses(self, perturbed_bundle):
@@ -621,7 +638,7 @@ class TestUnconstrainedUnknowns:
             solve(graph, small_config(optimize_intrinsics=True))
         # Without the camera there is no unknown left but the disparities.
         _, trace = solve(graph, small_config(max_iters=2))
-        assert trace[0].e_photo_ark == 0.0
+        assert trace[0].energies.photo_ark == 0.0
 
 
 class TestIntrinsicsOptimization:
@@ -636,7 +653,7 @@ class TestIntrinsicsOptimization:
         opt, trace = solve(graph, config)
         got = opt.intrinsics.as_array()
         assert np.abs(got - true_k.as_array()).max() < 0.05
-        assert trace[-1].e_total < 1e-6
+        assert trace[-1].energies.total < 1e-6
 
     def test_step_to_non_positive_focal_is_rejected_unscored(self, monkeypatch):
         # From this start an early damped step would put fy below zero. The
@@ -662,7 +679,7 @@ class TestIntrinsicsOptimization:
         assert len(retracts) == len(trace) - 1
         assert len(steps) > len(retracts)  # some trial left the camera model
         assert opt.intrinsics.fx > 0 and opt.intrinsics.fy > 0
-        assert trace[-1].iteration == 6 and trace[-1].e_total < trace[0].e_total
+        assert trace[-1].iteration == 6 and trace[-1].energies.total < trace[0].energies.total
 
     def test_layout_includes_intrinsics(self, toy_bundle):
         graph = toy_bundle.to_graph()

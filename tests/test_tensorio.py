@@ -5,6 +5,7 @@ import pytest
 
 from semba.evaluation import LabelSet, seg_metrics
 from semba.geometry import Pose, se3_exp
+from semba.residuals import EnergyBreakdown
 from semba.solver import IterationRecord
 from semba.synthscene import SceneConfig, gen_scene
 from semba.tensorio import (FileFormatError, load_problem_bundle, read_labelset, read_pca,
@@ -257,8 +258,8 @@ class TestMetricsAndTrace:
         assert any(l.startswith("summary,miou_head,") for l in lines)
 
     def test_energy_trace_csv(self, tmp_path):
-        trace = [IterationRecord(0, 1.5, 1.0, 0.25, 0.25, True),
-                 IterationRecord(1, 0.5, 0.25, 0.125, 0.125, False)]
+        trace = [IterationRecord(0, EnergyBreakdown(1.5, 1.0, 0.25, 0.25), True),
+                 IterationRecord(1, EnergyBreakdown(0.5, 0.25, 0.125, 0.125), False)]
         path = tmp_path / "trace.csv"
         write_energy_trace(path, trace)
         lines = path.read_text().splitlines()
