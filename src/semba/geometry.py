@@ -19,7 +19,7 @@ conjugate. scipy's Rotation serves only the conversion from a rotation matrix
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -63,11 +63,13 @@ class Pose:
     """World-to-camera rigid transform (unit quaternion + translation).
 
     The quaternion is stored as given when it is unit to round-off; every
-    method works on it in closed form.
+    method works on it in closed form. Its rotation matrix is computed once, at
+    construction, and shared read-only by every method that needs it.
     """
 
     rotation: np.ndarray     # (4,) quaternion (qx, qy, qz, qw)
     translation: np.ndarray  # (3,) meters
+    _matrix: np.ndarray = field(init=False, repr=False)  # (3, 3) rotation matrix
 
     def __post_init__(self):
         q = np.asarray(self.rotation, dtype=float).reshape(4)
@@ -77,12 +79,16 @@ class Pose:
             raise ValueError("quaternion norm is degenerate")
         if abs(n - 1.0) > _UNIT_NORM_TOL:
             q = q / n
+        x, y, z, w = q.tolist()
+        mat = np.array([
+            [x * x - y * y - z * z + w * w, 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
+            [2.0 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2.0 * (y * z - x * w)],
+            [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), -x * x - y * y + z * z + w * w],
+        ])
+        mat.flags.writeable = False
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
+        object.__setattr__(self, "_matrix", mat)
 
     @staticmethod
     def from_matrix(mat) -> "Pose":
@@ -91,23 +97,13 @@ class Pose:
         return Pose(q, mat[:3, 3])
 
     def rotation_matrix(self) -> np.ndarray:
-        x, y, z, w = self.rotation.tolist()
-        return np.array([
-            [x * x - y * y - z * z + w * w, 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
-            [2.0 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2.0 * (y * z - x * w)],
-            [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), -x * x - y * y + z * z + w * w],
-        ])
-
-    def matrix(self) -> np.ndarray:
-        mat = np.eye(4)
-        mat[:3, :3] = self.rotation_matrix()
-        mat[:3, 3] = self.translation
-        return mat
+        """The (3, 3) rotation matrix, read-only."""
+        return self._matrix
 
     def compose(self, other: "Pose") -> "Pose":
         """Return self o other (other applied first)."""
         return Pose(_hamilton(self.rotation.tolist(), other.rotation.tolist()),
-                    self.rotation_matrix() @ other.translation + self.translation)
+                    self._matrix @ other.translation + self.translation)
 
     def inverse(self) -> "Pose":
         x, y, z, w = self.rotation.tolist()
@@ -116,11 +112,11 @@ class Pose:
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform world points (..., 3) into the camera frame."""
         points = np.asarray(points, dtype=float)
-        return points @ self.rotation_matrix().T + self.translation
+        return points @ self._matrix.T + self.translation
 
     def camera_center(self) -> np.ndarray:
         """Camera position in world coordinates."""
-        return -(self.rotation_matrix().T @ self.translation)
+        return -(self._matrix.T @ self.translation)
 
 
 def _hamilton(a, b) -> np.ndarray:

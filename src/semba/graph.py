@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Intrinsics, Pose
+from .geometry import Intrinsics, Pose, relative_pose
 
 
 @dataclass(eq=False)
@@ -17,7 +17,8 @@ class Keyframe:
     excludes the pose from optimization (disparities stay free). features is
     stored pixel-major: a (K, H, W) view of a C-contiguous (H, W, K) buffer, so
     that the K channels of a pixel are adjacent for sampling. A keyframe built
-    from such a view (dataclasses.replace) shares the buffer.
+    from such a view (dataclasses.replace, or a slot of a graph's buffer made by
+    write_slot) shares the buffer.
     """
 
     index: int
@@ -55,13 +56,58 @@ class Keyframe:
         return self.disparity.shape
 
 
+def write_slot(buffer: np.ndarray, k: int, features) -> np.ndarray:
+    """Copy (C, H, W) features into slot k of a pixel-major (K, H, W, C) buffer and return
+    the (C, H, W) view of that slot that a Keyframe keeps without a copy.
+
+    Features of any other shape are returned as given, for Keyframe and
+    KeyframeGraph to reject with the keyframe named.
+    """
+    slot = buffer[k]
+    if np.shape(features) != (slot.shape[-1],) + slot.shape[:-1]:
+        return features
+    slot[...] = np.moveaxis(features, 0, -1)
+    return np.moveaxis(slot, -1, 0)
+
+
+def _feature_buffer(keyframes) -> np.ndarray:
+    """The C-contiguous (K, H, W, C) buffer whose slot k keyframe k's features view.
+
+    When the keyframes' features are not already the slots of one such buffer,
+    they are copied into a new one and each keyframe's features are rebound to
+    its slot.
+    """
+    if not keyframes:
+        return np.empty((0, 0, 0, 0))
+    first = keyframes[0].features
+    shape = (len(keyframes),) + first.shape[1:] + first.shape[:1]
+    base = first.base
+    if (isinstance(base, np.ndarray) and base.shape == shape and base.flags.c_contiguous
+            and all(kf.features.base is base and kf.features.strides == first.strides
+                    and kf.features.ctypes.data == base.ctypes.data + k * base.strides[0]
+                    for k, kf in enumerate(keyframes))):
+        return base
+    buffer = np.empty(shape)
+    for k, kf in enumerate(keyframes):
+        kf.features = write_slot(buffer, k, kf.features)
+    return buffer
+
+
 @dataclass(eq=False)
 class KeyframeGraph:
-    """Keyframes and directed edges seen through one camera."""
+    """Keyframes and directed edges seen through one camera.
+
+    features is the graph's one C-contiguous, pixel-major (K, H, W, C) buffer
+    of embeddings: every keyframe's features are the (C, H, W) view of its slot
+    k (see _feature_buffer). Graphs built from the same keyframes' views, as
+    solver.retract builds them, share it.
+    """
 
     keyframes: list
     edges: list
     intrinsics: Intrinsics
+    features: np.ndarray = field(init=False, repr=False)
+    _relative: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.intrinsics, Intrinsics):
@@ -84,6 +130,7 @@ class KeyframeGraph:
                 raise ValueError(f"edge ({obs.i}, {obs.j}) references a missing keyframe")
             if obs.grid_shape != self.keyframes[obs.i].grid_shape:
                 raise ValueError(f"edge ({obs.i}, {obs.j}) maps do not match the keyframe grid")
+        self.features = _feature_buffer(self.keyframes)
 
     @property
     def grid_shape(self):
@@ -96,3 +143,20 @@ class KeyframeGraph:
         for obs in self.edges:
             groups.setdefault(obs.i, []).append(obs)
         return [groups[i] for i in sorted(groups)]
+
+    def relative_poses(self, edges) -> list:
+        """T_ji = relative_pose(pose_i, pose_j) of each edge i -> j at the keyframes'
+        current poses.
+
+        Each pair's transform, with its rotation matrix, is computed once per pair
+        of Pose objects, so every pass over one state shares it.
+        """
+        out = []
+        for obs in edges:
+            pose_i, pose_j = self.keyframes[obs.i].pose, self.keyframes[obs.j].pose
+            hit = self._relative.get((obs.i, obs.j))
+            if hit is None or hit[0] is not pose_i or hit[1] is not pose_j:
+                hit = (pose_i, pose_j, relative_pose(pose_i, pose_j))
+                self._relative[obs.i, obs.j] = hit
+            out.append(hit[2])
+        return out

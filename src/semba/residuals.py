@@ -98,14 +98,19 @@ def grid_pixels(height: int, width: int) -> np.ndarray:
     return u
 
 
-def _cosine(z_src, z_sampled):
-    """Cosine similarity of (N, C) row vectors with degenerate-norm masking."""
-    n_src = np.sqrt(np.einsum("nc,nc->n", z_src, z_src))
-    n_smp = np.sqrt(np.einsum("nc,nc->n", z_sampled, z_sampled))
+def _norms(z):
+    """Euclidean norm of each row of (N, C) vectors."""
+    return np.sqrt(np.einsum("nc,nc->n", z, z))
+
+
+def _cosine(z_src, n_src, z_sampled):
+    """Cosine similarity of (N, C) row vectors, z_src of norms n_src, with degenerate-norm
+    masking."""
+    n_smp = _norms(z_sampled)
     ok = (n_src > _NORM_EPS) & (n_smp > _NORM_EPS)
     denom = np.where(ok, n_src * n_smp, 1.0)
     cs = np.clip(np.einsum("nc,nc->n", z_src, z_sampled) / denom, -1.0, 1.0)
-    return np.where(ok, cs, 0.0), n_src, n_smp, ok
+    return np.where(ok, cs, 0.0), n_smp, ok
 
 
 def _embed_residual_from_cs(cs):
@@ -114,6 +119,66 @@ def _embed_residual_from_cs(cs):
 
 def _embed_dresidual_dcs(r):
     return -_EMBED_SCALE**2 / (r + _EMBED_DERIV_EPS)
+
+
+@dataclass(eq=False)
+class EdgeBatch:
+    """The out-edges of one keyframe i, stacked as evaluate_edge reads them: everything
+    about them that no state of a solve changes.
+
+    Rows bounds[e] to bounds[e + 1] belong to edges[e]. pixels, target and
+    confidence are the edges' support rows stacked in the order of edges, and
+    each edge's own rows are views of them, so they are held once. offsets[e]
+    is the first row of edge e's target frame j in the graph's stacked (K*H*W)
+    feature rows, j*H*W, and src_norm the norm of each row's source feature
+    vector. What a pass derives from these in a few microseconds, the grid
+    coordinates of pixels and each row's frame offset, is not held: on a
+    48-keyframe graph those two would add 3.75 MB to every solve.
+    """
+
+    edges: list               # FlowObservation, all leaving keyframe i
+    bounds: np.ndarray        # (E+1,) row offsets of the E edges
+    pixels: np.ndarray        # (N,) flat grid indices of keyframe i
+    target: np.ndarray        # (N, 2) target flow rows (dx, dy)
+    confidence: np.ndarray    # (N,)
+    offsets: np.ndarray       # (E,) j*H*W of each edge's target frame j
+    src_norm: np.ndarray      # (N,) norms of keyframe i's features at pixels
+
+    @property
+    def i(self) -> int:
+        return self.edges[0].i
+
+    @staticmethod
+    def build(graph, edges) -> "EdgeBatch":
+        """Stack edges, a list of out-edges of one keyframe of graph, and rebind each
+        edge's rows to views of the stack."""
+        i = edges[0].i
+        for obs in edges:
+            if obs.i != i:
+                raise ValueError(f"edge ({obs.i}, {obs.j}) does not start at keyframe {i}, "
+                                 "the source of the batch")
+        h, w = graph.grid_shape
+        bounds = np.zeros(len(edges) + 1, dtype=int)
+        np.cumsum([obs.pixels.size for obs in edges], out=bounds[1:])
+        pixels = np.concatenate([obs.pixels for obs in edges])
+        target = np.concatenate([obs.target for obs in edges])
+        confidence = np.concatenate([obs.confidence for obs in edges])
+        for obs, lo, hi in zip(edges, bounds[:-1], bounds[1:]):
+            obs.pixels, obs.target, obs.confidence = pixels[lo:hi], target[lo:hi], confidence[lo:hi]
+        src = graph.features[i].reshape(h * w, -1).take(pixels, axis=0)
+        return EdgeBatch(edges=list(edges), bounds=bounds, pixels=pixels, target=target,
+                         confidence=confidence,
+                         offsets=np.array([obs.j * h * w for obs in edges], dtype=int),
+                         src_norm=_norms(src))
+
+
+def edge_batches(graph) -> list:
+    """One EdgeBatch per group of graph.edge_groups(), in that order.
+
+    The batches serve every graph of a solve: all its states share the edges
+    and the feature buffer and differ only in poses, disparities and intrinsics.
+    """
+    return [EdgeBatch.build(graph, edges) for edges in graph.edge_groups()]
 
 
 @dataclass(eq=False)
@@ -141,40 +206,32 @@ class EdgeEvaluation:
                                   # edge e = -adjoint[e].T @ (pose-j columns jac[r, 1:7])
 
 
-def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding: bool = True,
-                  with_jacobians: bool = False, with_intrinsics: bool = False) -> EdgeEvaluation:
-    """Evaluate flow and embedding residuals (and optionally Jacobians) for out-edges of
-    one keyframe of graph.
+def evaluate_edge(graph, batch: EdgeBatch, *, need_similarity: bool = True,
+                  need_embedding: bool = True, with_jacobians: bool = False,
+                  with_intrinsics: bool = False) -> EdgeEvaluation:
+    """Evaluate flow and embedding residuals (and optionally Jacobians) for one batch of
+    out-edges of a keyframe i of graph.
 
-    edges is a list of edges that share the source keyframe i; a list of one edge
-    is the single-edge case. Only the pixels of the edges' supports (obs.pixels)
-    are evaluated, stacked in the order of edges: their target flow and
-    confidence rows are concatenated as the observations hold them, the source
-    disparity, its unprojection and the source features are read once for all
-    of them, each edge's rows are carried into its target frame with its own
-    T_ji, and the target features are sampled once per edge. The reprojection
-    is shared between the two terms. need_similarity requests the cosine field
-    even when the embedding term itself is disabled (the adaptive kernel
-    consumes it either way).
+    batch is the EdgeBatch of those edges (edge_batches), which holds their
+    stacked rows; only the state is read from graph. The source disparity and
+    its unprojection are read once for all rows, each edge's rows are carried
+    into its target frame with its own T_ji (graph.relative_poses), and every
+    row's target feature is sampled in one bilinear_sample call over the
+    graph's feature buffer. The reprojection is shared between the two terms.
+    need_similarity requests the cosine field even when the embedding term
+    itself is disabled (the adaptive kernel consumes it either way).
 
     The stacked residual (R, N) and Jacobian (R, 7 or 11, N) are allocated
     once, and each row is written into them in place. Arithmetic that
     overflows in the Jacobian pass leaves non-finite rows without a warning:
     the solver reports them, naming the edge and pixel.
     """
-    kf_i = graph.keyframes[edges[0].i]
-    for obs in edges:
-        if obs.i != kf_i.index:
-            raise ValueError(f"edge ({obs.i}, {obs.j}) does not start at keyframe {kf_i.index}, "
-                             "the source of the batch")
-    targets = [graph.keyframes[obs.j] for obs in edges]
+    kf_i = graph.keyframes[batch.i]
     h, w = kf_i.disparity.shape
-    bounds = np.zeros(len(edges) + 1, dtype=int)
-    np.cumsum([obs.pixels.size for obs in edges], out=bounds[1:])
-    pixels = np.concatenate([obs.pixels for obs in edges])
+    pixels, bounds = batch.pixels, batch.bounds
     u = grid_pixels(h, w).take(pixels, axis=1)
     d = kf_i.disparity.reshape(-1)[pixels]
-    relative = [geometry.relative_pose(kf_i.pose, kf_j.pose) for kf_j in targets]
+    relative = graph.relative_poses(batch.edges)
     intrinsics = graph.intrinsics
 
     n = pixels.size
@@ -191,28 +248,23 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
     valid_flow = valid_geo & in_bounds(mu.T, h, w)
     residual = np.empty((n_rows, n))
     r_flow = residual[:2]
-    np.subtract(mu - u, np.concatenate([obs.target for obs in edges]).T, out=r_flow)
+    np.subtract(mu - u, batch.target.T, out=r_flow)
     r_flow[:, ~valid_flow] = 0.0
-    conf = np.concatenate([obs.confidence for obs in edges])
 
     out = EdgeEvaluation(
-        pixels=pixels, bounds=bounds, confidence=conf, residual=residual, valid_flow=valid_flow,
-        cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool), jac=jac, adjoint=adjoint)
+        pixels=pixels, bounds=bounds, confidence=batch.confidence, residual=residual,
+        valid_flow=valid_flow, cs=np.zeros(n), valid_embed=np.zeros(n, dtype=bool), jac=jac,
+        adjoint=adjoint)
 
     if need_similarity or need_embedding:
-        # For pixel-major features the reshape is a view; the support rows are gathered.
-        z_src = np.moveaxis(kf_i.features, 0, -1).reshape(h * w, -1)[pixels]
-        # Only the embedding Jacobian reads the sampling gradient.
-        # valid_flow already requires mu in the sampling domain.
+        # The support rows of the source features; the buffer's slot is a view.
+        z_src = graph.features[batch.i].reshape(h * w, -1).take(pixels, axis=0)
+        # Only the embedding Jacobian reads the sampling gradient (gradient-major).
         with_grad = with_jacobians and need_embedding
-        z_smp = np.empty_like(z_src)
-        dz_du = np.empty((n, 2, z_src.shape[1])) if with_grad else None  # gradient-major
-        for lo, hi, kf_j in zip(bounds[:-1], bounds[1:], targets):
-            z_smp[lo:hi], grad, _ = bilinear_sample(kf_j.features, mu[:, lo:hi].T,
-                                                    with_grad=with_grad)
-            if with_grad:
-                dz_du[lo:hi] = grad
-        cs, n_src, n_smp, norm_ok = _cosine(z_src, z_smp)
+        z_smp, dz_du = bilinear_sample(graph.features.transpose(3, 0, 1, 2), mu.T, valid_flow,
+                                       with_grad=with_grad,
+                                       offsets=batch.offsets.repeat(np.diff(bounds)))
+        cs, n_smp, norm_ok = _cosine(z_src, batch.src_norm, z_smp)
         valid_embed = valid_flow & norm_ok
         out.cs = np.where(valid_embed, cs, 0.0)
         out.valid_embed = valid_embed
@@ -223,7 +275,7 @@ def evaluate_edge(graph, edges, *, need_similarity: bool = True, need_embedding:
             if with_jacobians:
                 # dcs/dz = z_src / (|z_src| |z_smp|) - cs z_smp / |z_smp|^2
                 inv_smp = 1.0 / np.where(norm_ok, n_smp, 1.0)
-                dcs_dz = z_src * (inv_smp / np.where(norm_ok, n_src, 1.0))[:, None]
+                dcs_dz = z_src * (inv_smp / np.where(norm_ok, batch.src_norm, 1.0))[:, None]
                 dcs_dz -= z_smp * (cs * inv_smp * inv_smp)[:, None]
                 dcs_du = np.einsum("nk,nik->in", dcs_dz, dz_du)
                 scale = np.where(valid_embed, _embed_dresidual_dcs(r_embed), 0.0)
@@ -241,9 +293,9 @@ def _shapes(ev: EdgeEvaluation) -> np.ndarray:
     return np.where(ev.valid_embed, robust.adaptive_alpha(ev.cs), robust.ALPHA_STATIC)
 
 
-def kernel_alphas(graph, config) -> list:
+def kernel_alphas(graph, config, batches) -> list:
     """The robust-kernel shape of every support pixel at the current state, one entry per
-    group of graph.edge_groups().
+    batch of batches, graph's edge_batches.
 
     config is a solver.SolverConfig. A fixed kernel evaluates no edge: each
     entry is the one float config.fixed_alpha, which the robust functions
@@ -253,11 +305,10 @@ def kernel_alphas(graph, config) -> list:
     robust.ALPHA_STATIC. This is a similarity-only pass; total_energy returns
     the same shapes from its own pass.
     """
-    groups = graph.edge_groups()
     if config.fixed_alpha is not None:
-        return [float(config.fixed_alpha)] * len(groups)
-    return [_shapes(evaluate_edge(graph, edges, need_similarity=True, need_embedding=False))
-            for edges in groups]
+        return [float(config.fixed_alpha)] * len(batches)
+    return [_shapes(evaluate_edge(graph, batch, need_similarity=True, need_embedding=False))
+            for batch in batches]
 
 
 def _flow_norm(ev: EdgeEvaluation) -> np.ndarray:
@@ -313,22 +364,22 @@ class EnergyBreakdown:
         return cls(photo_ark + lambda_embed * embed + reg, photo_ark, embed, reg)
 
 
-def total_energy(graph, config, alphas):
+def total_energy(graph, config, alphas, batches):
     """Objective value over a keyframe graph at its current state, and that state's shapes.
 
-    config is a solver.SolverConfig; alphas holds the shapes of each group of
-    graph.edge_groups() under which the energy is scored, as decided by
-    kernel_alphas. Returns the pair (EnergyBreakdown, shapes), where shapes is
-    kernel_alphas(graph, config), bit for bit: under the adaptive kernel taken
-    from the similarity of this same pass, under a fixed kernel the alphas
-    given, which no state changes.
+    config is a solver.SolverConfig; batches are graph's edge_batches, and
+    alphas holds the shapes of each batch under which the energy is scored, as
+    decided by kernel_alphas. Returns the pair (EnergyBreakdown, shapes), where
+    shapes is kernel_alphas(graph, config, batches), bit for bit: under the
+    adaptive kernel taken from the similarity of this same pass, under a fixed
+    kernel the alphas given, which no state changes.
     """
     adaptive = config.fixed_alpha is None
     shapes = [] if adaptive else alphas
     e_photo = 0.0
     e_embed = 0.0
-    for edges, alpha in zip(graph.edge_groups(), alphas, strict=True):
-        ev = evaluate_edge(graph, edges, need_similarity=adaptive,
+    for batch, alpha in zip(batches, alphas, strict=True):
+        ev = evaluate_edge(graph, batch, need_similarity=adaptive,
                            need_embedding=config.lambda_embed != 0.0)
         ep, ee = edge_energies(ev, alpha)
         e_photo += ep

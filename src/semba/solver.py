@@ -21,8 +21,8 @@ import scipy.linalg
 
 from .geometry import Intrinsics, se3_exp
 from .graph import KeyframeGraph
-from .residuals import (EnergyBreakdown, edge_energies, edge_weights, evaluate_edge,
-                        kernel_alphas, prior_terms, total_energy)
+from .residuals import (EnergyBreakdown, edge_batches, edge_energies, edge_weights,
+                        evaluate_edge, kernel_alphas, prior_terms, total_energy)
 
 # Levenberg damping schedule: start at LM_INIT, multiply by LM_GROW after a
 # rejected, singular or out-of-model step and by LM_SHRINK (floored at LM_MIN)
@@ -63,9 +63,10 @@ class ProblemLayout:
     Only the pixels of supports[k] = U_k, the sorted flat grid pixels in the
     support of any out-edge of k, couple at all; they are the first |U_k|
     columns of those rows, and support_columns[k] maps a grid pixel to its
-    column (-1 outside U_k). Everything here depends only on the edges, the
-    frozen flags, the grid and whether intrinsics are optimized, so one
-    layout serves every state of a solve.
+    column (-1 outside U_k). batches holds residuals.edge_batches of the graph,
+    the stacked rows of each group of edges. Everything here depends only on
+    the edges, the features, the frozen flags, the grid and whether intrinsics
+    are optimized, so one layout serves every state of a solve.
 
     build raises ValueError for an unknown whose rows would all be zero, which no
     damping makes solvable: a non-frozen pose that no edge with a confident
@@ -81,6 +82,7 @@ class ProblemLayout:
     coupling_rows: list        # per keyframe: slice of coupling rows
     supports: list             # per keyframe: sorted flat grid pixels U_k
     support_columns: np.ndarray  # (K, H*W): column in U_k of each grid pixel of k, or -1
+    batches: list              # residuals.EdgeBatch per group of graph.edge_groups()
 
     @staticmethod
     def build(graph: KeyframeGraph, config: SolverConfig) -> "ProblemLayout":
@@ -122,7 +124,7 @@ class ProblemLayout:
         support_columns = np.where(in_support, np.cumsum(in_support, axis=1) - 1, -1)
         return ProblemLayout(pose_slices, intrinsics_slice, offset, n_px,
                              n_px * len(graph.keyframes), coupling_cols, coupling_rows,
-                             supports, support_columns)
+                             supports, support_columns, edge_batches(graph))
 
     def disparity_slice(self, kf_index: int) -> slice:
         start = kf_index * self.pixels_per_frame
@@ -156,21 +158,6 @@ class NormalEquations:
     reduction: np.ndarray  # (P, P) sum_k C_k D_k^-1 C_k^T, undamped
     reduced_g: np.ndarray  # (P,) sum_k C_k D_k^-1 disp_g_k, undamped
     energies: EnergyBreakdown = None
-
-    def to_dense(self):
-        """Materialize (H, b); intended for small oracle problems only."""
-        layout = self.layout
-        n = layout.n_total
-        p = layout.n_reduced
-        h = np.zeros((n, n))
-        h[:p, :p] = self.pose_h
-        for k, (cols, rows, support) in enumerate(zip(layout.coupling_cols,
-                                                      layout.coupling_rows, layout.supports)):
-            start = p + layout.disparity_slice(k).start
-            h[np.ix_(cols, start + support)] = self.coupling[rows, :support.size]
-        h[p:, :p] = h[:p, p:].T
-        h[p:, p:] = np.diag(self.disp_h)
-        return h, np.concatenate([self.pose_g, self.disp_g])
 
 
 def _check_finite(arrays, edges, ev, context):
@@ -283,9 +270,9 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas,
     """Accumulate the weighted Gauss-Newton normal equations over all edges and priors.
 
     Every keyframe first adds the diagonal and gradient of residuals.prior_terms.
-    Then the out-edges of each keyframe (one group of graph.edge_groups()) are
+    Then the out-edges of each keyframe (one batch of layout.batches) are
     evaluated together and add their stacked residual rows with the weights of
-    residuals.edge_weights under that group's shapes in alphas. A keyframe's
+    residuals.edge_weights under that batch's shapes in alphas. A keyframe's
     disparities enter only its own out-edges' rows, so its disparity block is
     then complete and its undamped Schur terms are added at once. layout is
     ProblemLayout.build(graph, config), which solve builds once for all its states.
@@ -308,17 +295,17 @@ def assemble(graph: KeyframeGraph, config: SolverConfig, alphas,
 
     e_photo = 0.0
     e_embed = 0.0
-    for edges, alpha in zip(graph.edge_groups(), alphas, strict=True):
-        ev = evaluate_edge(graph, edges, need_similarity=False,
+    for batch, alpha in zip(layout.batches, alphas, strict=True):
+        ev = evaluate_edge(graph, batch, need_similarity=False,
                            need_embedding=config.lambda_embed != 0.0,
                            with_jacobians=True, with_intrinsics=config.optimize_intrinsics)
-        _check_finite((ev.residual, ev.jac), edges, ev, "residual/Jacobian")
+        _check_finite((ev.residual, ev.jac), batch.edges, ev, "residual/Jacobian")
         ep, ee = edge_energies(ev, alpha)
         e_photo += ep
         e_embed += ee
-        _accumulate_edges(ne, edges, ev, edge_weights(ev, alpha, config))
+        _accumulate_edges(ne, batch.edges, ev, edge_weights(ev, alpha, config))
         del ev  # free this keyframe's rows before its elimination and the next keyframe
-        _eliminate(ne, edges[0].i)
+        _eliminate(ne, batch.i)
     ne.energies = EnergyBreakdown.of(e_photo, e_embed, e_reg, config.lambda_embed)
     return ne
 
@@ -423,7 +410,7 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
     layout = ProblemLayout.build(state, config)  # the edges stay fixed through the solve
     trace = []
     lm = LM_INIT
-    alphas = kernel_alphas(state, config)
+    alphas = kernel_alphas(state, config, layout.batches)
     for it in range(1, config.max_iters + 1):
         ne = assemble(state, config, alphas, layout)
         e_cur = ne.energies
@@ -446,7 +433,7 @@ def solve(graph: KeyframeGraph, config: SolverConfig):
             k = layout.intrinsics_slice
             if k is None or np.all(state.intrinsics.as_array()[:2] + delta[k][:2] > 0):
                 candidate = retract(state, delta, layout)
-                e_new, shapes = total_energy(candidate, config, alphas)
+                e_new, shapes = total_energy(candidate, config, alphas, layout.batches)
                 accepted = e_new.total < e_cur.total
                 trace.append(IterationRecord(it, e_new, accepted))
                 if accepted:

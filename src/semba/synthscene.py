@@ -26,7 +26,7 @@ import numpy as np
 from . import geometry
 from .features import in_bounds
 from .geometry import Intrinsics, Pose, se3_exp
-from .graph import Keyframe, KeyframeGraph
+from .graph import Keyframe, KeyframeGraph, write_slot
 from .residuals import FlowObservation, grid_pixels
 
 _NEWTON_ITERS = 16
@@ -92,10 +92,14 @@ class SceneBundle:
     def to_graph(self, initial: bool = True) -> KeyframeGraph:
         """Problem graph at the perturbed initial state (default) or at ground truth."""
         poses = self.init_poses if initial else self.gt_poses
+        channels, h, w = self.features[0].shape
+        # Each keyframe's features are written straight into the graph's buffer;
+        # the bundle keeps them channel-major, the layout of its files.
+        buffer = np.empty((self.config.num_keyframes, h, w, channels))
         kfs = [
             Keyframe(index=k, pose=poses[k], disparity=self.gt_disparity[k].copy(),
-                     disparity_prior=self.gt_disparity[k], features=self.features[k],
-                     frozen=(k == 0))
+                     disparity_prior=self.gt_disparity[k],
+                     features=write_slot(buffer, k, self.features[k]), frozen=(k == 0))
             for k in range(self.config.num_keyframes)
         ]
         return KeyframeGraph(keyframes=kfs, edges=list(self.edges), intrinsics=self.intrinsics)

@@ -18,7 +18,7 @@ import numpy as np
 from .evaluation import LabelSet, SegMetrics, unproject_keyframe
 from .features import PcaModel
 from .geometry import Intrinsics, Pose
-from .graph import Keyframe, KeyframeGraph
+from .graph import Keyframe, KeyframeGraph, write_slot
 from .residuals import FlowObservation
 
 TENSOR_MAGIC = b"KMVT"
@@ -406,13 +406,18 @@ def load_problem_bundle(bundle_dir) -> KeyframeGraph:
                        *(field(v, key, (int, float), f"camera {stream!r}")
                          for key in ("fx", "fy", "cx", "cy")))
     keyframes = []
-    for n, entry in enumerate(field(doc, "keyframes", list, "top-level")):
+    entries = field(doc, "keyframes", list, "top-level")
+    buffer = None  # the graph's feature buffer, shaped by the first keyframe's features
+    for n, entry in enumerate(entries):
         where = f"keyframes[{n}]"
         index = field(entry, "index", int, where)
         if str(entry.get("stream", stream)) != stream:
             raise FileFormatError(f"{graph_path}: keyframe {index} names stream "
                                   f"{entry['stream']!r}, but the only camera is {stream!r}")
-        features = read_tensor(root / field(entry, "features", str, where)).astype(float)
+        features = read_tensor(root / field(entry, "features", str, where))
+        if buffer is None:
+            buffer = np.empty((len(entries),) + features.shape[1:] + features.shape[:1])
+        features = write_slot(buffer, n, features)
         disparity = read_map(root / field(entry, "disparity", str, where))
         prior = read_map(root / field(entry, "disparity_prior", str, where))
         pose = field(entry, "pose_w2c", list, where)

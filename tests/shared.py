@@ -1,19 +1,38 @@
-"""Helpers shared by several test modules: random maps, finite differences,
-one-edge evaluations, assembly under a graph's own layout and the brute-force
-normal-equation reference."""
+"""Helpers shared by several test modules: random maps, pose matrices, finite
+differences, one-edge evaluations, assembly and energy under a graph's own
+layout, the dense normal equations and the brute-force normal-equation
+reference."""
 
 import dataclasses
 
 import numpy as np
 
 from semba.features import PcaModel
-from semba.geometry import Intrinsics, relative_pose, reproject, se3_exp
+from semba.geometry import Intrinsics, Pose, relative_pose, reproject, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
-from semba.residuals import ALPHA_DISP, FlowObservation, evaluate_edge, grid_pixels
+from semba.residuals import (ALPHA_DISP, EdgeBatch, FlowObservation, edge_batches,
+                             evaluate_edge, grid_pixels, total_energy)
 from semba.robust import ALPHA_STATIC, adaptive_alpha, irls_weight
 from semba.solver import ProblemLayout, assemble, kernel_alphas
 
 K = Intrinsics(40.0, 42.0, 15.5, 11.5)
+
+
+def identity_pose():
+    return Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
+
+
+def pose_matrix(pose):
+    """The (4, 4) homogeneous matrix of a pose."""
+    mat = np.eye(4)
+    mat[:3, :3] = pose.rotation_matrix()
+    mat[:3, 3] = pose.translation
+    return mat
+
+
+def evaluate(graph, edges, **kwargs):
+    """evaluate_edge on the batch of edges, out-edges of one keyframe of graph."""
+    return evaluate_edge(graph, EdgeBatch.build(graph, edges), **kwargs)
 
 
 def smooth_map(rng, shape=(6, 24, 32), passes=6, offset=2.0):
@@ -40,7 +59,7 @@ def edge_eval(z_i, z_j, disparity, pose_i, pose_j, intr=K, flow=None, **kwargs):
     obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)) if flow is None else flow,
                           confidence=np.ones((h, w)))
     graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=intr)
-    return evaluate_edge(graph, [obs], **kwargs)
+    return evaluate(graph, [obs], **kwargs)
 
 
 def central_differences(evaluate, n_steps, eps=1e-6):
@@ -76,9 +95,40 @@ def off_grid_lines(disparity, pose_i, pose_j, intr=K, margin=1e-3):
 def assemble_own(graph, config, alphas=None):
     """assemble under graph's own layout, ProblemLayout.build(graph, config), with the
     shapes kernel_alphas decides at its state unless alphas are given."""
+    layout = ProblemLayout.build(graph, config)
     if alphas is None:
-        alphas = kernel_alphas(graph, config)
-    return assemble(graph, config, alphas, ProblemLayout.build(graph, config))
+        alphas = kernel_alphas(graph, config, layout.batches)
+    return assemble(graph, config, alphas, layout)
+
+
+def alphas_own(graph, config):
+    """kernel_alphas of graph at its state, over its own edge_batches."""
+    return kernel_alphas(graph, config, edge_batches(graph))
+
+
+def energy_own(graph, config, alphas=None):
+    """total_energy of graph over its own edge_batches, under the shapes kernel_alphas
+    decides at its state unless alphas are given."""
+    batches = edge_batches(graph)
+    if alphas is None:
+        alphas = kernel_alphas(graph, config, batches)
+    return total_energy(graph, config, alphas, batches)
+
+
+def dense_system(ne):
+    """Materialize the (H, b) of NormalEquations ne; for small oracle problems only."""
+    layout = ne.layout
+    n = layout.n_total
+    p = layout.n_reduced
+    h = np.zeros((n, n))
+    h[:p, :p] = ne.pose_h
+    for k, (cols, rows, support) in enumerate(zip(layout.coupling_cols,
+                                                  layout.coupling_rows, layout.supports)):
+        start = p + layout.disparity_slice(k).start
+        h[np.ix_(cols, start + support)] = ne.coupling[rows, :support.size]
+    h[p:, :p] = h[:p, p:].T
+    h[p:, p:] = np.diag(ne.disp_h)
+    return h, np.concatenate([ne.pose_g, ne.disp_g])
 
 
 class ToyBundle:
@@ -148,8 +198,8 @@ def brute_force_normal_equations(graph, config):
     n = layout.n_total
     rows_j, rows_w, rows_r = [], [], []
     for obs in graph.edges:
-        ev = evaluate_edge(graph, [obs], with_jacobians=True,
-                           with_intrinsics=config.optimize_intrinsics)
+        ev = evaluate(graph, [obs], with_jacobians=True,
+                      with_intrinsics=config.optimize_intrinsics)
         alpha = np.where(ev.valid_embed, adaptive_alpha(ev.cs), ALPHA_STATIC)
         if config.fixed_alpha is not None:
             alpha = np.full_like(alpha, config.fixed_alpha)

@@ -13,12 +13,11 @@ import pytest
 from semba.evaluation import (LabelSet, SemanticPointCloud, assign_labels, knn_transfer,
                               seg_metrics, trajectory_ate)
 from semba.geometry import relative_pose, reproject, reprojection_jacobian, se3_exp
-from semba.residuals import total_energy
 from semba.robust import barron_psi, barron_rho
-from semba.solver import SolverConfig, kernel_alphas, solve, solve_normal_equations
+from semba.solver import SolverConfig, solve, solve_normal_equations
 from semba.synthscene import SceneConfig, gen_scene
 from shared import (K, ToyBundle, assemble_own, brute_force_normal_equations, central_differences,
-                    edge_eval, off_grid_lines, smooth_map)
+                    dense_system, edge_eval, energy_own, off_grid_lines, smooth_map)
 
 
 def report(criterion, detail):
@@ -155,7 +154,7 @@ class TestCriterion3OracleConsistency:
     def test_ground_truth_energy_vanishes(self):
         bundle = gen_scene(SceneConfig(num_keyframes=8, height=48, width=64, seed=7))
         graph, config = bundle.to_graph(initial=False), SolverConfig()
-        e, _ = total_energy(graph, config, kernel_alphas(graph, config))
+        e, _ = energy_own(graph, config)
         assert e.total <= 1e-9
         report(3, f"noise-free bundle E_total at ground truth = {e.total:.2e}")
 
@@ -207,7 +206,7 @@ class TestCriterion6NormalEquationOracle:
         ne = assemble_own(graph, config)
         n = ne.layout.n_total
         assert n <= 500
-        h_dense, b_dense = ne.to_dense()
+        h_dense, b_dense = dense_system(ne)
         h_ref, b_ref = brute_force_normal_equations(graph, config)
         h_err = np.abs(h_dense - h_ref).max() / max(np.abs(h_ref).max(), 1.0)
         b_err = np.abs(b_dense - b_ref).max() / max(np.abs(b_ref).max(), 1.0)

@@ -4,15 +4,15 @@ import pytest
 from semba.evaluation import (UNLABELED, LabelSet, SemanticPointCloud, align_trajectories,
                               assign_labels, ate_rmse, fuse_point_cloud, knn_transfer,
                               seg_metrics, trajectory_ate)
-from semba.geometry import Intrinsics, Pose, se3_exp
+from semba.geometry import Intrinsics, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
-from shared import qr_model
+from shared import identity_pose, qr_model
 
 K = Intrinsics(20.0, 20.0, 3.5, 2.5)
 
 
 def tiny_graph(disparity, features, pose=None):
-    kf = Keyframe(index=0, pose=pose or Pose.identity(), disparity=disparity,
+    kf = Keyframe(index=0, pose=pose or identity_pose(), disparity=disparity,
                   disparity_prior=disparity, features=features)
     return KeyframeGraph(keyframes=[kf], edges=[], intrinsics=K)
 

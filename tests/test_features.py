@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semba.features import PcaModel, bilinear_sample, pca_decode
+from semba.features import PcaModel, bilinear_sample, in_bounds, pca_decode
 from shared import qr_model
+
+
+def sample(fmap, u, **kwargs):
+    """bilinear_sample of a (C, H, W) map over the domain in_bounds gives:
+    (values, grad, valid)."""
+    valid = in_bounds(np.asarray(u, dtype=float), *np.shape(fmap)[1:])
+    return *bilinear_sample(fmap, u, valid, **kwargs), valid
 
 
 def encode(features, model):
@@ -63,13 +70,13 @@ class TestPca:
 class TestBilinearSample:
     def test_exact_at_grid_point(self, rng):
         fmap = rng.normal(size=(4, 8, 9))
-        values, _, valid = bilinear_sample(fmap, np.array([3.0, 5.0]))
+        values, _, valid = sample(fmap, np.array([3.0, 5.0]))
         assert valid
         assert np.array_equal(values, fmap[:, 5, 3])
 
     def test_constant_map_center(self):
         fmap = np.full((2, 6, 6), 7.5)
-        values, grad, valid = bilinear_sample(fmap, np.array([2.5, 3.5]))
+        values, grad, valid = sample(fmap, np.array([2.5, 3.5]))
         assert valid
         assert np.abs(values - 7.5).max() < 1e-12
         assert np.abs(grad).max() < 1e-12
@@ -81,14 +88,14 @@ class TestBilinearSample:
             u = rng.uniform(1.0, 10.0, size=2)
             if abs(u[0] - round(u[0])) < 1e-3 or abs(u[1] - round(u[1])) < 1e-3:
                 continue  # kink at cell boundaries
-            _, grad, valid = bilinear_sample(fmap, u)
+            _, grad, valid = sample(fmap, u)
             assert valid
             eps = 1e-4
             for axis in range(2):
                 step = np.zeros(2)
                 step[axis] = eps
-                vp, _, _ = bilinear_sample(fmap, u + step)
-                vm, _, _ = bilinear_sample(fmap, u - step)
+                vp, _, _ = sample(fmap, u + step)
+                vm, _, _ = sample(fmap, u - step)
                 fd = (vp - vm) / (2 * eps)
                 worst = max(worst, np.abs(grad[axis] - fd).max())
         assert worst < 1e-5
@@ -96,20 +103,20 @@ class TestBilinearSample:
     def test_continuity_across_cell_boundary(self, rng):
         fmap = rng.normal(size=(2, 8, 8))
         for u in ([3.0, 2.5], [2.5, 4.0], [3.0, 4.0]):
-            a, _, _ = bilinear_sample(fmap, np.array(u))
-            b, _, _ = bilinear_sample(fmap, np.array(u) + 1e-9)
+            a, _, _ = sample(fmap, np.array(u))
+            b, _, _ = sample(fmap, np.array(u) + 1e-9)
             assert np.abs(a - b).max() <= 1e-6
 
     def test_out_of_bounds_flagged(self, rng):
         fmap = rng.normal(size=(1, 5, 5))
         for u in ([-0.1, 2.0], [2.0, -0.1], [4.2, 2.0], [2.0, 4.0001]):
-            values, grad, valid = bilinear_sample(fmap, np.array(u))
+            values, grad, valid = sample(fmap, np.array(u))
             assert not valid
             assert np.all(values == 0) and np.all(grad == 0)
 
     def test_edge_coordinates_valid(self, rng):
         fmap = rng.normal(size=(2, 5, 6))
-        values, _, valid = bilinear_sample(fmap, np.array([5.0, 4.0]))
+        values, _, valid = sample(fmap, np.array([5.0, 4.0]))
         assert valid
         assert np.abs(values - fmap[:, 4, 5]).max() < 1e-12
 
@@ -117,7 +124,7 @@ class TestBilinearSample:
     def test_convex_combination(self, x, y):
         fmap = np.zeros((1, 5, 5))
         fmap[0, 2, 2] = 1.0
-        values, _, valid = bilinear_sample(fmap, np.array([x, y]))
+        values, _, valid = sample(fmap, np.array([x, y]))
         assert valid
         # Weights are non-negative and partition unity, so sampling an
         # indicator stays inside [0, 1].
@@ -126,7 +133,7 @@ class TestBilinearSample:
     def test_batched_shapes(self, rng):
         fmap = rng.normal(size=(3, 6, 7))
         u = rng.uniform(0.5, 5.0, size=(4, 5, 2))
-        values, grad, valid = bilinear_sample(fmap, u)
+        values, grad, valid = sample(fmap, u)
         assert values.shape == (4, 5, 3)
         assert grad.shape == (4, 5, 2, 3)
         assert valid.shape == (4, 5)
@@ -137,8 +144,8 @@ class TestBilinearSample:
         edges = np.array([[w - 1, h - 1], [w - 1, 0.5], [2.5, h - 1], [0.0, 0.0],
                           [w - 1 + 1e-6, 2.0], [3.0, h - 1 + 1e-6], [-1e-6, 1.0], [4.0, -1e-6]])
         u = np.concatenate([rng.uniform(0.0, [w - 1, h - 1], size=(40, 2)), edges])
-        values, grad, valid = bilinear_sample(fmap, u)
-        values_only, no_grad, valid_only = bilinear_sample(fmap, u, with_grad=False)
+        values, grad, valid = sample(fmap, u)
+        values_only, no_grad, valid_only = sample(fmap, u, with_grad=False)
         assert no_grad is None
         assert valid[:-4].all() and not valid[-4:].any()
         assert np.array_equal(values_only, values)
@@ -168,9 +175,64 @@ class TestBilinearSample:
         u = rng.uniform(0.0, [w - 1, h - 1], size=(30, 2))
         u = np.concatenate([u, [[0.0, 0.0], [w - 1, h - 1], [w - 1, 0.0], [0.0, h - 1]]])
         for m in (fmap, pixel_major):
-            values, grad, valid = bilinear_sample(m, u)
+            values, grad, valid = sample(m, u)
             assert valid.all()
             for p, (x, y) in enumerate(u):
                 value, g = self.literal_blend(fmap, x, y)
                 assert np.abs(values[p] - value).max() <= 1e-14
                 assert np.abs(grad[p] - g).max() <= 1e-14
+
+    def test_caller_domain_is_the_only_domain_test(self, rng, monkeypatch):
+        def no_domain_test(*args):
+            raise AssertionError("bilinear_sample tested the domain itself")
+
+        monkeypatch.setattr("semba.features.in_bounds", no_domain_test)
+        fmap = rng.normal(size=(3, 6, 7))
+        u = np.array([[2.5, 3.5], [1.0, 1.0], [-4.0, 9.0]])
+        values, grad = bilinear_sample(fmap, u, np.array([True, False, False]))
+        assert np.array_equal(values[0], sample(fmap, u[0])[0])
+        assert np.all(values[1:] == 0) and np.all(grad[1:] == 0)
+
+
+class TestStackedFrames:
+    """One gather over K stacked frames equals one call per frame, bit for bit."""
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (6, 1), (4, 5)])
+    @pytest.mark.parametrize("with_grad", [True, False])
+    def test_matches_per_frame_calls(self, rng, h, w, with_grad):
+        k = 3
+        buffer = np.ascontiguousarray(rng.normal(size=(k, h, w, 4)))
+        frames = rng.integers(0, k, size=60)
+        u = rng.uniform(0.0, [w - 1, h - 1], size=(60, 2))
+        # The last row and column of a frame that has another frame after it: a y0
+        # clamped over the K*H stacked rows, not per frame, would read the next frame.
+        corners = [[w - 1, h - 1], [w - 1, 0.0], [0.0, h - 1], [w - 1 + 1e-10, h - 1 + 1e-10],
+                   [-1e-10, h - 1], [w - 1, -1e-10]]
+        u = np.concatenate([u, corners * k, [[w + 5.0, 0.0], [0.0, -3.0]]])
+        frames = np.concatenate([frames, np.repeat(np.arange(k), len(corners)), [0, k - 1]])
+        valid = in_bounds(u, h, w)
+        assert valid[:-2].all() and not valid[-2:].any()
+        values, grad = bilinear_sample(buffer.transpose(3, 0, 1, 2), u, valid,
+                                       with_grad=with_grad, offsets=frames * h * w)
+        for f in range(k):
+            rows = frames == f
+            want_values, want_grad = bilinear_sample(np.moveaxis(buffer[f], -1, 0), u[rows],
+                                                     valid[rows], with_grad=with_grad)
+            assert np.array_equal(values[rows], want_values)
+            if with_grad:
+                assert np.array_equal(grad[rows], want_grad)
+            else:
+                assert grad is None and want_grad is None
+        assert np.all(values[-2:] == 0)
+
+    def test_gather_blocks_do_not_change_a_bit(self, rng, monkeypatch):
+        buffer = np.ascontiguousarray(rng.normal(size=(2, 5, 6, 3)))
+        u = rng.uniform(0.0, [5, 4], size=(50, 2))
+        valid = in_bounds(u, 5, 6)
+        offsets = rng.integers(0, 2, size=50) * 30
+        fmap = buffer.transpose(3, 0, 1, 2)
+        whole = bilinear_sample(fmap, u, valid, offsets=offsets)
+        monkeypatch.setattr("semba.features._GATHER_BLOCK_BYTES", 7 * 32 * 3)
+        blocked = bilinear_sample(fmap, u, valid, offsets=offsets)
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)

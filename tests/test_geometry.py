@@ -7,6 +7,7 @@ from scipy.spatial.transform import Rotation
 
 from semba.geometry import (Intrinsics, Pose, project, relative_pose, reproject,
                             reprojection_jacobian, se3_exp, unproject)
+from shared import identity_pose, pose_matrix
 
 K = Intrinsics(50.0, 52.0, 31.5, 23.5)
 
@@ -38,7 +39,7 @@ def twist_expm(twist):
 class TestSe3:
     def test_zero_twist_is_identity(self):
         p = se3_exp(np.zeros(6))
-        assert np.allclose(p.matrix(), np.eye(4), atol=1e-15)
+        assert np.allclose(pose_matrix(p), np.eye(4), atol=1e-15)
 
     def test_pure_translation(self):
         p = se3_exp([1.0, 2.0, 3.0, 0.0, 0.0, 0.0])
@@ -47,7 +48,7 @@ class TestSe3:
 
     @given(twists)
     def test_exp_matches_matrix_exponential(self, twist):
-        assert np.abs(se3_exp(twist).matrix() - twist_expm(twist)).max() < 1e-12
+        assert np.abs(pose_matrix(se3_exp(twist)) - twist_expm(twist)).max() < 1e-12
 
     def test_quaternion_normalized(self, rng):
         p = Pose(rng.normal(size=4), rng.normal(size=3))
@@ -56,11 +57,11 @@ class TestSe3:
     def test_compose_inverse_is_identity(self, rng):
         for _ in range(20):
             p = random_pose(rng)
-            assert np.abs(p.compose(p.inverse()).matrix() - np.eye(4)).max() < 1e-9
+            assert np.abs(pose_matrix(p.compose(p.inverse())) - np.eye(4)).max() < 1e-9
 
     def test_small_angle_series(self):
         twist = np.array([0.1, 0.2, 0.3, 1e-10, -2e-10, 1e-10])
-        assert np.abs(se3_exp(twist).matrix() - twist_expm(twist)).max() < 1e-12
+        assert np.abs(pose_matrix(se3_exp(twist)) - twist_expm(twist)).max() < 1e-12
 
     def test_near_pi_matches_matrix_exponential(self, rng):
         for _ in range(20):
@@ -68,7 +69,7 @@ class TestSe3:
             axis /= np.linalg.norm(axis)
             omega = (np.pi - 2e-3) * axis
             twist = np.concatenate([rng.normal(0, 0.5, 3), omega])
-            assert np.abs(se3_exp(twist).matrix() - twist_expm(twist)).max() < 1e-12
+            assert np.abs(pose_matrix(se3_exp(twist)) - twist_expm(twist)).max() < 1e-12
 
 
 class TestClosedFormPose:
@@ -106,7 +107,7 @@ class TestClosedFormPose:
     def test_q_and_minus_q_give_the_same_matrix(self, rng):
         for _ in range(50):
             q, t = self.unit_quaternion(rng), rng.normal(size=3)
-            assert np.array_equal(Pose(q, t).matrix(), Pose(-q, t).matrix())
+            assert np.array_equal(pose_matrix(Pose(q, t)), pose_matrix(Pose(-q, t)))
 
     def test_quaternion_stored_as_given(self, rng):
         for _ in range(50):
@@ -114,6 +115,13 @@ class TestClosedFormPose:
             pose = Pose(q, rng.normal(size=3))
             assert np.array_equal(pose.rotation, q)
             assert np.array_equal(pose.inverse().inverse().rotation, q)
+
+    def test_rotation_matrix_is_built_once_and_read_only(self, rng):
+        pose = Pose(self.unit_quaternion(rng), rng.normal(size=3))
+        mat = pose.rotation_matrix()
+        assert pose.rotation_matrix() is mat
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 1.0
 
     def test_exp_matches_rotation_oracle(self, rng):
         for scale in (1e-5, 1e-3, 0.5, 2.0):
@@ -126,16 +134,17 @@ class TestClosedFormPose:
 class TestRelativePose:
     def test_equal_poses(self, rng):
         p = random_pose(rng)
-        assert np.abs(relative_pose(p, p).matrix() - np.eye(4)).max() < 1e-12
+        assert np.abs(pose_matrix(relative_pose(p, p)) - np.eye(4)).max() < 1e-12
 
     def test_identity_source(self, rng):
         p = random_pose(rng)
-        assert np.abs(relative_pose(Pose.identity(), p).matrix() - p.matrix()).max() < 1e-12
+        rel = relative_pose(identity_pose(), p)
+        assert np.abs(pose_matrix(rel) - pose_matrix(p)).max() < 1e-12
 
     def test_compose_recovers_target(self, rng):
         for _ in range(20):
             a, b = random_pose(rng), random_pose(rng)
-            assert np.abs(relative_pose(a, b).compose(a).matrix() - b.matrix()).max() < 1e-9
+            assert np.abs(pose_matrix(relative_pose(a, b).compose(a)) - pose_matrix(b)).max() < 1e-9
 
 
 class TestReproject:
@@ -150,14 +159,14 @@ class TestReproject:
     def test_forward_shift_puts_point_behind_camera(self):
         # Camera j is 1 m further along the optical axis; the point at Z=1
         # reaches Z=0 and must be flagged.
-        t_i = Pose.identity()
+        t_i = identity_pose()
         t_j = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
         _, valid = reproject(np.array([[K.cx], [K.cy]]), np.ones(1), [relative_pose(t_i, t_j)],
                              K, ONE)
         assert not valid[0]
 
     def test_zero_disparity_invalid(self):
-        _, valid = reproject(np.array([[5.0], [5.0]]), np.zeros(1), [Pose.identity()], K, ONE)
+        _, valid = reproject(np.array([[5.0], [5.0]]), np.zeros(1), [identity_pose()], K, ONE)
         assert not valid[0]
 
     def test_matches_chained_transform_oracle(self, rng):

@@ -3,14 +3,15 @@ import pytest
 
 from semba import geometry
 from semba.features import bilinear_sample
-from semba.geometry import Intrinsics, Pose, relative_pose, reproject, se3_exp
+from semba.geometry import Intrinsics, relative_pose, reproject, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
 from semba.residuals import (ALPHA_DISP, EdgeEvaluation, FlowObservation, edge_weights,
-                             evaluate_edge, grid_pixels, prior_terms, total_energy)
+                             grid_pixels, prior_terms, total_energy)
 from semba.robust import ALPHA_STATIC, adaptive_alpha, barron_rho
-from semba.solver import ProblemLayout, SolverConfig, kernel_alphas, retract
+from semba.solver import ProblemLayout, SolverConfig, assemble, kernel_alphas, retract
 from semba.synthscene import SceneConfig, gen_scene
-from shared import K, assemble_own, central_differences, edge_eval, off_grid_lines, smooth_map
+from shared import (K, assemble_own, central_differences, dense_system, edge_eval, energy_own,
+                    evaluate, identity_pose, off_grid_lines, smooth_map)
 
 
 def block_error(analytic, fd, floor):
@@ -25,7 +26,7 @@ class TestFlowResidual:
     def test_zero_on_self_consistent_scene(self, clean_bundle):
         g = clean_bundle.to_graph(initial=False)
         for obs in g.edges:
-            ev = evaluate_edge(g, [obs], need_similarity=False, need_embedding=False)
+            ev = evaluate(g, [obs], need_similarity=False, need_embedding=False)
             used = ev.valid_flow & (ev.confidence > 0)
             assert np.abs(ev.residual[:2, used]).max() < 1e-9
 
@@ -33,7 +34,7 @@ class TestFlowResidual:
         h, w = 10, 12
         d = rng.uniform(0.3, 1.0, size=(h, w))
         z = np.ones((1, h, w))
-        ev = edge_eval(z, z, d, Pose.identity(), Pose.identity())
+        ev = edge_eval(z, z, d, identity_pose(), identity_pose())
         assert ev.valid_flow.all()
         assert np.abs(ev.residual[:2]).max() < 1e-12
 
@@ -109,8 +110,8 @@ class TestSupport:
             assert 0 < obs.pixels.size < h * w / 2
             for mode in ({"with_jacobians": True},
                          {"need_similarity": True, "need_embedding": False}):
-                ev = evaluate_edge(graph, [obs], **mode)
-                full = evaluate_edge(graph, [full_obs], **mode)
+                ev = evaluate(graph, [obs], **mode)
+                full = evaluate(graph, [full_obs], **mode)
                 assert np.array_equal(ev.pixels, obs.pixels)
                 assert np.array_equal(ev.confidence, confidence.reshape(-1)[ev.pixels])
                 for name in ("residual", "valid_flow", "cs", "valid_embed", "jac"):
@@ -133,12 +134,12 @@ class TestBatch:
         graph = dynamic_bundle.to_graph(initial=True)
         edges = graph.edge_groups()[2]
         assert [(obs.i, obs.j) for obs in edges] == [(2, 0), (2, 1), (2, 3), (2, 4)]
-        ev = evaluate_edge(graph, edges, **mode)
+        ev = evaluate(graph, edges, **mode)
         sizes = [obs.pixels.size for obs in edges]
         assert np.array_equal(ev.bounds, np.concatenate([[0], np.cumsum(sizes)]))
         assert len(set(sizes)) > 1  # the supports differ in size
         for e, obs in enumerate(edges):
-            alone = evaluate_edge(graph, [obs], **mode)
+            alone = evaluate(graph, [obs], **mode)
             rows = slice(ev.bounds[e], ev.bounds[e + 1])
             assert np.array_equal(alone.bounds, [0, obs.pixels.size])
             assert np.array_equal(ev.pixels[rows], obs.pixels)
@@ -155,14 +156,14 @@ class TestBatch:
         graph = dynamic_bundle.to_graph(initial=True)
         edges = [graph.edge_groups()[1][0], graph.edge_groups()[2][1]]
         with pytest.raises(ValueError, match=r"^edge \(2, 1\) does not start at keyframe 1"):
-            evaluate_edge(graph, edges)
+            evaluate(graph, edges)
 
 
 class TestEmbeddingResidual:
     def test_warped_copy_gives_unit_similarity(self, clean_bundle):
         g = clean_bundle.to_graph(initial=False)
         for obs in g.edges[:4]:
-            ev = evaluate_edge(g, [obs])
+            ev = evaluate(g, [obs])
             used = ev.valid_embed & (ev.confidence > 0)
             assert used.any()
             assert np.abs(ev.cs[used] - 1.0).max() < 1e-6
@@ -173,7 +174,7 @@ class TestEmbeddingResidual:
         h, w = 8, 8
         z_i = np.zeros((2, h, w)); z_i[0] = 1.0
         z_j = np.zeros((2, h, w)); z_j[1] = 1.0
-        ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), Pose.identity(), Pose.identity())
+        ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), identity_pose(), identity_pose())
         assert ev.valid_embed.all()
         assert ev.cs == pytest.approx(0.0, abs=1e-12)
         assert ev.residual[2] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
@@ -181,7 +182,7 @@ class TestEmbeddingResidual:
     def test_invariant_to_positive_rescaling(self, rng):
         z_i = smooth_map(rng)
         z_j = smooth_map(rng)
-        args = (np.full((24, 32), 0.4), Pose.identity(), se3_exp([0.02, 0, 0, 0, 0, 0]))
+        args = (np.full((24, 32), 0.4), identity_pose(), se3_exp([0.02, 0, 0, 0, 0, 0]))
         ev0 = edge_eval(z_i, z_j, *args)
         ev1 = edge_eval(3.7 * z_i, 0.02 * z_j, *args)
         assert ev0.valid_embed.any()
@@ -193,7 +194,7 @@ class TestEmbeddingResidual:
         h, w = 8, 8
         z_i = np.zeros((2, h, w))
         z_j = np.ones((2, h, w))
-        ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), Pose.identity(), Pose.identity())
+        ev = edge_eval(z_i, z_j, np.full((h, w), 0.5), identity_pose(), identity_pose())
         assert not ev.valid_embed.any()
 
 
@@ -252,7 +253,7 @@ class TestEmbeddingJacobian:
     def test_constant_target_field_zeroes_jacobians(self, rng):
         z_i = smooth_map(rng)
         z_j = np.ones_like(z_i) * np.arange(1, 7)[:, None, None]
-        ev = edge_eval(z_i, z_j, np.full((24, 32), 0.5), Pose.identity(),
+        ev = edge_eval(z_i, z_j, np.full((24, 32), 0.5), identity_pose(),
                        se3_exp([0.02, 0, 0, 0, 0, 0]), with_jacobians=True)
         valid = ev.valid_embed
         assert valid.any()
@@ -264,7 +265,7 @@ class TestEmbeddingJacobian:
         while checked < 10:
             z_i, z_j = smooth_map(rng), smooth_map(rng)
             t_j = se3_exp(rng.normal(0, 0.05, 6))
-            ev = edge_eval(z_i, z_j, d, Pose.identity(), t_j, with_jacobians=True)
+            ev = edge_eval(z_i, z_j, d, identity_pose(), t_j, with_jacobians=True)
             je_pose_i = -ev.jac[2, 1:].T @ ev.adjoint[0]
             norms = np.linalg.norm(je_pose_i, axis=1)
             candidates = np.flatnonzero(ev.valid_embed & (norms >= 1e-6))
@@ -279,7 +280,7 @@ class TestEmbeddingJacobian:
 
 def prior_frame(disparity, prior):
     """A keyframe whose maps other than the disparity and its prior are placeholders."""
-    return Keyframe(index=0, pose=Pose.identity(), disparity=disparity, disparity_prior=prior,
+    return Keyframe(index=0, pose=identity_pose(), disparity=disparity, disparity_prior=prior,
                     features=np.ones((1,) + disparity.shape))
 
 
@@ -328,7 +329,7 @@ class TestTotalEnergy:
     def test_zero_at_ground_truth(self, clean_bundle):
         graph = clean_bundle.to_graph(initial=False)
         config = SolverConfig()
-        e, _ = total_energy(graph, config, kernel_alphas(graph, config))
+        e, _ = energy_own(graph, config)
         assert e.total <= 1e-9
         assert e.photo_ark <= 1e-9 and e.embed <= 1e-9 and e.reg == 0.0
 
@@ -358,7 +359,7 @@ class TestTotalEnergy:
         graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs],
                               intrinsics=bundle.intrinsics)
         config = SolverConfig(lambda_embed=1.3)
-        got, _ = total_energy(graph, config, kernel_alphas(graph, config))
+        got, _ = energy_own(graph, config)
 
         e_photo = 0.0
         e_embed = 0.0
@@ -371,7 +372,7 @@ class TestTotalEnergy:
                 ok = ok and -1e-9 <= mu[0] <= w - 1 + 1e-9 and -1e-9 <= mu[1] <= h - 1 + 1e-9
                 r = (mu - u) - flow[:, y, x]
                 z_src = kf_i.features[:, y, x]
-                z_smp, _, _ = bilinear_sample(kf_j.features, mu)
+                z_smp, _ = bilinear_sample(kf_j.features, mu, ok)
                 norms = np.linalg.norm(z_src) * np.linalg.norm(z_smp)
                 ok_e = ok and np.linalg.norm(z_src) > 1e-8 and np.linalg.norm(z_smp) > 1e-8
                 cs = min(float(z_src @ z_smp) / norms, 1.0) if ok_e else 0.0
@@ -405,7 +406,7 @@ class TestInvalidPixels:
         disparity[0, 0] = 0.0                      # zero disparity
         disparity[10:12, 10:12] = 4.0              # depth 0.25 ends up behind camera j
         pose_j = se3_exp([0.05, 0.0, -0.5, 0.0, 0.0, 0.0])  # zooms the borders out of bounds
-        kf_i = Keyframe(index=0, pose=Pose.identity(), disparity=disparity,
+        kf_i = Keyframe(index=0, pose=identity_pose(), disparity=disparity,
                         disparity_prior=disparity, features=smooth_map(rng, (6, h, w)))
         kf_j = Keyframe(index=1, pose=pose_j, disparity=disparity,
                         disparity_prior=disparity, features=smooth_map(rng, (6, h, w)))
@@ -413,7 +414,7 @@ class TestInvalidPixels:
         confidence = rng.uniform(0.2, 1.0, size=(h, w))
         obs = FlowObservation(i=0, j=1, flow=flow, confidence=confidence)
         graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=K)
-        ev = evaluate_edge(graph, [obs], with_jacobians=True)
+        ev = evaluate(graph, [obs], with_jacobians=True)
         assert ev.pixels.size == h * w  # every pixel is confident, so rows are grid pixels
         dead = ~ev.valid_flow
         _, geometric_ok = reproject(grid_pixels(h, w), disparity.reshape(-1),
@@ -447,7 +448,7 @@ class TestInvalidPixels:
         for name in fields:
             ref, got = getattr(ne, name), getattr(ne_muted, name)
             if name == "coupling":
-                ref, got = ne.to_dense()[0], ne_muted.to_dense()[0]
+                ref, got = dense_system(ne)[0], dense_system(ne_muted)[0]
             assert np.abs(got - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0), name
         for name in ("total", "photo_ark", "embed", "reg"):
             assert getattr(ne_muted.energies, name) == pytest.approx(
@@ -459,13 +460,13 @@ class TestInvalidPixels:
         features_i[:, 2, 3] = 0.0  # degenerate embedding at one pixel
         features_j = smooth_map(rng, (3, h, w))
         disparity = np.full((h, w), 0.5)
-        kf_i = Keyframe(index=0, pose=Pose.identity(), disparity=disparity,
+        kf_i = Keyframe(index=0, pose=identity_pose(), disparity=disparity,
                         disparity_prior=disparity, features=features_i)
         kf_j = Keyframe(index=1, pose=se3_exp([0.01, 0, 0, 0, 0, 0]), disparity=disparity,
                         disparity_prior=disparity, features=features_j)
         obs = FlowObservation(i=0, j=1, flow=np.zeros((2, h, w)), confidence=np.ones((h, w)))
         graph = KeyframeGraph(keyframes=[kf_i, kf_j], edges=[obs], intrinsics=K)
-        ev = evaluate_edge(graph, [obs])
+        ev = evaluate(graph, [obs])
         p = 2 * w + 3
         assert ev.valid_flow[p]
         assert not ev.valid_embed[p]
@@ -510,9 +511,9 @@ class TestHotPath:
 
         # Calling it raises, and so does looking up any of Rotation's constructors on it.
         monkeypatch.setattr(geometry, "Rotation", no_rotation)
-        ev = evaluate_edge(graph, edges, with_jacobians=True)
+        ev = evaluate(graph, edges, with_jacobians=True)
         assert ev.jac.shape[0] == 3 and np.isfinite(ev.jac).all()
-        evaluate_edge(graph, edges, need_similarity=False)
+        evaluate(graph, edges, need_similarity=False)
         layout = ProblemLayout.build(graph, config)
         delta = np.random.default_rng(3).normal(0.0, 1e-3, layout.n_total)
         moved = retract(graph, delta, layout)
@@ -521,4 +522,39 @@ class TestHotPath:
 
         h, w = graph.grid_shape
         assert grid_pixels(h, w) is grid_pixels(h, w)
+
+    def test_one_sampler_call_per_source_keyframe(self, dynamic_bundle, monkeypatch):
+        # Every target of a keyframe's out-edges is sampled in one gather, in
+        # the similarity, Jacobian and value passes alike.
+        graph = dynamic_bundle.to_graph(initial=True)
+        config = SolverConfig()
+        calls = []
+
+        def counting(fmap, u, valid, **kwargs):
+            calls.append(u.shape[0])
+            return bilinear_sample(fmap, u, valid, **kwargs)
+
+        monkeypatch.setattr("semba.residuals.bilinear_sample", counting)
+        layout = ProblemLayout.build(graph, config)
+        rows = [batch.pixels.size for batch in layout.batches]
+        assert len(rows) == len(graph.keyframes) < len(graph.edges)
+        alphas = kernel_alphas(graph, config, layout.batches)
+        assert calls == rows
+        calls.clear()
+        assemble(graph, config, alphas, layout)
+        assert calls == rows
+        calls.clear()
+        total_energy(graph, config, alphas, layout.batches)
+        assert calls == rows
+
+    def test_batch_holds_each_edge_row_once(self, dynamic_bundle):
+        graph = dynamic_bundle.to_graph(initial=True)
+        h, w = graph.grid_shape
+        for batch in ProblemLayout.build(graph, SolverConfig()).batches:
+            for e, obs in enumerate(batch.edges):
+                rows = slice(batch.bounds[e], batch.bounds[e + 1])
+                for name in ("pixels", "target", "confidence"):
+                    assert getattr(obs, name).base is getattr(batch, name), name
+                    assert np.shares_memory(getattr(obs, name), getattr(batch, name)[rows])
+                assert batch.offsets[e] == obs.j * h * w
         assert not grid_pixels(h, w).flags.writeable

@@ -8,13 +8,14 @@ import scipy.linalg
 from semba.evaluation import fuse_point_cloud, trajectory_ate
 from semba.geometry import Intrinsics, se3_exp
 from semba.graph import Keyframe, KeyframeGraph
-from semba.residuals import FlowObservation, evaluate_edge, total_energy
+from semba.residuals import FlowObservation, evaluate_edge
 from semba.robust import ALPHA_STATIC, adaptive_alpha
 from semba.solver import (MIN_DISPARITY, NormalEquations, ProblemLayout, SolverConfig,
                           _accumulate_edges, assemble, kernel_alphas, retract, solve,
                           solve_normal_equations)
 from semba.synthscene import TEMPORAL_RADIUS, SceneConfig, gen_scene
-from shared import ToyBundle, assemble_own, brute_force_normal_equations, stacked_rows
+from shared import (ToyBundle, alphas_own, assemble_own, brute_force_normal_equations,
+                    dense_system, energy_own, evaluate, pose_matrix, stacked_rows)
 
 
 def small_config(**kw):
@@ -30,7 +31,7 @@ def toy_bundle():
 def assert_matches_brute_force(graph, config):
     """Assemble and compare to_dense() with the brute-force system; returns both."""
     ne = assemble_own(graph, config)
-    h_dense, b_dense = ne.to_dense()
+    h_dense, b_dense = dense_system(ne)
     h_ref, b_ref = brute_force_normal_equations(graph, config)
     assert np.abs(h_dense - h_ref).max() / max(np.abs(h_ref).max(), 1.0) < 1e-9
     assert np.abs(b_dense - b_ref).max() / max(np.abs(b_ref).max(), 1.0) < 1e-9
@@ -98,7 +99,7 @@ class TestAssemble:
 
     def test_symmetric(self, toy_bundle):
         graph, config = toy_bundle.to_graph(), small_config()
-        h, _ = assemble_own(graph, config).to_dense()
+        h, _ = dense_system(assemble_own(graph, config))
         assert np.abs(h - h.T).max() < 1e-9
 
     def test_zero_residual_state_zero_gradient(self, clean_bundle):
@@ -106,7 +107,7 @@ class TestAssemble:
         ne = assemble_own(graph, config)
         assert np.abs(ne.pose_g).max() < 1e-9
         assert np.abs(ne.disp_g).max() < 1e-9
-        h, _ = ne.to_dense()
+        h, _ = dense_system(ne)
         assert np.linalg.eigvalsh(h).min() > -1e-9
 
     def test_flow_only_when_embedding_disabled(self, toy_bundle):
@@ -145,7 +146,7 @@ class TestAssemble:
         edges = graph.edge_groups()[2]
         assert [(obs.i, obs.j) for obs in edges] == [(2, 0), (2, 1), (2, 3), (2, 4)]
         obs = edges[2]
-        valid_rows = np.flatnonzero(evaluate_edge(graph, [obs]).valid_flow)
+        valid_rows = np.flatnonzero(evaluate(graph, [obs]).valid_flow)
         row = int(valid_rows[3])
         pixel = int(obs.pixels[row])
         assert pixel != row  # the support leaves out grid pixels before this one
@@ -184,13 +185,13 @@ class TestAssemble:
                                   edges=graph.edges[:2] + [dead] + graph.edges[2:])
         config = small_config(**options)
         ne = assemble_own(graph, config)
-        alphas = kernel_alphas(with_dead, config)
-        assert [np.shape(a) for a in alphas] == [np.shape(a) for a in kernel_alphas(graph, config)]
+        alphas = alphas_own(with_dead, config)
+        assert [np.shape(a) for a in alphas] == [np.shape(a) for a in alphas_own(graph, config)]
         ne_dead = assemble_own(with_dead, config, alphas)
         for name in ("pose_h", "pose_g", "coupling", "disp_h", "disp_g"):
             assert np.array_equal(getattr(ne_dead, name), getattr(ne, name)), name
         assert ne_dead.energies == ne.energies
-        assert total_energy(with_dead, config, alphas)[0] == ne.energies
+        assert energy_own(with_dead, config, alphas)[0] == ne.energies
 
 
 class TestAccumulate:
@@ -202,7 +203,7 @@ class TestAccumulate:
         layout = ProblemLayout.build(graph, config)
         edges = graph.edge_groups()[1]
         assert [(obs.i, obs.j) for obs in edges] == [(1, 0), (1, 2)]  # pose 0 is frozen
-        ev = evaluate_edge(graph, edges, need_similarity=False, need_embedding=False,
+        ev = evaluate(graph, edges, need_similarity=False, need_embedding=False,
                            with_jacobians=True, with_intrinsics=True)
         rng = np.random.default_rng(4)
         n = ev.pixels.size
@@ -216,7 +217,7 @@ class TestAccumulate:
                              disp_h=np.zeros(d), pose_g=np.zeros(p), disp_g=np.zeros(d),
                              reduction=np.zeros((p, p)), reduced_g=np.zeros(p))
         _accumulate_edges(ne, edges, ev, weight)
-        h, b = ne.to_dense()
+        h, b = dense_system(ne)
         j, w, r = (np.array(part) for part in stacked_rows(layout, edges, ev, weight))
         assert j.shape[0] == 4 * n
         h_ref, b_ref = j.T @ (w[:, None] * j), j.T @ (w * r)
@@ -232,12 +233,12 @@ class TestKernelAlphas:
         monkeypatch.setattr("semba.residuals.evaluate_edge", no_evaluation)
         graph = toy_bundle.to_graph()
         config = small_config(fixed_alpha=1.0)
-        alphas = kernel_alphas(graph, config)
+        alphas = alphas_own(graph, config)
         assert len(graph.edge_groups()) == 3
         assert alphas == [1.0] * 3 and all(type(alpha) is float for alpha in alphas)
         monkeypatch.undo()
         # A trial pass hands back the alphas it was given: no state changes them.
-        _, shapes = total_energy(graph, config, alphas)
+        _, shapes = energy_own(graph, config, alphas)
         assert shapes is alphas
 
     def test_adaptive_matches_jacobian_pass(self, dynamic_bundle):
@@ -245,11 +246,11 @@ class TestKernelAlphas:
         # full Jacobian pass at the same state would.
         graph = dynamic_bundle.to_graph(initial=True)
         config = small_config()
-        alphas = kernel_alphas(graph, config)
+        alphas = alphas_own(graph, config)
         groups = graph.edge_groups()
         assert len(alphas) == len(groups) == len(graph.keyframes)
         for alpha, edges in zip(alphas, groups):
-            ev = evaluate_edge(graph, edges, with_jacobians=True)
+            ev = evaluate(graph, edges, with_jacobians=True)
             expected = np.where(ev.valid_embed, adaptive_alpha(ev.cs), ALPHA_STATIC)
             assert np.array_equal(alpha, expected)
         assert np.unique(np.concatenate(alphas)).size > 2  # shapes really vary
@@ -259,11 +260,11 @@ class TestKernelAlphas:
         # Scored at the ground truth under the start state's shapes, the trial
         # pass returns the shapes of the ground truth, bit for bit.
         config = small_config(lambda_embed=lambda_embed)
-        start = kernel_alphas(dynamic_bundle.to_graph(initial=True), config)
+        start = alphas_own(dynamic_bundle.to_graph(initial=True), config)
         graph = dynamic_bundle.to_graph(initial=False)
-        energies, shapes = total_energy(graph, config, start)
+        energies, shapes = energy_own(graph, config, start)
         assert energies == assemble_own(graph, config, start).energies  # scored under start
-        expected = kernel_alphas(graph, config)
+        expected = alphas_own(graph, config)
         assert len(shapes) == len(expected)
         for got, want in zip(shapes, expected):
             assert np.array_equal(got, want)
@@ -277,10 +278,10 @@ class TestKernelAlphas:
         graph = dynamic_bundle.to_graph(initial=True)
         calls = []
 
-        def counting(graph, edges, **kwargs):
+        def counting(graph, batch, **kwargs):
             if not (kwargs.get("need_embedding", True) or kwargs.get("with_jacobians")):
-                calls.append(edges[0].i)
-            return evaluate_edge(graph, edges, **kwargs)
+                calls.append(batch.i)
+            return evaluate_edge(graph, batch, **kwargs)
 
         monkeypatch.setattr("semba.residuals.evaluate_edge", counting)
         _, trace = solve(graph, small_config(max_iters=4, fixed_alpha=fixed_alpha))
@@ -307,7 +308,7 @@ class TestSchurSolve:
         config = small_config()
         ne = assemble_own(graph, config)
         assert ne.layout.n_total <= 500
-        assert_schur_matches_dense(ne, *ne.to_dense())
+        assert_schur_matches_dense(ne, *dense_system(ne))
 
     # Keyframe 1 couples to poses 1 and 3 with the free pose 2 between them, so
     # the second frozen keyframe is 4: freezing 2 would close the gap.
@@ -349,7 +350,7 @@ class TestSchurSolve:
         graph = KeyframeGraph(keyframes=keyframes, edges=graph.edges,
                               intrinsics=graph.intrinsics)
         config = small_config()
-        ne = assemble(graph, config, kernel_alphas(graph, config), layout)
+        ne = assemble(graph, config, kernel_alphas(graph, config, layout.batches), layout)
         lm = 1e-3
         disp_delta = solve_normal_equations(ne, lm)[layout.n_reduced:]
         pixels = np.concatenate([k * h * w + p for k, p in enumerate(outside)])
@@ -419,7 +420,7 @@ class TestRetract:
         out = retract(graph, np.zeros(layout.n_total), layout)
         for a, b in zip(out.keyframes, graph.keyframes):
             assert np.array_equal(a.disparity, b.disparity)
-            assert np.abs(a.pose.matrix() - b.pose.matrix()).max() == 0.0
+            assert np.abs(pose_matrix(a.pose) - pose_matrix(b.pose)).max() == 0.0
 
     def test_pose_update_left_composes(self, toy_bundle):
         graph = toy_bundle.to_graph()
@@ -430,7 +431,7 @@ class TestRetract:
         delta[layout.pose_slices[1]] = twist
         out = retract(graph, delta, layout)
         expected = se3_exp(twist).compose(graph.keyframes[1].pose)
-        assert np.abs(out.keyframes[1].pose.matrix() - expected.matrix()).max() < 1e-12
+        assert np.abs(pose_matrix(out.keyframes[1].pose) - pose_matrix(expected)).max() < 1e-12
 
     def test_frozen_pose_untouched(self, toy_bundle):
         graph = toy_bundle.to_graph()
@@ -439,8 +440,8 @@ class TestRetract:
         assert layout.pose_slices[0] is None  # keyframe 0 is the gauge anchor
         delta = np.ones(layout.n_total)
         out = retract(graph, delta, layout)
-        assert np.abs(out.keyframes[0].pose.matrix()
-                      - graph.keyframes[0].pose.matrix()).max() == 0.0
+        assert np.abs(pose_matrix(out.keyframes[0].pose)
+                      - pose_matrix(graph.keyframes[0].pose)).max() == 0.0
 
     def test_disparity_clamped(self, toy_bundle):
         graph = toy_bundle.to_graph()
@@ -525,18 +526,18 @@ class TestSolve:
         assert sum(r.accepted for r in trace[1:]) == 0
         assert opt is graph  # with no accepted step the input itself is returned
         for a, b in zip(opt.keyframes, graph.keyframes):
-            assert np.abs(a.pose.matrix() - b.pose.matrix()).max() < 1e-9
+            assert np.abs(pose_matrix(a.pose) - pose_matrix(b.pose)).max() < 1e-9
             assert np.abs(a.disparity - b.disparity).max() < 1e-9
 
     def test_input_graph_is_left_unchanged(self, dynamic_bundle):
         # Every candidate is a new graph, so the solve never writes its input.
         graph = dynamic_bundle.to_graph(initial=True)
-        poses = [kf.pose.matrix() for kf in graph.keyframes]
+        poses = [pose_matrix(kf.pose) for kf in graph.keyframes]
         disparities = [kf.disparity.tobytes() for kf in graph.keyframes]
         intrinsics = graph.intrinsics.as_array()
         opt, trace = solve(graph, small_config(optimize_intrinsics=True, max_iters=4))
         for kf, pose, disparity in zip(graph.keyframes, poses, disparities):
-            assert np.array_equal(kf.pose.matrix(), pose)
+            assert np.array_equal(pose_matrix(kf.pose), pose)
             assert kf.disparity.tobytes() == disparity
         assert np.array_equal(graph.intrinsics.as_array(), intrinsics)
         assert sum(r.accepted for r in trace[1:]) >= 2
@@ -560,7 +561,7 @@ class TestSolve:
         for k in range(1, len(base.keyframes)):
             rel_a = base.keyframes[k].pose.compose(base.keyframes[0].pose.inverse())
             rel_b = shifted.keyframes[k].pose.compose(shifted.keyframes[0].pose.inverse())
-            assert np.abs(rel_a.matrix() - rel_b.matrix()).max() < 1e-6
+            assert np.abs(pose_matrix(rel_a) - pose_matrix(rel_b)).max() < 1e-6
 
     def test_dynamic_scene_ark_beats_l2(self):
         ark_ates, l2_ates = [], []

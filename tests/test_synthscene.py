@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from semba.evaluation import trajectory_ate
-from semba.residuals import FlowObservation, evaluate_edge, total_energy
-from semba.solver import SolverConfig, kernel_alphas, solve
+from semba.residuals import FlowObservation
+from semba.solver import SolverConfig, solve
 from semba.synthscene import DEPTH_RANGE, TEMPORAL_RADIUS, SceneConfig, gen_scene
+from shared import energy_own, evaluate, pose_matrix
 
 CONFIG = SolverConfig()  # default objective, adaptive kernel
 
@@ -36,7 +37,7 @@ class TestGenScene:
 
     def test_ground_truth_is_zero_energy(self, clean_bundle):
         graph = clean_bundle.to_graph(initial=False)
-        e, _ = total_energy(graph, CONFIG, kernel_alphas(graph, CONFIG))
+        e, _ = energy_own(graph, CONFIG)
         assert e.total <= 1e-9
 
     def test_edges_join_keyframes_within_the_temporal_radius(self, clean_bundle):
@@ -100,7 +101,7 @@ class TestInjectDynamics:
         g = dynamic_bundle.to_graph(initial=False)
         cs_vals = []
         for obs in unit_confidence(dynamic_bundle):
-            ev = evaluate_edge(g, [obs])
+            ev = evaluate(g, [obs])
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_embed
             cs_vals.append(ev.cs[sel])
         assert np.mean(np.concatenate(cs_vals)) <= 0.1
@@ -109,7 +110,7 @@ class TestInjectDynamics:
         g = dynamic_bundle.to_graph(initial=False)
         mags = []
         for obs in unit_confidence(dynamic_bundle):
-            ev = evaluate_edge(g, [obs])
+            ev = evaluate(g, [obs])
             sel = dynamic_bundle.dynamic_masks[obs.i].reshape(-1) & ev.valid_flow
             mags.append(np.linalg.norm(ev.residual[:2, sel], axis=0))
         mean = np.mean(np.concatenate(mags))
@@ -139,7 +140,7 @@ class TestPerturbInit:
     def test_zero_noise_is_identity(self, clean_bundle):
         assert clean_bundle.config.pose_sigma == 0.0
         for p, q in zip(clean_bundle.init_poses, clean_bundle.gt_poses):
-            assert np.array_equal(p.matrix(), q.matrix())
+            assert np.array_equal(pose_matrix(p), pose_matrix(q))
 
     def test_pose_noise_creates_initial_error(self, clean_bundle, perturbed_bundle):
         ate = trajectory_ate(perturbed_bundle.init_poses, perturbed_bundle.gt_poses, "rigid")

@@ -12,7 +12,7 @@ from semba.tensorio import (FileFormatError, load_problem_bundle, read_labelset,
                             read_point_cloud, read_tensor, read_trajectory, write_energy_trace,
                             write_labelset, write_pca, write_point_cloud, write_problem_bundle,
                             write_seg_metrics, write_tensor, write_trajectory)
-from shared import qr_model
+from shared import energy_own, pose_matrix, qr_model
 
 
 class TestTensorFormat:
@@ -130,7 +130,7 @@ class TestTrajectoryFormat:
         assert np.array_equal(ts, 0.5 * np.arange(6))
         back = [Pose(q, t).inverse() for q, t in zip(quat, pos)]
         for a, b in zip(back, poses):
-            assert np.abs(a.matrix() - b.matrix()).max() < 1e-12
+            assert np.abs(pose_matrix(a) - pose_matrix(b)).max() < 1e-12
 
     def test_stores_camera_to_world(self, tmp_path):
         pose = Pose(np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
@@ -283,11 +283,24 @@ class TestProblemBundle:
             assert np.array_equal(kf.disparity, disp)
             assert np.array_equal(kf.disparity_prior, disp)
             assert np.array_equal(kf.features, feat)
-            assert np.abs(kf.pose.matrix() - init_pose.matrix()).max() < 1e-12
+            assert np.abs(pose_matrix(kf.pose) - pose_matrix(init_pose)).max() < 1e-12
         for obs, ref in zip(graph.edges, bundle.edges):
             assert (obs.i, obs.j) == (ref.i, ref.j)
             for name in ("grid_shape", "pixels", "target", "confidence"):
                 assert np.array_equal(getattr(obs, name), getattr(ref, name)), name
+
+    def test_features_live_in_one_graph_buffer(self, tmp_path):
+        # The loader and SceneBundle.to_graph write each keyframe's features
+        # straight into the graph's buffer: no keyframe holds a copy of its own.
+        bundle = gen_scene(SceneConfig(num_keyframes=3, height=24, width=32, seed=4))
+        write_problem_bundle(tmp_path / "bundle", bundle)
+        for graph in (load_problem_bundle(tmp_path / "bundle"), bundle.to_graph()):
+            assert graph.features.shape == (3, 24, 32, 16)
+            assert graph.features.flags.c_contiguous
+            for k, kf in enumerate(graph.keyframes):
+                assert kf.features.base is graph.features
+                assert np.shares_memory(kf.features, graph.features[k])
+                assert np.array_equal(kf.features, bundle.features[k])
 
     def test_edges_hold_support_rows_only(self, tmp_path):
         bundle = gen_scene(SceneConfig(num_keyframes=3, height=24, width=32, seed=4))
@@ -337,12 +350,11 @@ class TestProblemBundle:
     def test_energy_preserved_through_files(self, tmp_path):
         # The whole point of the f64 tensor default: the on-disk problem
         # evaluates exactly like the in-memory one.
-        from semba.residuals import total_energy
-        from semba.solver import SolverConfig, kernel_alphas
+        from semba.solver import SolverConfig
         bundle = gen_scene(SceneConfig(num_keyframes=3, height=24, width=32, seed=4))
         out = tmp_path / "bundle"
         write_problem_bundle(out, bundle)
         graph = load_problem_bundle(out)
         config = SolverConfig()
-        energies, _ = total_energy(graph, config, kernel_alphas(graph, config))
+        energies, _ = energy_own(graph, config)
         assert energies.total <= 1e-9
